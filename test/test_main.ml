@@ -35,4 +35,5 @@ let () =
       ("store", Test_store.suite);
       ("cloud", Test_cloud.suite);
       ("analytic", Test_analytic.suite);
+      ("sim-golden", Test_sim_golden.suite);
     ]

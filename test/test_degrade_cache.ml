@@ -1,11 +1,12 @@
-(* The structural replan cache in Ckpt_sim.Degrade: hit/miss counters,
-   and the contract that caching is invisible — trial arrays bitwise
-   identical with the cache on or off, at any [jobs]. *)
+(* The structural replan caches of Ckpt_sim.Degrade and Ckpt_sim.Cloud:
+   hit/miss counters, and the contract that caching is invisible — trial
+   arrays bitwise identical with the cache on or off, at any [jobs]. *)
 
 module Spec = Ckpt_workflows.Spec
 module Pipeline = Ckpt_core.Pipeline
 module Strategy = Ckpt_core.Strategy
 module Degrade = Ckpt_sim.Degrade
+module Cloud = Ckpt_sim.Cloud
 
 let genome_plan ?(tasks = 50) ?(processors = 5) () =
   let dag = Spec.generate Spec.Genome ~seed:1 ~tasks () in
@@ -17,6 +18,17 @@ let deadly_config plan =
   {
     Degrade.lambda_death = 2. /. plan.Strategy.wpar;
     max_losses = 1;
+    kind = Strategy.Ckpt_some;
+    store = Ckpt_storage.Store.default;
+  }
+
+(* revocations frequent enough that most trials replan, with a grace
+   window long enough for warning rescues to change the frontier *)
+let revoking_config plan =
+  {
+    Cloud.lambda_revoke = 2. /. plan.Strategy.wpar;
+    grace = plan.Strategy.wpar /. 20.;
+    max_revocations = 2;
     kind = Strategy.Ckpt_some;
     store = Ckpt_storage.Store.default;
   }
@@ -56,7 +68,17 @@ let test_cached_equals_uncached () =
       Alcotest.(check bool)
         (Degrade.mode_name mode ^ ": cache on = cache off, bitwise")
         true (a = b))
-    [ Degrade.Repair; Degrade.Restart ]
+    [ Degrade.Repair; Degrade.Restart ];
+  let config = revoking_config plan in
+  let on = Cloud.prepare plan in
+  let off = Cloud.prepare ~cache:false plan in
+  let a = Cloud.sample_prepared ~trials:40 ~seed:13 ~mode:Cloud.Checkpoint config on in
+  let b = Cloud.sample_prepared ~trials:40 ~seed:13 ~mode:Cloud.Checkpoint config off in
+  let hits, misses = Cloud.cache_stats on in
+  Alcotest.(check bool) "cloud: replans went through the cache" true (hits + misses > 0);
+  Alcotest.(check (pair int int)) "cloud: disabled cache stays empty" (0, 0)
+    (Cloud.cache_stats off);
+  Alcotest.(check bool) "cloud ckpt: cache on = cache off, bitwise" true (a = b)
 
 let test_cached_jobs_invariant () =
   let plan = genome_plan () in
@@ -64,7 +86,16 @@ let test_cached_jobs_invariant () =
   let prepared = Degrade.prepare plan in
   let seq = Degrade.sample_prepared ~trials:40 ~seed:13 ~jobs:1 ~mode:Degrade.Repair config prepared in
   let par = Degrade.sample_prepared ~trials:40 ~seed:13 ~jobs:4 ~mode:Degrade.Repair config prepared in
-  Alcotest.(check bool) "jobs=1 = jobs=4 on a shared cache, bitwise" true (seq = par)
+  Alcotest.(check bool) "jobs=1 = jobs=4 on a shared cache, bitwise" true (seq = par);
+  let config = revoking_config plan in
+  let prepared = Cloud.prepare plan in
+  let sample jobs =
+    Cloud.sample_prepared ~trials:40 ~seed:13 ~jobs ~mode:Cloud.Checkpoint config prepared
+  in
+  let seq = sample 1 in
+  let par = sample 4 in
+  Alcotest.(check bool) "cloud ckpt: jobs=1 = jobs=4 on a shared cache, bitwise" true
+    (seq = par)
 
 let test_restart_reuses_single_entry () =
   (* Restart always replans from an empty frontier: for a fixed

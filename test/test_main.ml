@@ -36,4 +36,5 @@ let () =
       ("cloud", Test_cloud.suite);
       ("analytic", Test_analytic.suite);
       ("sim-golden", Test_sim_golden.suite);
+      ("engine-oracle", Test_engine_oracle.suite);
     ]

@@ -88,8 +88,7 @@ let () =
           Hashtbl.replace traces p t;
           t
     in
-    let records, _ = Engine.execute segs trace in
-    let s = Engine.summarize records in
+    let s = Engine.summarize (Engine.run segs trace).Engine.records in
     failures := !failures + s.Engine.failures;
     wasted := !wasted +. s.Engine.wasted_time;
     useful := !useful +. s.Engine.useful_time

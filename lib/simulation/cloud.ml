@@ -3,11 +3,9 @@ module Schedule = Ckpt_core.Schedule
 module Superchain = Ckpt_core.Superchain
 module Placement = Ckpt_core.Placement
 module Platform = Ckpt_platform.Platform
-module Failure = Ckpt_platform.Failure
 module Rng = Ckpt_prob.Rng
 module Mortality = Ckpt_recovery.Mortality
 module Repair = Ckpt_recovery.Repair
-module Pool = Ckpt_parallel.Pool
 module Dag = Ckpt_dag.Dag
 module Store = Ckpt_storage.Store
 
@@ -33,17 +31,6 @@ type trial = {
   work_lost : float;
   dollar_cost : float;
 }
-
-(* For each segment of a plan, the task ids it covers (in the plan's
-   own id space). *)
-let seg_tasks_of (plan : Strategy.plan) =
-  Array.map
-    (fun (seg : Placement.segment) ->
-      let sc = plan.Strategy.schedule.Schedule.superchains.(seg.Placement.chain) in
-      Array.init
-        (seg.Placement.last - seg.Placement.first + 1)
-        (fun k -> Superchain.task_at sc (seg.Placement.first + k)))
-    plan.Strategy.segments
 
 (* Warning-rescue metadata: per segment, the recovery-read span, each
    task's speed-scaled compute span, and the write span of a partial
@@ -78,27 +65,11 @@ let rescue_of_plan (plan : Strategy.plan) =
 type replica = { rsegs : Engine.seg array; rwrites : float array }
 
 type prepared = {
-  plan : Strategy.plan;
-  init_segs : Engine.seg array;
-  init_writes : float array;
-  init_seg_tasks : int array array;
-  init_rescue : Engine.rescue_info array;
+  base : Replan.prepared;
   replicas : replica list;
       (* the Setlur-style baseline: the platform split into interleaved
          halves, each running the whole workflow with minimal
          checkpoints (superchain ends only), restart-only *)
-  (* structural replan cache, exactly as in {!Degrade}: Repair.replan
-     is a pure function of (kind, survivor set, committed frontier) *)
-  cache :
-    ( string,
-      ( Engine.seg array * float array * int array array * Engine.rescue_info array,
-        string )
-      result )
-    Hashtbl.t;
-  lock : Mutex.t;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  use_cache : bool;
 }
 
 (* Minimal checkpointing for the replication baseline: a period beyond
@@ -115,17 +86,10 @@ let replica_of_half (plan : Strategy.plan) half =
   with
   | Error msg -> invalid_arg ("Cloud.prepare: replica plan failed: " ^ msg)
   | Ok r ->
-      let rsegs =
-        Array.map
-          (fun (s : Engine.seg) ->
-            { s with Engine.processor = r.Repair.phys.(s.Engine.processor) })
-          (Runner.segs_of_plan r.Repair.plan)
-      in
-      { rsegs; rwrites = Runner.writes_of_plan r.Repair.plan }
+      { rsegs = Replan.physical_segs r; rwrites = Runner.writes_of_plan r.Repair.plan }
 
-let prepare ?(cache = true) (plan : Strategy.plan) =
-  if plan.Strategy.prob_dag = None then
-    invalid_arg "Cloud.prepare: a CKPTNONE plan has no checkpoints to recover from";
+let prepare ?cache (plan : Strategy.plan) =
+  let base = Replan.prepare ~name:"Cloud" ?cache ~rescue_of:rescue_of_plan plan in
   let nprocs = plan.Strategy.platform.Platform.processors in
   let all = List.init nprocs Fun.id in
   let halves =
@@ -135,86 +99,9 @@ let prepare ?(cache = true) (plan : Strategy.plan) =
         List.filter (fun p -> p mod 2 = 0) all; List.filter (fun p -> p mod 2 = 1) all;
       ]
   in
-  {
-    plan;
-    init_segs = Runner.segs_of_plan plan;
-    init_writes = Runner.writes_of_plan plan;
-    init_seg_tasks = seg_tasks_of plan;
-    init_rescue = rescue_of_plan plan;
-    replicas = List.map (replica_of_half plan) halves;
-    cache = Hashtbl.create 64;
-    lock = Mutex.create ();
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
-    use_cache = cache;
-  }
+  { base; replicas = List.map (replica_of_half plan) halves }
 
-let cache_stats prepared = (Atomic.get prepared.hits, Atomic.get prepared.misses)
-
-(* kind + survivor list + done_ bitset, packed into a flat string *)
-let replan_key ~kind ~survivors ~done_ =
-  let buf = Buffer.create (32 + (Array.length done_ / 8)) in
-  Buffer.add_string buf (Strategy.kind_name kind);
-  Buffer.add_char buf '|';
-  List.iter
-    (fun p ->
-      Buffer.add_string buf (string_of_int p);
-      Buffer.add_char buf ',')
-    survivors;
-  Buffer.add_char buf '|';
-  let byte = ref 0 in
-  Array.iteri
-    (fun i b ->
-      if b then byte := !byte lor (1 lsl (i land 7));
-      if i land 7 = 7 then begin
-        Buffer.add_char buf (Char.chr !byte);
-        byte := 0
-      end)
-    done_;
-  if Array.length done_ land 7 <> 0 then Buffer.add_char buf (Char.chr !byte);
-  Buffer.contents buf
-
-let compute_replan prepared ~kind ~survivors ~done_ =
-  let plan = prepared.plan in
-  match
-    Repair.replan ~replicas:plan.Strategy.replicas ~kind ~dag:plan.Strategy.raw_dag
-      ~done_ ~survivors ~platform:plan.Strategy.platform ()
-  with
-  | Error msg -> Error msg
-  | Ok r ->
-      let segs =
-        Array.map
-          (fun (s : Engine.seg) ->
-            { s with Engine.processor = r.Repair.phys.(s.Engine.processor) })
-          (Runner.segs_of_plan r.Repair.plan)
-      in
-      let seg_tasks =
-        Array.map (Array.map (fun t -> r.Repair.task_of.(t))) (seg_tasks_of r.Repair.plan)
-      in
-      Ok
-        ( segs,
-          Runner.writes_of_plan r.Repair.plan,
-          seg_tasks,
-          rescue_of_plan r.Repair.plan )
-
-let replan_cached prepared ~kind ~survivors ~done_ =
-  if not prepared.use_cache then compute_replan prepared ~kind ~survivors ~done_
-  else begin
-    let key = replan_key ~kind ~survivors ~done_ in
-    let cached =
-      Mutex.protect prepared.lock (fun () -> Hashtbl.find_opt prepared.cache key)
-    in
-    match cached with
-    | Some v ->
-        Atomic.incr prepared.hits;
-        v
-    | None ->
-        Atomic.incr prepared.misses;
-        let v = compute_replan prepared ~kind ~survivors ~done_ in
-        Mutex.protect prepared.lock (fun () ->
-            if not (Hashtbl.mem prepared.cache key) then Hashtbl.add prepared.cache key v);
-        v
-  end
+let cache_stats prepared = Replan.cache_stats prepared.base
 
 let run_trial ~mode config prepared rng =
   if config.max_revocations < 0 then
@@ -223,11 +110,8 @@ let run_trial ~mode config prepared rng =
   if config.grace < 0. then invalid_arg "Cloud.run_trial: negative grace";
   (if config.kind = Strategy.Ckpt_none then
      invalid_arg "Cloud.run_trial: CKPTNONE cannot be a replan policy");
-  let plan = prepared.plan in
-  let platform = plan.Strategy.platform in
+  let platform = (Replan.plan prepared.base).Strategy.platform in
   let nprocs = platform.Platform.processors in
-  let raw = plan.Strategy.raw_dag in
-  let n = Dag.n_tasks raw in
   (* fixed per-trial randomness, in a mode-independent order (both
      modes see identical worlds): revocations first — the
      discount-buys-risk law scales the base rate per processor — then
@@ -243,28 +127,16 @@ let run_trial ~mode config prepared rng =
     Mortality.draw_revocations rng ~rates ~grace:config.grace
       ~max_revocations:config.max_revocations
   in
-  let trace_rngs = Array.init nprocs (fun _ -> Rng.split rng) in
-  let traces = Array.make nprocs None in
-  let trace_of p =
-    match traces.(p) with
-    | Some t -> t
-    | None ->
-        let t = Failure.create trace_rngs.(p) ~lambda:(Platform.rate_of platform p) in
-        traces.(p) <- Some t;
-        t
-  in
-  (* a passthrough store draws nothing, ever, so its state may sit on
-     a constant throwaway stream; a non-passthrough store takes
-     dedicated splits (the second only feeds the baseline's sibling
-     replica) *)
-  let reliable = Store.passthrough config.store in
-  let storage_a =
-    if reliable then Store.create config.store (Rng.create 0)
-    else Store.create config.store (Rng.split rng)
-  in
-  let storage_b =
-    if reliable then Store.create config.store (Rng.create 0)
-    else Store.create config.store (Rng.split rng)
+  let trace_of = Replan.traces rng platform in
+  (* a passthrough store draws nothing, ever, so the trial runs without
+     one; a non-passthrough store takes dedicated splits (the second
+     only feeds the baseline's sibling replica) *)
+  let store_a, store_b =
+    if Store.passthrough config.store then (None, None)
+    else
+      let a = Store.create config.store (Rng.split rng) in
+      let b = Store.create config.store (Rng.split rng) in
+      (Some a, Some b)
   in
   let warn p = revs.(p).Mortality.warn in
   let kill p = revs.(p).Mortality.kill in
@@ -275,29 +147,22 @@ let run_trial ~mode config prepared rng =
   | Replicate ->
       (* restart-only baseline: each half-platform replica runs the
          whole workflow with minimal checkpoints; a replica whose
-         processor is revoked mid-work is lost (warnings unused:
-         [warn = kill] skips every rescue), the makespan is the first
-         replica to finish *)
-      let storages = [ storage_a; storage_b ] in
+         processor is revoked mid-work is lost (warnings unused: a
+         revocation is a plain death at its kill), the makespan is the
+         first replica to finish *)
       let revocations = ref 0 and work_lost = ref 0. and makespan = ref infinity in
       List.iteri
         (fun idx r ->
-          let st = List.nth storages (idx mod 2) in
-          let rescue =
-            Array.map
-              (fun (_ : Engine.seg) ->
-                { Engine.rread = 0.; task_durs = [||]; partial_writes = [||] })
-              r.rsegs
+          let store = if idx mod 2 = 0 then store_a else store_b in
+          let o =
+            Engine.run ?store ~write:r.rwrites ~interrupts:(Engine.deaths kill) r.rsegs
+              trace_of
           in
-          match
-            Engine.execute_until_revocation ~start:0. r.rsegs ~write:r.rwrites ~rescue
-              trace_of ~warn:kill ~kill ~store:st
-          with
-          | Engine.RFinished run ->
-              if run.Engine.sfinish < !makespan then makespan := run.Engine.sfinish
-          | Engine.RInterrupted { lost; _ } ->
+          match o.Engine.cut with
+          | None -> if o.Engine.finish < !makespan then makespan := o.Engine.finish
+          | Some cut ->
               incr revocations;
-              work_lost := !work_lost +. lost)
+              work_lost := !work_lost +. cut.Engine.lost)
         prepared.replicas;
       {
         makespan = !makespan;
@@ -310,156 +175,26 @@ let run_trial ~mode config prepared rng =
         dollar_cost = bill !makespan;
       }
   | Checkpoint ->
-      let done_ = Array.make n false in
-      let task_ckpt = Array.make n None in
-      let rec go ~clock ~segs ~writes ~seg_tasks ~rescue ~revocations ~rescues
-          ~rescued_tasks ~replans ~restarts ~work_lost =
-        match
-          Engine.execute_until_revocation ~start:clock segs ~write:writes ~rescue
-            trace_of ~warn ~kill ~store:storage_a
-        with
-        | Engine.RFinished run ->
-            {
-              makespan = run.Engine.sfinish;
-              revocations;
-              rescues;
-              rescued_tasks;
-              replans;
-              restarts;
-              work_lost;
-              dollar_cost = bill run.Engine.sfinish;
-            }
-        | Engine.RInterrupted { revoked = _; at; kill = _; completed; ckpts; rescue = saved; lost }
-          ->
-            let revocations = revocations + 1 in
-            Array.iteri
-              (fun i ok ->
-                if ok then
-                  Array.iter
-                    (fun t ->
-                      done_.(t) <- true;
-                      task_ckpt.(t) <- ckpts.(i))
-                    seg_tasks.(i))
-              completed;
-            (* credit the warning-committed prefix: its tasks are done
-               and their recovery data sits behind the rescue handle,
-               so the replan never re-executes them *)
-            let rescues, rescued_tasks, work_lost =
-              match saved with
-              | None -> (rescues, rescued_tasks, work_lost +. lost)
-              | Some (i, k, ck) ->
-                  let bought = ref 0. in
-                  for j = 0 to k - 1 do
-                    bought := !bought +. rescue.(i).Engine.task_durs.(j);
-                    let t = seg_tasks.(i).(j) in
-                    done_.(t) <- true;
-                    task_ckpt.(t) <- Some ck
-                  done;
-                  (rescues + 1, rescued_tasks + k, work_lost +. lost -. !bought)
-            in
-            (* revalidate the committed frontier before the replan key
-               is formed, as in {!Degrade}: latent corruption (or a
-               policy-volatile / invalidated handle) revealed here
-               rolls the recovery line back *)
-            if not reliable then
-              for t = 0 to n - 1 do
-                if done_.(t) then
-                  match task_ckpt.(t) with
-                  | Some ck ->
-                      if not (Store.recovery_readable storage_a ck ~at) then begin
-                        done_.(t) <- false;
-                        task_ckpt.(t) <- None
-                      end
-                  | None -> ()
-              done;
-            (* eviction-aware: a warned-but-not-yet-killed processor is
-               draining and gets no replanned work *)
-            let survivors = Mortality.eviction_survivors revs ~after:at in
-            if survivors = [] then
-              {
-                makespan = infinity;
-                revocations;
-                rescues;
-                rescued_tasks;
-                replans;
-                restarts;
-                work_lost;
-                dollar_cost = bill infinity;
-              }
-            else begin
-              let continue_with (segs, writes, seg_tasks, rescue) ~replans ~restarts =
-                go ~clock:at ~segs ~writes ~seg_tasks ~rescue ~revocations ~rescues
-                  ~rescued_tasks ~replans ~restarts ~work_lost
-              in
-              let from_scratch ~replans ~restarts =
-                Array.fill done_ 0 n false;
-                Array.fill task_ckpt 0 n None;
-                match replan_cached prepared ~kind:config.kind ~survivors ~done_ with
-                | Ok v -> continue_with v ~replans ~restarts:(restarts + 1)
-                | Error msg ->
-                    invalid_arg ("Cloud.run_trial: restart replan failed: " ^ msg)
-              in
-              match replan_cached prepared ~kind:config.kind ~survivors ~done_ with
-              | Ok v -> continue_with v ~replans:(replans + 1) ~restarts
-              | Error _ -> from_scratch ~replans ~restarts
-            end
+      (* eviction-aware: a warned-but-not-yet-killed processor is
+         draining and gets no replanned work *)
+      let t =
+        Replan.run_trial ~kind:config.kind ~restart_always:false ?store:store_a ~warn ~kill
+          ~survivors:(Mortality.eviction_survivors revs)
+          prepared.base trace_of
       in
-      (* a kill inside the first grace window warns at instant 0: those
-         processors never receive work — replan on the rest up front *)
-      let warned0 = List.filter (fun p -> warn p <= 0.) (List.init nprocs Fun.id) in
-      if warned0 = [] then
-        go ~clock:0. ~segs:prepared.init_segs ~writes:prepared.init_writes
-          ~seg_tasks:prepared.init_seg_tasks ~rescue:prepared.init_rescue ~revocations:0
-          ~rescues:0 ~rescued_tasks:0 ~replans:0 ~restarts:0 ~work_lost:0.
-      else begin
-        let survivors = Mortality.eviction_survivors revs ~after:0. in
-        if survivors = [] then
-          {
-            makespan = infinity;
-            revocations = List.length warned0;
-            rescues = 0;
-            rescued_tasks = 0;
-            replans = 0;
-            restarts = 0;
-            work_lost = 0.;
-            dollar_cost = bill infinity;
-          }
-        else
-          match replan_cached prepared ~kind:config.kind ~survivors ~done_ with
-          | Error msg -> invalid_arg ("Cloud.run_trial: initial replan failed: " ^ msg)
-          | Ok (segs, writes, seg_tasks, rescue) ->
-              go ~clock:0. ~segs ~writes ~seg_tasks ~rescue
-                ~revocations:(List.length warned0) ~rescues:0 ~rescued_tasks:0
-                ~replans:1 ~restarts:0 ~work_lost:0.
-      end
+      {
+        makespan = t.Replan.makespan;
+        revocations = t.Replan.cuts;
+        rescues = t.Replan.rescues;
+        rescued_tasks = t.Replan.rescued_tasks;
+        replans = t.Replan.replans;
+        restarts = t.Replan.restarts;
+        work_lost = t.Replan.work_lost;
+        dollar_cost = bill t.Replan.makespan;
+      }
 
-(* Work-distribution chunk (see Runner): trials are claimed chunkwise
-   by worker domains but derive their randomness from the trial index
-   alone, so the partitioning never affects the drawn samples. *)
-let chunk_trials = 16
-
-let sample_prepared ?(trials = 200) ?(seed = 11) ?(jobs = 1) ~mode config prepared =
-  if trials < 1 then invalid_arg "Cloud.sample: trials < 1";
-  if jobs < 1 then invalid_arg "Cloud.sample: jobs < 1";
-  let nchunks = (trials + chunk_trials - 1) / chunk_trials in
-  let results = Array.make nchunks None in
-  let next = Atomic.make 0 in
-  Pool.run_shared ~jobs:(min jobs nchunks) (fun ~worker:_ ->
-      let rec loop () =
-        let c = Atomic.fetch_and_add next 1 in
-        if c < nchunks then begin
-          let lo = c * chunk_trials in
-          let hi = min trials (lo + chunk_trials) in
-          results.(c) <-
-            Some
-              (Array.init (hi - lo) (fun k ->
-                   run_trial ~mode config prepared (Rng.for_trial ~seed (lo + k))));
-          loop ()
-        end
-      in
-      loop ());
-  Array.concat
-    (Array.to_list (Array.map (function Some a -> a | None -> assert false) results))
+let sample_prepared ?trials ?seed ?jobs ~mode config prepared =
+  Replan.sample ~name:"Cloud" ?trials ?seed ?jobs (run_trial ~mode config prepared)
 
 let sample ?trials ?seed ?jobs ~mode config plan =
   sample_prepared ?trials ?seed ?jobs ~mode config (prepare plan)

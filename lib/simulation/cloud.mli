@@ -9,26 +9,30 @@
     ({!Ckpt_recovery.Mortality.draw_revocations}); the warned
     processor spends the grace window proactively checkpointing its
     in-flight segment's task prefix through the storage layer
-    ({!Engine.execute_until_revocation}), then drains. The trial loop
-    replans the residual workflow {e eviction-aware} — warned but not
-    yet killed processors get no new work — crediting both committed
-    and warning-rescued checkpoints, and prices every trial in dollars
-    ({!Ckpt_platform.Platform.billed_cost}).
+    ({!Engine.run} with revocation interrupts), then drains. The trial
+    runs the replan loop shared with {!Ckpt_sim.Degrade}
+    ({!Replan.run_trial}) and replans the residual workflow
+    {e eviction-aware} ({!Ckpt_recovery.Mortality.eviction_survivors})
+    — warned but not yet killed processors get no new work — crediting
+    both committed and warning-rescued checkpoints, and prices every
+    trial in dollars ({!Ckpt_platform.Platform.billed_cost}).
 
     The baseline is a Setlur-style replication heuristic: the platform
     split into two interleaved halves, each running the whole workflow
     as a replica with minimal checkpoints (superchain ends only),
     restart-only — a replica whose processor is revoked mid-work is
-    lost, and the makespan is the first replica to finish.
+    lost (each replica is one {!Engine.run} cut at the first kill, a
+    plain death), and the makespan is the first replica to finish.
 
     Determinism: trial randomness is a pure function of the trial
     index ({!Ckpt_prob.Rng.for_trial}), drawn in a mode-independent
     order (revocations, then one trace substream per processor, then
     the store), so results are bitwise identical for any [jobs] and
-    the two modes see identical worlds. With [lambda_revoke = 0.] and
-    a passthrough store a trial consumes exactly the randomness of a
-    death-free {!Ckpt_sim.Degrade} trial and follows the same
-    execution path, bitwise. *)
+    the two modes see identical worlds. A passthrough store draws
+    nothing, so such trials run without a store at all. With
+    [lambda_revoke = 0.] and a passthrough store a trial consumes
+    exactly the randomness of a death-free {!Ckpt_sim.Degrade} trial
+    and follows the same execution path, bitwise. *)
 
 module Strategy = Ckpt_core.Strategy
 module Store = Ckpt_storage.Store

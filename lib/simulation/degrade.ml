@@ -1,14 +1,7 @@
 module Strategy = Ckpt_core.Strategy
-module Schedule = Ckpt_core.Schedule
-module Superchain = Ckpt_core.Superchain
-module Placement = Ckpt_core.Placement
 module Platform = Ckpt_platform.Platform
-module Failure = Ckpt_platform.Failure
 module Rng = Ckpt_prob.Rng
 module Mortality = Ckpt_recovery.Mortality
-module Repair = Ckpt_recovery.Repair
-module Pool = Ckpt_parallel.Pool
-module Dag = Ckpt_dag.Dag
 module Store = Ckpt_storage.Store
 
 type mode = Repair | Restart
@@ -32,290 +25,47 @@ type trial = {
   store_stats : Store.stats;
 }
 
-(* For each segment of a plan, the task ids it covers (in the plan's
-   own id space). *)
-let seg_tasks_of (plan : Strategy.plan) =
-  Array.map
-    (fun (seg : Placement.segment) ->
-      let sc = plan.Strategy.schedule.Schedule.superchains.(seg.Placement.chain) in
-      Array.init
-        (seg.Placement.last - seg.Placement.first + 1)
-        (fun k -> Superchain.task_at sc (seg.Placement.first + k)))
-    plan.Strategy.segments
+type prepared = Replan.prepared
 
-type prepared = {
-  plan : Strategy.plan;
-  init_segs : Engine.seg array;
-  init_writes : float array;
-  init_seg_tasks : int array array;
-  (* structural replan cache: Repair.replan is a pure function of
-     (kind, survivor set, committed-checkpoint frontier) for a fixed
-     plan, so its physically-mapped result is memoised under that key.
-     Values are shared read-only across worker domains (the engine
-     never mutates segments); the table is mutex-protected, and a
-     racing recomputation of the same key is harmless because both
-     domains produce the identical value. *)
-  cache :
-    (string, (Engine.seg array * float array * int array array, string) result)
-    Hashtbl.t;
-  lock : Mutex.t;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  use_cache : bool;
-}
-
-let prepare ?(cache = true) (plan : Strategy.plan) =
-  if plan.Strategy.prob_dag = None then
-    invalid_arg "Degrade.prepare: a CKPTNONE plan has no checkpoints to recover from";
-  {
-    plan;
-    init_segs = Runner.segs_of_plan plan;
-    init_writes = Runner.writes_of_plan plan;
-    init_seg_tasks = seg_tasks_of plan;
-    cache = Hashtbl.create 64;
-    lock = Mutex.create ();
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
-    use_cache = cache;
-  }
-
-let cache_stats prepared = (Atomic.get prepared.hits, Atomic.get prepared.misses)
-
-(* kind + survivor list + done_ bitset, packed into a flat string *)
-let replan_key ~kind ~survivors ~done_ =
-  let buf = Buffer.create (32 + (Array.length done_ / 8)) in
-  Buffer.add_string buf (Strategy.kind_name kind);
-  Buffer.add_char buf '|';
-  List.iter
-    (fun p ->
-      Buffer.add_string buf (string_of_int p);
-      Buffer.add_char buf ',')
-    survivors;
-  Buffer.add_char buf '|';
-  let byte = ref 0 in
-  Array.iteri
-    (fun i b ->
-      if b then byte := !byte lor (1 lsl (i land 7));
-      if i land 7 = 7 then begin
-        Buffer.add_char buf (Char.chr !byte);
-        byte := 0
-      end)
-    done_;
-  if Array.length done_ land 7 <> 0 then Buffer.add_char buf (Char.chr !byte);
-  Buffer.contents buf
-
-(* Replan the residual workflow and map the result onto physical
-   processor / original task ids — the value the cache stores. *)
-let compute_replan prepared ~kind ~survivors ~done_ =
-  let plan = prepared.plan in
-  match
-    Repair.replan ~replicas:plan.Strategy.replicas ~kind ~dag:plan.Strategy.raw_dag
-      ~done_ ~survivors ~platform:plan.Strategy.platform ()
-  with
-  | Error msg -> Error msg
-  | Ok r ->
-      let segs =
-        Array.map
-          (fun (s : Engine.seg) ->
-            { s with Engine.processor = r.Repair.phys.(s.Engine.processor) })
-          (Runner.segs_of_plan r.Repair.plan)
-      in
-      let seg_tasks =
-        Array.map (Array.map (fun t -> r.Repair.task_of.(t))) (seg_tasks_of r.Repair.plan)
-      in
-      Ok (segs, Runner.writes_of_plan r.Repair.plan, seg_tasks)
-
-let replan_cached prepared ~kind ~survivors ~done_ =
-  if not prepared.use_cache then compute_replan prepared ~kind ~survivors ~done_
-  else begin
-    let key = replan_key ~kind ~survivors ~done_ in
-    let cached =
-      Mutex.protect prepared.lock (fun () -> Hashtbl.find_opt prepared.cache key)
-    in
-    match cached with
-    | Some v ->
-        Atomic.incr prepared.hits;
-        v
-    | None ->
-        Atomic.incr prepared.misses;
-        let v = compute_replan prepared ~kind ~survivors ~done_ in
-        Mutex.protect prepared.lock (fun () ->
-            if not (Hashtbl.mem prepared.cache key) then Hashtbl.add prepared.cache key v);
-        v
-  end
+let prepare ?cache plan = Replan.prepare ~name:"Degrade" ?cache plan
+let cache_stats = Replan.cache_stats
 
 let run_trial ~mode config prepared rng =
   if config.max_losses < 0 then invalid_arg "Degrade.run_trial: negative max_losses";
-  (if config.kind = Strategy.Ckpt_none then
-     invalid_arg "Degrade.run_trial: CKPTNONE cannot be a replan policy");
-  let plan = prepared.plan in
-  let platform = plan.Strategy.platform in
-  let nprocs = platform.Platform.processors in
-  let raw = plan.Strategy.raw_dag in
-  let n = Dag.n_tasks raw in
+  let platform = (Replan.plan prepared).Strategy.platform in
   (* fixed per-trial randomness, in a mode-independent order: deaths
      first, then one trace generator per processor — Repair and Restart
      trials with the same rng see identical worlds *)
   let deaths =
-    Mortality.draw rng ~processors:nprocs ~lambda_death:config.lambda_death
-      ~max_losses:config.max_losses
+    Mortality.draw rng ~processors:platform.Platform.processors
+      ~lambda_death:config.lambda_death ~max_losses:config.max_losses
   in
-  let trace_rngs = Array.init nprocs (fun _ -> Rng.split rng) in
-  let traces = Array.make nprocs None in
-  let trace_of p =
-    match traces.(p) with
-    | Some t -> t
-    | None ->
-        let t = Failure.create trace_rngs.(p) ~lambda:(Platform.rate_of platform p) in
-        traces.(p) <- Some t;
-        t
-  in
+  let trace_of = Replan.traces rng platform in
   let death p = deaths.(p) in
   (* the store substream splits strictly after deaths and traces, and
      only when the store is non-passthrough: a passthrough config
      consumes exactly the legacy randomness and takes the legacy
      execution path, bitwise *)
-  let storage =
+  let store =
     if Store.passthrough config.store then None
     else Some (Store.create config.store (Rng.split rng))
   in
-  let finish_trial ~makespan ~losses ~replans ~restarts ~rollbacks ~invalidated =
-    {
-      makespan;
-      losses;
-      replans;
-      restarts;
-      rollbacks;
-      invalidated;
-      store_stats = (match storage with Some st -> Store.stats st | None -> Store.zero);
-    }
+  let t =
+    Replan.run_trial ~kind:config.kind ~restart_always:(mode = Restart) ?store ~warn:death
+      ~kill:death ~survivors:(Mortality.survivors deaths) prepared trace_of
   in
-  let done_ = Array.make n false in
-  (* the checkpoint handle backing each done task — the recovery line:
-     a loss revalidates every handle, and a failed recovery read clears
-     [done_] so the replan re-schedules the producing segment (and,
-     transitively through the residual DAG, everything downstream of
-     it) from its own last valid checkpoint *)
-  let task_ckpt = Array.make n None in
-  (* current plan state: engine segments (on physical processor ids),
-     their commit durations, and the original task ids each segment
-     checkpoints *)
-  let rec go ~clock ~segs ~writes ~seg_tasks ~losses ~replans ~restarts ~rollbacks
-      ~invalidated =
-    let outcome =
-      match storage with
-      | None -> (
-          match Engine.execute_until_death ~start:clock segs trace_of ~death with
-          | Engine.Finished (_, finish) -> `Finished (finish, 0)
-          | Engine.Interrupted { dead = _; at; completed } ->
-              `Interrupted (at, completed, None))
-      | Some st -> (
-          match
-            Engine.execute_until_death_storage ~start:clock segs ~write:writes trace_of
-              ~death ~store:st
-          with
-          | Engine.SFinished run ->
-              `Finished (run.Engine.sfinish, List.length run.Engine.rollback_log)
-          | Engine.SInterrupted { dead = _; at; completed; ckpts } ->
-              `Interrupted (at, completed, Some ckpts))
-    in
-    match outcome with
-    | `Finished (finish, rb) ->
-        finish_trial ~makespan:finish ~losses ~replans ~restarts
-          ~rollbacks:(rollbacks + rb) ~invalidated
-    | `Interrupted (at, completed, ckpts) ->
-        let losses = losses + 1 in
-        Array.iteri
-          (fun i ok ->
-            if ok then begin
-              Array.iter (fun t -> done_.(t) <- true) seg_tasks.(i);
-              match ckpts with
-              | Some cks ->
-                  Array.iter (fun t -> task_ckpt.(t) <- cks.(i)) seg_tasks.(i)
-              | None -> ()
-            end)
-          completed;
-        (* revalidate the committed frontier at the loss instant,
-           before the replan key is formed: latent corruption (or a
-           policy-volatile / invalidated handle) revealed here rolls
-           the recovery line back past that segment *)
-        let invalidated =
-          match storage with
-          | None -> invalidated
-          | Some st ->
-              let fresh = ref 0 in
-              for t = 0 to n - 1 do
-                if done_.(t) then
-                  match task_ckpt.(t) with
-                  | Some ck ->
-                      if not (Store.recovery_readable st ck ~at) then begin
-                        done_.(t) <- false;
-                        task_ckpt.(t) <- None;
-                        incr fresh
-                      end
-                  | None -> ()
-              done;
-              invalidated + !fresh
-        in
-        let survivors = Mortality.survivors deaths ~after:at in
-        if survivors = [] then
-          finish_trial ~makespan:infinity ~losses ~replans ~restarts ~rollbacks
-            ~invalidated
-        else begin
-          let continue_with (segs, writes, seg_tasks) ~replans ~restarts =
-            go ~clock:at ~segs ~writes ~seg_tasks ~losses ~replans ~restarts ~rollbacks
-              ~invalidated
-          in
-          let from_scratch ~replans ~restarts =
-            Array.fill done_ 0 n false;
-            Array.fill task_ckpt 0 n None;
-            match replan_cached prepared ~kind:config.kind ~survivors ~done_ with
-            | Ok v -> continue_with v ~replans ~restarts:(restarts + 1)
-            | Error msg ->
-                (* the full workflow was plannable at trial start on any
-                   processor count, so this is unreachable for plans
-                   built through the pipeline *)
-                invalid_arg ("Degrade.run_trial: restart replan failed: " ^ msg)
-          in
-          match mode with
-          | Restart -> from_scratch ~replans ~restarts
-          | Repair -> (
-              match replan_cached prepared ~kind:config.kind ~survivors ~done_ with
-              | Ok v -> continue_with v ~replans:(replans + 1) ~restarts
-              | Error _ -> from_scratch ~replans ~restarts)
-        end
-  in
-  go ~clock:0. ~segs:prepared.init_segs ~writes:prepared.init_writes
-    ~seg_tasks:prepared.init_seg_tasks ~losses:0 ~replans:0 ~restarts:0 ~rollbacks:0
-    ~invalidated:0
+  {
+    makespan = t.Replan.makespan;
+    losses = t.Replan.cuts;
+    replans = t.Replan.replans;
+    restarts = t.Replan.restarts;
+    rollbacks = t.Replan.rollbacks;
+    invalidated = t.Replan.invalidated;
+    store_stats = (match store with Some st -> Store.stats st | None -> Store.zero);
+  }
 
-(* Work-distribution chunk (see Runner): trials are claimed chunkwise
-   by worker domains but derive their randomness from the trial index
-   alone, so the partitioning never affects the drawn samples. *)
-let chunk_trials = 16
-
-let sample_prepared ?(trials = 200) ?(seed = 11) ?(jobs = 1) ~mode config prepared =
-  if trials < 1 then invalid_arg "Degrade.sample: trials < 1";
-  if jobs < 1 then invalid_arg "Degrade.sample: jobs < 1";
-  let nchunks = (trials + chunk_trials - 1) / chunk_trials in
-  let results = Array.make nchunks None in
-  let next = Atomic.make 0 in
-  Pool.run_shared ~jobs:(min jobs nchunks) (fun ~worker:_ ->
-      let rec loop () =
-        let c = Atomic.fetch_and_add next 1 in
-        if c < nchunks then begin
-          let lo = c * chunk_trials in
-          let hi = min trials (lo + chunk_trials) in
-          results.(c) <-
-            Some
-              (Array.init (hi - lo) (fun k ->
-                   run_trial ~mode config prepared (Rng.for_trial ~seed (lo + k))));
-          loop ()
-        end
-      in
-      loop ());
-  Array.concat
-    (Array.to_list (Array.map (function Some a -> a | None -> assert false) results))
+let sample_prepared ?trials ?seed ?jobs ~mode config prepared =
+  Replan.sample ~name:"Degrade" ?trials ?seed ?jobs (run_trial ~mode config prepared)
 
 let sample ?trials ?seed ?jobs ~mode config plan =
   sample_prepared ?trials ?seed ?jobs ~mode config (prepare plan)

@@ -1,17 +1,20 @@
 (** Degraded-mode execution: survive permanent processor loss.
 
-    Each trial interleaves simulation and replanning: the current plan
+    Each trial runs the shared replan loop ({!Replan.run_trial}) with
+    permanent deaths as the interrupt source: the current plan
     executes against transient failure traces {e and} permanent death
-    instants ({!Ckpt_recovery.Mortality}); at the first disruptive
-    death the tasks of every checkpoint-committed segment are marked
-    done, and the residual workflow is replanned on the survivors
-    ({!Ckpt_recovery.Repair}) — Algorithm 1 and the Algorithm 2 DP
-    re-run on the smaller platform, migration charged as re-reads of
-    checkpointed data. Execution resumes at the loss instant with the
-    repaired plan; up to [max_losses] losses can strike one trial. When
-    replanning is impossible the trial falls back to restarting the
-    whole workflow from scratch on the survivors; when nobody survives
-    the trial is stranded (makespan [infinity]).
+    instants ({!Ckpt_recovery.Mortality}), each a warning with no
+    grace ({!Engine.deaths}); at the first disruptive death the tasks
+    of every checkpoint-committed segment are marked done, and the
+    residual workflow is replanned on the survivors
+    ({!Ckpt_recovery.Mortality.survivors}, {!Ckpt_recovery.Repair}) —
+    Algorithm 1 and the Algorithm 2 DP re-run on the smaller platform,
+    migration charged as re-reads of checkpointed data. Execution
+    resumes at the loss instant with the repaired plan; up to
+    [max_losses] losses can strike one trial. When replanning is
+    impossible the trial falls back to restarting the whole workflow
+    from scratch on the survivors; when nobody survives the trial is
+    stranded (makespan [infinity]).
 
     {!Restart} mode is the baseline the repair is measured against: a
     static schedule cannot adapt, so each loss discards {e all}
@@ -21,7 +24,7 @@
     order), so repair-vs-restart comparisons are paired.
 
     The checkpoint store ([config.store]) composes with loss: epochs
-    execute through {!Engine.execute_until_death_storage}, each
+    execute through {!Engine.run} with the store, each
     completed segment's checkpoint handle is retained as the trial's
     recovery line, and every loss instant revalidates the whole
     committed frontier — a checkpoint whose recovery read fails
@@ -74,17 +77,18 @@ type trial = {
 }
 
 type prepared
-(** A plan frozen for degraded-mode trials: the initial segment DAG and
-    segment-to-task map are materialised once, so worker domains share
-    them read-only. Also carries the structural replan cache: replans
-    are memoised under the key [(kind, survivor set,
-    committed-checkpoint frontier)] — {!Ckpt_recovery.Repair.replan} is
-    a pure function of that triple for a fixed plan, so trials hitting
-    the same degradation state (common for Restart, whose frontier is
-    always empty) reuse the physically-mapped plan instead of
-    re-running recognition, ALLOCATE and the placement DP. Cached
-    values are shared read-only across worker domains; results are
-    bitwise identical with the cache on or off, at any [jobs]. *)
+(** A plan frozen for degraded-mode trials ({!Replan.prepared}): the
+    initial segment DAG and segment-to-task map are materialised once,
+    so worker domains share them read-only. Also carries the
+    structural replan cache: replans are memoised under the key
+    [(kind, survivor set, committed-checkpoint frontier)] —
+    {!Ckpt_recovery.Repair.replan} is a pure function of that triple
+    for a fixed plan, so trials hitting the same degradation state
+    (common for Restart, whose frontier is always empty) reuse the
+    physically-mapped plan instead of re-running recognition, ALLOCATE
+    and the placement DP. Cached values are shared read-only across
+    worker domains; results are bitwise identical with the cache on or
+    off, at any [jobs]. *)
 
 val prepare : ?cache:bool -> Strategy.plan -> prepared
 (** [cache] (default [true]) toggles the replan cache.

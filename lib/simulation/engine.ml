@@ -1,140 +1,184 @@
 module Failure = Ckpt_platform.Failure
 module Rng = Ckpt_prob.Rng
+module Store = Ckpt_storage.Store
 
 type seg = { processor : int; duration : float; preds : int list }
 
 type attempt = { attempt_start : float; attempt_end : float; failed : bool }
 type record = { seg_index : int; seg_processor : int; attempts : attempt list }
 
-let execute_from ~start segs trace_of_processor =
-  let n = Array.length segs in
-  let completion = Array.make n start in
-  let records = Array.make n { seg_index = 0; seg_processor = 0; attempts = [] } in
-  let proc_free = Hashtbl.create 16 in
-  let traces = Hashtbl.create 16 in
-  let trace p =
-    match Hashtbl.find_opt traces p with
-    | Some t -> t
-    | None ->
-        let t = trace_of_processor p in
-        Hashtbl.replace traces p t;
-        t
-  in
-  let finish = ref start in
-  for i = 0 to n - 1 do
-    let seg = segs.(i) in
-    let ready =
-      List.fold_left
-        (fun acc p ->
-          if p >= i then invalid_arg "Engine.makespan: segments not topologically ordered";
-          Float.max acc completion.(p))
-        start seg.preds
-    in
-    let free = Option.value ~default:start (Hashtbl.find_opt proc_free seg.processor) in
-    let start = Float.max ready free in
-    (* retry the segment until an attempt fits before the next failure *)
-    let tr = trace seg.processor in
-    let rec attempt start acc =
-      if seg.duration = 0. then
-        (start, List.rev ({ attempt_start = start; attempt_end = start; failed = false } :: acc))
-      else begin
-        let failure = Failure.next_after tr start in
-        if failure < start +. seg.duration then
-          attempt failure ({ attempt_start = start; attempt_end = failure; failed = true } :: acc)
-        else
-          let finish = start +. seg.duration in
-          (finish, List.rev ({ attempt_start = start; attempt_end = finish; failed = false } :: acc))
-      end
-    in
-    let done_at, attempts = attempt start [] in
-    completion.(i) <- done_at;
-    records.(i) <- { seg_index = i; seg_processor = seg.processor; attempts };
-    Hashtbl.replace proc_free seg.processor done_at;
-    if done_at > !finish then finish := done_at
-  done;
-  (records, completion, !finish)
+type rescue_info = {
+  rread : float;
+  task_durs : float array;
+  partial_writes : float array;
+}
 
-let execute segs trace_of_processor =
-  let records, _, finish = execute_from ~start:0. segs trace_of_processor in
-  (records, finish)
+type interrupts = {
+  warn : int -> float;
+  kill : int -> float;
+  rescue : rescue_info array option;
+}
 
-let makespan segs trace_of_processor = snd (execute segs trace_of_processor)
+let deaths death = { warn = death; kill = death; rescue = None }
 
-type outcome =
-  | Finished of record array * float
-  | Interrupted of { dead : int; at : float; completed : bool array }
+type saved = { seg : int; tasks : int; handle : Store.handle option }
 
-(* Permanent processor loss. Deaths only remove processors, so up to
-   the first death that disrupts this schedule the execution is the
-   death-free one; we therefore run the death-free execution and cut
-   it at that instant. A death at [d] on processor [p] is disruptive
-   iff some segment of [p] completes after [d] (it was mid-flight or
-   still queued when the processor died); a death on a processor whose
-   segments all finished earlier is harmless — every completed segment
-   ends in a checkpoint, so its outputs already sit on stable storage.
-   At the cut, exactly the segments with [completion <= d] count as
-   completed (checkpoint committed); in-flight work on SURVIVING
-   processors is abandoned too — the replanner decides where it
-   re-executes and charges the re-reads. *)
-let execute_until_death ?(start = 0.) segs trace_of_processor ~death =
+type cut = {
+  proc : int;
+  at : float;
+  kill : float;
+  completed : bool array;
+  saved : saved option;
+  lost : float;
+}
+
+type outcome = {
+  records : record array;
+  finish : float;
+  ckpts : Store.handle option array;
+  rollbacks : int list;
+  cut : cut option;
+}
+
+(* Retry a segment until an attempt fits before the next failure;
+   returns the end of the successful attempt and the attempts so far,
+   newest first. *)
+let rec attempt tr duration start acc =
+  if duration = 0. then
+    (start, { attempt_start = start; attempt_end = start; failed = false } :: acc)
+  else begin
+    let failure = Failure.next_after tr start in
+    if failure < start +. duration then
+      attempt tr duration failure
+        ({ attempt_start = start; attempt_end = failure; failed = true } :: acc)
+    else
+      let fin = start +. duration in
+      (fin, { attempt_start = start; attempt_end = fin; failed = false } :: acc)
+  end
+
+(* Interruptions only remove processors, so up to the first disruptive
+   warning the execution is the interrupt-free one: we run that and cut
+   it at the earliest warning of a processor that still had unfinished
+   segments (a warning on a processor whose segments all completed
+   earlier is harmless — every completed segment ends in a checkpoint,
+   so its outputs already sit on stable storage). At the cut, exactly
+   the segments with [completion <= at] count as completed; in-flight
+   work on SURVIVING processors is abandoned too — the replanner
+   decides where it re-executes and charges the re-reads. During the
+   grace window [at, kill) the warned processor attempts a rescue
+   checkpoint of its in-flight segment's completed task prefix; zero
+   grace ([kill <= at]) skips the attempt entirely — no store traffic,
+   no randomness — so an unannounced revocation is bitwise a plain
+   processor death. *)
+let cut_at ?store segs records completion intr =
+  let warn_of = Hashtbl.create 16 in
   Array.iter
     (fun seg ->
-      if death seg.processor <= start then
-        invalid_arg "Engine.execute_until_death: segment on an already-dead processor")
-    segs;
-  let records, completion, finish = execute_from ~start segs trace_of_processor in
-  let death_of = Hashtbl.create 16 in
-  Array.iter
-    (fun seg ->
-      if not (Hashtbl.mem death_of seg.processor) then
-        Hashtbl.replace death_of seg.processor (death seg.processor))
+      if not (Hashtbl.mem warn_of seg.processor) then
+        Hashtbl.replace warn_of seg.processor (intr.warn seg.processor))
     segs;
   let first = ref None in
   Array.iteri
     (fun i seg ->
-      let d = Hashtbl.find death_of seg.processor in
-      if completion.(i) > d then
+      let w = Hashtbl.find warn_of seg.processor in
+      if completion.(i) > w then
         match !first with
-        | Some (_, at) when at <= d -> ()
-        | _ -> first := Some (seg.processor, d))
+        | Some (_, at) when at <= w -> ()
+        | _ -> first := Some (seg.processor, w))
     segs;
   match !first with
-  | None -> Finished (records, finish)
-  | Some (dead, at) ->
-      Interrupted { dead; at; completed = Array.map (fun c -> c <= at) completion }
+  | None -> None
+  | Some (proc, at) ->
+      let completed = Array.map (fun c -> c <= at) completion in
+      (* gross loss: execution time sunk before the cut into segments
+         whose checkpoint never committed (a rescue buys part of it
+         back — the caller nets it out) *)
+      let lost = ref 0. in
+      Array.iteri
+        (fun i r ->
+          if not completed.(i) then
+            List.iter
+              (fun a ->
+                if a.attempt_start < at then
+                  lost := !lost +. (Float.min at a.attempt_end -. a.attempt_start))
+              r.attempts)
+        records;
+      let kill = intr.kill proc in
+      let saved =
+        match intr.rescue with
+        | Some rescue when kill > at -> (
+            (* the segment actually mid-attempt on the warned processor
+               at the cut (at most one: processors are serial); a
+               merely queued segment has nothing to save *)
+            let found = ref None in
+            Array.iteri
+              (fun i seg ->
+                if !found = None && seg.processor = proc && not completed.(i) then
+                  List.iter
+                    (fun a ->
+                      if !found = None && a.attempt_start <= at && at < a.attempt_end then
+                        found := Some (i, a.attempt_start))
+                    records.(i).attempts)
+              segs;
+            match !found with
+            | None -> None
+            | Some (i, astart) ->
+                let info = rescue.(i) in
+                let elapsed = at -. astart in
+                let tasks = Array.length info.task_durs in
+                let rec prefix k acc =
+                  if k < tasks && acc +. info.task_durs.(k) <= elapsed then
+                    prefix (k + 1) (acc +. info.task_durs.(k))
+                  else k
+                in
+                let k = prefix 0 info.rread in
+                (* grace races C: the rescue write itself takes
+                   [partial_writes.(k-1)] seconds past the warning, and
+                   only then can the commit be attempted — both the
+                   write span and any store-level delay (outage wait,
+                   retries) must fit before the kill *)
+                if k = 0 || at +. info.partial_writes.(k - 1) > kill then None
+                else begin
+                  let pw = info.partial_writes.(k - 1) in
+                  match store with
+                  | None -> Some { seg = i; tasks = k; handle = None }
+                  | Some st -> (
+                      (* an [~interrupt] commit: the on-interrupt
+                         policy's durable case *)
+                      match
+                        Store.commit ~interrupt:true st ~seg:i ~write:pw ~at:(at +. pw)
+                      with
+                      | Ok (commit_at, ck) when commit_at <= kill ->
+                          Some { seg = i; tasks = k; handle = Some ck }
+                      | Ok _ | Error _ -> None)
+                end)
+        | Some _ | None -> None
+      in
+      Some { proc; at; kill; completed; saved; lost = !lost }
 
-(* ---------- execution over unreliable stable storage ---------- *)
-
-module Storage = Ckpt_storage.Storage
-module Store = Ckpt_storage.Store
-
-type storage_run = {
-  srecords : record array;
-  sfinish : float;
-  ckpts : Store.handle option array;
-  rollback_log : int list;
-}
-
-(* Core shared by the plain and the death-cut storage executors. With a
-   [Store.passthrough] configuration every branch below degenerates to
-   the fault-free path — same float operations in the same order, no
-   extra randomness — so the result is bitwise identical to
-   [execute_from]. *)
-let execute_storage_core ~start segs ~write trace_of_processor ~store =
+let run ?(start = 0.) ?store ?write ?interrupts segs trace_of_processor =
   let n = Array.length segs in
-  if Array.length write <> n then
-    invalid_arg "Engine.execute_storage: write-span array size mismatch";
-  Array.iteri
-    (fun i seg ->
-      List.iter
-        (fun p ->
-          if p >= i then
-            invalid_arg "Engine.execute_storage: segments not topologically ordered")
-        seg.preds)
-    segs;
+  let write =
+    match (store, write) with
+    | None, _ -> [||]
+    | Some _, Some w when Array.length w = n -> w
+    | Some _, _ -> invalid_arg "Engine.run: a store needs one write span per segment"
+  in
+  (match interrupts with
+  | None -> ()
+  | Some intr ->
+      Array.iter
+        (fun seg ->
+          if intr.warn seg.processor <= start then
+            invalid_arg "Engine.run: segment on an already-interrupted processor")
+        segs;
+      Option.iter
+        (fun r ->
+          if Array.length r <> n then invalid_arg "Engine.run: rescue array size mismatch")
+        intr.rescue);
   let completion = Array.make n start in
-  let rev_attempts = Array.make n [] in
-  let ckpts = Array.make n None in
+  let records = Array.make n { seg_index = 0; seg_processor = 0; attempts = [] } in
+  let ckpts = match store with None -> [||] | Some _ -> Array.make n None in
   let rev_rollbacks = ref [] in
   let proc_free = Hashtbl.create 16 in
   let traces = Hashtbl.create 16 in
@@ -147,255 +191,77 @@ let execute_storage_core ~start segs ~write trace_of_processor ~store =
         t
   in
   let finish = ref start in
-  (* [run i ~now] (re-)executes segment [i] no earlier than [now]:
+  (* [exec i ~now] (re-)executes segment [i] no earlier than [now]:
      waits until every predecessor checkpoint reads back valid
      (cascading rollback when a recovery read finds one corrupt), runs
      the attempt loop over the segment duration, then commits — a
      commit whose backoff policy exhausts loses the memory content and
-     reproduces the whole segment. Returns the commit instant. *)
-  let rec run i ~now =
+     reproduces the whole segment. Returns the commit instant. Without
+     a store, reads and commits are instantaneous and infallible. *)
+  let rec exec i ~now =
     let seg = segs.(i) in
     let ready =
       List.fold_left
-        (fun acc p -> ensure p ~now:(Float.max acc completion.(p)))
+        (fun acc p ->
+          if p >= i then invalid_arg "Engine.run: segments not topologically ordered";
+          ensure p ~now:(Float.max acc completion.(p)))
         now seg.preds
     in
     let free = Option.value ~default:start (Hashtbl.find_opt proc_free seg.processor) in
-    let t0 = Store.available store (Float.max ready free) in
     let tr = trace seg.processor in
-    let rec attempt start acc =
-      if seg.duration = 0. then
-        (start, { attempt_start = start; attempt_end = start; failed = false } :: acc)
-      else begin
-        let failure = Failure.next_after tr start in
-        if failure < start +. seg.duration then
-          attempt failure ({ attempt_start = start; attempt_end = failure; failed = true } :: acc)
-        else
-          let fin = start +. seg.duration in
-          (fin, { attempt_start = start; attempt_end = fin; failed = false } :: acc)
-      end
+    let done_at, acc =
+      match store with
+      | None -> attempt tr seg.duration (Float.max ready free) []
+      | Some st ->
+          let rec cycle t0 acc =
+            let done_at, acc = attempt tr seg.duration t0 acc in
+            match Store.commit st ~seg:i ~write:write.(i) ~at:done_at with
+            | Ok (commit_at, ck) ->
+                ckpts.(i) <- Some ck;
+                (commit_at, acc)
+            | Error gave_up_at -> cycle (Store.available st gave_up_at) acc
+          in
+          cycle
+            (Store.available st (Float.max ready free))
+            (List.rev records.(i).attempts)
     in
-    let rec cycle t0 acc =
-      let done_at, acc = attempt t0 acc in
-      match Store.commit store ~seg:i ~write:write.(i) ~at:done_at with
-      | Ok (commit_at, ck) ->
-          ckpts.(i) <- Some ck;
-          (commit_at, acc)
-      | Error gave_up_at -> cycle (Store.available store gave_up_at) acc
-    in
-    let done_at, acc = cycle t0 rev_attempts.(i) in
-    rev_attempts.(i) <- acc;
+    records.(i) <-
+      { seg_index = i; seg_processor = seg.processor; attempts = List.rev acc };
     completion.(i) <- done_at;
     Hashtbl.replace proc_free seg.processor done_at;
     if done_at > !finish then finish := done_at;
     done_at
   and ensure p ~now =
-    match ckpts.(p) with
-    | None -> assert false (* topological order: predecessors committed first *)
-    | Some ck -> (
-        match Store.read store ck ~at:now with
-        | Ok ready -> ready
-        | Error (Store.Corrupt | Store.Rejected) ->
-            (* failed recovery read (all replicas corrupt, or the store
-               invalidated the checkpoint): the recovery line moves
-               back — the producing segment re-executes from ITS last
-               valid inputs, transitively to the workflow inputs if
-               needed *)
-            rev_rollbacks := p :: !rev_rollbacks;
-            let t = run p ~now in
-            ensure p ~now:t)
+    match store with
+    | None -> now
+    | Some st -> (
+        match ckpts.(p) with
+        | None -> assert false (* topological order: predecessors committed first *)
+        | Some ck -> (
+            match Store.read st ck ~at:now with
+            | Ok ready -> ready
+            | Error (Store.Corrupt | Store.Rejected) ->
+                (* failed recovery read (all replicas corrupt, or the
+                   store invalidated the checkpoint): the recovery line
+                   moves back — the producing segment re-executes from
+                   ITS last valid inputs, transitively to the workflow
+                   inputs if needed *)
+                rev_rollbacks := p :: !rev_rollbacks;
+                let t = exec p ~now in
+                ensure p ~now:t))
   in
   for i = 0 to n - 1 do
-    ignore (run i ~now:start)
+    ignore (exec i ~now:start)
   done;
-  let records =
-    Array.init n (fun i ->
-        {
-          seg_index = i;
-          seg_processor = segs.(i).processor;
-          attempts = List.rev rev_attempts.(i);
-        })
-  in
-  (records, completion, !finish, ckpts, List.rev !rev_rollbacks)
+  {
+    records;
+    finish = !finish;
+    ckpts;
+    rollbacks = List.rev !rev_rollbacks;
+    cut = Option.bind interrupts (cut_at ?store segs records completion);
+  }
 
-let execute_storage ?(start = 0.) segs ~write trace_of_processor ~store =
-  let srecords, _, sfinish, ckpts, rollback_log =
-    execute_storage_core ~start segs ~write trace_of_processor ~store
-  in
-  { srecords; sfinish; ckpts; rollback_log }
-
-type storage_outcome =
-  | SFinished of storage_run
-  | SInterrupted of {
-      dead : int;
-      at : float;
-      completed : bool array;
-      ckpts : Store.handle option array;
-    }
-
-let execute_until_death_storage ?(start = 0.) segs ~write trace_of_processor ~death
-    ~store =
-  Array.iter
-    (fun seg ->
-      if death seg.processor <= start then
-        invalid_arg "Engine.execute_until_death: segment on an already-dead processor")
-    segs;
-  let srecords, completion, sfinish, ckpts, rollback_log =
-    execute_storage_core ~start segs ~write trace_of_processor ~store
-  in
-  let death_of = Hashtbl.create 16 in
-  Array.iter
-    (fun seg ->
-      if not (Hashtbl.mem death_of seg.processor) then
-        Hashtbl.replace death_of seg.processor (death seg.processor))
-    segs;
-  let first = ref None in
-  Array.iteri
-    (fun i seg ->
-      let d = Hashtbl.find death_of seg.processor in
-      if completion.(i) > d then
-        match !first with
-        | Some (_, at) when at <= d -> ()
-        | _ -> first := Some (seg.processor, d))
-    segs;
-  match !first with
-  | None -> SFinished { srecords; sfinish; ckpts; rollback_log }
-  | Some (dead, at) ->
-      SInterrupted { dead; at; completed = Array.map (fun c -> c <= at) completion; ckpts }
-
-(* ---------- spot-instance revocation with warnings ---------- *)
-
-type rescue_info = {
-  rread : float;
-  task_durs : float array;
-  partial_writes : float array;
-}
-
-type revocation_outcome =
-  | RFinished of storage_run
-  | RInterrupted of {
-      revoked : int;
-      at : float;
-      kill : float;
-      completed : bool array;
-      ckpts : Store.handle option array;
-      rescue : (int * int * Store.handle) option;
-      lost : float;
-    }
-
-(* The warning-cut analogue of [execute_until_death_storage]: spot
-   revocations only remove processors, so up to the first disruptive
-   warning the execution is the revocation-free one — run it and cut
-   at the earliest warning of a processor that still had unfinished
-   segments. During the grace window [warn, kill) the revoked
-   processor attempts an out-of-band proactive checkpoint of its
-   in-flight segment: the completed task prefix (recovery read plus k
-   whole task spans fit in the elapsed attempt time) is committed
-   through the storage layer, and the rescue stands iff the commit
-   lands before the kill. Zero grace ([kill <= warn]) skips the
-   attempt entirely — no storage traffic, no randomness — so an
-   unannounced revocation is bitwise a plain processor death. *)
-let execute_until_revocation ?(start = 0.) segs ~write ~rescue trace_of_processor
-    ~warn ~kill ~store =
-  Array.iter
-    (fun seg ->
-      if warn seg.processor <= start then
-        invalid_arg "Engine.execute_until_revocation: segment on a revoked processor")
-    segs;
-  if Array.length rescue <> Array.length segs then
-    invalid_arg "Engine.execute_until_revocation: rescue array size mismatch";
-  let srecords, completion, sfinish, ckpts, rollback_log =
-    execute_storage_core ~start segs ~write trace_of_processor ~store
-  in
-  let warn_of = Hashtbl.create 16 in
-  Array.iter
-    (fun seg ->
-      if not (Hashtbl.mem warn_of seg.processor) then
-        Hashtbl.replace warn_of seg.processor (warn seg.processor))
-    segs;
-  let first = ref None in
-  Array.iteri
-    (fun i seg ->
-      let w = Hashtbl.find warn_of seg.processor in
-      if completion.(i) > w then
-        match !first with
-        | Some (_, at) when at <= w -> ()
-        | _ -> first := Some (seg.processor, w))
-    segs;
-  match !first with
-  | None -> RFinished { srecords; sfinish; ckpts; rollback_log }
-  | Some (revoked, at) ->
-      let completed = Array.map (fun c -> c <= at) completion in
-      (* gross loss: execution time sunk before the cut into segments
-         whose checkpoint never committed (the rescue, if any, buys
-         part of it back — the caller nets it out) *)
-      let lost = ref 0. in
-      Array.iteri
-        (fun i r ->
-          if not completed.(i) then
-            List.iter
-              (fun a ->
-                if a.attempt_start < at then
-                  lost := !lost +. (Float.min at a.attempt_end -. a.attempt_start))
-              r.attempts)
-        srecords;
-      let kdl = kill revoked in
-      let rescue_result =
-        if kdl <= at then None
-        else begin
-          (* the segment actually mid-attempt on the revoked processor
-             at the warning instant (at most one: processors are
-             serial); a merely queued segment has nothing to save *)
-          let found = ref None in
-          Array.iteri
-            (fun i seg ->
-              if !found = None && seg.processor = revoked && not completed.(i) then
-                List.iter
-                  (fun a ->
-                    if !found = None && a.attempt_start <= at && at < a.attempt_end then
-                      found := Some (i, a.attempt_start))
-                  srecords.(i).attempts)
-            segs;
-          match !found with
-          | None -> None
-          | Some (i, astart) ->
-              let info = rescue.(i) in
-              let elapsed = at -. astart in
-              let tasks = Array.length info.task_durs in
-              let rec prefix k acc =
-                if k < tasks && acc +. info.task_durs.(k) <= elapsed then
-                  prefix (k + 1) (acc +. info.task_durs.(k))
-                else k
-              in
-              let k = prefix 0 info.rread in
-              if k = 0 then None
-              else begin
-                (* grace races C: the rescue write itself takes
-                   [partial_writes.(k-1)] seconds past the warning, and
-                   only then can the commit be attempted — both the
-                   write span and any storage-level delay (outage wait,
-                   retries) must fit before the kill *)
-                let pw = info.partial_writes.(k - 1) in
-                if at +. pw > kdl then None
-                else
-                  (* an [~interrupt] commit: the on-interrupt policy's
-                     durable case *)
-                  match Store.commit ~interrupt:true store ~seg:i ~write:pw ~at:(at +. pw) with
-                  | Ok (commit_at, ck) when commit_at <= kdl -> Some (i, k, ck)
-                  | Ok _ | Error _ -> None
-              end
-        end
-      in
-      RInterrupted
-        {
-          revoked;
-          at;
-          kill = kdl;
-          completed;
-          ckpts;
-          rescue = rescue_result;
-          lost = !lost;
-        }
+let makespan segs trace_of_processor = (run segs trace_of_processor).finish
 
 type summary = { failures : int; wasted_time : float; useful_time : float }
 

@@ -41,129 +41,53 @@ type summary = {
 val summarize : record array -> summary
 (** Aggregate waste accounting over an execution's records. *)
 
-val execute : seg array -> (int -> Ckpt_platform.Failure.t) -> record array * float
-(** Full execution: per-segment attempt histories and the makespan.
-    Same semantics and preconditions as {!makespan}. *)
+(** {1 Execution}
 
-val makespan : seg array -> (int -> Ckpt_platform.Failure.t) -> float
-(** [makespan segs trace_of_processor] executes the segment DAG
-    against the given per-processor failure traces. Segments must be
-    topologically ordered (every pred index smaller) and each
-    processor's segments must appear in its execution order.
+    One entry point runs the segment DAG under every model the
+    simulators need; the extensions only add to the plain semantics
+    above.
 
-    @raise Invalid_argument if a pred index is not smaller than the
-    segment's own index. *)
+    {b The checkpoint store} ([?store], with per-segment write spans
+    [?write]). Each committed segment leaves a checkpoint handle;
+    starting a segment first {e reads} every predecessor checkpoint,
+    and a read that fails — all replicas corrupt, or the handle
+    invalidated by the store — cascades rollback: the producing segment
+    re-executes from {e its} last valid inputs, transitively back to
+    the workflow inputs if needed (the recovery line moves back).
+    Detected commit failures retry under the storage backoff policy
+    (each retried write re-pays the write span); an exhausted policy
+    re-executes the whole segment. Reads and writes wait out storage
+    outages; a remote store adds its commit/read latency to the clock.
+    Checkpoint policies only decide handle {e durability} (what
+    survives a recovery line) — policy-skipped commits are volatile but
+    free, so simulated timing is policy-independent. With a
+    [Store.passthrough] configuration the results are bitwise those of
+    the storeless run. Without a store the engine makes no store call
+    and keeps no handles: reads and commits are instantaneous and
+    infallible.
 
-type outcome =
-  | Finished of record array * float
-      (** The whole segment DAG completed; the float is the makespan. *)
-  | Interrupted of { dead : int; at : float; completed : bool array }
-      (** Processor [dead] was lost permanently at instant [at] while it
-          still had work; [completed.(i)] tells whether segment [i]'s
-          checkpoint committed by then. In-flight work on surviving
-          processors is abandoned at the cut as well (the repair planner
-          reschedules it and charges the re-reads). *)
-
-val execute_until_death :
-  ?start:float ->
-  seg array ->
-  (int -> Ckpt_platform.Failure.t) ->
-  death:(int -> float) ->
-  outcome
-(** Execution under the permanent-failure model: besides its transient
-    fail-stop trace, each processor has a death instant ([infinity] =
-    never) after which it executes nothing, forever. Runs the segment
-    DAG from wall-clock [start] (default 0; every processor becomes
-    free at [start]) and stops at the first {e disruptive} death — the
-    earliest death instant of a processor that still had unfinished
-    segments. Deaths of processors whose segments all completed earlier
-    are harmless: completed segments end in a checkpoint, so their
-    outputs survive on stable storage.
-
-    @raise Invalid_argument if a segment is mapped to a processor whose
-    death instant is [<= start], or on a non-topological order. *)
-
-(** {1 Execution over the checkpoint store}
-
-    The same semantics with the {!Ckpt_storage.Store} layered on: each
-    committed segment leaves a checkpoint handle; starting a segment
-    first {e reads} every predecessor checkpoint, and a read that
-    fails — all replicas corrupt, or the handle invalidated by the
-    store — cascades rollback: the producing segment re-executes from
-    {e its} last valid inputs, transitively back to the workflow
-    inputs if needed (the recovery line moves back). Detected commit
-    failures retry under the storage backoff policy (each retried
-    write re-pays the write span); an exhausted policy re-executes the
-    whole segment. Reads and writes wait out storage outages; a remote
-    store adds its commit/read latency to the clock. Checkpoint
-    policies only decide handle {e durability} (what survives a
-    recovery line) — policy-skipped commits are volatile but free, so
-    simulated timing is policy-independent. With a
-    [Store.passthrough] configuration the results are bitwise
-    identical to {!execute}. *)
-
-type storage_run = {
-  srecords : record array;  (** attempt histories, rollback attempts appended *)
-  sfinish : float;  (** makespan: the last commit instant *)
-  ckpts : Ckpt_storage.Store.handle option array;
-      (** latest committed checkpoint per segment *)
-  rollback_log : int list;
-      (** segments re-executed by cascading rollback, in chronological
-          order — exactly the producers whose recovery read failed
-          ({!Ckpt_storage.Store.failed_reads}) *)
-}
-
-val execute_storage :
-  ?start:float ->
-  seg array ->
-  write:float array ->
-  (int -> Ckpt_platform.Failure.t) ->
-  store:Ckpt_storage.Store.t ->
-  storage_run
-(** [write.(i)] is segment [i]'s (replica-scaled) checkpoint write span
-    in seconds — what a retried commit re-pays. Preconditions as
-    {!makespan}; additionally raises on a [write] array of the wrong
-    size. *)
-
-type storage_outcome =
-  | SFinished of storage_run
-  | SInterrupted of {
-      dead : int;
-      at : float;
-      completed : bool array;
-      ckpts : Ckpt_storage.Store.handle option array;
-          (** checkpoint handles of the completed segments (the others
-              may hold stale pre-rollback commits — callers must only
-              trust [ckpts.(i)] where [completed.(i)], and only across
-              a recovery line where the handle is durable) *)
-    }
-
-val execute_until_death_storage :
-  ?start:float ->
-  seg array ->
-  write:float array ->
-  (int -> Ckpt_platform.Failure.t) ->
-  death:(int -> float) ->
-  store:Ckpt_storage.Store.t ->
-  storage_outcome
-(** {!execute_until_death} over unreliable storage: the death-free
-    storage-aware execution cut at the first disruptive death. A
-    segment counts as completed iff its {e latest} commit precedes the
-    cut, so work that was being re-executed by a cascading rollback at
-    the loss instant is correctly counted as lost. *)
-
-(** {1 Spot-instance revocation with warnings}
-
-    The cloud extension's loss model: a revoked processor receives a
-    {e warning} at [warn p] and is killed at [kill p]
-    ({!Ckpt_recovery.Mortality.revocation}). At the warning it stops
-    taking work and spends the grace window trying to proactively
-    checkpoint the task prefix of its in-flight segment through the
-    storage layer; the rescue stands iff the partial write span {e and}
-    the storage commit both land before the kill — grace races [C]. Zero grace ([kill p <= warn p]) skips the attempt — no
-    storage traffic, no randomness — making an unannounced revocation
-    bitwise a plain {!execute_until_death_storage} death at the same
-    instant. *)
+    {b Interrupts} ([?interrupts]). Processors can be lost for good:
+    processor [p] receives a {e warning} at [warn p] and is killed at
+    [kill p]; a permanent death is a warning with no grace, [warn =
+    kill] ({!deaths}). Interrupts only remove processors, so up to the
+    first {e disruptive} warning — the earliest warning of a processor
+    that still had unfinished segments — the execution is the
+    interrupt-free one: the run is that execution, {e cut} at that
+    instant. Warnings of processors whose segments all completed
+    earlier are harmless: completed segments end in a checkpoint, so
+    their outputs survive on stable storage. A segment counts as
+    completed iff its {e latest} commit precedes the cut, so work being
+    re-executed by a cascading rollback at the cut is counted as lost;
+    in-flight work on surviving processors is abandoned too (the
+    caller's replanner reschedules it and charges the re-reads).
+    During the grace window from [warn p] to [kill p] the warned processor stops
+    taking work and, given [rescue] metadata, tries to proactively
+    checkpoint the task prefix of its in-flight segment
+    ({!Ckpt_recovery.Mortality.revocation}): the rescue stands iff the
+    partial write span {e and} the store commit both land before the
+    kill — grace races [C]. Zero grace skips the attempt — no store
+    traffic, no randomness — so an unannounced revocation is bitwise a
+    plain death at the same instant. *)
 
 type rescue_info = {
   rread : float;  (** recovery-read span at the segment's head *)
@@ -174,41 +98,80 @@ type rescue_info = {
           index [k - 1] (replica-scaled, like [write]) *)
 }
 
-type revocation_outcome =
-  | RFinished of storage_run
-  | RInterrupted of {
-      revoked : int;  (** the processor whose warning cut the run *)
-      at : float;  (** the warning instant — the cut *)
-      kill : float;  (** its kill instant, [at + grace] *)
-      completed : bool array;
-      ckpts : Ckpt_storage.Store.handle option array;
-      rescue : (int * int * Ckpt_storage.Store.handle) option;
-          (** [(segment, k, handle)]: the first [k] tasks of the
-              in-flight segment were committed during the grace window
-              (an [~interrupt] commit — durable even under the
-              on-interrupt policy) *)
-      lost : float;
-          (** gross execution time sunk into never-committed segments
-              before the cut; a successful rescue buys back its prefix
-              (callers net it out against [rescue]) *)
-    }
+type interrupts = {
+  warn : int -> float;  (** warning instant per processor ([infinity] = never) *)
+  kill : int -> float;  (** kill instant per processor, [>= warn] *)
+  rescue : rescue_info array option;
+      (** per-segment rescue metadata; [None] never rescues (all a
+          zero-grace source needs) *)
+}
 
-val execute_until_revocation :
+val deaths : (int -> float) -> interrupts
+(** Permanent processor loss at the given instants: warning = kill, no
+    rescue. *)
+
+type saved = {
+  seg : int;  (** the in-flight segment on the warned processor *)
+  tasks : int;  (** its first [tasks] tasks were checkpointed *)
+  handle : Ckpt_storage.Store.handle option;
+      (** the rescue checkpoint — an [~interrupt] commit, durable even
+          under the on-interrupt policy ([None] without a store) *)
+}
+
+type cut = {
+  proc : int;  (** the processor whose warning cut the run *)
+  at : float;  (** the warning instant — the cut *)
+  kill : float;  (** that processor's kill instant *)
+  completed : bool array;
+      (** [completed.(i)]: segment [i]'s checkpoint committed by [at] *)
+  saved : saved option;  (** the grace-window rescue, if it stood *)
+  lost : float;
+      (** gross execution time sunk into never-committed segments
+          before the cut; a rescue buys back its prefix (callers net it
+          out against [saved]) *)
+}
+
+type outcome = {
+  records : record array;
+      (** attempt histories of the uninterrupted execution (past a cut,
+          only attempts before [cut.at] actually happened); rollback
+          re-executions are appended to their segment's history *)
+  finish : float;  (** its makespan: the last commit instant *)
+  ckpts : Ckpt_storage.Store.handle option array;
+      (** latest committed checkpoint per segment ([[||]] without a
+          store); past a cut, only [ckpts.(i)] with [completed.(i)] is
+          trustworthy, and only across a recovery line where the handle
+          is durable *)
+  rollbacks : int list;
+      (** segments re-executed by cascading rollback, in chronological
+          order — exactly the producers whose recovery read failed
+          ({!Ckpt_storage.Store.failed_reads}) *)
+  cut : cut option;  (** [None]: the whole segment DAG completed *)
+}
+
+val run :
   ?start:float ->
+  ?store:Ckpt_storage.Store.t ->
+  ?write:float array ->
+  ?interrupts:interrupts ->
   seg array ->
-  write:float array ->
-  rescue:rescue_info array ->
   (int -> Ckpt_platform.Failure.t) ->
-  warn:(int -> float) ->
-  kill:(int -> float) ->
-  store:Ckpt_storage.Store.t ->
-  revocation_outcome
-(** The revocation-free storage-aware execution cut at the first
-    disruptive {e warning} (earliest warning of a processor with
-    unfinished segments — a warning after a processor drained is
-    harmless). Preconditions as {!execute_storage}; additionally raises
-    if a segment is mapped to a processor with [warn p <= start] or on
-    a [rescue] array of the wrong size. *)
+  outcome
+(** [run segs trace_of_processor] executes the segment DAG against the
+    given per-processor failure traces, from wall-clock [start]
+    (default 0; every processor becomes free at [start]). Segments must
+    be topologically ordered (every pred index smaller) and each
+    processor's segments must appear in its execution order.
+    [write.(i)] is segment [i]'s (replica-scaled) checkpoint write span
+    — what a retried commit re-pays; it is required with [store].
+
+    @raise Invalid_argument on a non-topological order, a [store]
+    without a matching [write] array, a [rescue] array of the wrong
+    size, or a segment mapped to a processor with [warn p <= start]. *)
+
+val makespan : seg array -> (int -> Ckpt_platform.Failure.t) -> float
+(** [(run segs trace_of_processor).finish]: the makespan without store
+    or interrupts. *)
 
 val restart_makespan :
   wpar:float -> processors:int -> lambda:float -> Ckpt_prob.Rng.t -> float

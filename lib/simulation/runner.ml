@@ -200,14 +200,14 @@ let sample_storage ?(trials = 1000) ?(seed = 7) ?(jobs = 1) ?inject ?persist ?sc
           Store.create ?inject ?persist ?scope ~trial:k store
             (Rng.for_trial ~seed:(storage_seed seed) k)
         in
-        let run = Engine.execute_storage segs ~write:writes trace_of ~store:st in
+        let run = Engine.run ~store:st ~write:writes segs trace_of in
         let stats = Store.stats st in
         {
-          makespan = run.Engine.sfinish;
+          makespan = run.Engine.finish;
           commit_retries = stats.Store.commit_retries;
           commit_exhausted = stats.Store.commit_exhausted;
           corrupt_reads = stats.Store.corrupt_reads;
-          rollbacks = List.length run.Engine.rollback_log;
+          rollbacks = List.length run.Engine.rollbacks;
           store = stats;
         }
       in

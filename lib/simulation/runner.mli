@@ -55,7 +55,7 @@ val sample_storage :
   Ckpt_core.Strategy.plan ->
   storage_trial array
 (** Monte-Carlo over the checkpoint store
-    ({!Engine.execute_storage}): each trial draws the same
+    ({!Engine.run} with a store): each trial draws the same
     [(seed, trial)] failure traces as {!sample_makespans} plus an
     independent storage substream (derived from a tagged seed, so
     storage faults never perturb the traces). With a

@@ -95,11 +95,11 @@ let render_plan ?width ?lane_height ?(seed = 11) (plan : Strategy.plan) =
         Hashtbl.replace traces p t;
         t
   in
-  let records, makespan = Engine.execute segs trace in
+  let run = Engine.run segs trace in
   let processors = plan.Strategy.schedule.Ckpt_core.Schedule.processors in
   render ?width ?lane_height
     ~title:(Strategy.kind_name plan.Strategy.kind)
-    ~processors ~makespan records
+    ~processors ~makespan:run.Engine.finish run.Engine.records
 
 let save path svg =
   let oc = open_out_bin path in

@@ -1,6 +1,6 @@
 (* Tests for the cloud extension: revocation draws with warnings
    (Ckpt_recovery.Mortality), the warning-cut engine with proactive
-   rescue checkpoints (Ckpt_sim.Engine.execute_until_revocation), and
+   rescue checkpoints (Ckpt_sim.Engine.run with revocations), and
    the spot-instance trial loop (Ckpt_sim.Cloud). *)
 
 module Dag = Ckpt_dag.Dag
@@ -128,16 +128,15 @@ let test_eviction_survivors_strict () =
     "after 0" [ 0; 1; 2; 3 ]
     (Mortality.eviction_survivors revs ~after:0.)
 
-(* --- Engine.execute_until_revocation --- *)
+(* --- Engine.run under revocations --- *)
 
 let no_failures _ = Failure.create (Rng.create 1) ~lambda:0.
 let reliable_store () = Store.create Store.default (Rng.create 0)
 
-let no_rescue segs =
-  Array.map
-    (fun (_ : Engine.seg) ->
-      { Engine.rread = 0.; task_durs = [||]; partial_writes = [||] })
-    segs
+let revoke ?start ?rescue segs ~write ~warn ~kill =
+  Engine.run ?start ~store:(reliable_store ()) ~write
+    ~interrupts:{ Engine.warn; kill; rescue }
+    segs no_failures
 
 let two_proc_segs () =
   [|
@@ -146,27 +145,28 @@ let two_proc_segs () =
   |]
 
 let test_zero_grace_matches_plain_death () =
-  (* warn = kill: the warning cut is bitwise the plain death cut *)
+  (* warn = kill: the warning cut is bitwise the plain death cut, and
+     rescue metadata buys nothing without a grace window *)
   let segs = two_proc_segs () in
   let write = [| 1.; 1. |] in
   let kill p = if p = 0 then 6. else infinity in
   let death =
-    Engine.execute_until_death_storage segs ~write no_failures ~death:kill
-      ~store:(reliable_store ())
+    Engine.run ~store:(reliable_store ()) ~write ~interrupts:(Engine.deaths kill) segs
+      no_failures
   in
-  let rev =
-    Engine.execute_until_revocation segs ~write ~rescue:(no_rescue segs) no_failures
-      ~warn:kill ~kill ~store:(reliable_store ())
+  let rescue =
+    Array.make 2
+      { Engine.rread = 0.; task_durs = Array.make 5 2.; partial_writes = Array.make 5 0.5 }
   in
-  match (death, rev) with
-  | ( Engine.SInterrupted { dead; at; completed; _ },
-      Engine.RInterrupted
-        { revoked; at = at'; completed = completed'; rescue; lost = _; _ } ) ->
-      Alcotest.(check int) "same processor" dead revoked;
+  let rev = revoke segs ~write ~rescue ~warn:kill ~kill in
+  match (death.Engine.cut, rev.Engine.cut) with
+  | ( Some { Engine.proc; at; completed; _ },
+      Some { Engine.proc = proc'; at = at'; completed = completed'; saved; _ } ) ->
+      Alcotest.(check int) "same processor" proc proc';
       check_close "same instant" at at';
       Alcotest.(check (list bool))
         "same frontier" (Array.to_list completed) (Array.to_list completed');
-      Alcotest.(check bool) "zero grace never rescues" true (rescue = None)
+      Alcotest.(check bool) "zero grace never rescues" true (saved = None)
   | _ -> Alcotest.fail "both executions must be interrupted"
 
 let test_earliest_warning_wins_in_shared_grace () =
@@ -176,13 +176,10 @@ let test_earliest_warning_wins_in_shared_grace () =
   let segs = two_proc_segs () in
   let warn p = if p = 0 then 5. else 4. in
   let kill p = if p = 0 then 8. else 7. in
-  match
-    Engine.execute_until_revocation segs ~write:[| 1.; 1. |] ~rescue:(no_rescue segs)
-      no_failures ~warn ~kill ~store:(reliable_store ())
-  with
-  | Engine.RFinished _ -> Alcotest.fail "both warned mid-segment"
-  | Engine.RInterrupted { revoked; at; kill = k; completed; _ } ->
-      Alcotest.(check int) "p1 warned first" 1 revoked;
+  match (revoke segs ~write:[| 1.; 1. |] ~warn ~kill).Engine.cut with
+  | None -> Alcotest.fail "both warned mid-segment"
+  | Some { Engine.proc; at; kill = k; completed; _ } ->
+      Alcotest.(check int) "p1 warned first" 1 proc;
       check_close "cut at its warning" 4. at;
       check_close "its kill carried along" 7. k;
       Alcotest.(check (list bool))
@@ -205,15 +202,13 @@ let rescue_segs () =
 let test_rescue_commits_prefix_in_grace () =
   let segs, rescue = rescue_segs () in
   match
-    Engine.execute_until_revocation segs ~write:[| 0.5 |] ~rescue no_failures
-      ~warn:(fun _ -> 5.)
-      ~kill:(fun _ -> 7.)
-      ~store:(reliable_store ())
+    (revoke segs ~write:[| 0.5 |] ~rescue ~warn:(fun _ -> 5.) ~kill:(fun _ -> 7.))
+      .Engine.cut
   with
-  | Engine.RFinished _ -> Alcotest.fail "must be cut at 5"
-  | Engine.RInterrupted { rescue = saved; lost; _ } -> (
+  | None -> Alcotest.fail "must be cut at 5"
+  | Some { Engine.saved; lost; _ } -> (
       match saved with
-      | Some (0, k, _) ->
+      | Some { Engine.seg = 0; tasks = k; handle = Some _ } ->
           (* 5 elapsed seconds cover two whole 2s tasks; the 0.5s write
              fits well before the kill at 7 *)
           Alcotest.(check int) "two tasks saved" 2 k;
@@ -225,24 +220,18 @@ let test_rescue_loses_race_to_kill () =
      complete: grace races C and loses *)
   let segs, rescue = rescue_segs () in
   match
-    Engine.execute_until_revocation segs ~write:[| 0.5 |] ~rescue no_failures
-      ~warn:(fun _ -> 5.)
-      ~kill:(fun _ -> 5.2)
-      ~store:(reliable_store ())
+    (revoke segs ~write:[| 0.5 |] ~rescue ~warn:(fun _ -> 5.) ~kill:(fun _ -> 5.2))
+      .Engine.cut
   with
-  | Engine.RFinished _ -> Alcotest.fail "must be cut at 5"
-  | Engine.RInterrupted { rescue = saved; _ } ->
+  | None -> Alcotest.fail "must be cut at 5"
+  | Some { Engine.saved; _ } ->
       Alcotest.(check bool) "write span does not fit" true (saved = None)
 
 let test_revocation_before_start_rejected () =
   let segs = [| { Engine.processor = 0; duration = 1.; preds = [] } |] in
   Alcotest.(check bool) "rejected" true
     (match
-       Engine.execute_until_revocation ~start:5. segs ~write:[| 0. |]
-         ~rescue:(no_rescue segs) no_failures
-         ~warn:(fun _ -> 4.)
-         ~kill:(fun _ -> 9.)
-         ~store:(reliable_store ())
+       revoke ~start:5. segs ~write:[| 0. |] ~warn:(fun _ -> 4.) ~kill:(fun _ -> 9.)
      with
     | exception Invalid_argument _ -> true
     | _ -> false)
@@ -432,11 +421,13 @@ let rescued_tasks_never_replanned case_seed =
     let seg_tasks = seg_tasks_of plan in
     let rescue = rescue_of_plan plan in
     match
-      Engine.execute_until_revocation segs ~write:(Runner.writes_of_plan plan) ~rescue
-        trace_of ~warn ~kill ~store:(reliable_store ())
+      (Engine.run ~store:(reliable_store ()) ~write:(Runner.writes_of_plan plan)
+         ~interrupts:{ Engine.warn; kill; rescue = Some rescue }
+         segs trace_of)
+        .Engine.cut
     with
-    | Engine.RFinished _ -> true
-    | Engine.RInterrupted { at; completed; rescue = saved; _ } ->
+    | None -> true
+    | Some { Engine.at; completed; saved; _ } ->
         let done_ = Array.make n false in
         Array.iteri
           (fun i ok -> if ok then Array.iter (fun t -> done_.(t) <- true) seg_tasks.(i))
@@ -444,7 +435,7 @@ let rescued_tasks_never_replanned case_seed =
         let rescued =
           match saved with
           | None -> []
-          | Some (i, k, _) ->
+          | Some { Engine.seg = i; tasks = k; _ } ->
               List.init k (fun j ->
                   let t = seg_tasks.(i).(j) in
                   done_.(t) <- true;

@@ -33,10 +33,9 @@ type case = {
   interrupts : interrupts;
 }
 
-(* the engine's view of one run, normalised over its entry points:
-   [records]/[finish] describe the uninterrupted execution, [cut] the
-   first disruptive interrupt (processor, instant, committed frontier,
-   gross loss) *)
+(* the engine's view of one run: [records]/[finish] describe the
+   uninterrupted execution, [cut] the first disruptive interrupt
+   (processor, instant, committed frontier, gross loss) *)
 type view = {
   records : Engine.record array;
   finish : float;
@@ -102,50 +101,32 @@ let traces c () p = Failure.create (Rng.create c.trace_seeds.(p)) ~lambda:c.lamb
 let store_of c () =
   Option.map (fun s -> Store.create faulty_store (Rng.create s)) c.store_seed
 
-let run c =
-  let trace_of = traces c in
-  let uncut () =
-    match store_of c () with
-    | None -> Engine.execute c.segs (trace_of ())
-    | Some st ->
-        let r = Engine.execute_storage c.segs ~write:c.write (trace_of ()) ~store:st in
-        (r.Engine.srecords, r.Engine.sfinish)
-  in
-  let records, finish = uncut () in
-  let cut =
+let run ?(interrupted = true) c =
+  let interrupts =
     match c.interrupts with
+    | _ when not interrupted -> None
     | No_interrupt -> None
-    | Deaths d -> (
-        let death p = d.(p) in
-        match store_of c () with
-        | None -> (
-            match Engine.execute_until_death c.segs (trace_of ()) ~death with
-            | Engine.Finished _ -> None
-            | Engine.Interrupted { dead; at; completed } ->
-                Some (dead, at, completed, nan))
-        | Some st -> (
-            match
-              Engine.execute_until_death_storage c.segs ~write:c.write (trace_of ()) ~death
-                ~store:st
-            with
-            | Engine.SFinished _ -> None
-            | Engine.SInterrupted { dead; at; completed; _ } ->
-                Some (dead, at, completed, nan)))
-    | Revocations { warn; kill } -> (
-        let st =
-          match store_of c () with
-          | Some st -> st
-          | None -> Store.create Store.default (Rng.create 0)
-        in
-        match
-          Engine.execute_until_revocation c.segs ~write:c.write ~rescue:c.rescue
-            (trace_of ()) ~warn:(fun p -> warn.(p)) ~kill:(fun p -> kill.(p)) ~store:st
-        with
-        | Engine.RFinished _ -> None
-        | Engine.RInterrupted { revoked; at; completed; lost; _ } ->
-            Some (revoked, at, completed, lost))
+    | Deaths d -> Some (Engine.deaths (fun p -> d.(p)))
+    | Revocations { warn; kill } ->
+        Some
+          {
+            Engine.warn = (fun p -> warn.(p));
+            kill = (fun p -> kill.(p));
+            rescue = Some c.rescue;
+          }
   in
-  { records; finish; cut }
+  let o =
+    Engine.run ?store:(store_of c ()) ~write:c.write ?interrupts c.segs (traces c ())
+  in
+  {
+    records = o.Engine.records;
+    finish = o.Engine.finish;
+    cut =
+      Option.map
+        (fun (k : Engine.cut) ->
+          (k.Engine.proc, k.Engine.at, k.Engine.completed, k.Engine.lost))
+        o.Engine.cut;
+  }
 
 let close a b = Float.abs (a -. b) <= 1e-9 *. (1. +. Float.abs a)
 
@@ -155,8 +136,9 @@ let no_overlap (v : view) =
     (fun (r : Engine.record) ->
       List.iter
         (fun (a : Engine.attempt) ->
-          Hashtbl.replace per_proc r.Engine.seg_processor
-            (a :: Option.value ~default:[] (Hashtbl.find_opt per_proc r.Engine.seg_processor)))
+          let p = r.Engine.seg_processor in
+          Hashtbl.replace per_proc p
+            (a :: Option.value ~default:[] (Hashtbl.find_opt per_proc p)))
         r.Engine.attempts)
     v.records;
   Hashtbl.fold
@@ -180,7 +162,9 @@ let no_overlap (v : view) =
    successful attempt; without a store the commit is that end, and it
    is also the predecessor's last attempt *)
 let first_commit_bound (r : Engine.record) =
-  match List.find_opt (fun (a : Engine.attempt) -> not a.Engine.failed) r.Engine.attempts with
+  match
+    List.find_opt (fun (a : Engine.attempt) -> not a.Engine.failed) r.Engine.attempts
+  with
   | Some a -> a.Engine.attempt_end
   | None -> infinity
 
@@ -222,10 +206,11 @@ let lost_matches (v : view) =
             List.iter
               (fun (a : Engine.attempt) ->
                 if a.Engine.attempt_start < at then
-                  expect := !expect +. (Float.min at a.Engine.attempt_end -. a.Engine.attempt_start))
+                  expect :=
+                    !expect +. (Float.min at a.Engine.attempt_end -. a.Engine.attempt_start))
               r.Engine.attempts)
         v.records;
-      Float.is_nan lost || close !expect lost
+      close !expect lost
 
 let rename_invariant c seed =
   let perm = Array.init c.nprocs Fun.id in
@@ -245,7 +230,8 @@ let rename_invariant c seed =
         (match c.interrupts with
         | No_interrupt -> No_interrupt
         | Deaths d -> Deaths (permute d)
-        | Revocations { warn; kill } -> Revocations { warn = permute warn; kill = permute kill });
+        | Revocations { warn; kill } ->
+            Revocations { warn = permute warn; kill = permute kill });
     }
   in
   let v = run c and v' = run c' in
@@ -264,7 +250,13 @@ let property ~interrupt ~with_store seed =
     QCheck.Test.fail_report "a first attempt starts before a predecessor's commit";
   if not (summary_conserves v) then
     QCheck.Test.fail_report "useful + wasted differs from the attempt spans";
-  if not (lost_matches v) then QCheck.Test.fail_report "cut loss differs from the pre-cut span";
+  if not (lost_matches v) then
+    QCheck.Test.fail_report "cut loss differs from the pre-cut span";
+  (* a cut only truncates the execution: the interrupt-free run is the
+     same execution, bitwise *)
+  let free = run ~interrupted:false c in
+  if not (free.finish = v.finish && free.records = v.records) then
+    QCheck.Test.fail_report "interrupts changed the execution before the cut";
   if not (rename_invariant c seed) then
     QCheck.Test.fail_report "renaming processors changed the makespan";
   true

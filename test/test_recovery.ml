@@ -120,28 +120,30 @@ let test_residual_rejects_all_done () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* --- Engine.execute_until_death --- *)
+(* --- Engine.run under permanent deaths --- *)
 
 let no_failures _ = Failure.create (Rng.create 1) ~lambda:0.
+
+let until_death ?start segs ~death =
+  Engine.run ?start ~interrupts:(Engine.deaths death) segs no_failures
 
 let test_death_free_matches_execute () =
   let segs =
     [| { Engine.processor = 0; duration = 3.; preds = [] };
        { Engine.processor = 1; duration = 5.; preds = [ 0 ] } |]
   in
-  match Engine.execute_until_death segs no_failures ~death:(fun _ -> infinity) with
-  | Engine.Finished (_, m) -> check_close "same makespan" 8. m
-  | Engine.Interrupted _ -> Alcotest.fail "no deaths injected"
+  let o = until_death segs ~death:(fun _ -> infinity) in
+  match o.Engine.cut with
+  | None -> check_close "same makespan" 8. o.Engine.finish
+  | Some _ -> Alcotest.fail "no deaths injected"
 
 let test_idle_death_is_harmless () =
   (* p0 finishes at 3, dies at 4: nothing was lost *)
   let segs = [| { Engine.processor = 0; duration = 3.; preds = [] } |] in
-  match
-    Engine.execute_until_death segs no_failures ~death:(fun p ->
-        if p = 0 then 4. else infinity)
-  with
-  | Engine.Finished (_, m) -> check_close "finished" 3. m
-  | Engine.Interrupted _ -> Alcotest.fail "idle death must not interrupt"
+  let o = until_death segs ~death:(fun p -> if p = 0 then 4. else infinity) in
+  match o.Engine.cut with
+  | None -> check_close "finished" 3. o.Engine.finish
+  | Some _ -> Alcotest.fail "idle death must not interrupt"
 
 let test_midflight_death_interrupts () =
   let segs =
@@ -150,13 +152,10 @@ let test_midflight_death_interrupts () =
        { Engine.processor = 1; duration = 3.; preds = [] };
        { Engine.processor = 1; duration = 9.; preds = [ 2 ] } |]
   in
-  match
-    Engine.execute_until_death segs no_failures ~death:(fun p ->
-        if p = 0 then 5. else infinity)
-  with
-  | Engine.Finished _ -> Alcotest.fail "p0 died mid-segment"
-  | Engine.Interrupted { dead; at; completed } ->
-      Alcotest.(check int) "dead processor" 0 dead;
+  match (until_death segs ~death:(fun p -> if p = 0 then 5. else infinity)).Engine.cut with
+  | None -> Alcotest.fail "p0 died mid-segment"
+  | Some { Engine.proc; at; completed; _ } ->
+      Alcotest.(check int) "dead processor" 0 proc;
       check_close "at the death instant" 5. at;
       Alcotest.(check (list bool)) "cut at the instant" [ true; false; true; false ]
         (Array.to_list completed)
@@ -166,29 +165,25 @@ let test_earliest_disruptive_death_wins () =
     [| { Engine.processor = 0; duration = 10.; preds = [] };
        { Engine.processor = 1; duration = 10.; preds = [] } |]
   in
-  match
-    Engine.execute_until_death segs no_failures ~death:(fun p ->
-        if p = 0 then 7. else 4.)
-  with
-  | Engine.Finished _ -> Alcotest.fail "both died mid-segment"
-  | Engine.Interrupted { dead; at; _ } ->
-      Alcotest.(check int) "p1 died first" 1 dead;
+  match (until_death segs ~death:(fun p -> if p = 0 then 7. else 4.)).Engine.cut with
+  | None -> Alcotest.fail "both died mid-segment"
+  | Some { Engine.proc; at; _ } ->
+      Alcotest.(check int) "p1 died first" 1 proc;
       check_close "its instant" 4. at
 
 let test_death_before_start_rejected () =
   let segs = [| { Engine.processor = 0; duration = 1.; preds = [] } |] in
   Alcotest.(check bool) "rejected" true
-    (match
-       Engine.execute_until_death ~start:5. segs no_failures ~death:(fun _ -> 4.)
-     with
+    (match until_death ~start:5. segs ~death:(fun _ -> 4.) with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
 let test_start_offsets_execution () =
   let segs = [| { Engine.processor = 0; duration = 3.; preds = [] } |] in
-  match Engine.execute_until_death ~start:10. segs no_failures ~death:(fun _ -> infinity) with
-  | Engine.Finished (_, m) -> check_close "starts at 10" 13. m
-  | Engine.Interrupted _ -> Alcotest.fail "no deaths injected"
+  let o = until_death ~start:10. segs ~death:(fun _ -> infinity) in
+  match o.Engine.cut with
+  | None -> check_close "starts at 10" 13. o.Engine.finish
+  | Some _ -> Alcotest.fail "no deaths injected"
 
 (* --- Repair --- *)
 
@@ -245,10 +240,11 @@ let repaired_reexecutes_only_unsaved seed =
   let trace_of p = Failure.create trace_rngs.(p) ~lambda:(Platform.rate_of platform p) in
   let prepared_segs = Runner.segs_of_plan plan in
   match
-    Engine.execute_until_death prepared_segs trace_of ~death:(fun p -> deaths.(p))
+    (Engine.run ~interrupts:(Engine.deaths (fun p -> deaths.(p))) prepared_segs trace_of)
+      .Engine.cut
   with
-  | Engine.Finished _ -> true (* no loss struck: nothing to verify *)
-  | Engine.Interrupted { at; completed; _ } ->
+  | None -> true (* no loss struck: nothing to verify *)
+  | Some { Engine.at; completed; _ } ->
       let done_ = Array.make n false in
       Array.iteri
         (fun i ok ->

@@ -107,8 +107,8 @@ let test_zero_duration_segment_in_failing_chain () =
        { Engine.processor = 0; duration = 0.; preds = [ 0 ] };
        { Engine.processor = 1; duration = 0.; preds = [ 1 ] } |]
   in
-  let records, m =
-    Engine.execute segs (fun _ -> Failure.create (Rng.create 8) ~lambda)
+  let { Engine.records; finish = m; _ } =
+    Engine.run segs (fun _ -> Failure.create (Rng.create 8) ~lambda)
   in
   check_close "still instantaneous" 0. m;
   Array.iter
@@ -137,7 +137,7 @@ let test_forced_first_attempt_failure () =
   let seed = find 0 in
   let t1 = Failure.next_after (trace seed) 0. in
   let segs = [| { Engine.processor = 0; duration = d; preds = [] } |] in
-  let records, m = Engine.execute segs (fun _ -> trace seed) in
+  let { Engine.records; finish = m; _ } = Engine.run segs (fun _ -> trace seed) in
   check_close "failure instant + duration" (t1 +. d) m;
   match records.(0).Engine.attempts with
   | [ first; second ] ->

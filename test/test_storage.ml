@@ -121,8 +121,8 @@ let test_faults_fire () =
   let plain_mean = Array.fold_left ( +. ) 0. plain /. float_of_int (Array.length plain) in
   Alcotest.(check bool) "faults cost time" true (mean > plain_mean)
 
-(* engine-level: execute_storage with a reliable state reproduces
-   execute on the same traces, bitwise *)
+(* engine-level: a run over a reliable store reproduces the storeless
+   run on the same traces, bitwise *)
 let test_engine_reliable_identity () =
   let plan = plan_of Strategy.Ckpt_some in
   let segs = Runner.segs_of_plan plan in
@@ -140,12 +140,12 @@ let test_engine_reliable_identity () =
           t
   in
   for seed = 1 to 5 do
-    let _, plain = Engine.execute segs ((trace_of seed) ()) in
+    let plain = Engine.makespan segs ((trace_of seed) ()) in
     let st = Store.create Store.default (Rng.create 999) in
-    let run = Engine.execute_storage segs ~write:writes ((trace_of seed) ()) ~store:st in
-    if run.Engine.sfinish <> plain then
-      Alcotest.failf "seed %d: storage %.17g <> plain %.17g" seed run.Engine.sfinish plain;
-    Alcotest.(check (list int)) "no rollbacks" [] run.Engine.rollback_log
+    let run = Engine.run ~store:st ~write:writes segs ((trace_of seed) ()) in
+    if run.Engine.finish <> plain then
+      Alcotest.failf "seed %d: storage %.17g <> plain %.17g" seed run.Engine.finish plain;
+    Alcotest.(check (list int)) "no rollbacks" [] run.Engine.rollbacks
   done
 
 (* the cascading-rollback invariant (QCheck): the engine re-executes
@@ -189,9 +189,9 @@ let qcheck_rollback_matches_failed_reads =
             Hashtbl.add traces p t;
             t
       in
-      let run = Engine.execute_storage segs ~write:writes trace ~store:st in
-      run.Engine.rollback_log = Store.failed_reads st
-      && List.for_all (fun s -> s >= 0 && s < n) run.Engine.rollback_log)
+      let run = Engine.run ~store:st ~write:writes segs trace in
+      run.Engine.rollbacks = Store.failed_reads st
+      && List.for_all (fun s -> s >= 0 && s < n) run.Engine.rollbacks)
 
 (* replication helps where it should: at high corruption, k=3 sees far
    fewer corrupt recovery reads than k=1, and k=2 commits beat k=1 on

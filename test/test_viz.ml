@@ -20,7 +20,7 @@ let test_execute_records_failure_free () =
     [| { Engine.processor = 0; duration = 3.; preds = [] };
        { Engine.processor = 0; duration = 4.; preds = [ 0 ] } |]
   in
-  let records, makespan = Engine.execute segs no_failures in
+  let { Engine.records; finish = makespan; _ } = Engine.run segs no_failures in
   Alcotest.(check (float 1e-9)) "makespan" 7. makespan;
   Array.iteri
     (fun i (r : Engine.record) ->
@@ -41,7 +41,9 @@ let test_execute_records_failures () =
   let saw_failure = ref false in
   for _ = 1 to 50 do
     let trial = Rng.split rng in
-    let records, makespan = Engine.execute segs (fun _ -> Failure.create trial ~lambda:0.05) in
+    let { Engine.records; finish = makespan; _ } =
+      Engine.run segs (fun _ -> Failure.create trial ~lambda:0.05)
+    in
     let r = records.(0) in
     let attempts = r.Engine.attempts in
     let last = List.nth attempts (List.length attempts - 1) in
@@ -66,7 +68,9 @@ let test_attempts_chronological () =
        { Engine.processor = 1; duration = 12.; preds = [] };
        { Engine.processor = 0; duration = 5.; preds = [ 1 ] } |]
   in
-  let records, _ = Engine.execute segs (fun _ -> Failure.create rng ~lambda:0.02) in
+  let { Engine.records; _ } =
+    Engine.run segs (fun _ -> Failure.create rng ~lambda:0.02)
+  in
   Array.iter
     (fun (r : Engine.record) ->
       let rec check_order = function
@@ -83,7 +87,7 @@ let test_gantt_svg_structure () =
     [| { Engine.processor = 0; duration = 3.; preds = [] };
        { Engine.processor = 1; duration = 5.; preds = [] } |]
   in
-  let records, makespan = Engine.execute segs no_failures in
+  let { Engine.records; finish = makespan; _ } = Engine.run segs no_failures in
   let svg = Gantt.render ~processors:2 ~makespan records in
   Alcotest.(check bool) "svg root" true (contains svg "<svg");
   Alcotest.(check bool) "closes" true (contains svg "</svg>");
@@ -95,7 +99,9 @@ let test_gantt_marks_failures () =
   (* long segment + aggressive failures: the chart must show the
      failure marker *)
   let segs = [| { Engine.processor = 0; duration = 50.; preds = [] } |] in
-  let records, makespan = Engine.execute segs (fun _ -> Failure.create rng ~lambda:0.1) in
+  let { Engine.records; finish = makespan; _ } =
+    Engine.run segs (fun _ -> Failure.create rng ~lambda:0.1)
+  in
   let svg = Gantt.render ~processors:1 ~makespan records in
   Alcotest.(check bool) "failure colour present" true (contains svg "#e15759")
 
@@ -110,7 +116,9 @@ let test_render_plan () =
 let test_summarize () =
   let rng = Rng.create 21 in
   let segs = [| { Engine.processor = 0; duration = 30.; preds = [] } |] in
-  let records, makespan = Engine.execute segs (fun _ -> Failure.create rng ~lambda:0.05) in
+  let { Engine.records; finish = makespan; _ } =
+    Engine.run segs (fun _ -> Failure.create rng ~lambda:0.05)
+  in
   let s = Engine.summarize records in
   Alcotest.(check (float 1e-9)) "useful = duration" 30. s.Engine.useful_time;
   Alcotest.(check (float 1e-6)) "waste + useful = makespan" makespan

@@ -132,27 +132,28 @@ let cut_at ?store segs records completion intr =
                   else k
                 in
                 let k = prefix 0 info.rread in
-                (* grace races C: the rescue write itself takes
-                   [partial_writes.(k-1)] seconds past the warning, and
-                   only then can the commit be attempted — both the
-                   write span and any store-level delay (outage wait,
-                   retries) must fit before the kill *)
-                if k = 0 || at +. info.partial_writes.(k - 1) > kill then None
-                else begin
+                if k = 0 then None
+                else
+                  (* grace races C: the rescue write itself takes
+                     [partial_writes.(k-1)] seconds past the warning,
+                     and only then can the commit be attempted — both
+                     the write span and any store-level delay (outage
+                     wait, retries, latency) must fit before the kill *)
                   let pw = info.partial_writes.(k - 1) in
-                  match store with
-                  | None -> Some { seg = i; tasks = k; handle = None }
-                  | Some st -> (
-                      (* an [~interrupt] commit: the on-interrupt
-                         policy's durable case *)
-                      match
-                        Store.commit ~interrupt:true st ~seg:i ~write:pw ~at:(at +. pw)
-                      with
-                      | Ok (commit_at, ck) when commit_at <= kill ->
-                          Some { seg = i; tasks = k; handle = Some ck }
-                      | Ok _ | Error _ -> None)
-                end)
-        | Some _ | None -> None
+                  if at +. pw > kill then None
+                  else
+                    match store with
+                    | None -> Some { seg = i; tasks = k; handle = None }
+                    | Some st -> (
+                        (* an [~interrupt] commit: the on-interrupt
+                           policy's durable case *)
+                        match
+                          Store.commit ~interrupt:true st ~seg:i ~write:pw ~at:(at +. pw)
+                        with
+                        | Ok (commit_at, ck) when commit_at <= kill ->
+                            Some { seg = i; tasks = k; handle = Some ck }
+                        | Ok _ | Error _ -> None))
+        | _ -> None
       in
       Some { proc; at; kill; completed; saved; lost = !lost }
 

@@ -287,14 +287,7 @@ let run_trial ~kind ~restart_always ?store ~warn ~kill ~survivors prepared trace
      window) never receives work: replan on the rest up front *)
   match List.filter (fun p -> warn p <= 0.) (List.init nprocs Fun.id) with
   | [] -> go ~clock:0. prepared.init zero
-  | warned0 -> (
-      let t = { zero with cuts = List.length warned0 } in
-      match survivors ~after:0. with
-      | [] -> { t with makespan = infinity }
-      | survivors -> (
-          match replan_cached prepared ~kind ~survivors ~done_ with
-          | Error msg -> invalid_arg (name ^ ".run_trial: initial replan failed: " ^ msg)
-          | Ok e -> go ~clock:0. e { t with replans = 1 }))
+  | warned0 -> replan ~at:0. { zero with cuts = List.length warned0 }
 
 (* Work-distribution chunk (see Runner): trials are claimed chunkwise
    by worker domains but derive their randomness from the trial index

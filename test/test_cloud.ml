@@ -227,6 +227,30 @@ let test_rescue_loses_race_to_kill () =
   | Some { Engine.saved; _ } ->
       Alcotest.(check bool) "write span does not fit" true (saved = None)
 
+let test_rescue_commit_latency_races_kill () =
+  (* the 0.5s partial write fits before the kill, but a remote store's
+     1s commit latency lands the commit at 6.5: past a kill at 6, in
+     time for one at 7 *)
+  let segs, rescue = rescue_segs () in
+  let remote =
+    {
+      Store.default with
+      Store.backend = Store.Remote { commit_latency = 1.; read_latency = 0. };
+    }
+  in
+  let saved kill =
+    (Engine.run
+       ~store:(Store.create remote (Rng.create 0))
+       ~write:[| 0.5 |]
+       ~interrupts:
+         { Engine.warn = (fun _ -> 5.); kill = (fun _ -> kill); rescue = Some rescue }
+       segs no_failures)
+      .Engine.cut
+    |> Option.map (fun (c : Engine.cut) -> c.Engine.saved <> None)
+  in
+  Alcotest.(check (option bool)) "commit lands after the kill" (Some false) (saved 6.);
+  Alcotest.(check (option bool)) "commit lands before the kill" (Some true) (saved 7.)
+
 let test_revocation_before_start_rejected () =
   let segs = [| { Engine.processor = 0; duration = 1.; preds = [] } |] in
   Alcotest.(check bool) "rejected" true
@@ -487,6 +511,8 @@ let suite =
     Alcotest.test_case "rescue commits prefix in grace" `Quick
       test_rescue_commits_prefix_in_grace;
     Alcotest.test_case "rescue loses race to kill" `Quick test_rescue_loses_race_to_kill;
+    Alcotest.test_case "rescue commit latency races the kill" `Quick
+      test_rescue_commit_latency_races_kill;
     Alcotest.test_case "revocation before start rejected" `Quick
       test_revocation_before_start_rejected;
     Alcotest.test_case "cloud degenerates to degrade" `Quick

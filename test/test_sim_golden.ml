@@ -5,8 +5,9 @@
    is rendered exactly ([%h] for floats), so any change to the order of
    float operations or to the randomness a trial consumes changes a
    digest. The digests were recorded before the simulators were merged
-   onto one engine entry point and one replan loop, and pin that the
-   merge changed nothing. *)
+   onto one engine entry point and one replan loop (the warned-at-0
+   case by running this file against that earlier tree), and pin that
+   the merge changed nothing. *)
 
 module Spec = Ckpt_workflows.Spec
 module Pipeline = Ckpt_core.Pipeline
@@ -132,11 +133,14 @@ let test_degrade_restart () =
     (degrade_digests Degrade.Restart)
 
 (* every store at a 10 s grace window, plus the unannounced (zero-grace)
-   passthrough case that degenerates to a plain death *)
+   passthrough case that degenerates to a plain death, and a grace
+   window longer than any run, so every revoked processor is warned at
+   instant 0 and the trial replans before it starts *)
 let cloud_digests mode =
   let plan = Lazy.force plan in
   let cases =
     ("passthrough-grace0", Store.default, 0.)
+    :: ("passthrough-warned-at-0", Store.default, 1e9)
     :: List.map (fun (name, store) -> (name, store, 10.)) stores
   in
   List.map
@@ -157,6 +161,7 @@ let test_cloud_checkpoint () =
   check_digests "Cloud.sample Checkpoint"
     [
       ("passthrough-grace0", "2fd364b3ebac43dbc8dcda8c5dd33d04");
+      ("passthrough-warned-at-0", "f6872e1f0ed9f1f00098ad3fc0c4dafe");
       ("passthrough", "d4dfb9bbbbe6d71ad7ddb02318e4af7d");
       ("corrupt-replicated", "d4dfb9bbbbe6d71ad7ddb02318e4af7d");
       ("every-2", "8b607aad5b1c34a721de25d05407d633");
@@ -169,6 +174,7 @@ let test_cloud_replicate () =
   check_digests "Cloud.sample Replicate"
     [
       ("passthrough-grace0", "ea466104c8efe1de87d04f38965f16eb");
+      ("passthrough-warned-at-0", "ea466104c8efe1de87d04f38965f16eb");
       ("passthrough", "ea466104c8efe1de87d04f38965f16eb");
       ("corrupt-replicated", "ea466104c8efe1de87d04f38965f16eb");
       ("every-2", "ea466104c8efe1de87d04f38965f16eb");

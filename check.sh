@@ -26,6 +26,14 @@ $CKPTWF sweep $SWEEP --jobs 1 > "$TMP/jobs1.csv"
 $CKPTWF sweep $SWEEP --jobs 4 > "$TMP/jobs4.csv"
 diff -u "$TMP/jobs1.csv" "$TMP/jobs4.csv"
 
+echo "== CLI surface: every subcommand keeps every flag name =="
+# the sorted --flag names of each subcommand's plain help, against the
+# committed golden: a refactor can neither drop nor rename a flag
+for sub in accuracy cloud contention degrade evaluate export gantt generate quantiles schedule serve simulate storm sweep; do
+    $CKPTWF "$sub" --help=plain | grep -oE -- '--[a-z-]+' | LC_ALL=C sort -u | sed "s/^/$sub /"
+done > "$TMP/cli_surface.txt"
+diff -u test/cli_surface.txt "$TMP/cli_surface.txt"
+
 echo "== malformed DAX exits 2 with a one-line diagnostic, every subcommand =="
 printf '<adag>\n  <job id="ID1" runtime="not-a-number"/>\n</adag>\n' > "$TMP/bad.dax"
 for sub in generate schedule evaluate simulate sweep accuracy gantt contention quantiles degrade storm cloud; do
@@ -62,6 +70,20 @@ diff -u "$TMP/deg1.csv" "$TMP/degres.csv"
 # online repair must beat restart-from-scratch in expectation on every row
 awk -F, 'NR > 1 { if ($8 + 0 > $9 + 0) { print "FAIL: repair " $8 " worse than restart " $9 " at pdeath " $7; exit 1 } }' \
     "$TMP/deg1.csv"
+
+echo "== journaled degrade: a repeated cell value is computed once, then reused =="
+# the journal lookup for a cell happens right before that cell is
+# computed, so the second --pdeath 0.1 finds the first one's row
+REPEAT="--workflow genome --tasks 30 --seed 7 --processors 5 --strategy some --trials 20 --pdeath 0.1 --pdeath 0.1 --csv"
+$CKPTWF degrade $REPEAT > "$TMP/repeat.csv" 2> /dev/null
+$CKPTWF degrade $REPEAT --journal "$TMP/repeat.journal" \
+    > "$TMP/repeat_journal.csv" 2> "$TMP/repeat.err"
+diff -u "$TMP/repeat.csv" "$TMP/repeat_journal.csv"
+grep -q "1 cell(s) reused, 1 computed" "$TMP/repeat.err" || {
+    echo "FAIL: journaled degrade with a repeated --pdeath did not reuse the cell:" >&2
+    cat "$TMP/repeat.err" >&2
+    exit 1
+}
 
 echo "== degrade replan cache reports a nonzero hit rate =="
 # ckptwf prints "ckptwf: replan cache: H hit(s), M miss(es) (..%)" on
@@ -298,7 +320,15 @@ printf '%s\n' \
     '{"id": 2, "op": "degrade", "workflow": "genome", "tasks": 50, "seed": 7, "processors": 5, "strategy": "some", "pdeath": 0.2, "trials": 60}' \
     '{"id": 3, "op": "plan", "workflow": "genome", "tasks": 50, "seed": 7, "processors": 5, "strategy": "some"}' \
     '{"id": 4, "op": "stats"}' \
-    | $CKPTWF serve --once > "$TMP/serve.ndjson" 2> /dev/null
+    > "$TMP/serve_reqs.ndjson"
+$CKPTWF serve --once < "$TMP/serve_reqs.ndjson" > "$TMP/serve.ndjson" 2> /dev/null
+# streaming mode (stdin without --once) answers line by line; apart
+# from timing, its answers to the request lines must be the batch ones
+head -n 3 "$TMP/serve_reqs.ndjson" | $CKPTWF serve > "$TMP/serve_stream.ndjson" 2> /dev/null
+strip_elapsed() { sed 's/,"elapsed_ms":[0-9.e+-]*//' "$1"; }
+strip_elapsed "$TMP/serve_stream.ndjson" > "$TMP/serve_stream.norm"
+head -n 3 "$TMP/serve.ndjson" > "$TMP/serve_once3.ndjson"
+strip_elapsed "$TMP/serve_once3.ndjson" | diff -u - "$TMP/serve_stream.norm"
 em_serve=$(sed -n '1s/.*"em_some":"\([0-9.]*\)".*/\1/p' "$TMP/serve.ndjson")
 if [ -z "$em_serve" ] || [ "$em_serve" != "$em_once" ]; then
     echo "FAIL: serve evaluate em_some '$em_serve' != one-shot '$em_once'" >&2

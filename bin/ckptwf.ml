@@ -30,6 +30,8 @@ module Store = Ckpt_storage.Store
    Every command body runs under [protect]: recoverable failures
    (malformed DAX, invalid DAG, journal corruption, I/O trouble) exit
    with a one-line diagnostic and code 2 — never an OCaml backtrace.
+   The libraries' [Invalid_argument] checks on out-of-range numbers
+   (zero processors, zero trials, pfail >= 1) are bad input too.
    Exhausted budgets/retries exit 3; an injected fail-stop error (the
    testing aid) exits 1, mimicking a killed process. *)
 
@@ -37,9 +39,12 @@ let die e =
   Printf.eprintf "ckptwf: %s\n%!" (Rerror.to_string e);
   exit (Rerror.exit_code e)
 
+let invalid_input message = Rerror.Parse { source = "invalid input"; message }
+
 let protect f =
   try f () with
   | Rerror.E e -> die e
+  | Invalid_argument message -> die (invalid_input message)
   | Ckpt_dax.Dax.Error message -> die (Rerror.Parse { source = "dax"; message })
   | Faulty.Injected label ->
       Printf.eprintf "ckptwf: injected fail-stop error during %s\n%!" label;
@@ -402,6 +407,37 @@ let store_config ~cmd ?(allow_disk = false) ?(allow_replicated = true) flags
 let store_faulty flags =
   match flags.sf_fail_after with None -> Faulty.never () | Some k -> Faulty.after k
 
+(* degrade and cloud replan from in-memory state; only simulate and
+   storm drive the store's own fault injector *)
+let refuse_store_fail_after flags =
+  if flags.sf_fail_after <> None then
+    die
+      (Rerror.Io
+         {
+           path = "--store-fail-after";
+           message = "store fault injection is supported by simulate and storm";
+         })
+
+(* the disk store file is single-domain (simulate, storm) *)
+let check_disk_jobs (cfg : Store.config) jobs =
+  match cfg.Store.backend with
+  | Store.Disk _ when jobs <> 1 ->
+      die
+        (Rerror.Io
+           { path = "--store-path"; message = "the disk store file is single-domain; use --jobs 1" })
+  | _ -> ()
+
+(* degrade, storm and cloud study what checkpoints save; [lacks] says
+   what a CKPTNONE plan would leave them without *)
+let refuse_ckpt_none strategy lacks =
+  if strategy = Strategy.Ckpt_none then
+    die
+      (Rerror.Io
+         {
+           path = "--strategy";
+           message = Printf.sprintf "CKPTNONE %s; pick a checkpointing strategy" lacks;
+         })
+
 (* open the disk store file, validating its header fingerprint against
    the plans this run will execute; load-time notices mirror the cell
    journal's recovered-tail note and add the fingerprint-rejected
@@ -507,15 +543,6 @@ let fail_after_arg what =
               computing the ($(docv)+1)-th non-journaled %s."
              what))
 
-(* one-line notice when a resumed journal dropped a torn trailing line *)
-let tail_notice journal =
-  Option.iter
-    (fun j ->
-      if Journal.recovered_tail j then
-        Printf.eprintf "ckptwf: journal %s: dropped a truncated trailing entry (recovered)\n%!"
-          (Journal.path j))
-    journal
-
 (* validate the --resume/--journal combination, open the journal
    (fresh unless resuming) and report a recovered torn tail *)
 let open_journal ~resume journal =
@@ -523,16 +550,16 @@ let open_journal ~resume journal =
     die
       (Rerror.Io
          { path = "--resume"; message = "resuming requires --journal FILE to resume from" });
-  let journal =
-    match journal with
-    | None -> None
-    | Some path -> (
-        match Journal.open_ ~fresh:(not resume) path with
-        | Ok j -> Some j
-        | Error e -> Rerror.raise_ e)
-  in
-  tail_notice journal;
-  journal
+  Option.map
+    (fun path ->
+      match Journal.open_ ~fresh:(not resume) path with
+      | Ok j ->
+          if Journal.recovered_tail j then
+            Printf.eprintf
+              "ckptwf: journal %s: dropped a truncated trailing entry (recovered)\n%!" path;
+          j
+      | Error e -> Rerror.raise_ e)
+    journal
 
 (* journal appends are retried under the default backoff policy: a
    transient filesystem hiccup must not lose a computed cell *)
@@ -540,6 +567,57 @@ let journal_append j ~key ~value =
   match Retry.with_retries (fun ~attempt:_ -> Journal.append j ~key ~value) with
   | Ok () -> ()
   | Error e -> Rerror.raise_ e
+
+(* The journaled-cell runner of sweep, degrade, storm and cloud. Each
+   cell is looked up in the journal right before it would be computed:
+   a journaled row is replayed verbatim; otherwise the --fail-after
+   injector may crash the run ([label] names the cell), then the row is
+   computed and journaled. Rows print in cell order, [report] sees them
+   (stderr summaries), and the journal's reuse count comes last.
+   [jobs] > 1 fans the cells over the resident pool with lookup,
+   injection and append serialised, so stdout does not depend on it. *)
+let run_cells ?(jobs = 1) ?(report = ignore) ~journal ~fail_after ~label ~key ~compute
+    cells =
+  let faulty = match fail_after with None -> Faulty.never () | Some k -> Faulty.after k in
+  let mutex = Mutex.create () in
+  let reused = ref 0 in
+  let rows =
+    Pool.map_shared ~jobs (Array.length cells) (fun i ->
+        let key = key cells.(i) in
+        let stored =
+          Mutex.protect mutex (fun () ->
+              match Option.bind journal (fun j -> Journal.find j key) with
+              | Some _ as row ->
+                  incr reused;
+                  row
+              | None ->
+                  Faulty.inject faulty label;
+                  None)
+        in
+        match stored with
+        | Some row -> row
+        | None ->
+            let row = compute cells.(i) in
+            Option.iter
+              (fun j -> Mutex.protect mutex (fun () -> journal_append j ~key ~value:row))
+              journal;
+            row)
+  in
+  Array.iter print_endline rows;
+  report rows;
+  Option.iter
+    (fun j ->
+      Printf.eprintf "ckptwf: journal %s: %d cell(s) reused, %d computed\n%!"
+        (Journal.path j) !reused
+        (Array.length rows - !reused))
+    journal
+
+(* stderr hit rate of the structural replan caches (degrade, cloud) *)
+let replan_cache_notice (hits, misses) =
+  if hits + misses > 0 then
+    Printf.eprintf "ckptwf: replan cache: %d hit(s), %d miss(es) (%.0f%% hit rate)\n%!" hits
+      misses
+      (100. *. float_of_int hits /. float_of_int (hits + misses))
 
 (* the workflow under study: a DAX file when given, else synthetic;
    always validated before any scheduling touches it *)
@@ -633,11 +711,23 @@ let schedule_cmd =
 
 (* --- evaluate --- *)
 
+(* The strategy comparison behind evaluate, sweep cells and serve
+   evaluate: the --method estimator, unless --eval picks the analytic
+   functional (bitwise the PATHAPPROX method) or 10k-trial MC. *)
+let compare_cell ~method_ ~eval setup =
+  let method_ =
+    match Option.map Analytic.resolve eval with
+    | None -> method_
+    | Some `Analytic -> Evaluator.Pathapprox
+    | Some `Mc -> Evaluator.default_montecarlo
+  in
+  Pipeline.compare_strategies ~method_ setup
+
 let evaluate_run dax workflow tasks seed processors pfail ccr method_ =
   protect @@ fun () ->
   let dag = source dax workflow tasks seed in
   let setup = Pipeline.prepare ~dag ~processors ~pfail ~ccr () in
-  let cmp = Pipeline.compare_strategies ~method_ setup in
+  let cmp = compare_cell ~method_ ~eval:None setup in
   Format.printf "workflow=%s n=%d p=%d pfail=%g ccr=%g method=%s@." (Dag.name dag)
     (Dag.n_tasks dag) processors pfail ccr (Evaluator.name method_);
   Format.printf "  EM(CKPTSOME) = %.2f s  (%d checkpoints)@." cmp.Pipeline.em_some
@@ -669,12 +759,7 @@ let simulate_run dax workflow tasks seed processors pfail ccr trials deadline jo
      differently from perfectly-reliable memory, or when the fault
      harness wants to crash inside it *)
   let store_on = (not (Store.passthrough store_cfg)) || sflags.sf_fail_after <> None in
-  if
-    (match store_cfg.Store.backend with Store.Disk _ -> true | _ -> false) && jobs <> 1
-  then
-    die
-      (Rerror.Io
-         { path = "--store-path"; message = "the disk store file is single-domain; use --jobs 1" });
+  check_disk_jobs store_cfg jobs;
   Format.printf "workflow=%s n=%d p=%d pfail=%g ccr=%g trials=%d@." (Dag.name dag)
     (Dag.n_tasks dag) processors pfail ccr trials;
   let plans =
@@ -763,17 +848,7 @@ let default_ccrs workflow =
 (* One sweep cell, rendered to the exact output line. The line is what
    gets journaled, so a resumed sweep replays it verbatim. *)
 let sweep_row ~csv ~dag ~processors ~pfail ~method_ ~eval ccr =
-  let setup = Pipeline.prepare ~dag ~processors ~pfail ~ccr () in
-  let cmp =
-    match eval with
-    | None -> Pipeline.compare_strategies ~method_ setup
-    | Some e -> (
-        (* sweep cells are exponential-model, storage/contention-free
-           by construction, so Auto resolves analytic here *)
-        match Analytic.resolve e with
-        | `Analytic -> Analytic.compare_strategies setup
-        | `Mc -> Pipeline.compare_strategies ~method_:Evaluator.default_montecarlo setup)
-  in
+  let cmp = compare_cell ~method_ ~eval (Pipeline.prepare ~dag ~processors ~pfail ~ccr ()) in
   if csv then
     Printf.sprintf "%s,%d,%d,%g,%g,%.4f,%.4f,%.4f,%.4f,%.4f,%d" (Dag.name dag)
       (Dag.n_tasks dag) processors pfail ccr cmp.Pipeline.em_some cmp.Pipeline.em_all
@@ -800,7 +875,6 @@ let sweep_run dax workflow tasks seed processors pfail method_ eval csv journal 
     fail_after jobs sflags =
   protect @@ fun () ->
   let dag = source dax workflow tasks seed in
-  let faulty = match fail_after with None -> Faulty.never () | Some k -> Faulty.after k in
   let journal = open_journal ~resume journal in
   (* sweep cells are analytic — nothing commits, so the store flags are
      accepted (scripts can share one flag set across subcommands) but
@@ -818,44 +892,12 @@ let sweep_run dax workflow tasks seed processors pfail method_ eval csv journal 
   else
     Format.printf "%-8s %6s %10s %10s %10s %8s %8s %6s@." "wf" "ccr" "EM(some)" "EM(all)"
       "EM(none)" "relALL" "relNONE" "ckpts";
-  let ccrs = Array.of_list (default_ccrs workflow) in
-  let n_cells = Array.length ccrs in
-  (* journal lookups stay sequential on the caller; only missing cells
-     are computed, possibly by several worker domains. Journal appends
-     and fault-injection bookkeeping are serialised through one mutex;
-     output rows are printed in cell order afterwards, so the bytes on
-     stdout do not depend on --jobs. *)
-  let stored =
-    Array.map
-      (fun ccr ->
-        let key = sweep_cell_key ~csv ~dag ~seed ~processors ~pfail ~method_ ~eval ccr in
-        (key, Option.bind journal (fun j -> Journal.find j key)))
-      ccrs
-  in
-  let mutex = Mutex.create () in
-  let locked f =
-    Mutex.lock mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
-  in
-  let rows =
-    Pool.map_shared ~jobs n_cells (fun i ->
-        match stored.(i) with
-        | _, Some row -> row
-        | key, None ->
-            locked (fun () -> Faulty.inject faulty "sweep cell");
-            let row = sweep_row ~csv ~dag ~processors ~pfail ~method_ ~eval ccrs.(i) in
-            Option.iter (fun j -> locked (fun () -> journal_append j ~key ~value:row)) journal;
-            row)
-  in
-  Array.iter print_endline rows;
-  let reused =
-    Array.fold_left (fun acc (_, s) -> if s = None then acc else acc + 1) 0 stored
-  in
-  Option.iter
-    (fun j ->
-      Printf.eprintf "ckptwf: journal %s: %d cell(s) reused, %d computed\n%!"
-        (Journal.path j) reused (n_cells - reused))
-    journal
+  (* the cells themselves fan out over --jobs here; degrade, storm and
+     cloud spend theirs inside each cell's trial sampler instead *)
+  run_cells ~jobs ~journal ~fail_after ~label:"sweep cell"
+    ~key:(sweep_cell_key ~csv ~dag ~seed ~processors ~pfail ~method_ ~eval)
+    ~compute:(sweep_row ~csv ~dag ~processors ~pfail ~method_ ~eval)
+    (Array.of_list (default_ccrs workflow))
 
 let sweep_cmd =
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV rows.") in
@@ -1065,23 +1107,31 @@ module Platform = Ckpt_platform.Platform
 
 let default_pdeaths = [ 0.01; 0.05; 0.1; 0.2; 0.5 ]
 
-(* One degraded-mode cell: paired repair-vs-restart samples at one
-   death probability. The rendered line is what gets journaled, so a
-   resumed sweep replays it verbatim. *)
-let degrade_row ~csv ~dag ~processors ~kind ~max_losses ~trials ~seed ~jobs ~cache_totals
-    ~store_totals ~store_cfg (plan : Strategy.plan) pdeath =
+(* The paired repair and restart summaries at one death probability,
+   priced against the plan's failure-free parallel time — the cell of
+   both `degrade` and the serve degrade op. *)
+let degrade_pair ~kind ~max_losses ~trials ~seed ~jobs ~store (plan : Strategy.plan)
+    prepared pdeath =
   let lambda_death =
     Platform.lambda_of_pfail ~pfail:pdeath ~mean_weight:plan.Strategy.wpar
   in
-  let config = { Degrade.lambda_death; max_losses; kind; store = store_cfg } in
-  (* one replan cache per cell, shared by the paired repair/restart
-     samples; results are identical with or without it *)
-  let prepared = Degrade.prepare plan in
+  let config = { Degrade.lambda_death; max_losses; kind; store } in
   let summary mode =
     Degrade.summarize (Degrade.sample_prepared ~trials ~seed ~jobs ~mode config prepared)
   in
   let repair = summary Degrade.Repair in
-  let restart = summary Degrade.Restart in
+  (repair, summary Degrade.Restart)
+
+(* One degraded-mode cell, rendered. The line is what gets journaled,
+   so a resumed sweep replays it verbatim. *)
+let degrade_row ~csv ~dag ~processors ~kind ~max_losses ~trials ~seed ~jobs ~cache_totals
+    ~store_totals ~store_cfg plan pdeath =
+  (* one replan cache per cell, shared by the paired repair/restart
+     samples; results are identical with or without it *)
+  let prepared = Degrade.prepare plan in
+  let repair, restart =
+    degrade_pair ~kind ~max_losses ~trials ~seed ~jobs ~store:store_cfg plan prepared pdeath
+  in
   (let hits, misses = Degrade.cache_stats prepared in
    let th, tm = !cache_totals in
    cache_totals := (th + hits, tm + misses));
@@ -1137,22 +1187,9 @@ let degrade_run dax workflow tasks seed processors pfail ccr strategy pdeaths ma
   protect @@ fun () ->
   check_storage storage;
   let store_cfg = store_config ~cmd:"degrade" sflags storage in
-  if sflags.sf_fail_after <> None then
-    die
-      (Rerror.Io
-         {
-           path = "--store-fail-after";
-           message = "store fault injection is supported by simulate and storm";
-         });
-  if strategy = Strategy.Ckpt_none then
-    die
-      (Rerror.Io
-         {
-           path = "--strategy";
-           message = "CKPTNONE saves nothing a survivor could reuse; pick a checkpointing strategy";
-         });
+  refuse_store_fail_after sflags;
+  refuse_ckpt_none strategy "saves nothing a survivor could reuse";
   let dag = source dax workflow tasks seed in
-  let faulty = match fail_after with None -> Faulty.never () | Some k -> Faulty.after k in
   let journal = open_journal ~resume journal in
   if csv then
     print_endline
@@ -1161,13 +1198,8 @@ let degrade_run dax workflow tasks seed processors pfail ccr strategy pdeaths ma
   else
     Format.printf "%-8s %6s %11s %11s %8s %7s %8s %9s %5s@." "wf" "pdeath" "EM(repair)"
       "EM(restart)" "gain" "losses" "replans" "restarts" "strnd";
-  let pdeaths =
-    Array.of_list (match pdeaths with [] -> default_pdeaths | ps -> ps)
-  in
   (* the schedule and checkpoint plan do not depend on pdeath: build
-     them once; only missing cells are computed. Cells run in sequence
-     — the parallelism lives inside Degrade.sample, whose result is
-     bitwise independent of --jobs, so the bytes on stdout are too. *)
+     them once, and only if some cell is not journaled *)
   let plan =
     lazy
       (Pipeline.plan ~replicas:(Store.plan_replicas store_cfg)
@@ -1176,38 +1208,17 @@ let degrade_run dax workflow tasks seed processors pfail ccr strategy pdeaths ma
   in
   let cache_totals = ref (0, 0) in
   let store_totals = ref Store.zero in
-  let rows =
-    Array.map
-      (fun pdeath ->
-        let key =
-          degrade_cell_key ~csv ~dag ~seed ~processors ~pfail ~ccr ~kind:strategy
-            ~max_losses ~trials ~store_cfg pdeath
-        in
-        match Option.bind journal (fun j -> Journal.find j key) with
-        | Some row -> (row, true)
-        | None ->
-            Faulty.inject faulty "degrade cell";
-            let row =
-              degrade_row ~csv ~dag ~processors ~kind:strategy ~max_losses ~trials ~seed
-                ~jobs ~cache_totals ~store_totals ~store_cfg (Lazy.force plan) pdeath
-            in
-            Option.iter (fun j -> journal_append j ~key ~value:row) journal;
-            (row, false))
-      pdeaths
-  in
-  Array.iter (fun (row, _) -> print_endline row) rows;
-  if not (Store.passthrough store_cfg) then store_totals_notice !store_totals;
-  (let hits, misses = !cache_totals in
-   if hits + misses > 0 then
-     Printf.eprintf "ckptwf: replan cache: %d hit(s), %d miss(es) (%.0f%% hit rate)\n%!"
-       hits misses
-       (100. *. float_of_int hits /. float_of_int (hits + misses)));
-  Option.iter
-    (fun j ->
-      let reused = Array.fold_left (fun acc (_, r) -> if r then acc + 1 else acc) 0 rows in
-      Printf.eprintf "ckptwf: journal %s: %d cell(s) reused, %d computed\n%!"
-        (Journal.path j) reused (Array.length rows - reused))
-    journal
+  run_cells ~journal ~fail_after ~label:"degrade cell"
+    ~key:
+      (degrade_cell_key ~csv ~dag ~seed ~processors ~pfail ~ccr ~kind:strategy ~max_losses
+         ~trials ~store_cfg)
+    ~compute:(fun pdeath ->
+      degrade_row ~csv ~dag ~processors ~kind:strategy ~max_losses ~trials ~seed ~jobs
+        ~cache_totals ~store_totals ~store_cfg (Lazy.force plan) pdeath)
+    ~report:(fun _ ->
+      if not (Store.passthrough store_cfg) then store_totals_notice !store_totals;
+      replan_cache_notice !cache_totals)
+    (Array.of_list (match pdeaths with [] -> default_pdeaths | ps -> ps))
 
 let degrade_cmd =
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV rows.") in
@@ -1244,12 +1255,13 @@ let degrade_cmd =
 
 (* --- storm (unreliable stable storage: replication crossover) --- *)
 
-let storm_cell_key ~dag ~seed ~processors ~pfail ~ccr ~kind ~trials ~storage_lambda
-    ~commit_fail_prob ~outage_rate ~outage_mean ~replicas corrupt_prob =
+let storm_cell_key ~dag ~seed ~processors ~pfail ~ccr ~kind ~trials ~(base : Storage.config)
+    (replicas, corrupt_prob) =
   Printf.sprintf
     "storm|wf=%s|n=%d|seed=%d|p=%d|pfail=%g|ccr=%g|s=%s|trials=%d|sl=%.17g|cf=%.17g|or=%.17g|om=%.17g|k=%d|cp=%.17g"
     (Dag.name dag) (Dag.n_tasks dag) seed processors pfail ccr (Strategy.kind_name kind)
-    trials storage_lambda commit_fail_prob outage_rate outage_mean replicas corrupt_prob
+    trials base.Storage.storage_lambda base.Storage.commit_fail_prob
+    base.Storage.outage_rate base.Storage.outage_mean replicas corrupt_prob
 
 let storm_header =
   "workflow,tasks,processors,strategy,replicas,storage_lambda,corrupt_prob,commit_fail_prob,trials,em,mean_commit_retries,mean_corrupt_reads,mean_rollbacks,ckpts"
@@ -1264,23 +1276,11 @@ let storm_row_em row =
 let storm_run dax workflow tasks seed processors pfail ccr strategy trials corrupt_probs
     replicas_list base journal resume fail_after jobs sflags =
   protect @@ fun () ->
-  if strategy = Strategy.Ckpt_none then
-    die
-      (Rerror.Io
-         { path = "--strategy"; message = "CKPTNONE commits nothing; pick a checkpointing strategy" });
-  let storage_lambda = base.Storage.storage_lambda in
-  let commit_fail_prob = base.Storage.commit_fail_prob in
-  let outage_rate = base.Storage.outage_rate in
-  let outage_mean = base.Storage.outage_mean in
+  refuse_ckpt_none strategy "commits nothing";
   check_storage base;
   let store_base = store_config ~cmd:"storm" ~allow_disk:true ~allow_replicated:false sflags base in
   let sfaulty = store_faulty sflags in
-  if
-    (match store_base.Store.backend with Store.Disk _ -> true | _ -> false) && jobs <> 1
-  then
-    die
-      (Rerror.Io
-         { path = "--store-path"; message = "the disk store file is single-domain; use --jobs 1" });
+  check_disk_jobs store_base jobs;
   let corrupt_probs =
     match corrupt_probs with [] -> [ 0.; 0.02; 0.05; 0.1; 0.2 ] | ps -> ps
   in
@@ -1290,7 +1290,6 @@ let storm_run dax workflow tasks seed processors pfail ccr strategy trials corru
     (fun cp -> check_storage { base with Storage.corrupt_prob = cp })
     corrupt_probs;
   let dag = source dax workflow tasks seed in
-  let faulty = match fail_after with None -> Faulty.never () | Some k -> Faulty.after k in
   let journal = open_journal ~resume journal in
   print_endline storm_header;
   let setup = Pipeline.prepare ~dag ~processors ~pfail ~ccr () in
@@ -1306,7 +1305,8 @@ let storm_run dax workflow tasks seed processors pfail ccr strategy trials corru
         p
   in
   let cells =
-    List.concat_map (fun k -> List.map (fun cp -> (k, cp)) corrupt_probs) replicas_list
+    Array.of_list
+      (List.concat_map (fun k -> List.map (fun cp -> (k, cp)) corrupt_probs) replicas_list)
   in
   (* the disk store's header fingerprints every swept plan (one per
      replication factor, in sweep order); a mismatched store refuses
@@ -1319,87 +1319,67 @@ let storm_run dax workflow tasks seed processors pfail ccr strategy trials corru
      Runner.sample_storage, whose result is bitwise independent of
      --jobs, so the bytes on stdout are too *)
   let store_totals = ref Store.zero in
-  let rows =
-    List.map
-      (fun (k, cp) ->
-        let key =
-          storm_cell_key ~dag ~seed ~processors ~pfail ~ccr ~kind:strategy ~trials
-            ~storage_lambda ~commit_fail_prob ~outage_rate ~outage_mean ~replicas:k cp
-          ^ store_part store_base
-        in
-        match Option.bind journal (fun j -> Journal.find j key) with
-        | Some row -> ((k, cp), row, true)
-        | None ->
-            Faulty.inject faulty "storm cell";
-            let plan = plan_for k in
-            let cfg =
-              { store_base with
-                Store.faults = { base with Storage.corrupt_prob = cp; replicas = k }
-              }
-            in
-            let sample =
-              Runner.sample_storage ~trials ~seed ~jobs ~inject:(Faulty.inject sfaulty)
-                ?persist
-                ~scope:(Printf.sprintf "k%d,cp%.17g" k cp)
-                ~store:cfg plan
-            in
-            store_totals :=
-              Array.fold_left (fun acc t -> Store.add acc t.Runner.store) !store_totals
-                sample;
-            let n = float_of_int (Array.length sample) in
-            let mean f = Array.fold_left (fun acc t -> acc +. f t) 0. sample /. n in
-            let row =
-              Printf.sprintf "%s,%d,%d,%s,%d,%g,%g,%g,%d,%.4f,%.4f,%.4f,%.4f,%d"
-                (Dag.name dag) (Dag.n_tasks dag) processors (Strategy.kind_name strategy)
-                k storage_lambda cp commit_fail_prob trials
-                (mean (fun t -> t.Runner.makespan))
-                (mean (fun t -> float_of_int t.Runner.commit_retries))
-                (mean (fun t -> float_of_int t.Runner.corrupt_reads))
-                (mean (fun t -> float_of_int t.Runner.rollbacks))
-                plan.Strategy.checkpoint_count
-            in
-            Option.iter (fun j -> journal_append j ~key ~value:row) journal;
-            ((k, cp), row, false))
-      cells
+  let storm_row (k, cp) =
+    let plan = plan_for k in
+    let cfg =
+      { store_base with Store.faults = { base with Storage.corrupt_prob = cp; replicas = k } }
+    in
+    let sample =
+      Runner.sample_storage ~trials ~seed ~jobs ~inject:(Faulty.inject sfaulty) ?persist
+        ~scope:(Printf.sprintf "k%d,cp%.17g" k cp)
+        ~store:cfg plan
+    in
+    store_totals :=
+      Array.fold_left (fun acc t -> Store.add acc t.Runner.store) !store_totals sample;
+    let n = float_of_int (Array.length sample) in
+    let mean f = Array.fold_left (fun acc t -> acc +. f t) 0. sample /. n in
+    Printf.sprintf "%s,%d,%d,%s,%d,%g,%g,%g,%d,%.4f,%.4f,%.4f,%.4f,%d" (Dag.name dag)
+      (Dag.n_tasks dag) processors (Strategy.kind_name strategy) k
+      base.Storage.storage_lambda cp base.Storage.commit_fail_prob trials
+      (mean (fun t -> t.Runner.makespan))
+      (mean (fun t -> float_of_int t.Runner.commit_retries))
+      (mean (fun t -> float_of_int t.Runner.corrupt_reads))
+      (mean (fun t -> float_of_int t.Runner.rollbacks))
+      plan.Strategy.checkpoint_count
   in
-  List.iter (fun (_, row, _) -> print_endline row) rows;
   (* crossover report: the smallest corruption probability at which a
      k-replicated commit beats the unreplicated baseline in expected
      makespan — replication pays k*C on every commit but saves whole
      rollback cascades on recovery *)
-  let em cell =
-    List.find_map (fun (c, row, _) -> if c = cell then Some (storm_row_em row) else None) rows
+  let crossover rows =
+    let em cell =
+      Array.find_map
+        (fun (c, row) -> if c = cell then Some (storm_row_em row) else None)
+        (Array.combine cells rows)
+    in
+    if List.mem 1 replicas_list then
+      List.iter
+        (fun k ->
+          if k <> 1 then
+            match
+              List.find_opt
+                (fun cp ->
+                  match (em (k, cp), em (1, cp)) with
+                  | Some a, Some b -> a < b
+                  | _ -> false)
+                corrupt_probs
+            with
+            | Some cp ->
+                Printf.eprintf
+                  "ckptwf: storm: replicas=%d first beats replicas=1 at corrupt-prob %g\n%!"
+                  k cp
+            | None ->
+                Printf.eprintf
+                  "ckptwf: storm: replicas=%d never beats replicas=1 in this sweep\n%!" k)
+        replicas_list;
+    if not (store_is_default store_base) then store_totals_notice !store_totals;
+    Option.iter store_persist_summary persist
   in
-  if List.mem 1 replicas_list then
-    List.iter
-      (fun k ->
-        if k <> 1 then
-          match
-            List.find_opt
-              (fun cp ->
-                match (em (k, cp), em (1, cp)) with
-                | Some a, Some b -> a < b
-                | _ -> false)
-              corrupt_probs
-          with
-          | Some cp ->
-              Printf.eprintf
-                "ckptwf: storm: replicas=%d first beats replicas=1 at corrupt-prob %g\n%!"
-                k cp
-          | None ->
-              Printf.eprintf
-                "ckptwf: storm: replicas=%d never beats replicas=1 in this sweep\n%!" k)
-      replicas_list;
-  if not (store_is_default store_base) then store_totals_notice !store_totals;
-  Option.iter store_persist_summary persist;
-  Option.iter
-    (fun j ->
-      let reused =
-        List.fold_left (fun acc (_, _, r) -> if r then acc + 1 else acc) 0 rows
-      in
-      Printf.eprintf "ckptwf: journal %s: %d cell(s) reused, %d computed\n%!"
-        (Journal.path j) reused (List.length rows - reused))
-    journal
+  run_cells ~journal ~fail_after ~label:"storm cell"
+    ~key:(fun cell ->
+      storm_cell_key ~dag ~seed ~processors ~pfail ~ccr ~kind:strategy ~trials ~base cell
+      ^ store_part store_base)
+    ~compute:storm_row ~report:crossover cells
 
 let storm_cmd =
   let corrupt_probs =
@@ -1464,20 +1444,8 @@ let cloud_run dax workflow tasks seed processors pfail ccr strategy trials prevo
   protect @@ fun () ->
   check_storage storage;
   let store_cfg = store_config ~cmd:"cloud" sflags storage in
-  if sflags.sf_fail_after <> None then
-    die
-      (Rerror.Io
-         {
-           path = "--store-fail-after";
-           message = "store fault injection is supported by simulate and storm";
-         });
-  if strategy = Strategy.Ckpt_none then
-    die
-      (Rerror.Io
-         {
-           path = "--strategy";
-           message = "CKPTNONE saves nothing a rescue could commit; pick a checkpointing strategy";
-         });
+  refuse_store_fail_after sflags;
+  refuse_ckpt_none strategy "saves nothing a rescue could commit";
   let bad path message = die (Rerror.Io { path; message }) in
   if spot_discount <= 0. || spot_discount > 1. then
     bad "--spot-discount" "must lie in (0, 1]";
@@ -1495,7 +1463,6 @@ let cloud_run dax workflow tasks seed processors pfail ccr strategy trials prevo
     (fun f -> if f < 0. || f > 1. then bad "--spot-fraction" "must lie in [0, 1]")
     spot_fractions;
   let dag = source dax workflow tasks seed in
-  let faulty = match fail_after with None -> Faulty.never () | Some k -> Faulty.after k in
   let journal = open_journal ~resume journal in
   print_endline cloud_header;
   (* the priced platform: failure rate and bandwidth derived exactly as
@@ -1540,115 +1507,92 @@ let cloud_run dax workflow tasks seed processors pfail ccr strategy trials prevo
         v
   in
   let cells =
-    List.concat_map
-      (fun prevoke ->
-        List.concat_map
-          (fun grace -> List.map (fun sf -> (prevoke, grace, sf)) spot_fractions)
-          graces)
-      prevokes
+    Array.of_list
+      (List.concat_map
+         (fun prevoke ->
+           List.concat_map
+             (fun grace -> List.map (fun sf -> (prevoke, grace, sf)) spot_fractions)
+             graces)
+         prevokes)
   in
   (* cells run in sequence — the parallelism lives inside
      Cloud.sample_prepared, whose result is bitwise independent of
      --jobs, so the bytes on stdout are too *)
-  let rows =
-    List.map
-      (fun (prevoke, grace, sf) ->
-        let key =
-          cloud_cell_key ~dag ~seed ~processors ~pfail ~ccr ~kind:strategy ~trials
-            ~revocations ~price ~spot_discount ~spot_speed ~store_cfg ~prevoke ~grace sf
-        in
-        match Option.bind journal (fun j -> Journal.find j key) with
-        | Some row -> ((prevoke, grace, sf), row, true)
-        | None ->
-            Faulty.inject faulty "cloud cell";
-            let plan, prep = prepared sf in
-            let lambda_revoke =
-              if prevoke = 0. then 0.
-              else
-                Platform.lambda_of_pfail ~pfail:prevoke ~mean_weight:plan.Strategy.wpar
-            in
-            let config =
-              {
-                Cloud.lambda_revoke;
-                grace;
-                max_revocations = revocations;
-                kind = strategy;
-                store = store_cfg;
-              }
-            in
-            let summary mode =
-              Cloud.summarize (Cloud.sample_prepared ~trials ~seed ~jobs ~mode config prep)
-            in
-            let ck = summary Cloud.Checkpoint in
-            let repl = summary Cloud.Replicate in
-            let row =
-              Printf.sprintf
-                "%s,%d,%d,%s,%d,%g,%g,%g,%g,%g,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%d,%d"
-                (Dag.name dag) (Dag.n_tasks dag) processors (Strategy.kind_name strategy)
-                trials prevoke grace sf spot_discount spot_speed ck.Cloud.mean_makespan
-                repl.Cloud.mean_makespan ck.Cloud.mean_dollar_cost
-                repl.Cloud.mean_dollar_cost ck.Cloud.mean_work_lost
-                repl.Cloud.mean_work_lost ck.Cloud.mean_rescues
-                ck.Cloud.mean_rescued_tasks ck.Cloud.mean_revocations ck.Cloud.mean_replans
-                ck.Cloud.stranded repl.Cloud.stranded
-            in
-            Option.iter (fun j -> journal_append j ~key ~value:row) journal;
-            ((prevoke, grace, sf), row, false))
-      cells
+  let cloud_row (prevoke, grace, sf) =
+    let plan, prep = prepared sf in
+    let lambda_revoke =
+      if prevoke = 0. then 0.
+      else Platform.lambda_of_pfail ~pfail:prevoke ~mean_weight:plan.Strategy.wpar
+    in
+    let config =
+      {
+        Cloud.lambda_revoke;
+        grace;
+        max_revocations = revocations;
+        kind = strategy;
+        store = store_cfg;
+      }
+    in
+    let summary mode =
+      Cloud.summarize (Cloud.sample_prepared ~trials ~seed ~jobs ~mode config prep)
+    in
+    let ck = summary Cloud.Checkpoint in
+    let repl = summary Cloud.Replicate in
+    Printf.sprintf
+      "%s,%d,%d,%s,%d,%g,%g,%g,%g,%g,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%d,%d"
+      (Dag.name dag) (Dag.n_tasks dag) processors (Strategy.kind_name strategy) trials
+      prevoke grace sf spot_discount spot_speed ck.Cloud.mean_makespan
+      repl.Cloud.mean_makespan ck.Cloud.mean_dollar_cost repl.Cloud.mean_dollar_cost
+      ck.Cloud.mean_work_lost repl.Cloud.mean_work_lost ck.Cloud.mean_rescues
+      ck.Cloud.mean_rescued_tasks ck.Cloud.mean_revocations ck.Cloud.mean_replans
+      ck.Cloud.stranded repl.Cloud.stranded
   in
-  List.iter (fun (_, row, _) -> print_endline row) rows;
   (* grace-benefit report: wherever the sweep holds both a zero- and a
      nonzero-grace cell of the same revocation rate and price mix,
      compare the checkpointing mode's expected work lost — the
      warning's whole value is the shrinkage *)
-  let lost_of prevoke grace sf =
-    List.find_map
-      (fun ((p, g, s), row, _) ->
-        if p = prevoke && g = grace && s = sf then Some (cloud_row_lost row) else None)
-      rows
+  let grace_benefit rows =
+    let lost_of prevoke grace sf =
+      Array.find_map
+        (fun ((p, g, s), row) ->
+          if p = prevoke && g = grace && s = sf then Some (cloud_row_lost row) else None)
+        (Array.combine cells rows)
+    in
+    if List.mem 0. graces then
+      List.iter
+        (fun prevoke ->
+          if prevoke > 0. then
+            List.iter
+              (fun sf ->
+                match lost_of prevoke 0. sf with
+                | None -> ()
+                | Some unwarned ->
+                    List.iter
+                      (fun g ->
+                        if g > 0. then
+                          match lost_of prevoke g sf with
+                          | Some l when l < unwarned ->
+                              Printf.eprintf
+                                "ckptwf: cloud: grace %g cuts expected work lost %.4f -> \
+                                 %.4f (prevoke %g, spot-fraction %g)\n\
+                                 %!"
+                                g unwarned l prevoke sf
+                          | _ -> ())
+                      graces)
+              spot_fractions)
+        prevokes;
+    replan_cache_notice
+      (Hashtbl.fold
+         (fun _ (_, prep) (h, m) ->
+           let hits, misses = Cloud.cache_stats prep in
+           (h + hits, m + misses))
+         prepared_for (0, 0))
   in
-  if List.mem 0. graces then
-    List.iter
-      (fun prevoke ->
-        if prevoke > 0. then
-          List.iter
-            (fun sf ->
-              match lost_of prevoke 0. sf with
-              | None -> ()
-              | Some unwarned ->
-                  List.iter
-                    (fun g ->
-                      if g > 0. then
-                        match lost_of prevoke g sf with
-                        | Some l when l < unwarned ->
-                            Printf.eprintf
-                              "ckptwf: cloud: grace %g cuts expected work lost %.4f -> \
-                               %.4f (prevoke %g, spot-fraction %g)\n\
-                               %!"
-                              g unwarned l prevoke sf
-                        | _ -> ())
-                    graces)
-            spot_fractions)
-      prevokes;
-  (let hits, misses =
-     Hashtbl.fold
-       (fun _ (_, prep) (h, m) ->
-         let hits, misses = Cloud.cache_stats prep in
-         (h + hits, m + misses))
-       prepared_for (0, 0)
-   in
-   if hits + misses > 0 then
-     Printf.eprintf "ckptwf: replan cache: %d hit(s), %d miss(es) (%.0f%% hit rate)\n%!"
-       hits misses
-       (100. *. float_of_int hits /. float_of_int (hits + misses)));
-  Option.iter
-    (fun j ->
-      let reused =
-        List.fold_left (fun acc (_, _, r) -> if r then acc + 1 else acc) 0 rows
-      in
-      Printf.eprintf "ckptwf: journal %s: %d cell(s) reused, %d computed\n%!"
-        (Journal.path j) reused (List.length rows - reused))
-    journal
+  run_cells ~journal ~fail_after ~label:"cloud cell"
+    ~key:(fun (prevoke, grace, sf) ->
+      cloud_cell_key ~dag ~seed ~processors ~pfail ~ccr ~kind:strategy ~trials ~revocations
+        ~price ~spot_discount ~spot_speed ~store_cfg ~prevoke ~grace sf)
+    ~compute:cloud_row ~report:grace_benefit cells
 
 let cloud_cmd =
   let prevokes =
@@ -1952,15 +1896,7 @@ let handle_request state ~jobs ~prefetched req =
       (* field formatting matches the one-shot `ckptwf evaluate` output
          (%.2f makespans, %.4f relatives) so scripted round-trips can
          compare the two verbatim *)
-      let cmp =
-        match eval with
-        | None -> Pipeline.compare_strategies ~method_ setup
-        | Some e -> (
-            match Analytic.resolve e with
-            | `Analytic -> Analytic.compare_strategies setup
-            | `Mc ->
-                Pipeline.compare_strategies ~method_:Evaluator.default_montecarlo setup)
-      in
+      let cmp = compare_cell ~method_ ~eval setup in
       let eval_field =
         match eval with
         | None -> []
@@ -1999,19 +1935,11 @@ let handle_request state ~jobs ~prefetched req =
                 Hashtbl.add state.degraded pr.preq_key p;
                 p)
       in
-      let lambda_death =
-        Platform.lambda_of_pfail ~pfail:pdeath ~mean_weight:plan.Strategy.wpar
-      in
       let store_cfg = store_of_req req in
-      let config =
-        { Degrade.lambda_death; max_losses; kind = pr.preq_kind; store = store_cfg }
+      let repair, restart =
+        degrade_pair ~kind:pr.preq_kind ~max_losses ~trials ~seed ~jobs ~store:store_cfg plan
+          prepared pdeath
       in
-      let summary mode =
-        Degrade.summarize
-          (Degrade.sample_prepared ~trials ~seed ~jobs ~mode config prepared)
-      in
-      let repair = summary Degrade.Repair in
-      let restart = summary Degrade.Restart in
       let live = not (Store.passthrough store_cfg) in
       let totals =
         Store.add repair.Degrade.store_totals restart.Degrade.store_totals
@@ -2126,7 +2054,7 @@ let answer_batch state ~jobs ~mode ~output lines =
                     (not (Hashtbl.mem missing pr.preq_key))
                     && Service.find_plan state.service ~key:pr.preq_key = None
                   then Hashtbl.add missing pr.preq_key pr
-              | exception Rerror.E _ when mode = Structured -> ())
+              | exception (Rerror.E _ | Invalid_argument _) when mode = Structured -> ())
           | _ -> ()))
     parsed;
   let batch = Array.of_list (Hashtbl.fold (fun _ pr acc -> pr :: acc) missing []) in
@@ -2150,28 +2078,24 @@ let answer_batch state ~jobs ~mode ~output lines =
           with
           | answer -> output (Json.to_string answer)
           | exception Rerror.E e when mode = Structured ->
-              output (Json.to_string (error_answer ~req e))))
+              output (Json.to_string (error_answer ~req e))
+          | exception Invalid_argument m when mode = Structured ->
+              output (Json.to_string (error_answer ~req (invalid_input m)))))
     parsed
 
-let never_lines input =
+(* stdin requests: with --once the whole input is one batch; otherwise
+   each line is answered as a batch of one before the next is read *)
+let serve_stdin state ~jobs ~once output =
   let lines = ref [] in
   (try
      while true do
-       let line = input_line input in
-       if String.trim line <> "" then lines := (line, Deadline.never) :: !lines
+       let line = input_line stdin in
+       if String.trim line <> "" then
+         if once then lines := (line, Deadline.never) :: !lines
+         else answer_batch state ~jobs ~mode:Fatal ~output [| (line, Deadline.never) |]
      done
    with End_of_file -> ());
-  Array.of_list (List.rev !lines)
-
-let serve_stream state ~jobs input output =
-  let prefetched = Hashtbl.create 1 in
-  try
-    while true do
-      let line = input_line input in
-      if String.trim line <> "" then
-        output (Json.to_string (handle_request state ~jobs ~prefetched (parse_request line)))
-    done
-  with End_of_file -> ()
+  if once then answer_batch state ~jobs ~mode:Fatal ~output (Array.of_list (List.rev !lines))
 
 (* --- the hardened daemon: concurrent connections, deadlines,
        shedding, graceful lifecycle ---------------------------------- *)
@@ -2477,8 +2401,7 @@ let serve_run socket tcp once jobs request_timeout max_clients cache_cap =
         print_newline ();
         flush stdout
       in
-      if once then answer_batch state ~jobs ~mode:Fatal ~output (never_lines stdin)
-      else serve_stream state ~jobs stdin output
+      serve_stdin state ~jobs ~once output
   | _ ->
       serve_daemon state ~jobs ~request_timeout ~max_clients socket tcp ~once
 

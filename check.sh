@@ -50,6 +50,34 @@ for sub in generate schedule evaluate simulate sweep accuracy gantt contention q
     fi
 done
 
+echo "== out-of-range numbers exit 2 with a one-line diagnostic =="
+# the libraries reject these with Invalid_argument; the CLI must report
+# bad input (exit 2), never an uncaught exception (exit 125)
+while read -r args; do
+    status=0
+    $CKPTWF $args > /dev/null 2> "$TMP/range.err" || status=$?
+    if [ "$status" -ne 2 ] || [ "$(wc -l < "$TMP/range.err")" -ne 1 ]; then
+        echo "FAIL: ckptwf $args exited $status, want 2 with one diagnostic line:" >&2
+        cat "$TMP/range.err" >&2
+        exit 1
+    fi
+done <<'EOF'
+evaluate -p 0
+evaluate -n 0
+evaluate --pfail 2
+degrade -n 30 -p 5 --trials 0
+storm -n 30 -p 5 --trials 0
+cloud -n 30 -p 5 --trials 0
+quantiles -n 30 -p 5 --trials 0
+EOF
+status=0
+printf '{"op": "evaluate", "processors": 0}\n' | $CKPTWF serve --once > /dev/null 2> "$TMP/range.err" || status=$?
+if [ "$status" -ne 2 ] || [ "$(wc -l < "$TMP/range.err")" -ne 1 ]; then
+    echo "FAIL: serve --once with processors 0 exited $status, want 2 with one line:" >&2
+    cat "$TMP/range.err" >&2
+    exit 1
+fi
+
 echo "== degraded mode: output independent of --jobs, crash/resume, repair wins =="
 DEGRADE="--workflow genome --tasks 50 --seed 7 --processors 5 --strategy some --trials 60 --csv"
 $CKPTWF degrade $DEGRADE --jobs 1 > "$TMP/deg1.csv"
@@ -322,13 +350,12 @@ printf '%s\n' \
     '{"id": 4, "op": "stats"}' \
     > "$TMP/serve_reqs.ndjson"
 $CKPTWF serve --once < "$TMP/serve_reqs.ndjson" > "$TMP/serve.ndjson" 2> /dev/null
-# streaming mode (stdin without --once) answers line by line; apart
-# from timing, its answers to the request lines must be the batch ones
-head -n 3 "$TMP/serve_reqs.ndjson" | $CKPTWF serve > "$TMP/serve_stream.ndjson" 2> /dev/null
+# streaming mode (stdin without --once) answers each line as a batch of
+# one; apart from timing, its answers must be the --once ones
+$CKPTWF serve < "$TMP/serve_reqs.ndjson" > "$TMP/serve_stream.ndjson" 2> /dev/null
 strip_elapsed() { sed 's/,"elapsed_ms":[0-9.e+-]*//' "$1"; }
 strip_elapsed "$TMP/serve_stream.ndjson" > "$TMP/serve_stream.norm"
-head -n 3 "$TMP/serve.ndjson" > "$TMP/serve_once3.ndjson"
-strip_elapsed "$TMP/serve_once3.ndjson" | diff -u - "$TMP/serve_stream.norm"
+strip_elapsed "$TMP/serve.ndjson" | diff -u - "$TMP/serve_stream.norm"
 em_serve=$(sed -n '1s/.*"em_some":"\([0-9.]*\)".*/\1/p' "$TMP/serve.ndjson")
 if [ -z "$em_serve" ] || [ "$em_serve" != "$em_once" ]; then
     echo "FAIL: serve evaluate em_some '$em_serve' != one-shot '$em_once'" >&2

@@ -267,6 +267,28 @@ EOF
     stop_daemon
     echo "scenario 8 ok"
 
+    echo "== scenario 9: an out-of-range request gets a structured error, the batch goes on =="
+    # "trials": 0 trips a library argument check; the daemon must answer
+    # it with ok:false and still answer the request after it
+    start_daemon --request-timeout 30
+    cat > "$TMP/range_req.ndjson" <<'EOF'
+{"id": 1, "op": "stats"}
+{"id": 2, "op": "degrade", "workflow": "genome", "tasks": 40, "seed": 7, "processors": 5, "strategy": "some", "pdeath": 0.2, "trials": 0}
+{"id": 3, "op": "stats"}
+EOF
+    "$PROBE" --unix "$SOCK" --send "$TMP/range_req.ndjson" > "$TMP/range.ndjson"
+    cat "$TMP/range.ndjson"
+    [ "$(wc -l < "$TMP/range.ndjson")" -eq 3 ] \
+        || fail "want 3 answers to the 3-request batch, got $(wc -l < "$TMP/range.ndjson")"
+    sed -n 2p "$TMP/range.ndjson" | grep -q '"id":2,"op":"degrade","ok":false' \
+        || fail "out-of-range degrade was not answered with ok:false"
+    sed -n 3p "$TMP/range.ndjson" | grep -q '"id":3,"op":"stats","ok":true' \
+        || fail "the request after the out-of-range one was not answered"
+    grep -q "connection handler failed" "$TMP/daemon.err" \
+        && fail "the connection handler died on the out-of-range request"
+    stop_daemon
+    echo "scenario 9 ok"
+
     echo "# all serve fault scenarios passed"
 }
 

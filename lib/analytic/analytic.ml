@@ -1,6 +1,5 @@
 module Strategy = Ckpt_core.Strategy
 module Placement = Ckpt_core.Placement
-module Pipeline = Ckpt_core.Pipeline
 module Schedule = Ckpt_core.Schedule
 module Superchain = Ckpt_core.Superchain
 module Platform = Ckpt_platform.Platform
@@ -23,16 +22,6 @@ let restart_time model ~rate wpar =
   match model with
   | First_order -> Ckpt_eval.Ckptnone.expected_makespan_rate ~wpar ~rate
   | Exact -> if rate <= 0. || wpar = 0. then wpar else Float.expm1 (rate *. wpar) /. rate
-
-(* aggregate failure process over the processors the schedule actually
-   uses — the same reduction Strategy.expected_makespan applies to
-   CKPTNONE plans, so the First_order value is bitwise identical *)
-let used_rate (plan : Strategy.plan) =
-  let used = Hashtbl.create 16 in
-  Array.iter
-    (fun (sc : Superchain.t) -> Hashtbl.replace used sc.Superchain.processor ())
-    plan.Strategy.schedule.Schedule.superchains;
-  Hashtbl.fold (fun p () acc -> acc +. Platform.rate_of plan.Strategy.platform p) used 0.
 
 (* Expected duration of every 2-state node. Under First_order this is
    the mean of the node's own two-point distribution — the value the
@@ -58,81 +47,23 @@ let node_times model (plan : Strategy.plan) pd =
           let s = seg.Placement.read +. seg.Placement.work +. seg.Placement.write in
           segment_time Exact ~lambda s)
 
-(* Longest base path through every node, split as top.(i) (ending just
-   before i) and bottom.(i) (starting just after i) — one forward and
-   one backward sweep in topological order. *)
-let through_paths pd base =
-  let n = Prob_dag.n_nodes pd in
-  let order = Prob_dag.topological_order pd in
-  let top = Array.make n 0. in
-  Array.iter
-    (fun u ->
-      let d = top.(u) +. base u in
-      List.iter (fun v -> if d > top.(v) then top.(v) <- d) (Prob_dag.succs pd u))
-    order;
-  let bottom = Array.make n 0. in
-  for k = n - 1 downto 0 do
-    let u = order.(k) in
-    List.iter
-      (fun v ->
-        let d = bottom.(v) +. base v in
-        if d > bottom.(u) then bottom.(u) <- d)
-      (Prob_dag.succs pd u)
-  done;
-  (top, bottom)
-
-(* Closed-form first-order expansion of the expected longest path.
-
-   With M(S) the makespan when exactly the nodes of S run degraded,
-   independence gives E[M] = Σ_S Pr[S]·M(S) = M(∅) + Σ_i p_i·(M({i}) −
-   M(∅)) + O((λs)²) — and each single-failure makespan M({i}) is exact
-   in O(1) from the through-path split: the best path either avoids i
-   (≤ M(∅)) or passes through it (top_i + degraded_i + bottom_i, which
-   dominates M(∅) whenever the critical path contains i). So the
-   truncation error is confined to simultaneous-failure configurations,
-   the same O((λs)²) order the 2-state model itself discards; on a
-   chain every path passes through every node and the expansion
-   collapses to the exact Σ_i E[T_i]. This is precisely the functional
-   {!Ckpt_eval.Pathapprox} estimates (pinned bitwise by the test
-   suite); it is re-derived here as the trials → ∞ limit of the MC
-   estimator rather than as one estimator among several. *)
-let first_order_expansion pd =
-  let n = Prob_dag.n_nodes pd in
-  if n = 0 then 0.
-  else begin
-    let top, bottom = through_paths pd (fun i -> (Prob_dag.node pd i).Prob_dag.base) in
-    let m0 = ref 0. in
-    for i = 0 to n - 1 do
-      let through = top.(i) +. (Prob_dag.node pd i).Prob_dag.base +. bottom.(i) in
-      if through > !m0 then m0 := through
-    done;
-    let correction = ref 0. in
-    for i = 0 to n - 1 do
-      let nd = Prob_dag.node pd i in
-      if nd.Prob_dag.pfail > 0. then begin
-        let mi = Float.max !m0 (top.(i) +. nd.Prob_dag.degraded +. bottom.(i)) in
-        correction := !correction +. (nd.Prob_dag.pfail *. (mi -. !m0))
-      end
-    done;
-    !m0 +. !correction
-  end
-
+(* First_order is the PATHAPPROX functional: the first-order failure
+   expansion E[M] = M(none) + Σᵢ pᵢ·(M(only i) − M(none)) of the 2-state
+   DAG's expected longest path, i.e. the trials → ∞ limit of the MC
+   estimator up to O((λs)²). Exact composes exact per-segment
+   expectations over the longest path: exact on chains (the Sodre
+   regimes), a lower first-order estimate across parallel joins. *)
 let expected_makespan ?(model = First_order) (plan : Strategy.plan) =
-  match plan.Strategy.prob_dag with
-  | None -> restart_time model ~rate:(used_rate plan) plan.Strategy.wpar
-  | Some pd -> (
-      match model with
-      | First_order -> first_order_expansion pd
-      | Exact ->
-          (* exact per-segment expectations composed over the DAG's
-             longest path: exact on chains (the Sodre regimes), a
-             lower first-order estimate across parallel joins *)
-          let times = node_times Exact plan pd in
-          Prob_dag.longest_path_with pd (fun i -> times.(i)))
+  match (model, plan.Strategy.prob_dag) with
+  | First_order, _ -> Strategy.expected_makespan plan
+  | Exact, None -> restart_time Exact ~rate:(Strategy.restart_rate plan) plan.Strategy.wpar
+  | Exact, Some pd ->
+      let times = node_times Exact plan pd in
+      Prob_dag.longest_path_with pd (fun i -> times.(i))
 
 let schedule_makespan ?(model = First_order) (plan : Strategy.plan) =
   match plan.Strategy.prob_dag with
-  | None -> restart_time model ~rate:(used_rate plan) plan.Strategy.wpar
+  | None -> restart_time model ~rate:(Strategy.restart_rate plan) plan.Strategy.wpar
   | Some pd ->
       (* the Engine recurrence with each attempt loop collapsed to its
          expectation: ready = max over DAG predecessors, start = max of
@@ -166,23 +97,6 @@ let schedule_makespan ?(model = First_order) (plan : Strategy.plan) =
       done;
       !finish
 
-let compare_strategies ?model setup =
-  let some = Pipeline.plan setup Strategy.Ckpt_some in
-  let all = Pipeline.plan setup Strategy.Ckpt_all in
-  let none = Pipeline.plan setup Strategy.Ckpt_none in
-  let em_some = expected_makespan ?model some in
-  let em_all = expected_makespan ?model all in
-  let em_none = expected_makespan ?model none in
-  {
-    Pipeline.em_some;
-    em_all;
-    em_none;
-    rel_all = em_all /. em_some;
-    rel_none = em_none /. em_some;
-    ckpts_some = some.Strategy.checkpoint_count;
-    ckpts_all = all.Strategy.checkpoint_count;
-  }
-
 type eval = Analytic | Mc | Auto
 
 let eval_name = function Analytic -> "analytic" | Mc -> "mc" | Auto -> "auto"
@@ -194,7 +108,4 @@ let eval_of_name s =
   | "auto" -> Some Auto
   | _ -> None
 
-let resolve ?(exponential = true) ?(storage_off = true) = function
-  | Analytic -> `Analytic
-  | Mc -> `Mc
-  | Auto -> if exponential && storage_off then `Analytic else `Mc
+let resolve = function Analytic | Auto -> `Analytic | Mc -> `Mc

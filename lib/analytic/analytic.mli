@@ -1,26 +1,21 @@
-(** Closed-form expected-makespan evaluation (the analytic fast path).
+(** Closed-form expected-makespan evaluation (the analytic path).
 
-    Every sweep cell the CLI computes today prices a plan by sampling
-    its 2-state probabilistic DAG ~10k times, yet under the paper's
-    exponential fail-stop model the per-segment expectation is known in
-    closed form — the same Toueg/Daly-style cost the Algorithm-2 DP
-    already prices ({!Ckpt_core.Placement.first_order}). This module
-    composes those per-segment expectations over the plan exactly the
-    way the estimators and the simulation engine do, so one O(nodes)
-    longest-path pass replaces the whole Monte-Carlo loop:
+    Under the paper's exponential fail-stop model each segment's
+    expectation is known in closed form — the same Toueg/Daly-style
+    cost the Algorithm-2 DP already prices
+    ({!Ckpt_core.Placement.first_order}). This module composes those
+    per-segment expectations over a plan with no sampling:
 
-    - {!expected_makespan} is the trial-count → ∞ limit of
-      {!Ckpt_eval.Montecarlo.estimate} on the plan's probabilistic
-      DAG, closed under the first-order failure expansion: E[M] =
-      M(no failure) + Σᵢ pᵢ·(M(only i fails) − M(no failure)), every
-      single-failure makespan exact, the truncation confined to the
-      simultaneous-failure O((λs)²) configurations the 2-state model
-      itself discards. Exact on chains; inside the MC 95% confidence
-      interval on the tracked sweep cells (asserted by the bench) and
-      within three half-widths on randomised M-SPGs (QCheck — the
-      estimator's own 95% interval excludes the true mean 5% of the
-      time by construction, so strict containment is not a property
-      even an exact evaluator could satisfy);
+    - {!expected_makespan} under {!First_order} is the one first-order
+      functional of the repository, {!Ckpt_core.Strategy.expected_makespan}
+      (PATHAPPROX, and the Theorem-1 restart closed form for CKPTNONE):
+      the trial-count → ∞ limit of {!Ckpt_eval.Montecarlo.estimate} up to
+      the simultaneous-failure O((λs)²) terms the 2-state model itself
+      discards. Exact on chains; inside the MC 95% confidence interval on
+      the tracked sweep cells and within three half-widths on randomised
+      M-SPGs (the estimator's own 95% interval excludes the true mean 5%
+      of the time, so strict containment is not a property even an exact
+      evaluator could satisfy);
     - {!schedule_makespan} replays the {!Ckpt_sim.Engine} recurrence
       (predecessor joins plus same-processor serialisation) with each
       segment at its expected duration — the limit of
@@ -34,7 +29,6 @@
     (arXiv 1802.07455) bite. *)
 
 module Strategy := Ckpt_core.Strategy
-module Pipeline := Ckpt_core.Pipeline
 
 (** Per-segment expectation model. *)
 type model =
@@ -62,15 +56,13 @@ val restart_time : model -> rate:float -> float -> float
 
 val expected_makespan : ?model:model -> Strategy.plan -> float
 (** Closed-form expected makespan of a plan, O(nodes + edges), no
-    sampling. [First_order] (the default) is the exact first-order
-    failure expansion of the 2-state DAG's expected longest path —
-    the value {!Ckpt_eval.Montecarlo.estimate} converges to, without
-    the trials. [Exact] composes the exact exponential per-segment
-    expectations over the longest path (exact on chains — the Sodre
-    asymptotic regimes — where [First_order] degrades for large λs).
-    CKPTNONE plans use {!restart_time} over the processors the
-    schedule actually uses, exactly as
-    {!Ckpt_core.Strategy.expected_makespan} aggregates them. *)
+    sampling. [First_order] (the default) is
+    {!Ckpt_core.Strategy.expected_makespan}: the first-order failure
+    expansion of the 2-state DAG's expected longest path. [Exact]
+    composes the exact exponential per-segment expectations over the
+    longest path (exact on chains — the Sodre asymptotic regimes —
+    where [First_order] degrades for large λs), and prices a CKPTNONE
+    plan by {!restart_time} at {!Ckpt_core.Strategy.restart_rate}. *)
 
 val schedule_makespan : ?model:model -> Strategy.plan -> float
 (** Expected makespan composed by the simulation engine's recurrence:
@@ -83,27 +75,16 @@ val schedule_makespan : ?model:model -> Strategy.plan -> float
     expansion. Either way it is the closed-form counterpart of what
     {!Ckpt_sim.Runner} simulates. *)
 
-val compare_strategies : ?model:model -> Pipeline.setup -> Pipeline.comparison
-(** Drop-in analytic replacement for
-    {!Ckpt_core.Pipeline.compare_strategies}: same plans, same
-    comparison record, {!expected_makespan} instead of an estimator —
-    the O(1)-per-cell sweep path. *)
-
 (** {2 Evaluator dispatch}
 
-    How a sweep cell should be priced. [Auto] resolves to the analytic
-    path exactly when it is a faithful stand-in for Monte-Carlo: the
-    failure model is exponential and no storage/contention knob is
-    live (those effects exist only in the simulators). *)
+    How a sweep cell should be priced: [Analytic] and [Auto] take the
+    closed form (every cell the CLI prices is exponential-model and
+    free of storage and contention knobs, where it is a faithful
+    stand-in for Monte-Carlo), [Mc] samples. *)
 
 type eval = Analytic | Mc | Auto
 
 val eval_name : eval -> string
 val eval_of_name : string -> eval option
 
-val resolve : ?exponential:bool -> ?storage_off:bool -> eval -> [ `Analytic | `Mc ]
-(** [resolve eval] applies the [Auto] rule. [exponential] (default
-    [true]) — the platform failure model is exponential; [storage_off]
-    (default [true]) — storage-fault and contention knobs are at their
-    reliable defaults. [Auto] answers [`Analytic] only when both
-    hold. *)
+val resolve : eval -> [ `Analytic | `Mc ]

@@ -217,19 +217,17 @@ let plan ?(jobs = 1) ?(replicas = 1) kind ~raw ~schedule ~platform =
       in
       plan_of_positions ~jobs ~replicas ~kind ~raw ~schedule ~platform ~positions ()
 
+let restart_rate plan =
+  let used = Hashtbl.create 16 in
+  Array.iter
+    (fun (sc : Superchain.t) -> Hashtbl.replace used sc.Superchain.processor ())
+    plan.schedule.Schedule.superchains;
+  Hashtbl.fold (fun p () acc -> acc +. Platform.rate_of plan.platform p) used 0.
+
 let expected_makespan ?(method_ = Evaluator.Pathapprox) plan =
   match plan.prob_dag with
   | Some pd -> Evaluator.estimate method_ pd
-  | None ->
-      (* aggregate failure process over the processors actually used *)
-      let used = Hashtbl.create 16 in
-      Array.iter
-        (fun (sc : Superchain.t) -> Hashtbl.replace used sc.Superchain.processor ())
-        plan.schedule.Schedule.superchains;
-      let rate =
-        Hashtbl.fold (fun p () acc -> acc +. Platform.rate_of plan.platform p) used 0.
-      in
-      Ckpt_eval.Ckptnone.expected_makespan_rate ~wpar:plan.wpar ~rate
+  | None -> Ckpt_eval.Ckptnone.expected_makespan_rate ~wpar:plan.wpar ~rate:(restart_rate plan)
 
 let segment_dag plan =
   match plan.prob_dag with

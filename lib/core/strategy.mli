@@ -95,7 +95,12 @@ val plan_of_positions :
     {!Refine} for position-set local search. *)
 
 val expected_makespan : ?method_:Ckpt_eval.Evaluator.method_ -> plan -> float
-(** Default estimator: PATHAPPROX (the paper's choice). *)
+(** Default estimator: PATHAPPROX (the paper's choice). A CKPTNONE
+    plan takes the Theorem-1 closed form at {!restart_rate}. *)
+
+val restart_rate : plan -> float
+(** Aggregate failure rate of the processors the schedule uses: the
+    rate at which a CKPTNONE execution restarts from scratch. *)
 
 val checkpoint_positions : plan -> (int * int list) list
 (** Superchain id -> checkpointed positions (empty for CKPTNONE). *)

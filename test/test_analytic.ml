@@ -26,7 +26,6 @@ module Strategy = Ckpt_core.Strategy
 module Schedule = Ckpt_core.Schedule
 module Superchain = Ckpt_core.Superchain
 module Prob_dag = Ckpt_eval.Prob_dag
-module Pathapprox = Ckpt_eval.Pathapprox
 module Montecarlo = Ckpt_eval.Montecarlo
 module Ckptnone = Ckpt_eval.Ckptnone
 module Stats = Ckpt_prob.Stats
@@ -96,29 +95,6 @@ let test_restart_time () =
 
 (* --- the analytic functional vs the estimators ------------------- *)
 
-(* expected_makespan is *defined* as the trials -> infinity limit of
-   the MC estimator; Pathapprox computes the same first-order failure
-   expansion, so on any plan with a probabilistic DAG the two must be
-   bitwise identical — this pins the analytic engine against estimator
-   drift in either direction. *)
-let prop_analytic_is_pathapprox_bitwise =
-  QCheck.Test.make ~count:60 ~name:"expected_makespan = Pathapprox.estimate (bitwise)"
-    QCheck.small_nat (fun seed ->
-      let setup = random_setup seed in
-      List.for_all
-        (fun kind ->
-          let plan = Pipeline.plan setup kind in
-          match plan.Strategy.prob_dag with
-          | None -> true
-          | Some pd -> Analytic.expected_makespan plan = Pathapprox.estimate pd)
-        [
-          Strategy.Ckpt_some;
-          Strategy.Ckpt_all;
-          Strategy.Ckpt_every 3;
-          Strategy.Ckpt_restart;
-          Strategy.Ckpt_hybrid 4;
-        ])
-
 (* Agreement with the MC estimator on random M-SPGs and placements:
    within three 95%-CI half-widths (see calibration note above). *)
 let prop_analytic_within_mc =
@@ -186,9 +162,18 @@ let test_ckptnone_matches_strategy_closed_form () =
     (fun seed ->
       let setup = random_setup seed in
       let plan = Pipeline.plan setup Strategy.Ckpt_none in
+      (* Theorem 1 over the distinct processors the schedule uses; the
+         platform is homogeneous, so the summation order is immaterial *)
+      let rate =
+        Array.to_list setup.Pipeline.schedule.Schedule.superchains
+        |> List.map (fun sc -> sc.Superchain.processor)
+        |> List.sort_uniq compare
+        |> List.fold_left (fun acc p -> acc +. Platform.rate_of plan.Strategy.platform p) 0.
+      in
       Alcotest.(check bool)
-        "CKPTNONE analytic = Strategy closed form (bitwise)" true
-        (Analytic.expected_makespan plan = Strategy.expected_makespan plan))
+        "CKPTNONE analytic = Theorem-1 closed form (bitwise)" true
+        (Analytic.expected_makespan plan
+        = Ckptnone.expected_makespan_rate ~wpar:plan.Strategy.wpar ~rate))
     [ 0; 3; 11; 42 ]
 
 (* --- Sodre asymptotic regimes (arXiv 1802.07455), Exact model ----- *)
@@ -254,18 +239,6 @@ let test_runner_analytic_smoke () =
      cross-superchain serialisation the DAG relaxes, so only loose
      agreement is asserted *)
   check_close ~eps:0.25 "runner analytic ~ runner mc" mc a
-
-let test_compare_strategies_analytic () =
-  let setup = random_setup 9 in
-  let c = Analytic.compare_strategies setup in
-  let em kind = Analytic.expected_makespan (Pipeline.plan setup kind) in
-  check_close "em_some" (em Strategy.Ckpt_some) c.Pipeline.em_some;
-  check_close "em_all" (em Strategy.Ckpt_all) c.Pipeline.em_all;
-  check_close "em_none" (em Strategy.Ckpt_none) c.Pipeline.em_none;
-  check_close "rel_all" (c.Pipeline.em_all /. c.Pipeline.em_some) c.Pipeline.rel_all;
-  check_close "rel_none" (c.Pipeline.em_none /. c.Pipeline.em_some) c.Pipeline.rel_none;
-  let some = Pipeline.plan setup Strategy.Ckpt_some in
-  Alcotest.(check int) "ckpts_some" some.Strategy.checkpoint_count c.Pipeline.ckpts_some
 
 (* --- RESTART and hybrid strategies -------------------------------- *)
 
@@ -335,24 +308,15 @@ let test_eval_dispatch () =
       Alcotest.(check bool) "name round-trips" true
         (Analytic.eval_of_name (Analytic.eval_name e) = Some e))
     [ Analytic.Analytic; Analytic.Mc; Analytic.Auto ];
-  (* the Auto rule *)
-  Alcotest.(check bool) "auto -> analytic when faithful" true
-    (Analytic.resolve Analytic.Auto = `Analytic);
-  Alcotest.(check bool) "auto -> mc under non-exponential failures" true
-    (Analytic.resolve ~exponential:false Analytic.Auto = `Mc);
-  Alcotest.(check bool) "auto -> mc when storage knobs live" true
-    (Analytic.resolve ~storage_off:false Analytic.Auto = `Mc);
-  (* explicit choices are never second-guessed *)
+  Alcotest.(check bool) "auto -> analytic" true (Analytic.resolve Analytic.Auto = `Analytic);
   Alcotest.(check bool) "explicit analytic sticks" true
-    (Analytic.resolve ~exponential:false ~storage_off:false Analytic.Analytic
-    = `Analytic);
+    (Analytic.resolve Analytic.Analytic = `Analytic);
   Alcotest.(check bool) "explicit mc sticks" true (Analytic.resolve Analytic.Mc = `Mc)
 
 let suite =
   [
     Alcotest.test_case "segment-time kernels" `Quick test_segment_time;
     Alcotest.test_case "restart-time kernels" `Quick test_restart_time;
-    QCheck_alcotest.to_alcotest prop_analytic_is_pathapprox_bitwise;
     QCheck_alcotest.to_alcotest prop_analytic_within_mc;
     Alcotest.test_case "strict MC CI containment (pinned configs)" `Slow
       test_analytic_within_mc_ci_pinned;
@@ -362,8 +326,6 @@ let suite =
     Alcotest.test_case "Sodre asymptotic regimes" `Quick test_sodre_asymptotic_regimes;
     QCheck_alcotest.to_alcotest prop_schedule_equals_expected_unique_procs;
     Alcotest.test_case "runner analytic smoke" `Quick test_runner_analytic_smoke;
-    Alcotest.test_case "compare_strategies analytic" `Quick
-      test_compare_strategies_analytic;
     Alcotest.test_case "restart plan shape" `Quick test_restart_plan_shape;
     Alcotest.test_case "hybrid degenerate cases" `Quick test_hybrid_degenerate_cases;
     Alcotest.test_case "hybrid interpolates" `Quick test_hybrid_interpolates;

@@ -1,71 +1,16 @@
-(* Hand-rolled domain pool (domainslib is not available in this
-   environment), in two flavours:
-
-   - the legacy per-region API ([run] / [map]): a parallel region
-     spawns [jobs - 1] fresh domains plus the calling domain, runs the
-     worker body on each, joins, and re-raises the first exception.
-     Domain spawn costs tens of microseconds, which is negligible for
-     second-scale regions (Monte Carlo batches, sweep cells) but loses
-     badly when regions are millisecond-scale and issued in a loop —
-     planning fan-outs, degrade/cloud replan batches, daemon requests;
-
-   - a resident pool ([create] / [run_in] / [map_in], usually via the
-     process-wide [shared] pool and its [run_shared] / [map_shared]
-     wrappers): worker domains are spawned once, park on a condition
-     variable between batches, and every batch clamps its width to the
-     machine's core count. On a single-core box the clamp degrades
-     every "parallel" call to the inline sequential path, which is
-     exactly right: spawning domains there buys only oversubscription
-     (every minor GC synchronises all domains contending for the one
-     core). *)
+(* Hand-rolled resident domain pool (domainslib is not available in
+   this environment): worker domains are spawned once, park on a
+   condition variable between batches, and every batch clamps its
+   width to the machine's core count. On a single-core box the clamp
+   degrades every "parallel" call to the inline sequential path, which
+   is exactly right: spawning domains there buys only oversubscription
+   (every minor GC synchronises all domains contending for the one
+   core). Usually reached through the process-wide [shared] pool and
+   its [run_shared] / [map_shared] wrappers. *)
 
 let available_jobs () = max 1 (Domain.recommended_domain_count ())
 
 let effective_jobs jobs = max 1 (min jobs (available_jobs ()))
-
-let run ~jobs body =
-  if jobs < 1 then invalid_arg "Pool.run: jobs < 1";
-  if jobs = 1 then body ~worker:0
-  else begin
-    let failed = Atomic.make None in
-    let guarded worker () =
-      try body ~worker
-      with e ->
-        let bt = Printexc.get_raw_backtrace () in
-        ignore (Atomic.compare_and_set failed None (Some (e, bt)))
-    in
-    let domains = List.init (jobs - 1) (fun i -> Domain.spawn (guarded (i + 1))) in
-    guarded 0 ();
-    List.iter Domain.join domains;
-    match Atomic.get failed with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
-  end
-
-let map ~jobs n f =
-  if jobs < 1 then invalid_arg "Pool.map: jobs < 1";
-  if n < 0 then invalid_arg "Pool.map: negative length";
-  if jobs = 1 || n <= 1 then Array.init n f
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let stop = Atomic.make false in
-    run ~jobs:(min jobs n) (fun ~worker:_ ->
-        let rec loop () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n && not (Atomic.get stop) then begin
-            (try results.(i) <- Some (f i)
-             with e ->
-               Atomic.set stop true;
-               raise e);
-            loop ()
-          end
-        in
-        loop ());
-    Array.map (function Some v -> v | None -> assert false) results
-  end
-
-(* --- resident pool ------------------------------------------------ *)
 
 (* True while the current domain is executing a pool batch body: a
    nested [run_in]/[run_shared]/[map_shared] from inside a worker runs

@@ -1,17 +1,6 @@
 (** Minimal hand-rolled domain pool for OCaml 5 multicore.
 
-    Two flavours are provided.
-
-    The {e legacy per-region} API ({!run} / {!map}) runs a worker body
-    on [jobs] domains — the caller plus [jobs - 1] freshly spawned
-    ones — and joins them all before returning, re-raising the first
-    worker exception. With [jobs = 1] everything runs inline on the
-    caller, with no domain machinery in the way, so sequential
-    behaviour is exactly the pre-parallel code path. It never clamps
-    [jobs] and spawns fresh domains on every call: fine for
-    second-scale regions, wasteful for millisecond-scale ones.
-
-    The {e resident pool} ({!create} / {!run_in} / {!map_in}, and the
+    The resident pool ({!create} / {!run_in} / {!map_in}, and the
     process-wide {!shared} pool behind {!run_shared} / {!map_shared})
     spawns its helper domains once and parks them between batches, so
     repeated small parallel regions — per-superchain placement DPs,
@@ -35,27 +24,6 @@ val available_jobs : unit -> int
 val effective_jobs : int -> int
 (** [effective_jobs jobs] is [jobs] clamped to [[1, available_jobs ()]]
     — the batch width the resident-pool API will actually use. *)
-
-val run : jobs:(int) -> (worker:int -> unit) -> unit
-(** [run ~jobs body] executes [body ~worker] on [jobs] domains, with
-    [worker] ranging over [0 .. jobs-1] ([0] is the calling domain).
-    Returns once every domain finished; if any body raised, the first
-    captured exception is re-raised with its backtrace. Spawns fresh
-    domains every call and does {e not} clamp [jobs] to the core
-    count.
-
-    @raise Invalid_argument when [jobs < 1]. *)
-
-val map : jobs:(int) -> int -> (int -> 'a) -> 'a array
-(** [map ~jobs n f] is [Array.init n f] computed by up to [jobs]
-    domains claiming indices dynamically; the result array is in index
-    order regardless of scheduling. [f] must therefore be safe to call
-    concurrently from several domains (with [jobs = 1] it is called
-    sequentially, in order, exactly like [Array.init]). When some call
-    to [f] raises, workers stop claiming new indices and the first
-    exception is re-raised.
-
-    @raise Invalid_argument when [jobs < 1] or [n < 0]. *)
 
 (** {1 Resident pool} *)
 
@@ -91,9 +59,12 @@ val run_in : t -> jobs:int -> (worker:int -> unit) -> unit
     @raise Invalid_argument when [jobs < 1] or [t] was shut down. *)
 
 val map_in : t -> jobs:int -> int -> (int -> 'a) -> 'a array
-(** [map_in t ~jobs n f] is {!map} executed as a single batch on the
-    resident pool: [Array.init n f] with dynamic index claiming,
-    results in index order, first exception re-raised.
+(** [map_in t ~jobs n f] is [Array.init n f] executed as a single
+    batch on the resident pool: indices are claimed dynamically, so [f]
+    must be safe to call concurrently from several domains; results
+    come back in index order regardless of scheduling. When some call
+    to [f] raises, workers stop claiming new indices and the first
+    exception is re-raised.
 
     @raise Invalid_argument when [jobs < 1] or [n < 0]. *)
 

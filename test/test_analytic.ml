@@ -317,9 +317,9 @@ let suite =
   [
     Alcotest.test_case "segment-time kernels" `Quick test_segment_time;
     Alcotest.test_case "restart-time kernels" `Quick test_restart_time;
-    QCheck_alcotest.to_alcotest prop_analytic_within_mc;
     Alcotest.test_case "strict MC CI containment (pinned configs)" `Slow
       test_analytic_within_mc_ci_pinned;
+    QCheck_alcotest.to_alcotest prop_analytic_within_mc;
     Alcotest.test_case "exact on chains" `Quick test_chain_first_order_is_exact;
     Alcotest.test_case "CKPTNONE closed form" `Quick
       test_ckptnone_matches_strategy_closed_form;

@@ -13,6 +13,7 @@ module Pipeline = Ckpt_core.Pipeline
 module Strategy = Ckpt_core.Strategy
 module Schedule = Ckpt_core.Schedule
 module Rng = Ckpt_prob.Rng
+module Spec = Ckpt_workflows.Spec
 
 (* --- random superchains: packed DP vs reference ----------------- *)
 
@@ -138,6 +139,100 @@ let prop_plan_jobs_invariant =
             (Pipeline.plan ~jobs:4 setup kind))
         [ Strategy.Ckpt_some; Strategy.Ckpt_all; Strategy.Ckpt_budget 2 ])
 
+(* --- completed workflows: plans against the scheduled DAG ---------- *)
+
+(* MONTAGE needs bipartite completion, so its scheduled DAG carries
+   zero-size synchronisation edges the raw workflow lacks; every plan
+   must still place and price checkpoints exactly as the reference
+   paths do over that scheduled DAG *)
+let completed_kinds =
+  Strategy.
+    [
+      Ckpt_some; Ckpt_all; Ckpt_every 2; Ckpt_budget 2; Ckpt_restart; Ckpt_hybrid 3;
+    ]
+
+let expected_positions ~replicas platform dag kind (sc : Ckpt_core.Superchain.t) =
+  let n = Ckpt_core.Superchain.n_tasks sc in
+  let optimal () = snd (Placement.reference_optimal_positions ~replicas platform dag sc) in
+  match kind with
+  | Strategy.Ckpt_some -> optimal ()
+  | Strategy.Ckpt_all -> Placement.every_position sc
+  | Strategy.Ckpt_every period -> Placement.periodic_positions sc ~period
+  | Strategy.Ckpt_budget budget ->
+      snd (Placement.reference_optimal_positions_budget ~replicas platform dag sc ~budget)
+  | Strategy.Ckpt_restart -> [ n - 1 ]
+  | Strategy.Ckpt_hybrid t -> if n <= t then [ n - 1 ] else optimal ()
+  | Strategy.Ckpt_none -> []
+
+let bits = Int64.bits_of_float
+
+let check_completed_plans label (setup : Pipeline.setup) =
+  let dag = setup.Pipeline.schedule.Schedule.dag in
+  let platform = setup.Pipeline.platform in
+  let chains = setup.Pipeline.schedule.Schedule.superchains in
+  List.iter
+    (fun replicas ->
+      List.iter
+        (fun kind ->
+          let name =
+            Printf.sprintf "%s %s replicas=%d" label (Strategy.kind_name kind) replicas
+          in
+          let plan = Pipeline.plan ~replicas setup kind in
+          Alcotest.(check (list (pair int (list int))))
+            (name ^ ": positions")
+            (Array.to_list
+               (Array.map
+                  (fun (sc : Ckpt_core.Superchain.t) ->
+                    (sc.Ckpt_core.Superchain.id, expected_positions ~replicas platform dag kind sc))
+                  chains))
+            (Strategy.checkpoint_positions plan);
+          Array.iter
+            (fun (seg : Placement.segment) ->
+              let sc = chains.(seg.Placement.chain) in
+              let r =
+                Placement.segment_of ~replicas platform dag sc ~first:seg.Placement.first
+                  ~last:seg.Placement.last
+              in
+              Alcotest.(check (list int64))
+                (Printf.sprintf "%s: segment %d.%d-%d costs" name seg.Placement.chain
+                   seg.Placement.first seg.Placement.last)
+                [ bits r.Placement.read; bits r.Placement.work; bits r.Placement.write ]
+                [ bits seg.Placement.read; bits seg.Placement.work; bits seg.Placement.write ])
+            plan.Strategy.segments)
+        completed_kinds)
+    [ 1; 2 ]
+
+let test_completed_plans () =
+  List.iter
+    (fun (wf, tasks) ->
+      List.iter
+        (fun seed ->
+          let dag = Spec.generate wf ~seed ~tasks () in
+          let setup = Pipeline.prepare ~dag ~processors:5 ~pfail:0.01 ~ccr:0.5 () in
+          if wf = Spec.Montage && setup.Pipeline.dummy_edges = 0 then
+            Alcotest.failf "MONTAGE n=%d seed %d: no completion edges" tasks seed;
+          check_completed_plans
+            (Printf.sprintf "%s n=%d seed=%d" (Spec.name wf) tasks seed)
+            setup)
+        [ 1; 2; 3 ])
+    [ (Spec.Montage, 50); (Spec.Montage, 300); (Spec.Ligo, 50); (Spec.Ligo, 300) ]
+
+let test_completed_plans_heterogeneous () =
+  (* per-processor speeds and rates: segment work divides by the
+     superchain processor's speed, Algorithm 2 runs at its own rate *)
+  let dag = Spec.generate Spec.Montage ~seed:2 ~tasks:50 () in
+  let processors = 4 in
+  let platform =
+    Platform.make_heterogeneous
+      ~speeds:[| 1.; 0.5; 2.; 1.25 |]
+      ~rates:[| 1e-4; 4e-4; 2e-4; 8e-5 |]
+      ~bandwidth:(Dag.total_data dag /. (0.5 *. Dag.total_weight dag))
+      ()
+  in
+  let setup = Pipeline.prepare ~platform ~dag ~processors ~pfail:0.01 ~ccr:0.5 () in
+  Alcotest.(check bool) "completion edges" true (setup.Pipeline.dummy_edges > 0);
+  check_completed_plans "MONTAGE n=50 heterogeneous" setup
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_solve_packed_matches_reference;
@@ -146,4 +241,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_optimal_positions_match;
     QCheck_alcotest.to_alcotest prop_optimal_positions_budget_match;
     QCheck_alcotest.to_alcotest prop_plan_jobs_invariant;
+    Alcotest.test_case "completed MONTAGE/LIGO plans = references over the scheduled DAG"
+      `Quick test_completed_plans;
+    Alcotest.test_case "completed plans on a heterogeneous-speed platform" `Quick
+      test_completed_plans_heterogeneous;
   ]

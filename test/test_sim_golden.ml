@@ -170,6 +170,33 @@ let test_cloud_checkpoint () =
     ]
     (cloud_digests Cloud.Checkpoint)
 
+(* GENOME's completed DAG is its raw DAG, so the digests above cannot
+   tell which of the two the rescue checkpoint's partial writes are
+   priced over; MONTAGE needs bipartite completion, so this one can *)
+let test_cloud_checkpoint_completed () =
+  let plan =
+    let dag = Spec.generate Spec.Montage ~seed:3 ~tasks:50 () in
+    let setup = Pipeline.prepare ~dag ~processors:4 ~pfail:0.01 ~ccr:0.5 () in
+    Alcotest.(check bool) "completion edges" true (setup.Pipeline.dummy_edges > 0);
+    Pipeline.plan setup Strategy.Ckpt_some
+  in
+  let config =
+    {
+      Cloud.lambda_revoke = 2. /. plan.Strategy.wpar;
+      grace = 10.;
+      max_revocations = 2;
+      kind = Strategy.Ckpt_some;
+      store = List.assoc "on-interrupt" stores;
+    }
+  in
+  check_digests "Cloud.sample Checkpoint MONTAGE"
+    [ ("on-interrupt", "6b04a477bd5ab28d4a1c59aa011a86b4") ]
+    [
+      ( "on-interrupt",
+        digest render_cloud (Cloud.sample ~trials:60 ~seed:5 ~mode:Cloud.Checkpoint config plan)
+      );
+    ]
+
 let test_cloud_replicate () =
   check_digests "Cloud.sample Replicate"
     [
@@ -191,4 +218,6 @@ let suite =
     Alcotest.test_case "Degrade.sample Restart" `Quick test_degrade_restart;
     Alcotest.test_case "Cloud.sample Checkpoint" `Quick test_cloud_checkpoint;
     Alcotest.test_case "Cloud.sample Replicate" `Quick test_cloud_replicate;
+    Alcotest.test_case "Cloud.sample Checkpoint on a completed MONTAGE" `Quick
+      test_cloud_checkpoint_completed;
   ]

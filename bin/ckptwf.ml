@@ -846,9 +846,11 @@ let default_ccrs workflow =
   | Spec.Cybershake | Spec.Sipht -> logspace 1e-3 1. 10
 
 (* One sweep cell, rendered to the exact output line. The line is what
-   gets journaled, so a resumed sweep replays it verbatim. *)
-let sweep_row ~csv ~dag ~processors ~pfail ~method_ ~eval ccr =
-  let cmp = compare_cell ~method_ ~eval (Pipeline.prepare ~dag ~processors ~pfail ~ccr ()) in
+   gets journaled, so a resumed sweep replays it verbatim. [structure]
+   yields the sweep's one recognised and scheduled setup: the cells
+   differ only in CCR, so each just reprices it. *)
+let sweep_row ~csv ~dag ~processors ~pfail ~method_ ~eval ~structure ccr =
+  let cmp = compare_cell ~method_ ~eval (Pipeline.reprice (structure ()) ~pfail ~ccr) in
   if csv then
     Printf.sprintf "%s,%d,%d,%g,%g,%.4f,%.4f,%.4f,%.4f,%.4f,%d" (Dag.name dag)
       (Dag.n_tasks dag) processors pfail ccr cmp.Pipeline.em_some cmp.Pipeline.em_all
@@ -892,12 +894,22 @@ let sweep_run dax workflow tasks seed processors pfail method_ eval csv journal 
   else
     Format.printf "%-8s %6s %10s %10s %10s %8s %8s %6s@." "wf" "ccr" "EM(some)" "EM(all)"
       "EM(none)" "relALL" "relNONE" "ckpts";
+  let ccrs = Array.of_list (default_ccrs workflow) in
+  (* recognition, completion and ALLOCATE depend on neither pfail nor
+     CCR: run them once, on the first cell that is computed (a fully
+     journaled resume never does), and force them under a lock — two
+     domains forcing one suspension raise Lazy.Undefined *)
+  let structure =
+    let setup = lazy (Pipeline.prepare ~dag ~processors ~pfail ~ccr:ccrs.(0) ()) in
+    let lock = Mutex.create () in
+    fun () -> Mutex.protect lock (fun () -> Lazy.force setup)
+  in
   (* the cells themselves fan out over --jobs here; degrade, storm and
      cloud spend theirs inside each cell's trial sampler instead *)
   run_cells ~jobs ~journal ~fail_after ~label:"sweep cell"
     ~key:(sweep_cell_key ~csv ~dag ~seed ~processors ~pfail ~method_ ~eval)
-    ~compute:(sweep_row ~csv ~dag ~processors ~pfail ~method_ ~eval)
-    (Array.of_list (default_ccrs workflow))
+    ~compute:(sweep_row ~csv ~dag ~processors ~pfail ~method_ ~eval ~structure)
+    ccrs
 
 let sweep_cmd =
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV rows.") in

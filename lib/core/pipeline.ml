@@ -13,9 +13,23 @@ type setup = {
   ccr : float;
 }
 
+(* The homogeneous platform realising the knobs on [dag]: λ from
+   [pfail] at the mean task weight, the bandwidth from [ccr]. The only
+   part of a setup that depends on them. *)
+let derive_platform dag ~processors ~pfail ~ccr =
+  let mean_weight = Dag.total_weight dag /. float_of_int (Dag.n_tasks dag) in
+  let lambda = Platform.lambda_of_pfail ~pfail ~mean_weight in
+  let bandwidth =
+    (* a workflow that moves no data has an undefined CCR; any
+       bandwidth realises it *)
+    let total_data = Dag.total_data dag in
+    if total_data <= 0. then 1.
+    else Platform.bandwidth_for_ccr ~ccr ~total_data ~total_weight:(Dag.total_weight dag)
+  in
+  Platform.make ~processors ~lambda ~bandwidth
+
 let prepare ?policy ?platform ~dag ~processors ~pfail ~ccr () =
-  let n = Dag.n_tasks dag in
-  if n = 0 then invalid_arg "Pipeline.prepare: empty workflow";
+  if Dag.n_tasks dag = 0 then invalid_arg "Pipeline.prepare: empty workflow";
   let platform =
     match platform with
     | Some p ->
@@ -24,19 +38,7 @@ let prepare ?policy ?platform ~dag ~processors ~pfail ~ccr () =
         if p.Platform.processors <> processors then
           invalid_arg "Pipeline.prepare: platform processor count mismatch";
         p
-    | None ->
-        let mean_weight = Dag.total_weight dag /. float_of_int n in
-        let lambda = Platform.lambda_of_pfail ~pfail ~mean_weight in
-        let bandwidth =
-          (* a workflow that moves no data has an undefined CCR; any
-             bandwidth realises it *)
-          let total_data = Dag.total_data dag in
-          if total_data <= 0. then 1.
-          else
-            Platform.bandwidth_for_ccr ~ccr ~total_data
-              ~total_weight:(Dag.total_weight dag)
-        in
-        Platform.make ~processors ~lambda ~bandwidth
+    | None -> derive_platform dag ~processors ~pfail ~ccr
   in
   let mspg, dummy_edges =
     (* one completing pass covers both the plain-M-SPG and the
@@ -55,6 +57,10 @@ let prepare ?policy ?platform ~dag ~processors ~pfail ~ccr () =
   in
   let schedule = Allocate.run ?policy mspg ~processors in
   { raw = dag; mspg; dummy_edges; platform; schedule; pfail; ccr }
+
+let reprice setup ~pfail ~ccr =
+  let processors = setup.schedule.Schedule.processors in
+  { setup with platform = derive_platform setup.raw ~processors ~pfail ~ccr; pfail; ccr }
 
 let plan ?jobs ?replicas setup kind =
   Strategy.plan ?jobs ?replicas kind ~raw:setup.raw ~schedule:setup.schedule

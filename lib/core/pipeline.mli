@@ -44,6 +44,17 @@ val prepare :
     @raise Invalid_argument if the workflow cannot be recognised (even
     with completion) or the knobs are out of range. *)
 
+val reprice : setup -> pfail:float -> ccr:float -> setup
+(** [reprice s ~pfail ~ccr] is [s] at other knobs: the same raw DAG,
+    completed M-SPG, dummy count and schedule (physically), with λ and
+    the bandwidth re-derived exactly as {!prepare} derives them. Equal
+    to [prepare ~dag:s.raw ~pfail ~ccr] with [s]'s processor count and
+    no [?platform] — recognition, completion and ALLOCATE depend on
+    neither knob — so a CCR sweep recognises and schedules once. The
+    result is always the derived homogeneous platform, even when [s]
+    was prepared with a caller-built one.
+    @raise Invalid_argument if the knobs are out of range. *)
+
 val plan : ?jobs:int -> ?replicas:int -> setup -> Strategy.kind -> Strategy.plan
 (** [jobs] fans the per-superchain placement DPs over domains
     (default 1); the plan is identical for any value. [replicas]

@@ -115,12 +115,16 @@ let plan_of_positions ?(jobs = 1) ?(replicas = 1) ~kind ~raw ~schedule ~platform
     invalid_arg "Strategy.plan: raw and scheduled DAGs disagree on tasks";
   let wpar = parallel_time ~raw ~schedule ~platform in
   (* independent per-superchain solves, reduced in superchain order:
-     the result is the same for any [jobs] *)
+     the result is the same for any [jobs]. Segments are priced over
+     [raw]: the scheduled DAG only adds zero-size completion files, and
+     adding or removing [0.] in a byte sum that starts at [+0.] leaves
+     it bitwise unchanged, so the costs are the same for far fewer
+     edges walked *)
   let chains = schedule.Schedule.superchains in
   let per_chain =
     Ckpt_parallel.Pool.map_shared ~jobs (Array.length chains) (fun c ->
         let sc = chains.(c) in
-        Placement.segments_of_positions ~replicas platform dag sc ~positions:(positions sc))
+        Placement.segments_of_positions ~replicas platform raw sc ~positions:(positions sc))
   in
   let segments = Array.of_list (List.concat (Array.to_list per_chain)) in
   let segment_of_task = Array.make (Dag.n_tasks dag) (-1) in
@@ -190,15 +194,16 @@ let plan ?(jobs = 1) ?(replicas = 1) kind ~raw ~schedule ~platform =
         else jobs
       in
       (* sequential runs reuse one arena across superchains; parallel
-         workers each build their own (sharing would race) *)
-      let shared = if jobs = 1 then Some (Placement.arena dag) else None in
+         workers each build their own (sharing would race). Like the
+         segments, the Algorithm-2 tables read [raw]'s files *)
+      let shared = if jobs = 1 then Some (Placement.arena raw) else None in
       let positions (sc : Superchain.t) =
         match kind with
         | Ckpt_all -> Placement.every_position sc
         | Ckpt_every period -> Placement.periodic_positions sc ~period
         | Ckpt_budget budget ->
             snd
-              (Placement.optimal_positions_budget ?arena:shared ~replicas platform dag sc
+              (Placement.optimal_positions_budget ?arena:shared ~replicas platform raw sc
                  ~budget)
         (* RESTART: no checkpoint inside the superchain — a failure
            re-executes from the last natural boundary (the previous
@@ -211,9 +216,9 @@ let plan ?(jobs = 1) ?(replicas = 1) kind ~raw ~schedule ~platform =
            of work *)
         | Ckpt_hybrid threshold ->
             if Superchain.n_tasks sc <= threshold then [ Superchain.n_tasks sc - 1 ]
-            else snd (Placement.optimal_positions ?arena:shared ~replicas platform dag sc)
+            else snd (Placement.optimal_positions ?arena:shared ~replicas platform raw sc)
         | Ckpt_some | Ckpt_none ->
-            snd (Placement.optimal_positions ?arena:shared ~replicas platform dag sc)
+            snd (Placement.optimal_positions ?arena:shared ~replicas platform raw sc)
       in
       plan_of_positions ~jobs ~replicas ~kind ~raw ~schedule ~platform ~positions ()
 

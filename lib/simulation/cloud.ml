@@ -38,7 +38,9 @@ type trial = {
    k, so files consumed by the segment's own tail count as escaping —
    the tail re-executes elsewhere after the eviction). *)
 let rescue_of_plan (plan : Strategy.plan) =
-  let dag = plan.Strategy.schedule.Schedule.dag in
+  (* the raw workflow's files, as the plan's own segment costs: the
+     completion edges carry no data *)
+  let dag = plan.Strategy.raw_dag in
   let platform = plan.Strategy.platform in
   let replicas = plan.Strategy.replicas in
   Array.map

@@ -233,6 +233,42 @@ let test_completed_plans_heterogeneous () =
   Alcotest.(check bool) "completion edges" true (setup.Pipeline.dummy_edges > 0);
   check_completed_plans "MONTAGE n=50 heterogeneous" setup
 
+(* --- Pipeline.reprice: recognise and schedule once per sweep ------- *)
+
+(* the MONTAGE/LIGO sweep grid: ten log-spaced CCRs over [1e-3, 1] *)
+let sweep_ccrs =
+  List.init 10 (fun i ->
+      let t = float_of_int i /. 9. in
+      10. ** (log10 1e-3 +. (t *. (log10 1. -. log10 1e-3))))
+
+let comparison_bits (c : Pipeline.comparison) =
+  ( List.map bits
+      Pipeline.[ c.em_some; c.em_all; c.em_none; c.rel_all; c.rel_none ],
+    Pipeline.[ c.ckpts_some; c.ckpts_all ] )
+
+let test_reprice_matches_prepare () =
+  let dag = Spec.generate Spec.Montage ~seed:1 ~tasks:300 () in
+  let processors = 18 in
+  let base = Pipeline.prepare ~dag ~processors ~pfail:0.01 ~ccr:1e-3 () in
+  List.iter
+    (fun pfail ->
+      List.iter
+        (fun ccr ->
+          let name = Printf.sprintf "pfail=%g ccr=%g" pfail ccr in
+          let r = Pipeline.reprice base ~pfail ~ccr in
+          let fresh = Pipeline.prepare ~dag ~processors ~pfail ~ccr () in
+          Alcotest.(check bool)
+            (name ^ ": structure shared") true
+            (r.Pipeline.raw == base.Pipeline.raw
+            && r.Pipeline.mspg == base.Pipeline.mspg
+            && r.Pipeline.schedule == base.Pipeline.schedule
+            && r.Pipeline.dummy_edges = base.Pipeline.dummy_edges);
+          Alcotest.(check (pair (list int64) (list int)))
+            (name ^ ": comparison") (comparison_bits (Pipeline.compare_strategies fresh))
+            (comparison_bits (Pipeline.compare_strategies r)))
+        sweep_ccrs)
+    [ 1e-2; 1e-3; 1e-4 ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_solve_packed_matches_reference;
@@ -245,4 +281,6 @@ let suite =
       `Quick test_completed_plans;
     Alcotest.test_case "completed plans on a heterogeneous-speed platform" `Quick
       test_completed_plans_heterogeneous;
+    Alcotest.test_case "reprice = prepare across a MONTAGE sweep grid" `Quick
+      test_reprice_matches_prepare;
   ]

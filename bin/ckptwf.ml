@@ -509,6 +509,14 @@ let store_part (c : Store.config) =
           Printf.sprintf "remote:%.17g:%.17g" commit_latency read_latency)
       (Store.policy_name c.Store.policy)
 
+(* a float knob in a journal key: [%g] when it reads back as the same
+   double, so keys written by earlier versions keep resuming; the exact
+   [%.17g] otherwise, so two values that agree to six digits never
+   share a key (and replay each other's rows) *)
+let key_float x =
+  let short = Printf.sprintf "%g" x in
+  if float_of_string short = x then short else Printf.sprintf "%.17g" x
+
 (* --- journal / resume / fault-injection flags (shared by the sweeping
    commands: sweep, degrade, storm, cloud) --- *)
 
@@ -863,9 +871,9 @@ let sweep_row ~csv ~dag ~processors ~pfail ~method_ ~eval ~structure ccr =
 
 let sweep_cell_key ~csv ~dag ~seed ~processors ~pfail ~method_ ~eval ccr =
   let base =
-    Printf.sprintf "sweep|wf=%s|n=%d|seed=%d|p=%d|pfail=%g|m=%s|csv=%b|ccr=%.17g"
-      (Dag.name dag) (Dag.n_tasks dag) seed processors pfail (Evaluator.name method_) csv
-      ccr
+    Printf.sprintf "sweep|wf=%s|n=%d|seed=%d|p=%d|pfail=%s|m=%s|csv=%b|ccr=%.17g"
+      (Dag.name dag) (Dag.n_tasks dag) seed processors (key_float pfail)
+      (Evaluator.name method_) csv ccr
   in
   (* the suffix appears only when --eval is given, so pre-existing
      journals keep resuming and the default key stays byte-identical *)
@@ -1190,9 +1198,9 @@ let store_key (c : Store.config) = storage_key c.Store.faults ^ store_part c
 let degrade_cell_key ~csv ~dag ~seed ~processors ~pfail ~ccr ~kind ~max_losses ~trials
     ~store_cfg pdeath =
   Printf.sprintf
-    "degrade|wf=%s|n=%d|seed=%d|p=%d|pfail=%g|ccr=%g|s=%s|losses=%d|trials=%d|csv=%b%s|pdeath=%.17g"
-    (Dag.name dag) (Dag.n_tasks dag) seed processors pfail ccr (Strategy.kind_name kind)
-    max_losses trials csv (store_key store_cfg) pdeath
+    "degrade|wf=%s|n=%d|seed=%d|p=%d|pfail=%s|ccr=%s|s=%s|losses=%d|trials=%d|csv=%b%s|pdeath=%.17g"
+    (Dag.name dag) (Dag.n_tasks dag) seed processors (key_float pfail) (key_float ccr)
+    (Strategy.kind_name kind) max_losses trials csv (store_key store_cfg) pdeath
 
 let degrade_run dax workflow tasks seed processors pfail ccr strategy pdeaths max_losses
     trials csv journal resume fail_after jobs storage sflags =
@@ -1270,9 +1278,9 @@ let degrade_cmd =
 let storm_cell_key ~dag ~seed ~processors ~pfail ~ccr ~kind ~trials ~(base : Storage.config)
     (replicas, corrupt_prob) =
   Printf.sprintf
-    "storm|wf=%s|n=%d|seed=%d|p=%d|pfail=%g|ccr=%g|s=%s|trials=%d|sl=%.17g|cf=%.17g|or=%.17g|om=%.17g|k=%d|cp=%.17g"
-    (Dag.name dag) (Dag.n_tasks dag) seed processors pfail ccr (Strategy.kind_name kind)
-    trials base.Storage.storage_lambda base.Storage.commit_fail_prob
+    "storm|wf=%s|n=%d|seed=%d|p=%d|pfail=%s|ccr=%s|s=%s|trials=%d|sl=%.17g|cf=%.17g|or=%.17g|om=%.17g|k=%d|cp=%.17g"
+    (Dag.name dag) (Dag.n_tasks dag) seed processors (key_float pfail) (key_float ccr)
+    (Strategy.kind_name kind) trials base.Storage.storage_lambda base.Storage.commit_fail_prob
     base.Storage.outage_rate base.Storage.outage_mean replicas corrupt_prob
 
 let storm_header =
@@ -1445,9 +1453,9 @@ let cloud_row_lost row =
 let cloud_cell_key ~dag ~seed ~processors ~pfail ~ccr ~kind ~trials ~revocations ~price
     ~spot_discount ~spot_speed ~store_cfg ~prevoke ~grace spot_fraction =
   Printf.sprintf
-    "cloud|wf=%s|n=%d|seed=%d|p=%d|pfail=%g|ccr=%g|s=%s|trials=%d|rev=%d|price=%.17g|disc=%.17g|speed=%.17g%s|prevoke=%.17g|grace=%.17g|sf=%.17g"
-    (Dag.name dag) (Dag.n_tasks dag) seed processors pfail ccr (Strategy.kind_name kind)
-    trials revocations price spot_discount spot_speed (store_key store_cfg) prevoke
+    "cloud|wf=%s|n=%d|seed=%d|p=%d|pfail=%s|ccr=%s|s=%s|trials=%d|rev=%d|price=%.17g|disc=%.17g|speed=%.17g%s|prevoke=%.17g|grace=%.17g|sf=%.17g"
+    (Dag.name dag) (Dag.n_tasks dag) seed processors (key_float pfail) (key_float ccr)
+    (Strategy.kind_name kind) trials revocations price spot_discount spot_speed (store_key store_cfg) prevoke
     grace spot_fraction
 
 let cloud_run dax workflow tasks seed processors pfail ccr strategy trials prevokes graces

@@ -79,12 +79,14 @@ let node t i =
   t.entries.(i).nd
 
 (* sort the int subarray [a.(lo) .. a.(hi-1)] ascending (compile-time
-   only; allocation here is irrelevant) *)
+   only; allocation here is irrelevant). [Int.compare], not the
+   polymorphic [compare]: the same order without a generic call per
+   comparison *)
 let sort_range a lo hi =
   let len = hi - lo in
   if len > 1 then begin
     let tmp = Array.sub a lo len in
-    Array.sort compare tmp;
+    Array.sort Int.compare tmp;
     Array.blit tmp 0 a lo len
   end
 

@@ -26,6 +26,45 @@ $CKPTWF sweep $SWEEP --jobs 1 > "$TMP/jobs1.csv"
 $CKPTWF sweep $SWEEP --jobs 4 > "$TMP/jobs4.csv"
 diff -u "$TMP/jobs1.csv" "$TMP/jobs4.csv"
 
+echo "== completed workflows: sweep independent of --jobs, crash/resume =="
+# MONTAGE needs bipartite completion (GENOME above gets no dummy edges):
+# the sweep recognises and schedules once, then reprices every cell
+MONTAGE="--workflow montage --tasks 300 --seed 7 --processors 18 --csv"
+$CKPTWF sweep $MONTAGE --jobs 1 > "$TMP/montage1.csv"
+$CKPTWF sweep $MONTAGE --jobs 4 > "$TMP/montage4.csv"
+diff -u "$TMP/montage1.csv" "$TMP/montage4.csv"
+status=0
+$CKPTWF sweep $MONTAGE --journal "$TMP/montage.journal" --fail-after 3 \
+    > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "FAIL: injected MONTAGE sweep crash exited $status, want 1" >&2
+    exit 1
+fi
+$CKPTWF sweep $MONTAGE --journal "$TMP/montage.journal" --resume \
+    > "$TMP/montageres.csv" 2> "$TMP/montageres.err"
+diff -u "$TMP/montage1.csv" "$TMP/montageres.csv"
+grep -q "3 cell(s) reused, 7 computed" "$TMP/montageres.err" || {
+    echo "FAIL: resumed MONTAGE sweep did not reuse exactly the 3 journaled cells:" >&2
+    cat "$TMP/montageres.err" >&2
+    exit 1
+}
+
+echo "== journal keys tell apart knob values that agree to six digits =="
+# a resume at a nearby pfail (sweep) or ccr (degrade) must recompute,
+# not replay the rows journaled for the other value
+NEAR="--workflow genome --tasks 50 --processors 5 --csv"
+$CKPTWF sweep $NEAR --pfail 0.01 --journal "$TMP/near.journal" > /dev/null 2>&1
+$CKPTWF sweep $NEAR --pfail 0.0100000049 --journal "$TMP/near.journal" --resume \
+    > "$TMP/near_res.csv" 2> /dev/null
+$CKPTWF sweep $NEAR --pfail 0.0100000049 > "$TMP/near_fresh.csv"
+diff -u "$TMP/near_fresh.csv" "$TMP/near_res.csv"
+NEARDEG="--workflow genome --tasks 50 --processors 5 --trials 50 --pdeath 0.1 --csv"
+$CKPTWF degrade $NEARDEG --ccr 0.5 --journal "$TMP/neardeg.journal" > /dev/null 2>&1
+$CKPTWF degrade $NEARDEG --ccr 0.5000004 --journal "$TMP/neardeg.journal" --resume \
+    > "$TMP/neardeg_res.csv" 2> /dev/null
+$CKPTWF degrade $NEARDEG --ccr 0.5000004 > "$TMP/neardeg_fresh.csv" 2> /dev/null
+diff -u "$TMP/neardeg_fresh.csv" "$TMP/neardeg_res.csv"
+
 echo "== CLI surface: every subcommand keeps every flag name =="
 # the sorted --flag names of each subcommand's plain help, against the
 # committed golden: a refactor can neither drop nor rename a flag

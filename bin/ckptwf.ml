@@ -1280,8 +1280,9 @@ let storm_cell_key ~dag ~seed ~processors ~pfail ~ccr ~kind ~trials ~(base : Sto
   Printf.sprintf
     "storm|wf=%s|n=%d|seed=%d|p=%d|pfail=%s|ccr=%s|s=%s|trials=%d|sl=%.17g|cf=%.17g|or=%.17g|om=%.17g|k=%d|cp=%.17g"
     (Dag.name dag) (Dag.n_tasks dag) seed processors (key_float pfail) (key_float ccr)
-    (Strategy.kind_name kind) trials base.Storage.storage_lambda base.Storage.commit_fail_prob
-    base.Storage.outage_rate base.Storage.outage_mean replicas corrupt_prob
+    (Strategy.kind_name kind) trials base.Storage.storage_lambda
+    base.Storage.commit_fail_prob base.Storage.outage_rate base.Storage.outage_mean replicas
+    corrupt_prob
 
 let storm_header =
   "workflow,tasks,processors,strategy,replicas,storage_lambda,corrupt_prob,commit_fail_prob,trials,em,mean_commit_retries,mean_corrupt_reads,mean_rollbacks,ckpts"
@@ -1455,8 +1456,8 @@ let cloud_cell_key ~dag ~seed ~processors ~pfail ~ccr ~kind ~trials ~revocations
   Printf.sprintf
     "cloud|wf=%s|n=%d|seed=%d|p=%d|pfail=%s|ccr=%s|s=%s|trials=%d|rev=%d|price=%.17g|disc=%.17g|speed=%.17g%s|prevoke=%.17g|grace=%.17g|sf=%.17g"
     (Dag.name dag) (Dag.n_tasks dag) seed processors (key_float pfail) (key_float ccr)
-    (Strategy.kind_name kind) trials revocations price spot_discount spot_speed (store_key store_cfg) prevoke
-    grace spot_fraction
+    (Strategy.kind_name kind) trials revocations price spot_discount spot_speed
+    (store_key store_cfg) prevoke grace spot_fraction
 
 let cloud_run dax workflow tasks seed processors pfail ccr strategy trials prevokes graces
     spot_fractions spot_discount spot_speed price revocations storage sflags journal

@@ -47,12 +47,12 @@ val prepare :
 val reprice : setup -> pfail:float -> ccr:float -> setup
 (** [reprice s ~pfail ~ccr] is [s] at other knobs: the same raw DAG,
     completed M-SPG, dummy count and schedule (physically), with λ and
-    the bandwidth re-derived exactly as {!prepare} derives them. Equal
-    to [prepare ~dag:s.raw ~pfail ~ccr] with [s]'s processor count and
-    no [?platform] — recognition, completion and ALLOCATE depend on
-    neither knob — so a CCR sweep recognises and schedules once. The
-    result is always the derived homogeneous platform, even when [s]
-    was prepared with a caller-built one.
+    the bandwidth re-derived by the helper {!prepare} uses. Recognition,
+    completion and ALLOCATE depend on neither knob, so the result
+    equals [prepare ~dag:s.raw ~pfail ~ccr] at [s]'s processor count
+    and linearisation policy, and a CCR sweep recognises and schedules
+    once. The platform is always the derived homogeneous one, even
+    when [s] was prepared with a caller-built [?platform].
     @raise Invalid_argument if the knobs are out of range. *)
 
 val plan : ?jobs:int -> ?replicas:int -> setup -> Strategy.kind -> Strategy.plan

@@ -68,7 +68,12 @@ val plan :
   platform:Platform.t ->
   plan
 (** [schedule] must schedule a DAG whose task set matches [raw] task
-    for task (the dummy-completed copy, or [raw] itself). [jobs]
+    for task (the dummy-completed copy, or [raw] itself). Checkpoint
+    costs — the Algorithm-2 tables and every segment's R, W and C —
+    read [raw]'s files, so the scheduled DAG may add only zero-size
+    synchronisation edges to it: those carry no data (paper footnote
+    2) and change no cost, bitwise, while CKPTSOME-family plans still
+    synchronise on them in the 2-state DAG. [jobs]
     (default 1) fans the independent per-superchain placement DPs over
     the resident {!Ckpt_parallel.Pool.shared} pool; the width is
     clamped to the core count and falls back to the sequential
@@ -89,10 +94,11 @@ val plan_of_positions :
   unit ->
   plan
 (** Build a plan from explicit checkpoint positions per superchain
-    (sorted, each ending at the superchain's last position). [kind]
-    labels the plan and selects the dependency graph (superchain
-    strategies synchronise on the completed graph). Used by
-    {!Refine} for position-set local search. *)
+    (sorted, each ending at the superchain's last position), priced
+    over [raw] as in {!plan}. [kind] labels the plan and selects the
+    dependency graph (superchain strategies synchronise on the
+    completed graph). Used by {!Refine} for position-set local
+    search. *)
 
 val expected_makespan : ?method_:Ckpt_eval.Evaluator.method_ -> plan -> float
 (** Default estimator: PATHAPPROX (the paper's choice). A CKPTNONE

@@ -49,6 +49,29 @@ grep -q "3 cell(s) reused, 7 computed" "$TMP/montageres.err" || {
     exit 1
 }
 
+echo "== completed workflows: printed output matches the golden =="
+# MONTAGE needs bipartite completion at every size (LIGO completes one
+# small cut): the stdout of every subcommand that reads a completed
+# workflow is pinned byte for byte in test/completed_golden.txt
+while read -r args; do
+    echo "\$ ckptwf $args"
+    $CKPTWF $args 2> /dev/null
+done > "$TMP/completed_golden.txt" <<'EOF'
+generate -w montage -n 1000
+schedule -v -w montage -n 50 -p 2
+sweep --csv -w montage -n 50 -p 1
+evaluate -w montage -n 300 -p 18 --method dodin
+evaluate -w montage -n 300 -p 18 --method normal
+evaluate -w montage -n 300 -p 18 --method montecarlo
+evaluate -w ligo -n 300 -p 18 --method dodin
+quantiles -w montage -n 50 -p 4 --trials 200
+simulate -w montage -n 50 -p 4 --trials 200
+contention -w montage -n 50 -p 4 --trials 50
+degrade --csv -w montage -n 300 -p 18 --trials 20
+cloud -w montage -n 300 -p 18 --trials 20
+EOF
+diff -u test/completed_golden.txt "$TMP/completed_golden.txt"
+
 echo "== journal keys tell apart knob values that agree to six digits =="
 # a resume at a nearby pfail (sweep) or ccr (degrade) must recompute,
 # not replay the rows journaled for the other value

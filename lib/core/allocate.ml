@@ -6,8 +6,12 @@ let run ?(policy = Linearize.Deterministic) (mspg : Mspg.t) ~processors =
   let dag = mspg.Mspg.dag in
   let superchains = ref [] in
   let next_id = ref 0 in
-  let on_one_processor tasks proc =
-    let order = Linearize.order dag tasks policy in
+  (* [tree]: the sub-M-SPG to run on [proc]; its serial cuts are the
+     completion's precedences inside the superchain *)
+  let on_one_processor tree proc =
+    let order =
+      Linearize.order ~cuts:(Mspg.serial_cuts tree) dag (Mspg.tree_tasks tree) policy
+    in
     let sc = Superchain.make ~id:!next_id ~processor:proc ~order in
     incr next_id;
     superchains := sc :: !superchains
@@ -15,11 +19,10 @@ let run ?(policy = Linearize.Deterministic) (mspg : Mspg.t) ~processors =
   (* procs is a contiguous [first, first+count) processor window *)
   let rec allocate tree first count =
     let { Mspg.chain; branches; rest } = Mspg.decompose tree in
-    if chain <> [] then on_one_processor chain first;
+    if chain <> [] then on_one_processor (Mspg.serial (List.map Mspg.leaf chain)) first;
     (match branches with
     | [] -> ()
-    | _ when count = 1 ->
-        on_one_processor (List.concat_map Mspg.tree_tasks branches) first
+    | _ when count = 1 -> on_one_processor (Mspg.parallel branches) first
     | _ ->
         let assignments = Propmap.run dag branches count in
         let offset = ref 0 in
@@ -31,4 +34,4 @@ let run ?(policy = Linearize.Deterministic) (mspg : Mspg.t) ~processors =
     match rest with None -> () | Some suffix -> allocate suffix first count
   in
   allocate mspg.Mspg.tree 0 processors;
-  Schedule.make ~dag ~processors ~superchains:(List.rev !superchains)
+  Schedule.make ~dag ~tree:mspg.Mspg.tree ~processors ~superchains:(List.rev !superchains)

@@ -3,14 +3,40 @@ module Rng = Ckpt_prob.Rng
 
 type policy = Deterministic | Random of Rng.t | Min_volume
 
-let order dag tasks policy =
+let order ?(cuts = []) dag tasks policy =
   let n = Dag.n_tasks dag in
   let member = Array.make n false in
   List.iter (fun v -> member.(v) <- true) tasks;
+  (* the cuts' pairs the DAG lacks, inside the subset: [extra_succs]
+     sorted ascending, [extra_preds] counted *)
+  let extra_succs = Array.make n [] and extra_preds = Array.make n 0 in
+  let mark = Array.make n (-1) in
+  List.iter
+    (fun (sinks, sources) ->
+      let sources = List.sort Int.compare (List.filter (fun v -> member.(v)) sources) in
+      List.iter
+        (fun u ->
+          if member.(u) then begin
+            List.iter (fun v -> mark.(v) <- u) (Dag.succ_ids dag u);
+            let missing = List.filter (fun v -> mark.(v) <> u) sources in
+            List.iter (fun v -> extra_preds.(v) <- extra_preds.(v) + 1) missing;
+            extra_succs.(u) <- List.merge Int.compare missing extra_succs.(u)
+          end)
+        sinks)
+    cuts;
   let internal_preds v = List.filter (fun u -> member.(u)) (Dag.pred_ids dag v) in
-  let internal_succs v = List.filter (fun u -> member.(u)) (Dag.succ_ids dag v) in
+  (* ascending, as [Dag.succ_ids] lists a DAG holding the missing pairs
+     as edges: the ready list, and so the Random and Min_volume picks,
+     are those over that DAG *)
+  let internal_succs v =
+    List.merge Int.compare
+      (List.filter (fun u -> member.(u)) (Dag.succ_ids dag v))
+      extra_succs.(v)
+  in
   let indeg = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace indeg v (List.length (internal_preds v))) tasks;
+  List.iter
+    (fun v -> Hashtbl.replace indeg v (List.length (internal_preds v) + extra_preds.(v)))
+    tasks;
   let ready = ref (List.filter (fun v -> Hashtbl.find indeg v = 0) tasks) in
   let count = List.length tasks in
   let result = Array.make count (-1) in

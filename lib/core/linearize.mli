@@ -16,8 +16,21 @@
 
 type policy = Deterministic | Random of Ckpt_prob.Rng.t | Min_volume
 
-val order : Ckpt_dag.Dag.t -> Ckpt_dag.Task.id list -> policy -> Ckpt_dag.Task.id array
-(** [order dag tasks policy] topologically sorts [tasks] w.r.t. the
-    edges of [dag] internal to the subset.
+val order :
+  ?cuts:(Ckpt_dag.Task.id list * Ckpt_dag.Task.id list) list ->
+  Ckpt_dag.Dag.t ->
+  Ckpt_dag.Task.id list ->
+  policy ->
+  Ckpt_dag.Task.id array
+(** [order ?cuts dag tasks policy] topologically sorts [tasks] w.r.t.
+    the edges of [dag] internal to the subset plus the pairs of [cuts]
+    (every task of a cut's first list precedes every task of its
+    second; default none): the serial cuts of the sub-M-SPGs being
+    linearised ({!Ckpt_mspg.Mspg.serial_cuts}), which imply a bipartite
+    completion's dummy dependencies. The order is the one over a copy
+    of [dag] holding every missing cut pair as an edge, under every
+    policy. Min_volume reads file sizes from [dag] alone: a dummy pair
+    would carry an empty file, and adding [0.] to a byte sum changes
+    no bit.
 
     @raise Invalid_argument if the induced subgraph is cyclic. *)

@@ -42,12 +42,9 @@ let prepare ?policy ?platform ~dag ~processors ~pfail ~ccr () =
   in
   let mspg, dummy_edges =
     (* one completing pass covers both the plain-M-SPG and the
-       completable cases (with 0 dummies the decomposition never took
-       the completion branch, so the tree is the plain recognition's —
-       reattach it to the original DAG and drop the working copy) *)
+       completable cases; either way the M-SPG is [dag] plus its tree *)
     match Recognize.of_dag_completed dag with
-    | Ok (m, 0) -> ({ Mspg.dag; tree = m.Mspg.tree }, 0)
-    | Ok (m, d) -> (m, d)
+    | Ok r -> r
     | Error _ -> (
         (* last resort: General SP graphs, whose transitive
            reduction is an M-SPG (future work, Section VIII) *)

@@ -1,14 +1,16 @@
 module Dag = Ckpt_dag.Dag
 module Task = Ckpt_dag.Task
+module Mspg = Ckpt_mspg.Mspg
 
 type t = {
   dag : Dag.t;
+  tree : Mspg.tree;
   processors : int;
   superchains : Superchain.t array;
   chain_of_task : int array;
 }
 
-let make ~dag ~processors ~superchains =
+let make ~dag ~tree ~processors ~superchains =
   let superchains = Array.of_list superchains in
   Array.iteri
     (fun i (sc : Superchain.t) ->
@@ -29,24 +31,31 @@ let make ~dag ~processors ~superchains =
     (fun task c ->
       if c < 0 then invalid_arg (Printf.sprintf "Schedule.make: task %d unscheduled" task))
     chain_of_task;
-  { dag; processors; superchains; chain_of_task }
+  { dag; tree; processors; superchains; chain_of_task }
 
 let superchain_of_task t task = t.superchains.(t.chain_of_task.(task))
 
 let macro_edges t =
   let seen = Hashtbl.create 64 in
   let acc = ref [] in
+  let add cu cv =
+    if cu <> cv && not (Hashtbl.mem seen (cu, cv)) then begin
+      Hashtbl.replace seen (cu, cv) ();
+      acc := (cu, cv) :: !acc
+    end
+  in
+  let chain_of = t.chain_of_task in
   for u = 0 to Dag.n_tasks t.dag - 1 do
-    let cu = t.chain_of_task.(u) in
-    List.iter
-      (fun v ->
-        let cv = t.chain_of_task.(v) in
-        if cu <> cv && not (Hashtbl.mem seen (cu, cv)) then begin
-          Hashtbl.replace seen (cu, cv) ();
-          acc := (cu, cv) :: !acc
-        end)
-      (Dag.succ_ids t.dag u)
+    List.iter (fun v -> add chain_of.(u) chain_of.(v)) (Dag.succ_ids t.dag u)
   done;
+  (* a cut orders every chain holding one of its sinks before every
+     chain holding one of its sources *)
+  let chains tasks = List.sort_uniq Int.compare (List.map (fun v -> chain_of.(v)) tasks) in
+  List.iter
+    (fun (sinks, sources) ->
+      let to_ = chains sources in
+      List.iter (fun cu -> List.iter (add cu) to_) (chains sinks))
+    (Mspg.serial_cuts t.tree);
   !acc
 
 let chains_of_processor t proc =
@@ -63,6 +72,10 @@ let used_processors t =
 let check t =
   (* intra-superchain dependencies must go forward *)
   let violation = ref None in
+  let backward u v sc =
+    violation :=
+      Some (Printf.sprintf "dependency %d->%d goes backward in superchain %d" u v sc)
+  in
   Array.iter
     (fun (sc : Superchain.t) ->
       Array.iteri
@@ -70,11 +83,31 @@ let check t =
           List.iter
             (fun v ->
               if Superchain.mem sc v && Superchain.position sc v <= k then
-                violation :=
-                  Some (Printf.sprintf "dependency %d->%d goes backward in superchain %d" task v sc.Superchain.id))
+                backward task v sc.Superchain.id)
             (Dag.succ_ids t.dag task))
         sc.Superchain.order)
     t.superchains;
+  (* so must a cut's pairs: within each superchain, its last sink runs
+     before its first source *)
+  List.iter
+    (fun (sinks, sources) ->
+      let last = Hashtbl.create 8 in
+      List.iter
+        (fun u ->
+          let sc = superchain_of_task t u in
+          let k = Superchain.position sc u in
+          match Hashtbl.find_opt last sc.Superchain.id with
+          | Some (k0, _) when k0 >= k -> ()
+          | _ -> Hashtbl.replace last sc.Superchain.id (k, u))
+        sinks;
+      List.iter
+        (fun v ->
+          let sc = superchain_of_task t v in
+          match Hashtbl.find_opt last sc.Superchain.id with
+          | Some (k, u) when Superchain.position sc v <= k -> backward u v sc.Superchain.id
+          | _ -> ())
+        sources)
+    (Mspg.serial_cuts t.tree);
   match !violation with
   | Some msg -> Error msg
   | None ->

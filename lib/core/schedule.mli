@@ -1,17 +1,27 @@
 (** A complete mapping of an M-SPG workflow onto a platform: the list
-    of superchains produced by ALLOCATE, plus derived indices. *)
+    of superchains produced by ALLOCATE, plus derived indices.
+
+    The schedule keeps the raw workflow and its M-SPG tree side by
+    side. Its precedences are the DAG's edges plus the pairs of the
+    tree's serial cuts ({!Ckpt_mspg.Mspg.serial_cuts}): for a workflow
+    made an M-SPG by bipartite completion, the cuts carry the dummy
+    dependencies that the DAG does not hold. {!macro_edges} and
+    {!check} read both. *)
 
 module Dag = Ckpt_dag.Dag
 module Task = Ckpt_dag.Task
+module Mspg = Ckpt_mspg.Mspg
 
 type t = private {
-  dag : Dag.t;  (** the (possibly dummy-completed) workflow *)
+  dag : Dag.t;  (** the raw workflow *)
+  tree : Mspg.tree;  (** its decomposition; the completion lives in the serial cuts *)
   processors : int;
   superchains : Superchain.t array;  (** indexed by superchain id, in creation (temporal) order *)
   chain_of_task : int array;  (** task id -> superchain id *)
 }
 
-val make : dag:Dag.t -> processors:int -> superchains:Superchain.t list -> t
+val make :
+  dag:Dag.t -> tree:Mspg.tree -> processors:int -> superchains:Superchain.t list -> t
 (** @raise Invalid_argument unless the superchains partition the DAG's
     tasks and their ids equal their positions. *)
 
@@ -19,7 +29,8 @@ val superchain_of_task : t -> Task.id -> Superchain.t
 
 val macro_edges : t -> (int * int) list
 (** Distinct superchain dependencies [(i, j)], [i <> j], induced by the
-    DAG's edges. Always acyclic for schedules built by ALLOCATE. *)
+    DAG's edges and the tree's serial cuts, in no particular order.
+    Always acyclic for schedules built by ALLOCATE. *)
 
 val chains_of_processor : t -> int -> Superchain.t list
 (** Superchains of one processor, in temporal order. *)
@@ -28,7 +39,8 @@ val used_processors : t -> int
 (** Number of processors that received at least one task. *)
 
 val check : t -> (unit, string) result
-(** Structural sanity: every intra-superchain dependency goes forward
-    in the linearised order, and the macro graph is acyclic. *)
+(** Structural sanity: every intra-superchain dependency (DAG edge or
+    cut pair) goes forward in the linearised order, and the macro graph
+    is acyclic. *)
 
 val pp : Format.formatter -> t -> unit

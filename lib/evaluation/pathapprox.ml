@@ -2,25 +2,10 @@ let estimate dag =
   let n = Prob_dag.n_nodes dag in
   if n = 0 then 0.
   else begin
-    let order = Prob_dag.topological_order dag in
     let base i = (Prob_dag.node dag i).Prob_dag.base in
-    (* top.(i): longest base path ending right before i *)
-    let top = Array.make n 0. in
-    Array.iter
-      (fun u ->
-        let d = top.(u) +. base u in
-        List.iter (fun v -> if d > top.(v) then top.(v) <- d) (Prob_dag.succs dag u))
-      order;
-    (* bottom.(i): longest base path starting right after i *)
-    let bottom = Array.make n 0. in
-    for k = n - 1 downto 0 do
-      let u = order.(k) in
-      List.iter
-        (fun v ->
-          let d = bottom.(v) +. base v in
-          if d > bottom.(u) then bottom.(u) <- d)
-        (Prob_dag.succs dag u)
-    done;
+    (* top.(i) / bottom.(i): longest base path ending right before /
+       starting right after i *)
+    let top, bottom = Prob_dag.base_paths dag in
     let l0 = ref 0. in
     for i = 0 to n - 1 do
       let through = top.(i) +. base i +. bottom.(i) in

@@ -16,7 +16,25 @@
     every traversal ({!topological_order}, {!longest_path_with},
     {!sample}, ...) goes through; it is (re)built lazily after
     mutations. Compiling also deduplicates parallel edges, so
-    {!add_edge} is O(1) instead of scanning the successor list. *)
+    {!add_edge} is O(1) instead of scanning the successor list.
+
+    {b Join nodes.} {!add_join} synchronises a set of nodes on another
+    through one zero-duration node instead of every pair: a bipartite
+    completion's |X|·|Y| dummy dependencies cost |X|+|Y| edges. Joins
+    exist in two views:
+    - the {e joined} graph ({!compile}, hence {!sample},
+      {!longest_path_with}, {!deterministic_makespan}, {!base_paths})
+      holds each join as a node of duration 0 and pfail 0, with an id
+      after every real node. Longest paths over it are bitwise those
+      over the expanded graph: they are max-plus sums, [max] is exact,
+      and [d +. 0. = d] for every [d >= +0.]; a join draws no random
+      number, so samples are bitwise the same too;
+    - the {e expanded} view — {!n_nodes}, {!node}, {!succs}, {!preds},
+      {!topological_order}, {!dist_of_node} — has the real nodes only,
+      each join replaced by the direct edges it stands for. Estimators
+      whose arithmetic is not max-exact (DODIN's compaction, NORMAL's
+      Clark fold) and per-node consumers read this view. It is built
+      on first use and cached. *)
 
 type node = { base : float; degraded : float; pfail : float }
 
@@ -33,23 +51,45 @@ val add_edge : t -> int -> int -> unit
     semantically idempotent for longest paths). @raise Invalid_argument
     on unknown endpoints or self-loops. *)
 
+val add_join : t -> int list -> int list -> unit
+(** [add_join t preds succs]: every node of [succs] waits for every
+    node of [preds], through one join node. The expanded view gets the
+    edges [u -> v] for [u] in [preds] and [v] in [succs].
+    @raise Invalid_argument on unknown nodes or an empty side. *)
+
 val n_nodes : t -> int
+(** Real nodes; joins are not counted. *)
+
+val n_joins : t -> int
+(** Join nodes added so far. *)
+
 val node : t -> int -> node
 
 val succs : t -> int -> int list
-(** Successors, sorted ascending and deduplicated. *)
+(** Successors in the expanded view, sorted ascending and
+    deduplicated. *)
 
 val preds : t -> int -> int list
-(** Predecessors, sorted ascending and deduplicated. *)
+(** Predecessors in the expanded view, sorted ascending and
+    deduplicated. *)
 
 val topological_order : t -> int array
-(** @raise Invalid_argument on cycles. *)
+(** A topological order of the real nodes (the expanded view).
+    @raise Invalid_argument on cycles. *)
 
 val expected_work : t -> float
 (** Sum over nodes of the expected duration — a cheap sanity metric. *)
 
 val longest_path_with : t -> (int -> float) -> float
-(** Longest path when node [i] lasts [f i]. *)
+(** Longest path when real node [i] lasts [f i] (joins last 0; [f] is
+    called on real nodes only). *)
+
+val base_paths : t -> float array * float array
+(** [(top, bottom)] for every real node [i]: the longest path of
+    [base] durations ending right before [i], and the one starting
+    right after it — the two sweeps of PATHAPPROX, over the joined
+    graph.
+    @raise Invalid_argument on cycles. *)
 
 val deterministic_makespan : t -> float
 (** Longest path with every node at its [base] value. *)
@@ -59,7 +99,7 @@ val sample : t -> Ckpt_prob.Rng.t -> float
     seeds a {!Ckpt_prob.Rng.stream} (advancing [rng] by one draw); node
     states are then drawn from it in node-id order — one
     [stream_uniform] compared against [pfail] per node with
-    [pfail > 0]. Uses a scratch buffer cached inside [t]: convenient
+    [pfail > 0], so never for a join. Uses a scratch buffer cached inside [t]: convenient
     and allocation-free from a single domain, but NOT safe to call on
     the same [t] from several domains — parallel callers compile once
     and give each domain its own {!sampler}. *)
@@ -73,8 +113,9 @@ type compiled
 (** Immutable frozen graph. Safe to share read-only across domains. *)
 
 val compile : t -> compiled
-(** Freeze the builder (memoised; invalidated by {!add_node} /
-    {!add_edge}). Cheap to call repeatedly on an unchanged graph. *)
+(** Freeze the joined graph (memoised; invalidated by {!add_node} /
+    {!add_edge} / {!add_join}). Cheap to call repeatedly on an
+    unchanged graph. *)
 
 type sampler
 (** A compiled graph plus per-domain scratch buffers: sampling through

@@ -78,8 +78,8 @@ let decompose tree =
       (* impossible: take_chain consumed all leading leaves *)
       assert false
 
-let implied_edges tree =
-  let edges = ref [] in
+let serial_cuts tree =
+  let cuts = ref [] in
   let rec go = function
     | Leaf _ -> ()
     | Parallel l -> List.iter go l
@@ -87,17 +87,20 @@ let implied_edges tree =
         List.iter go l;
         let rec pairs = function
           | a :: (b :: _ as tl) ->
-              let sinks = tree_sinks a and sources = tree_sources b in
-              List.iter
-                (fun s -> List.iter (fun d -> edges := (s, d) :: !edges) sources)
-                sinks;
+              cuts := (tree_sinks a, tree_sources b) :: !cuts;
               pairs tl
           | [] | [ _ ] -> ()
         in
         pairs l
   in
   go tree;
-  !edges
+  !cuts
+
+let implied_edges tree =
+  List.concat_map
+    (fun (sinks, sources) ->
+      List.concat_map (fun s -> List.map (fun d -> (s, d)) sources) sinks)
+    (serial_cuts tree)
 
 let validate { dag; tree } =
   let ids = tree_tasks tree in
@@ -119,24 +122,43 @@ let validate { dag; tree } =
             ok := Error (Printf.sprintf "task %d appears %d times in tree" id count))
         seen);
   match !ok with
-  | Error _ as e -> e
+  | Error e -> Error e
   | Ok () ->
-      let implied = List.sort_uniq compare (implied_edges tree) in
-      let actual = ref [] in
+      (* with every task in the tree once, each task is a sink of at
+         most one cut's left side and a source of at most one cut's
+         right side, and an implied pair (u, v) is one whose two cut
+         indices agree *)
+      let cuts = serial_cuts tree in
+      let sink_cut = Array.make n (-1) and source_cut = Array.make n (-1) in
+      List.iteri
+        (fun c (sinks, sources) ->
+          List.iter (fun u -> sink_cut.(u) <- c) sinks;
+          List.iter (fun v -> source_cut.(v) <- c) sources)
+        cuts;
+      let implied =
+        List.fold_left
+          (fun acc (sinks, sources) -> acc + (List.length sinks * List.length sources))
+          0 cuts
+      in
+      let present = ref 0 and extra = ref [] in
       for u = 0 to n - 1 do
-        List.iter (fun v -> actual := (u, v) :: !actual) (Dag.succ_ids dag u)
+        (* [succ_ids] is sorted: skip parallel file edges *)
+        let rec scan prev = function
+          | [] -> ()
+          | v :: tl when v = prev -> scan prev tl
+          | v :: tl ->
+              if sink_cut.(u) >= 0 && sink_cut.(u) = source_cut.(v) then incr present
+              else extra := (u, v) :: !extra;
+              scan v tl
+        in
+        scan (-1) (Dag.succ_ids dag u)
       done;
-      let actual = List.sort_uniq compare !actual in
-      if implied = actual then Ok ()
-      else begin
-        let missing = List.filter (fun e -> not (List.mem e actual)) implied in
-        let extra = List.filter (fun e -> not (List.mem e implied)) actual in
+      if !extra = [] then Ok (implied - !present)
+      else
         let show (u, v) = Printf.sprintf "%d->%d" u v in
         Error
-          (Printf.sprintf "edge mismatch: missing=[%s] extra=[%s]"
-             (String.concat "," (List.map show missing))
-             (String.concat "," (List.map show extra)))
-      end
+          (Printf.sprintf "edge mismatch: the tree does not imply [%s]"
+             (String.concat "," (List.rev_map show !extra)))
 
 type blueprint =
   | Btask of string * float

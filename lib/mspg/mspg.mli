@@ -11,7 +11,12 @@
     Here an M-SPG value pairs a decomposition {e tree} with the backing
     {!Ckpt_dag.Dag.t} that holds task weights, edges and files. The
     tree drives the recursive scheduling (Algorithm 1); the DAG holds
-    the quantitative data. {!validate} checks the two agree. *)
+    the quantitative data. Every precedence the tree implies is a pair
+    of one of its {!serial_cuts}. The DAG may lack some of these pairs:
+    a workflow made an M-SPG by bipartite completion (paper footnote 2)
+    keeps its raw edges, and the dummy dependencies stay implicit in
+    the tree's cuts. {!validate} checks that the two agree and counts
+    the implicit pairs. *)
 
 module Dag = Ckpt_dag.Dag
 module Task = Ckpt_dag.Task
@@ -67,12 +72,23 @@ val decompose : tree -> decomposition
 
 (** {1 Consistency with the backing DAG} *)
 
-val implied_edges : tree -> (Task.id * Task.id) list
-(** The exact edge set the M-SPG definition induces for this tree. *)
+val serial_cuts : tree -> (Task.id list * Task.id list) list
+(** The serial cuts of the tree: for every serial composition
+    [G1 ⨟ ... ⨟ Gn] and every [i < n], the pair
+    [(tree_sinks Gi, tree_sources G(i+1))]. Every task of the first
+    list precedes every task of the second. In a tree holding each task
+    once, a task is a sink in at most one cut and a source in at most
+    one cut, so each implied pair belongs to exactly one cut. *)
 
-val validate : t -> (unit, string) result
+val implied_edges : tree -> (Task.id * Task.id) list
+(** The exact edge set the M-SPG definition induces for this tree: the
+    products of its {!serial_cuts}, each pair once. *)
+
+val validate : t -> (int, string) result
 (** Checks that the tree contains every DAG task exactly once and that
-    the DAG's edges are exactly {!implied_edges}. *)
+    every DAG edge is one of {!implied_edges}. Returns how many implied
+    pairs the DAG lacks: 0 for a strict M-SPG, the dummy count for a
+    bipartite completion. *)
 
 (** {1 Building M-SPGs from blueprints (tests, examples)} *)
 

@@ -13,21 +13,21 @@ exception Reject of string
 
    The decomposition logic is a line-for-line port of the list/Hashtbl
    reference: candidate orders, cut selection and tie-breaking are
-   unchanged, so the produced trees (and any dummy completion edges)
-   are identical — only the constant factor moved.
+   unchanged, so the produced trees (and dummy counts) are identical —
+   only the constant factor moved.
 
-   Dummy completion edges are appended to the mutable DAG but not to
-   the CSR snapshot: a dummy edge always crosses the cut being
-   completed, and the recursion descends into the two sides
-   separately, so a membership-restricted neighbourhood scan never
-   reaches a stale edge. *)
+   Bipartite completion inserts no edges: the tree records each
+   completed cut as a serial composition, which implies every pair
+   (see [Mspg.serial_cuts]), and recognition only counts the pairs the
+   DAG lacks. A dummy pair always crosses the cut being completed and
+   the recursion descends into the two sides separately, so it could
+   never have been reached by a later neighbourhood scan anyway. *)
 
 type ctx = {
-  dag : Dag.t;
   csr : Csr.t;
   n : int;
   complete : bool;
-  dummies : int ref;
+  mutable dummies : int;
   (* epoch-stamped scratch (one slot per task id) *)
   member : int array;
   mutable member_epoch : int;
@@ -51,11 +51,10 @@ let make_ctx dag ~complete =
   let csr = Csr.of_dag dag in
   let n = Csr.n_tasks csr in
   {
-    dag;
     csr;
     n;
     complete;
-    dummies = ref 0;
+    dummies = 0;
     member = Array.make n 0;
     member_epoch = 0;
     closure = Array.make n 0;
@@ -179,16 +178,15 @@ let down_closure ctx e seeds =
   done;
   (ce, !tail)
 
-type cut = { v1 : int list; v2 : int list; missing : (int * int) list }
-(* [missing] are the sink(V1)-source(V2) pairs lacking an edge: empty
-   for a strict (complete-bipartite) cut. When [want_missing] is false
-   the list is truncated after the first pair — callers that only test
-   strictness never pay for the full enumeration. *)
+type cut = { v1 : int list; v2 : int list; missing : int }
+(* [missing] counts the sink(V1)-source(V2) pairs lacking an edge: 0
+   for a strict (complete-bipartite) cut. *)
 
 (* Examine the cut whose V2 is the down-closure of [seed_sources].
    Returns [None] when crossing edges violate the sinks(V1) ->
-   sources(V2) discipline; otherwise the cut with its missing pairs. *)
-let examine_cut ctx e ~want_missing verts seed_sources =
+   sources(V2) discipline; otherwise the cut with its missing-pair
+   count. *)
+let examine_cut ctx e verts seed_sources =
   let csr = ctx.csr in
   let ce, _ = down_closure ctx e seed_sources in
   let in_v2 v = ctx.closure.(v) = ce in
@@ -238,27 +236,18 @@ let examine_cut ctx e ~want_missing verts seed_sources =
     if not !ok then None
     else begin
       (* missing pairs: for each sink of V1, the sources of V2 it lacks
-         an edge to; enumeration order matches the reference (sinks in
-         order, sources in order, pairs prepended) *)
-      let missing = ref [] in
-      (try
-         List.iter
-           (fun u ->
-             ctx.outset_epoch <- ctx.outset_epoch + 1;
-             let oe = ctx.outset_epoch in
-             for k = csr.Csr.succ_off.(u) to csr.Csr.succ_off.(u + 1) - 1 do
-               let v = csr.Csr.succ_tgt.(k) in
-               if in_member ctx e v then ctx.outset.(v) <- oe
-             done;
-             List.iter
-               (fun v ->
-                 if ctx.outset.(v) <> oe then begin
-                   missing := (u, v) :: !missing;
-                   if not want_missing then raise Exit
-                 end)
-               sources2)
-           sinks1
-       with Exit -> ());
+         an edge to *)
+      let missing = ref 0 in
+      List.iter
+        (fun u ->
+          ctx.outset_epoch <- ctx.outset_epoch + 1;
+          let oe = ctx.outset_epoch in
+          for k = csr.Csr.succ_off.(u) to csr.Csr.succ_off.(u + 1) - 1 do
+            let v = csr.Csr.succ_tgt.(k) in
+            if in_member ctx e v then ctx.outset.(v) <- oe
+          done;
+          List.iter (fun v -> if ctx.outset.(v) <> oe then incr missing) sources2)
+        sinks1;
       Some { v1; v2; missing = !missing }
     end
   end
@@ -412,7 +401,7 @@ let rec decompose ctx verts =
           (match !best with
           | Some (_, seed) ->
               let cut =
-                match examine_cut ctx e ~want_missing:false verts seed with
+                match examine_cut ctx e verts seed with
                 | Some c -> c
                 | None -> assert false
               in
@@ -440,14 +429,14 @@ let rec decompose ctx verts =
                            (fun p -> ctx.level.(p) <= l)
                            (restrict_preds ctx e v))
                 in
-                examine_cut ctx e ~want_missing:true verts seed
+                examine_cut ctx e verts seed
               in
               let best = ref None in
               for l = 0 to max_level - 1 do
                 match cut_at l with
                 | None -> ()
                 | Some cut -> (
-                    let cost = List.length cut.missing in
+                    let cost = cut.missing in
                     match !best with
                     | Some (c0, _) when c0 <= cost -> ()
                     | _ -> best := Some (cost, cut))
@@ -461,11 +450,7 @@ let rec decompose ctx verts =
                            completable by dummy dependencies"
                           (List.length verts)))
               | Some (_, cut) ->
-                  List.iter
-                    (fun (u, v) ->
-                      Dag.add_edge ctx.dag u v 0.;
-                      incr ctx.dummies)
-                    cut.missing;
+                  ctx.dummies <- ctx.dummies + cut.missing;
                   Mspg.serial [ decompose ctx cut.v1; decompose ctx cut.v2 ])))
 
 let recognize ~complete dag =
@@ -475,7 +460,7 @@ let recognize ~complete dag =
   let verts = List.init n (fun i -> i) in
   let ctx = make_ctx dag ~complete in
   match decompose ctx verts with
-  | tree -> Ok (tree, !(ctx.dummies))
+  | tree -> Ok (tree, ctx.dummies)
   | exception Reject msg -> Error msg
 
 let of_dag dag =
@@ -484,9 +469,8 @@ let of_dag dag =
   | Error m -> Error m
 
 let of_dag_completed dag =
-  let copy = Dag.copy dag in
-  match recognize ~complete:true copy with
-  | Ok (tree, dummies) -> Ok ({ Mspg.dag = copy; tree }, dummies)
+  match recognize ~complete:true dag with
+  | Ok (tree, dummies) -> Ok ({ Mspg.dag; tree }, dummies)
   | Error m -> Error m
 
 let is_mspg dag = match of_dag dag with Ok _ -> true | Error _ -> false

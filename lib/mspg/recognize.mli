@@ -16,9 +16,11 @@
     when a connected graph admits no valid cut we look for a
     {e completable level cut}: a cut between longest-path levels whose
     crossing edges all go from sinks of V1 to sources of V2, but form
-    an incomplete bipartite graph. Missing pairs are filled with dummy
-    dependencies carrying zero-size files ("adds synchronizations but
-    no data transfers"), and recognition proceeds. *)
+    an incomplete bipartite graph. The missing pairs become dummy
+    dependencies ("adds synchronizations but no data transfers"), and
+    recognition proceeds. The dummies are never inserted into a DAG:
+    the returned tree records the completed cut as a serial
+    composition, whose {!Mspg.serial_cuts} imply every pair. *)
 
 module Dag = Ckpt_dag.Dag
 
@@ -29,10 +31,11 @@ val of_dag : Dag.t -> (Mspg.t, string) result
     @raise Invalid_argument if the graph is cyclic or empty. *)
 
 val of_dag_completed : Dag.t -> (Mspg.t * int, string) result
-(** Recognition with bipartite completion. Works on a {e copy} of the
-    input (the caller's DAG is never touched — baseline strategies keep
-    processing the raw graph). Returns the M-SPG over the completed
-    copy and the number of dummy edges added. *)
+(** Recognition with bipartite completion. The caller's DAG is neither
+    copied nor modified and backs the returned M-SPG; the completion is
+    implicit in its tree. Returns the M-SPG and the number of dummy
+    dependencies the tree implies beyond the DAG's edges (what
+    {!Mspg.validate} reports). *)
 
 val is_mspg : Dag.t -> bool
 

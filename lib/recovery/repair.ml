@@ -18,11 +18,8 @@ let replan ?readable ?replicas ~kind ~dag ~done_ ~survivors ~platform () =
       try
         let residual, task_of = Residual.build ?readable ~dag ~done_ () in
         let mspg, dummy_edges =
-          (* one completing pass: with 0 dummies the tree is the plain
-             recognition's, reattached to the uncopied residual *)
           match Recognize.of_dag_completed residual with
-          | Ok (m, 0) -> ({ Ckpt_mspg.Mspg.dag = residual; tree = m.Ckpt_mspg.Mspg.tree }, 0)
-          | Ok (m, k) -> (m, k)
+          | Ok r -> r
           | Error msg -> failwith msg
         in
         let phys = Array.of_list survivors in

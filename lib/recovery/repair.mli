@@ -22,7 +22,7 @@ type t = {
   plan : Strategy.plan;  (** repaired plan over the residual workflow *)
   task_of : int array;  (** residual task id -> original task id *)
   phys : int array;  (** plan processor index -> physical processor id *)
-  dummy_edges : int;  (** dummy edges added to complete the residual *)
+  dummy_edges : int;  (** dummy dependencies completing the residual (implicit in its tree) *)
 }
 
 val replan :

@@ -1,6 +1,8 @@
-(* Shared fixtures for the bipartite-completion tests. *)
+(* Shared fixtures for the bipartite-completion tests, and the oracle
+   that materialises a completion. *)
 
 module Dag = Ckpt_dag.Dag
+module Mspg = Ckpt_mspg.Mspg
 
 (* Two incomplete 3x3 bipartite blocks side by side. Recognition
    completes each with 3 dummy dependencies, giving the tree
@@ -20,4 +22,14 @@ let side_by_side () =
           Dag.add_edge d (u + off) (v + off) (float_of_int (1 + u + (2 * v) + off)))
         [ (1, 0); (2, 0); (1, 3); (4, 3); (2, 5); (4, 5) ])
     [ 0; 6 ];
+  d
+
+(* The completion made explicit, as recognition once built it: a copy
+   of the M-SPG's DAG with a zero-size edge for every pair the tree
+   implies and the DAG lacks. *)
+let materialise (m : Mspg.t) =
+  let d = Dag.copy m.Mspg.dag in
+  List.iter
+    (fun (u, v) -> if not (Dag.has_edge d u v) then Dag.add_edge d u v 0.)
+    (List.sort_uniq compare (Mspg.implied_edges m.Mspg.tree));
   d

@@ -116,7 +116,8 @@ let test_build_and_validate () =
   in
   let m = Mspg.build ~edge_size:(fun _ _ -> 2.) bp in
   (match Mspg.validate m with
-  | Ok () -> ()
+  | Ok 0 -> ()
+  | Ok k -> Alcotest.failf "validate: %d implied pairs missing from a built M-SPG" k
   | Error e -> Alcotest.failf "validate: %s" e);
   Alcotest.(check int) "4 tasks" 4 (Dag.n_tasks m.Mspg.dag);
   Alcotest.(check int) "4 edges" 4 (Dag.n_edges m.Mspg.dag);
@@ -128,14 +129,14 @@ let test_validate_detects_missing_task () =
   let bad = { m with Mspg.tree = Mspg.leaf 0 } in
   match Mspg.validate bad with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "missing task not detected"
+  | Ok _ -> Alcotest.fail "missing task not detected"
 
 let test_validate_detects_edge_mismatch () =
   let m = Mspg.build (Mspg.Bserial [ Mspg.Btask ("a", 1.); Mspg.Btask ("b", 1.) ]) in
   let bad = { m with Mspg.tree = Mspg.parallel [ Mspg.leaf 0; Mspg.leaf 1 ] } in
   match Mspg.validate bad with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "edge mismatch not detected"
+  | Ok _ -> Alcotest.fail "edge mismatch not detected"
 
 let test_tree_weight () =
   let m = Mspg.build (Mspg.Bparallel [ Mspg.Btask ("a", 1.5); Mspg.Btask ("b", 2.5) ]) in
@@ -150,7 +151,7 @@ let test_depth () =
 let prop_random_blueprint_validates =
   QCheck.Test.make ~name:"random M-SPG validates" ~count:100 QCheck.small_nat (fun seed ->
       let m = Random_wf.generate ~seed ~max_tasks:40 () in
-      match Mspg.validate m with Ok () -> true | Error _ -> false)
+      match Mspg.validate m with Ok 0 -> true | Ok _ | Error _ -> false)
 
 let prop_decompose_partitions_tasks =
   QCheck.Test.make ~name:"decompose partitions the tasks" ~count:100 QCheck.small_nat

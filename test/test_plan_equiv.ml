@@ -12,6 +12,7 @@ module Placement = Ckpt_core.Placement
 module Pipeline = Ckpt_core.Pipeline
 module Strategy = Ckpt_core.Strategy
 module Schedule = Ckpt_core.Schedule
+module Prob_dag = Ckpt_eval.Prob_dag
 module Rng = Ckpt_prob.Rng
 module Spec = Ckpt_workflows.Spec
 
@@ -141,10 +142,10 @@ let prop_plan_jobs_invariant =
 
 (* --- completed workflows: plans against the scheduled DAG ---------- *)
 
-(* MONTAGE needs bipartite completion, so its scheduled DAG carries
-   zero-size synchronisation edges the raw workflow lacks; every plan
-   must still place and price checkpoints exactly as the reference
-   paths do over that scheduled DAG *)
+(* MONTAGE needs bipartite completion, so the completed graph the
+   schedule orders has zero-size synchronisation pairs the raw workflow
+   lacks; every plan must still place and price checkpoints exactly as
+   the reference paths do over that graph, materialised as edges *)
 let completed_kinds =
   Strategy.
     [
@@ -167,7 +168,7 @@ let expected_positions ~replicas platform dag kind (sc : Ckpt_core.Superchain.t)
 let bits = Int64.bits_of_float
 
 let check_completed_plans label (setup : Pipeline.setup) =
-  let dag = setup.Pipeline.schedule.Schedule.dag in
+  let dag = Completion_fixture.materialise setup.Pipeline.mspg in
   let platform = setup.Pipeline.platform in
   let chains = setup.Pipeline.schedule.Schedule.superchains in
   List.iter
@@ -269,6 +270,142 @@ let test_reprice_matches_prepare () =
         sweep_ccrs)
     [ 1e-2; 1e-3; 1e-4 ]
 
+(* --- implicit completion against the materialised one -------------- *)
+
+(* The 2-state DAG of a superchain strategy as it was built over the
+   materialised completion [full]: each superchain's serialisation plus
+   one edge per cross-superchain edge of [full], as sorted, deduplicated
+   successor and predecessor lists per segment *)
+let reference_adjacency (plan : Strategy.plan) full =
+  let segments = plan.Strategy.segments in
+  let nseg = Array.length segments in
+  let chain_of = plan.Strategy.schedule.Schedule.chain_of_task in
+  let seg = plan.Strategy.segment_of_task in
+  let edges = ref [] in
+  let by_chain =
+    List.sort compare
+      (List.init nseg (fun i -> (segments.(i).Placement.chain, segments.(i).Placement.first, i)))
+  in
+  let rec link = function
+    | (c, _, a) :: ((c', _, b) :: _ as tl) ->
+        if c = c' then edges := (a, b) :: !edges;
+        link tl
+    | [] | [ _ ] -> ()
+  in
+  link by_chain;
+  for u = 0 to Dag.n_tasks full - 1 do
+    List.iter
+      (fun v -> if chain_of.(u) <> chain_of.(v) then edges := (seg.(u), seg.(v)) :: !edges)
+      (Dag.succ_ids full u)
+  done;
+  let edges = List.sort_uniq compare !edges in
+  ( Array.init nseg (fun i -> List.filter_map (fun (a, b) -> if a = i then Some b else None) edges),
+    Array.init nseg (fun i -> List.filter_map (fun (a, b) -> if b = i then Some a else None) edges)
+  )
+
+let test_completed_prob_dags () =
+  let joined = ref 0 in
+  List.iter
+    (fun (wf, tasks, processors) ->
+      let dag = Spec.generate wf ~seed:1 ~tasks () in
+      let setup = Pipeline.prepare ~dag ~processors ~pfail:0.01 ~ccr:0.5 () in
+      let full = Completion_fixture.materialise setup.Pipeline.mspg in
+      List.iter
+        (fun replicas ->
+          List.iter
+            (fun kind ->
+              let name =
+                Printf.sprintf "%s n=%d p=%d %s replicas=%d" (Spec.name wf) tasks processors
+                  (Strategy.kind_name kind) replicas
+              in
+              let plan = Pipeline.plan ~replicas setup kind in
+              let pd = Option.get plan.Strategy.prob_dag in
+              joined := !joined + Prob_dag.n_joins pd;
+              let succs, preds = reference_adjacency plan full in
+              Alcotest.(check int) (name ^ ": nodes") (Array.length succs) (Prob_dag.n_nodes pd);
+              Array.iteri
+                (fun i expected ->
+                  Alcotest.(check (list int))
+                    (Printf.sprintf "%s: succs of %d" name i)
+                    expected (Prob_dag.succs pd i);
+                  Alcotest.(check (list int))
+                    (Printf.sprintf "%s: preds of %d" name i)
+                    preds.(i) (Prob_dag.preds pd i))
+                succs)
+            (List.filter (fun k -> k <> Strategy.Ckpt_all) completed_kinds))
+        [ 1; 2 ])
+    [
+      (Spec.Montage, 50, 4);
+      (Spec.Montage, 300, 18);
+      (Spec.Montage, 300, 2);
+      (Spec.Ligo, 300, 18);
+      (Spec.Ligo, 300, 5);
+    ];
+  (* the join path is the one under test: MONTAGE's large cut takes it *)
+  Alcotest.(check bool) "some plan synchronises through a join" true (!joined > 0)
+
+(* Two incomplete bipartite blocks in one superchain (p = 1): the
+   linearisation follows the completed cuts, Schedule.check catches an
+   order that breaks one, and no plan joins a cut inside a superchain
+   (that would route a segment through a join back into its own
+   chain) *)
+let test_in_superchain_cuts () =
+  let dag = Completion_fixture.side_by_side () in
+  let setup = Pipeline.prepare ~dag ~processors:1 ~pfail:0.01 ~ccr:0.5 () in
+  let schedule = setup.Pipeline.schedule in
+  Alcotest.(check int) "dummies" 6 setup.Pipeline.dummy_edges;
+  Alcotest.(check (list (list int)))
+    "one superchain in completed order"
+    [ [ 1; 2; 4; 0; 3; 5; 7; 8; 10; 6; 9; 11 ] ]
+    (Array.to_list
+       (Array.map
+          (fun (sc : Ckpt_core.Superchain.t) -> Array.to_list sc.Ckpt_core.Superchain.order)
+          schedule.Schedule.superchains));
+  (match Schedule.check schedule with Ok () -> () | Error e -> Alcotest.fail e);
+  (* the order over the raw edges alone runs 0 before 4 *)
+  let raw_order =
+    Schedule.make ~dag ~tree:schedule.Schedule.tree ~processors:1
+      ~superchains:
+        [
+          Ckpt_core.Superchain.make ~id:0 ~processor:0
+            ~order:[| 1; 2; 0; 4; 3; 5; 7; 8; 6; 10; 9; 11 |];
+        ]
+  in
+  Alcotest.(check bool) "check rejects the raw-edge order" true
+    (Result.is_error (Schedule.check raw_order));
+  List.iter
+    (fun kind ->
+      let plan = Pipeline.plan setup kind in
+      let pd = Option.get plan.Strategy.prob_dag in
+      let name = Strategy.kind_name kind in
+      Alcotest.(check int) (name ^ ": no join") 0 (Prob_dag.n_joins pd);
+      Alcotest.(check int)
+        (name ^ ": acyclic") (Prob_dag.n_nodes pd)
+        (Array.length (Prob_dag.topological_order pd));
+      ignore (Prob_dag.deterministic_makespan pd))
+    completed_kinds
+
+let test_macro_edges_materialised () =
+  List.iter
+    (fun (tasks, processors) ->
+      let dag = Spec.generate Spec.Montage ~seed:1 ~tasks () in
+      let setup = Pipeline.prepare ~dag ~processors ~pfail:0.01 ~ccr:0.5 () in
+      let schedule = setup.Pipeline.schedule in
+      let full = Completion_fixture.materialise setup.Pipeline.mspg in
+      let chain_of = schedule.Schedule.chain_of_task in
+      let expected = ref [] in
+      for u = 0 to Dag.n_tasks full - 1 do
+        List.iter
+          (fun v ->
+            if chain_of.(u) <> chain_of.(v) then expected := (chain_of.(u), chain_of.(v)) :: !expected)
+          (Dag.succ_ids full u)
+      done;
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "MONTAGE n=%d p=%d" tasks processors)
+        (List.sort_uniq compare !expected)
+        (List.sort compare (Schedule.macro_edges schedule)))
+    [ (50, 1); (50, 4); (300, 18); (300, 2) ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_solve_packed_matches_reference;
@@ -283,4 +420,10 @@ let suite =
       test_completed_plans_heterogeneous;
     Alcotest.test_case "reprice = prepare across a MONTAGE sweep grid" `Quick
       test_reprice_matches_prepare;
+    Alcotest.test_case "completed 2-state DAGs = the materialised completion's" `Quick
+      test_completed_prob_dags;
+    Alcotest.test_case "in-superchain cuts: ordered, checked, never joined" `Quick
+      test_in_superchain_cuts;
+    Alcotest.test_case "macro edges = the materialised completion's" `Quick
+      test_macro_edges_materialised;
   ]

@@ -28,7 +28,8 @@ let test_recognizes_figure2 () =
   | Error e -> Alcotest.failf "rejected Figure 2: %s" e
   | Ok m2 -> (
       match Mspg.validate m2 with
-      | Ok () -> ()
+      | Ok 0 -> ()
+      | Ok k -> Alcotest.failf "strict recognition left %d implied pairs missing" k
       | Error e -> Alcotest.failf "recognised tree invalid: %s" e)
 
 let test_single_task () =
@@ -87,19 +88,22 @@ let test_completion_fixes_incomplete_bipartite () =
   | Error e -> Alcotest.failf "completion failed: %s" e
   | Ok (m, dummies) ->
       Alcotest.(check int) "one missing pair" 1 dummies;
+      (* the tree implies the 3 edges and exactly one more pair *)
       (match Mspg.validate m with
-      | Ok () -> ()
+      | Ok k -> Alcotest.(check int) "validate reports the missing pair" 1 k
       | Error e -> Alcotest.failf "completed tree invalid: %s" e);
-      (* the original must not gain edges *)
-      Alcotest.(check int) "original untouched" 3 (Dag.n_edges d);
-      Alcotest.(check int) "copy has the dummy" 4 (Dag.n_edges m.Mspg.dag)
+      (* the dummy stays implicit: the input backs the M-SPG, unchanged *)
+      Alcotest.(check bool) "backed by the input DAG" true (m.Mspg.dag == d);
+      Alcotest.(check int) "original untouched" 3 (Dag.n_edges d)
 
 let test_completion_dummy_files_are_empty () =
   let d = incomplete_bipartite () in
   match Recognize.of_dag_completed d with
   | Error e -> Alcotest.fail e
   | Ok (m, _) ->
-      Alcotest.(check (float 0.)) "no data added" (Dag.total_data d) (Dag.total_data m.Mspg.dag)
+      (* no dummy file exists at all: the M-SPG reads the input's files *)
+      Alcotest.(check int) "no file added" 3 (Dag.n_files m.Mspg.dag);
+      Alcotest.(check (float 0.)) "no data added" 3. (Dag.total_data m.Mspg.dag)
 
 let test_completion_noop_on_mspg () =
   let m = figure2 () in
@@ -208,7 +212,7 @@ let prop_roundtrip =
       let m = Random_wf.generate ~seed ~max_tasks:35 () in
       match Recognize.of_dag m.Mspg.dag with
       | Error _ -> false
-      | Ok m2 -> trees_equivalent m.Mspg.tree m2.Mspg.tree && Mspg.validate m2 = Ok ())
+      | Ok m2 -> trees_equivalent m.Mspg.tree m2.Mspg.tree && Mspg.validate m2 = Ok 0)
 
 let prop_completion_preserves_edges =
   QCheck.Test.make ~name:"completion only adds edges" ~count:50 QCheck.small_nat

@@ -76,9 +76,13 @@ let test_all_workflows_completable () =
         (fun n ->
           let dag = Spec.generate kind ~seed:5 ~tasks:n () in
           match Recognize.of_dag_completed dag with
-          | Ok (m, _) -> (
+          | Ok (m, dummies) -> (
+              (* the tree implies every edge plus exactly the dummies *)
               match Mspg.validate m with
-              | Ok () -> ()
+              | Ok k when k = dummies -> ()
+              | Ok k ->
+                  Alcotest.failf "%s %d: %d implied pairs missing, %d dummies" (Spec.name kind)
+                    n k dummies
               | Error e -> Alcotest.failf "%s %d: %s" (Spec.name kind) n e)
           | Error e -> Alcotest.failf "%s %d not completable: %s" (Spec.name kind) n e)
         sizes)

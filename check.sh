@@ -114,7 +114,8 @@ done
 
 echo "== out-of-range numbers exit 2 with a one-line diagnostic =="
 # the libraries reject these with Invalid_argument; the CLI must report
-# bad input (exit 2), never an uncaught exception (exit 125)
+# bad input (exit 2), never an uncaught exception (exit 125). NaN fails
+# every range check too, instead of printing nan rows
 while read -r args; do
     status=0
     $CKPTWF $args > /dev/null 2> "$TMP/range.err" || status=$?
@@ -131,6 +132,13 @@ degrade -n 30 -p 5 --trials 0
 storm -n 30 -p 5 --trials 0
 cloud -n 30 -p 5 --trials 0
 quantiles -n 30 -p 5 --trials 0
+evaluate --pfail=nan
+evaluate --ccr=nan
+sweep --csv --pfail=nan
+storm --corrupt-prob=nan
+simulate --pfail=nan
+quantiles --pfail=nan
+degrade --pdeath=nan
 EOF
 status=0
 printf '{"op": "evaluate", "processors": 0}\n' | $CKPTWF serve --once > /dev/null 2> "$TMP/range.err" || status=$?

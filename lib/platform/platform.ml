@@ -10,8 +10,9 @@ type t = {
 
 let make ~processors ~lambda ~bandwidth =
   if processors < 1 then invalid_arg "Platform.make: need at least one processor";
-  if lambda < 0. then invalid_arg "Platform.make: negative failure rate";
-  if bandwidth <= 0. then invalid_arg "Platform.make: non-positive bandwidth";
+  (* every range guard is written so that NaN fails it *)
+  if not (lambda >= 0.) then invalid_arg "Platform.make: negative failure rate";
+  if not (bandwidth > 0.) then invalid_arg "Platform.make: non-positive bandwidth";
   {
     processors;
     lambda;
@@ -28,7 +29,7 @@ let check_speeds processors speeds =
       if Array.length s <> processors then
         invalid_arg "Platform: speeds array size mismatch";
       Array.iter
-        (fun v -> if v <= 0. then invalid_arg "Platform: non-positive speed")
+        (fun v -> if not (v > 0.) then invalid_arg "Platform: non-positive speed")
         s)
     speeds
 
@@ -38,7 +39,7 @@ let check_prices processors prices =
       if Array.length s <> processors then
         invalid_arg "Platform: prices array size mismatch";
       Array.iter
-        (fun v -> if v <= 0. then invalid_arg "Platform: non-positive price")
+        (fun v -> if not (v > 0.) then invalid_arg "Platform: non-positive price")
         s)
     prices
 
@@ -46,9 +47,10 @@ let make_heterogeneous ?speeds ?prices ~rates ~bandwidth () =
   let processors = Array.length rates in
   if processors < 1 then invalid_arg "Platform.make_heterogeneous: no processors";
   Array.iter
-    (fun r -> if r < 0. then invalid_arg "Platform.make_heterogeneous: negative rate")
+    (fun r -> if not (r >= 0.) then invalid_arg "Platform.make_heterogeneous: negative rate")
     rates;
-  if bandwidth <= 0. then invalid_arg "Platform.make_heterogeneous: non-positive bandwidth";
+  if not (bandwidth > 0.) then
+    invalid_arg "Platform.make_heterogeneous: non-positive bandwidth";
   check_speeds processors speeds;
   check_prices processors prices;
   let mean = Array.fold_left ( +. ) 0. rates /. float_of_int processors in
@@ -112,14 +114,16 @@ let billed_cost t ~until =
   !acc
 
 let lambda_of_pfail ~pfail ~mean_weight =
-  if pfail < 0. || pfail >= 1. then invalid_arg "Platform.lambda_of_pfail: pfail not in [0,1)";
-  if mean_weight <= 0. then invalid_arg "Platform.lambda_of_pfail: non-positive mean weight";
+  if not (pfail >= 0. && pfail < 1.) then
+    invalid_arg "Platform.lambda_of_pfail: pfail not in [0,1)";
+  if not (mean_weight > 0.) then
+    invalid_arg "Platform.lambda_of_pfail: non-positive mean weight";
   -.log (1. -. pfail) /. mean_weight
 
 let pfail_of_lambda ~lambda ~mean_weight = 1. -. exp (-.lambda *. mean_weight)
 
 let bandwidth_for_ccr ~ccr ~total_data ~total_weight =
-  if ccr <= 0. || total_data <= 0. || total_weight <= 0. then
+  if not (ccr > 0. && total_data > 0. && total_weight > 0.) then
     invalid_arg "Platform.bandwidth_for_ccr: non-positive argument";
   (* ccr = (total_data / bw) / total_weight  =>  bw = total_data / (ccr * total_weight) *)
   total_data /. (ccr *. total_weight)

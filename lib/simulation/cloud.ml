@@ -108,8 +108,8 @@ let cache_stats prepared = Replan.cache_stats prepared.base
 let run_trial ~mode config prepared rng =
   if config.max_revocations < 0 then
     invalid_arg "Cloud.run_trial: negative max_revocations";
-  if config.lambda_revoke < 0. then invalid_arg "Cloud.run_trial: negative rate";
-  if config.grace < 0. then invalid_arg "Cloud.run_trial: negative grace";
+  if not (config.lambda_revoke >= 0.) then invalid_arg "Cloud.run_trial: negative rate";
+  if not (config.grace >= 0.) then invalid_arg "Cloud.run_trial: negative grace";
   (if config.kind = Strategy.Ckpt_none then
      invalid_arg "Cloud.run_trial: CKPTNONE cannot be a replan policy");
   let platform = (Replan.plan prepared.base).Strategy.platform in

@@ -26,14 +26,15 @@ let reliable c =
   c.commit_fail_prob <= 0. && c.corrupt_prob <= 0. && c.storage_lambda <= 0.
   && c.outage_rate <= 0.
 
+(* written so that NaN fails every range check *)
 let validate c =
-  if c.commit_fail_prob < 0. || c.commit_fail_prob >= 1. then
+  if not (c.commit_fail_prob >= 0. && c.commit_fail_prob < 1.) then
     invalid_arg "Storage: commit_fail_prob outside [0, 1)";
-  if c.corrupt_prob < 0. || c.corrupt_prob >= 1. then
+  if not (c.corrupt_prob >= 0. && c.corrupt_prob < 1.) then
     invalid_arg "Storage: corrupt_prob outside [0, 1)";
-  if c.storage_lambda < 0. then invalid_arg "Storage: negative storage_lambda";
-  if c.outage_rate < 0. then invalid_arg "Storage: negative outage_rate";
-  if c.outage_rate > 0. && c.outage_mean <= 0. then
+  if not (c.storage_lambda >= 0.) then invalid_arg "Storage: negative storage_lambda";
+  if not (c.outage_rate >= 0.) then invalid_arg "Storage: negative outage_rate";
+  if c.outage_rate > 0. && not (c.outage_mean > 0.) then
     invalid_arg "Storage: outage_rate > 0 needs a positive outage_mean";
   if c.replicas < 1 then invalid_arg "Storage: replicas < 1";
   Retry.check_policy c.backoff

@@ -383,6 +383,20 @@ let test_cloud_rejects_ckptnone () =
   Alcotest.(check bool) "rejected" true
     (match Cloud.prepare plan with exception Invalid_argument _ -> true | _ -> false)
 
+let test_cloud_rejects_nan () =
+  let plan = genome_plan () in
+  let prepared = Cloud.prepare plan in
+  List.iter
+    (fun (msg, config) ->
+      Alcotest.(check bool) msg true
+        (match Cloud.run_trial ~mode:Cloud.Checkpoint config prepared (Rng.create 1) with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [
+      ("NaN rate", { (cloud_config plan) with Cloud.lambda_revoke = nan });
+      ("NaN grace", { (cloud_config plan) with Cloud.grace = nan });
+    ]
+
 (* --- rescued work is never re-executed (QCheck) --- *)
 
 (* Mirror of Cloud's internal metadata builders, reconstructed from the
@@ -525,4 +539,5 @@ let suite =
       test_cloud_grace_cuts_work_lost;
     Alcotest.test_case "cloud rejects CKPTNONE" `Quick test_cloud_rejects_ckptnone;
     QCheck_alcotest.to_alcotest qcheck_rescued_never_replanned;
+    Alcotest.test_case "cloud rejects NaN knobs" `Quick test_cloud_rejects_nan;
   ]

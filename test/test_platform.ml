@@ -19,6 +19,34 @@ let test_make_validation () =
     (Invalid_argument "Platform.make: non-positive bandwidth") (fun () ->
       ignore (Platform.make ~processors:1 ~lambda:0.1 ~bandwidth:0.))
 
+(* NaN compares false with everything, so a guard written [x < 0.]
+   lets it through; every knob must reject it *)
+let test_nan_rejected () =
+  let rejects msg f =
+    Alcotest.(check bool) msg true
+      (match f () with exception Invalid_argument _ -> true | _ -> false)
+  in
+  rejects "make: NaN lambda" (fun () -> Platform.make ~processors:1 ~lambda:nan ~bandwidth:1.);
+  rejects "make: NaN bandwidth" (fun () ->
+      Platform.make ~processors:1 ~lambda:0.1 ~bandwidth:nan);
+  rejects "heterogeneous: NaN rate" (fun () ->
+      Platform.make_heterogeneous ~rates:[| 0.1; nan |] ~bandwidth:1. ());
+  rejects "heterogeneous: NaN bandwidth" (fun () ->
+      Platform.make_heterogeneous ~rates:[| 0.1 |] ~bandwidth:nan ());
+  rejects "heterogeneous: NaN speed" (fun () ->
+      Platform.make_heterogeneous ~speeds:[| nan |] ~rates:[| 0.1 |] ~bandwidth:1. ());
+  rejects "heterogeneous: NaN price" (fun () ->
+      Platform.make_heterogeneous ~prices:[| nan |] ~rates:[| 0.1 |] ~bandwidth:1. ());
+  rejects "lambda_of_pfail: NaN pfail" (fun () ->
+      Platform.lambda_of_pfail ~pfail:nan ~mean_weight:1.);
+  rejects "lambda_of_pfail: NaN mean weight" (fun () ->
+      Platform.lambda_of_pfail ~pfail:0.01 ~mean_weight:nan);
+  List.iter
+    (fun (msg, ccr, total_data, total_weight) ->
+      rejects ("bandwidth_for_ccr: NaN " ^ msg) (fun () ->
+          Platform.bandwidth_for_ccr ~ccr ~total_data ~total_weight))
+    [ ("ccr", nan, 1., 1.); ("data", 1., nan, 1.); ("weight", 1., 1., nan) ]
+
 let test_io_time () =
   let p = Platform.make ~processors:4 ~lambda:0. ~bandwidth:100. in
   check_close "io" 2.5 (Platform.io_time p 250.)
@@ -124,4 +152,5 @@ let suite =
     Alcotest.test_case "failure-free trace" `Quick test_failure_free;
     Alcotest.test_case "failure rate" `Quick test_failure_rate;
     Alcotest.test_case "sibling traces differ" `Quick test_sibling_traces_differ;
+    Alcotest.test_case "NaN knobs rejected" `Quick test_nan_rejected;
   ]

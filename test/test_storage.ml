@@ -34,6 +34,14 @@ let test_validate () =
   Storage.validate
     { Storage.default with Storage.outage_rate = 0.1; outage_mean = 2.; replicas = 3 }
 
+let test_validate_nan () =
+  rejects "NaN commit_fail_prob" { Storage.default with Storage.commit_fail_prob = nan };
+  rejects "NaN corrupt_prob" { Storage.default with Storage.corrupt_prob = nan };
+  rejects "NaN storage_lambda" { Storage.default with Storage.storage_lambda = nan };
+  rejects "NaN outage_rate" { Storage.default with Storage.outage_rate = nan };
+  rejects "NaN outage_mean"
+    { Storage.default with Storage.outage_rate = 0.1; outage_mean = nan }
+
 let test_reliable () =
   Alcotest.(check bool) "default reliable" true (Storage.reliable Storage.default);
   Alcotest.(check bool) "replicas alone stays reliable" true
@@ -343,4 +351,5 @@ let suite =
     Alcotest.test_case "contention: faults cost time" `Quick test_contention_faults_cost;
     Alcotest.test_case "degrade: storage composition" `Quick test_degrade_storage;
     Alcotest.test_case "commit accounting" `Quick test_commit_accounting;
+    Alcotest.test_case "config: NaN rejected" `Quick test_validate_nan;
   ]

@@ -6,12 +6,11 @@ let run ?(policy = Linearize.Deterministic) (mspg : Mspg.t) ~processors =
   let dag = mspg.Mspg.dag in
   let superchains = ref [] in
   let next_id = ref 0 in
-  (* [tree]: the sub-M-SPG to run on [proc]; its serial cuts are the
-     completion's precedences inside the superchain *)
-  let on_one_processor tree proc =
-    let order =
-      Linearize.order ~cuts:(Mspg.serial_cuts tree) dag (Mspg.tree_tasks tree) policy
-    in
+  (* the completed cuts carry the precedences the DAG lacks; only a
+     cut inside one linearised sub-M-SPG has both sides there *)
+  let cuts = Mspg.completion mspg in
+  let on_one_processor tasks proc =
+    let order = Linearize.order ~cuts dag tasks policy in
     let sc = Superchain.make ~id:!next_id ~processor:proc ~order in
     incr next_id;
     superchains := sc :: !superchains
@@ -19,10 +18,11 @@ let run ?(policy = Linearize.Deterministic) (mspg : Mspg.t) ~processors =
   (* procs is a contiguous [first, first+count) processor window *)
   let rec allocate tree first count =
     let { Mspg.chain; branches; rest } = Mspg.decompose tree in
-    if chain <> [] then on_one_processor (Mspg.serial (List.map Mspg.leaf chain)) first;
+    if chain <> [] then on_one_processor chain first;
     (match branches with
     | [] -> ()
-    | _ when count = 1 -> on_one_processor (Mspg.parallel branches) first
+    | _ when count = 1 ->
+        on_one_processor (List.concat_map Mspg.tree_tasks branches) first
     | _ ->
         let assignments = Propmap.run dag branches count in
         let offset = ref 0 in

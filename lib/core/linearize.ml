@@ -7,22 +7,37 @@ let order ?(cuts = []) dag tasks policy =
   let n = Dag.n_tasks dag in
   let member = Array.make n false in
   List.iter (fun v -> member.(v) <- true) tasks;
-  (* the cuts' pairs the DAG lacks, inside the subset: [extra_succs]
-     sorted ascending, [extra_preds] counted *)
-  let extra_succs = Array.make n [] and extra_preds = Array.make n 0 in
-  let mark = Array.make n (-1) in
+  (* the cuts' pairs the DAG lacks, inside the subset: successors
+     sorted ascending, predecessors counted *)
+  let extra_succs = Hashtbl.create 8 and extra_preds = Hashtbl.create 8 in
+  let extra tbl v = Option.value ~default:[] (Hashtbl.find_opt tbl v) in
+  (* [a] minus [b], both ascending ([b] may repeat an id) *)
+  let rec minus a b =
+    match (a, b) with
+    | [], _ -> []
+    | _, [] -> a
+    | x :: a', y :: b' ->
+        if x < y then x :: minus a' b else if x = y then minus a' b else minus a b'
+  in
   List.iter
     (fun (sinks, sources) ->
-      let sources = List.sort Int.compare (List.filter (fun v -> member.(v)) sources) in
-      List.iter
-        (fun u ->
-          if member.(u) then begin
-            List.iter (fun v -> mark.(v) <- u) (Dag.succ_ids dag u);
-            let missing = List.filter (fun v -> mark.(v) <> u) sources in
-            List.iter (fun v -> extra_preds.(v) <- extra_preds.(v) + 1) missing;
-            extra_succs.(u) <- List.merge Int.compare missing extra_succs.(u)
-          end)
-        sinks)
+      match List.sort Int.compare (List.filter (fun v -> member.(v)) sources) with
+      | [] -> ()
+      | sources ->
+          List.iter
+            (fun u ->
+              if member.(u) then
+                match minus sources (Dag.succ_ids dag u) with
+                | [] -> ()
+                | missing ->
+                    List.iter
+                      (fun v ->
+                        Hashtbl.replace extra_preds v
+                          (1 + Option.value ~default:0 (Hashtbl.find_opt extra_preds v)))
+                      missing;
+                    Hashtbl.replace extra_succs u
+                      (List.merge Int.compare missing (extra extra_succs u)))
+            sinks)
     cuts;
   let internal_preds v = List.filter (fun u -> member.(u)) (Dag.pred_ids dag v) in
   (* ascending, as [Dag.succ_ids] lists a DAG holding the missing pairs
@@ -31,11 +46,14 @@ let order ?(cuts = []) dag tasks policy =
   let internal_succs v =
     List.merge Int.compare
       (List.filter (fun u -> member.(u)) (Dag.succ_ids dag v))
-      extra_succs.(v)
+      (extra extra_succs v)
   in
   let indeg = Hashtbl.create 64 in
   List.iter
-    (fun v -> Hashtbl.replace indeg v (List.length (internal_preds v) + extra_preds.(v)))
+    (fun v ->
+      Hashtbl.replace indeg v
+        (List.length (internal_preds v)
+        + Option.value ~default:0 (Hashtbl.find_opt extra_preds v)))
     tasks;
   let ready = ref (List.filter (fun v -> Hashtbl.find indeg v = 0) tasks) in
   let count = List.length tasks in

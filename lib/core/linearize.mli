@@ -24,9 +24,9 @@ val order :
   Ckpt_dag.Task.id array
 (** [order ?cuts dag tasks policy] topologically sorts [tasks] w.r.t.
     the edges of [dag] internal to the subset plus the pairs of [cuts]
-    (every task of a cut's first list precedes every task of its
-    second; default none): the serial cuts of the sub-M-SPGs being
-    linearised ({!Ckpt_mspg.Mspg.serial_cuts}), which imply a bipartite
+    internal to it (every task of a cut's first list precedes every
+    task of its second; default none) — the completed serial cuts of
+    the M-SPG ({!Ckpt_mspg.Mspg.completion}), which carry a bipartite
     completion's dummy dependencies. The order is the one over a copy
     of [dag] holding every missing cut pair as an edge, under every
     policy. Min_volume reads file sizes from [dag] alone: a dummy pair

@@ -8,8 +8,10 @@
     + the storage bandwidth realises the requested CCR (equivalent to
       the paper's file-size scaling);
     + the workflow is recognised as an M-SPG, dummy-completing
-      incomplete bipartite blocks if needed (CKPTSOME processes the
-      completed graph, the baselines the raw one);
+      incomplete bipartite blocks if needed. The completion stays
+      implicit in the M-SPG tree: CKPTSOME synchronises on the
+      completed graph through the tree's serial cuts, the baselines on
+      the raw edges, and every checkpoint cost reads the raw DAG;
     + Algorithm 1 schedules it; Algorithm 2 (or the ALL/NONE policy)
       places checkpoints; the selected estimator prices the plans. *)
 
@@ -19,8 +21,10 @@ module Mspg = Ckpt_mspg.Mspg
 
 type setup = private {
   raw : Dag.t;
-  mspg : Mspg.t;  (** completed workflow backing the schedule *)
-  dummy_edges : int;  (** 0 when the raw workflow is already an M-SPG *)
+  mspg : Mspg.t;  (** [raw] and its M-SPG tree, which implies the completion *)
+  dummy_edges : int;
+      (** dummy dependencies the tree implies beyond [raw]'s edges; 0
+          when the raw workflow is already an M-SPG *)
   platform : Platform.t;
   schedule : Schedule.t;
   pfail : float;

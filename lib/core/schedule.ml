@@ -5,6 +5,7 @@ module Mspg = Ckpt_mspg.Mspg
 type t = {
   dag : Dag.t;
   tree : Mspg.tree;
+  completion : (Task.id list * Task.id list) list;
   processors : int;
   superchains : Superchain.t array;
   chain_of_task : int array;
@@ -31,7 +32,8 @@ let make ~dag ~tree ~processors ~superchains =
     (fun task c ->
       if c < 0 then invalid_arg (Printf.sprintf "Schedule.make: task %d unscheduled" task))
     chain_of_task;
-  { dag; tree; processors; superchains; chain_of_task }
+  let completion = Mspg.completion { Mspg.dag; tree } in
+  { dag; tree; completion; processors; superchains; chain_of_task }
 
 let superchain_of_task t task = t.superchains.(t.chain_of_task.(task))
 
@@ -48,14 +50,14 @@ let macro_edges t =
   for u = 0 to Dag.n_tasks t.dag - 1 do
     List.iter (fun v -> add chain_of.(u) chain_of.(v)) (Dag.succ_ids t.dag u)
   done;
-  (* a cut orders every chain holding one of its sinks before every
-     chain holding one of its sources *)
+  (* a completed cut orders every chain holding one of its sinks before
+     every chain holding one of its sources *)
   let chains tasks = List.sort_uniq Int.compare (List.map (fun v -> chain_of.(v)) tasks) in
   List.iter
     (fun (sinks, sources) ->
       let to_ = chains sources in
       List.iter (fun cu -> List.iter (add cu) to_) (chains sinks))
-    (Mspg.serial_cuts t.tree);
+    t.completion;
   !acc
 
 let chains_of_processor t proc =
@@ -87,8 +89,8 @@ let check t =
             (Dag.succ_ids t.dag task))
         sc.Superchain.order)
     t.superchains;
-  (* so must a cut's pairs: within each superchain, its last sink runs
-     before its first source *)
+  (* so must a completed cut's pairs: within each superchain, its last
+     sink runs before its first source *)
   List.iter
     (fun (sinks, sources) ->
       let last = Hashtbl.create 8 in
@@ -107,7 +109,7 @@ let check t =
           | Some (k, u) when Superchain.position sc v <= k -> backward u v sc.Superchain.id
           | _ -> ())
         sources)
-    (Mspg.serial_cuts t.tree);
+    t.completion;
   match !violation with
   | Some msg -> Error msg
   | None ->

@@ -5,8 +5,10 @@
     side. Its precedences are the DAG's edges plus the pairs of the
     tree's serial cuts ({!Ckpt_mspg.Mspg.serial_cuts}): for a workflow
     made an M-SPG by bipartite completion, the cuts carry the dummy
-    dependencies that the DAG does not hold. {!macro_edges} and
-    {!check} read both. *)
+    dependencies that the DAG does not hold. The cuts with such pairs
+    are derived once, as [completion], so that a strict workflow pays
+    nothing for them; {!macro_edges}, {!check} and every
+    CKPTSOME-family plan read them. *)
 
 module Dag = Ckpt_dag.Dag
 module Task = Ckpt_dag.Task
@@ -15,6 +17,8 @@ module Mspg = Ckpt_mspg.Mspg
 type t = private {
   dag : Dag.t;  (** the raw workflow *)
   tree : Mspg.tree;  (** its decomposition; the completion lives in the serial cuts *)
+  completion : (Task.id list * Task.id list) list;
+      (** {!Ckpt_mspg.Mspg.completion}: the cuts whose pairs [dag] lacks *)
   processors : int;
   superchains : Superchain.t array;  (** indexed by superchain id, in creation (temporal) order *)
   chain_of_task : int array;  (** task id -> superchain id *)
@@ -29,7 +33,7 @@ val superchain_of_task : t -> Task.id -> Superchain.t
 
 val macro_edges : t -> (int * int) list
 (** Distinct superchain dependencies [(i, j)], [i <> j], induced by the
-    DAG's edges and the tree's serial cuts, in no particular order.
+    DAG's edges and the completed cuts, in no particular order.
     Always acyclic for schedules built by ALLOCATE. *)
 
 val chains_of_processor : t -> int -> Superchain.t list

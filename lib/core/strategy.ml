@@ -2,7 +2,6 @@ module Dag = Ckpt_dag.Dag
 module Platform = Ckpt_platform.Platform
 module Prob_dag = Ckpt_eval.Prob_dag
 module Evaluator = Ckpt_eval.Evaluator
-module Mspg = Ckpt_mspg.Mspg
 
 type kind =
   | Ckpt_all
@@ -67,15 +66,15 @@ let parallel_time ~raw ~schedule ~platform =
   Prob_dag.deterministic_makespan pd
 
 (* Coalesce checkpointed segments into a 2-state DAG. The
-   cross-superchain synchronisations are [raw]'s edges plus, when
-   [completed], the pairs of the schedule tree's serial cuts: the
-   completed graph, which CKPTSOME synchronises on, where the baselines
+   cross-superchain synchronisations are [raw]'s edges plus the pairs
+   of [cuts]: the schedule's completed cuts give the completed graph,
+   which CKPTSOME synchronises on, where the baselines pass none and
    keep the raw one. A cut (X, Y) with |X|·|Y| > |X|+|Y| whose two
    sides share no superchain synchronises through one join node
    instead of |X|·|Y| edges; the expanded graph is the same either
    way. A cut inside a superchain never gets a join: its segment would
    reach itself through the join. *)
-let build_prob_dag ~raw ~completed ~schedule ~platform ~segments ~segment_of_task =
+let build_prob_dag ~raw ~cuts ~schedule ~platform ~segments ~segment_of_task =
   let pd = Prob_dag.create () in
   Array.iter
     (fun (seg : Placement.segment) ->
@@ -111,21 +110,19 @@ let build_prob_dag ~raw ~completed ~schedule ~platform ~segments ~segment_of_tas
      are skipped below *)
   let n = Dag.n_tasks raw in
   let sink_join = Array.make n (-1) and source_join = Array.make n (-1) in
-  if completed then begin
-    let stamp = Array.make (Array.length schedule.Schedule.superchains) (-1) in
-    List.iteri
-      (fun c (sinks, sources) ->
-        let nx = List.length sinks and ny = List.length sources in
-        List.iter (fun u -> stamp.(chain_of.(u)) <- c) sinks;
-        if nx * ny > nx + ny && not (List.exists (fun v -> stamp.(chain_of.(v)) = c) sources)
-        then begin
-          List.iter (fun u -> sink_join.(u) <- c) sinks;
-          List.iter (fun v -> source_join.(v) <- c) sources;
-          Prob_dag.add_join pd (List.map seg sinks) (List.map seg sources)
-        end
-        else List.iter (fun u -> List.iter (cross u) sources) sinks)
-      (Mspg.serial_cuts schedule.Schedule.tree)
-  end;
+  let stamp = Array.make (Array.length schedule.Schedule.superchains) (-1) in
+  List.iteri
+    (fun c (sinks, sources) ->
+      let nx = List.length sinks and ny = List.length sources in
+      List.iter (fun u -> stamp.(chain_of.(u)) <- c) sinks;
+      if nx * ny > nx + ny && not (List.exists (fun v -> stamp.(chain_of.(v)) = c) sources)
+      then begin
+        List.iter (fun u -> sink_join.(u) <- c) sinks;
+        List.iter (fun v -> source_join.(v) <- c) sources;
+        Prob_dag.add_join pd (List.map seg sinks) (List.map seg sources)
+      end
+      else List.iter (fun u -> List.iter (cross u) sources) sinks)
+    cuts;
   (* data dependencies across superchains *)
   for u = 0 to n - 1 do
     List.iter
@@ -162,14 +159,15 @@ let plan_of_positions ?(jobs = 1) ?(replicas = 1) ~kind ~raw ~schedule ~platform
         segment_of_task.(Superchain.task_at sc k) <- idx
       done)
     segments;
-  let completed =
+  let cuts =
     (* superchain-structured strategies rely on the completed graph's
        synchronisations; CKPTALL is a baseline on the raw workflow *)
     match kind with
-    | Ckpt_some | Ckpt_every _ | Ckpt_budget _ | Ckpt_restart | Ckpt_hybrid _ -> true
-    | Ckpt_all | Ckpt_none -> false
+    | Ckpt_some | Ckpt_every _ | Ckpt_budget _ | Ckpt_restart | Ckpt_hybrid _ ->
+        schedule.Schedule.completion
+    | Ckpt_all | Ckpt_none -> []
   in
-  let pd = build_prob_dag ~raw ~completed ~schedule ~platform ~segments ~segment_of_task in
+  let pd = build_prob_dag ~raw ~cuts ~schedule ~platform ~segments ~segment_of_task in
   {
     kind;
     schedule;

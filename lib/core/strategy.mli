@@ -16,7 +16,10 @@
     strategies are evaluated against the {e raw} workflow edges
     (completion dummies synchronise CKPTSOME only — paper footnote 2),
     while both inherit the physical serialisation of tasks on their
-    processor. *)
+    processor. CKPTSOME-family plans read the dummies from the
+    schedule tree's serial cuts; a large cut whose sides share no
+    superchain synchronises through one join node
+    ({!Ckpt_eval.Prob_dag.add_join}) instead of a pair per dummy. *)
 
 module Dag = Ckpt_dag.Dag
 module Platform = Ckpt_platform.Platform
@@ -68,12 +71,12 @@ val plan :
   platform:Platform.t ->
   plan
 (** [schedule] must schedule a DAG whose task set matches [raw] task
-    for task (the dummy-completed copy, or [raw] itself). Checkpoint
-    costs — the Algorithm-2 tables and every segment's R, W and C —
-    read [raw]'s files, so the scheduled DAG may add only zero-size
-    synchronisation edges to it: those carry no data (paper footnote
-    2) and change no cost, bitwise, while CKPTSOME-family plans still
-    synchronise on them in the 2-state DAG. [jobs]
+    for task ([raw] itself, as {!Pipeline} and {!Allocate} build it).
+    Checkpoint costs — the Algorithm-2 tables and every segment's R, W
+    and C — read [raw]'s files. The completion's dummy dependencies
+    come from the schedule's tree ({!Schedule.t}): they carry no data
+    (paper footnote 2) and change no cost, while CKPTSOME-family plans
+    still synchronise on them in the 2-state DAG. [jobs]
     (default 1) fans the independent per-superchain placement DPs over
     the resident {!Ckpt_parallel.Pool.shared} pool; the width is
     clamped to the core count and falls back to the sequential

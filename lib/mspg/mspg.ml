@@ -102,6 +102,41 @@ let implied_edges tree =
       List.concat_map (fun s -> List.map (fun d -> (s, d)) sources) sinks)
     (serial_cuts tree)
 
+(* With every task in the tree once, a task is a sink in at most one
+   cut and a source in at most one, so a pair (u, v) is implied iff
+   its two cut indices agree. [present.(c)] counts the distinct DAG
+   edges of cut [c]; [extra] lists the DAG edges no cut implies. *)
+let cut_edges dag cuts =
+  let n = Dag.n_tasks dag in
+  let sink_cut = Array.make n (-1) and source_cut = Array.make n (-1) in
+  List.iteri
+    (fun c (sinks, sources) ->
+      List.iter (fun u -> sink_cut.(u) <- c) sinks;
+      List.iter (fun v -> source_cut.(v) <- c) sources)
+    cuts;
+  let present = Array.make (List.length cuts) 0 and extra = ref [] in
+  for u = 0 to n - 1 do
+    (* [succ_ids] is sorted: skip parallel file edges *)
+    let rec scan prev = function
+      | [] -> ()
+      | v :: tl when v = prev -> scan prev tl
+      | v :: tl ->
+          let c = sink_cut.(u) in
+          if c >= 0 && c = source_cut.(v) then present.(c) <- present.(c) + 1
+          else extra := (u, v) :: !extra;
+          scan v tl
+    in
+    scan (-1) (Dag.succ_ids dag u)
+  done;
+  (present, List.rev !extra)
+
+let pairs (sinks, sources) = List.length sinks * List.length sources
+
+let completion { dag; tree } =
+  let cuts = serial_cuts tree in
+  let present, _ = cut_edges dag cuts in
+  List.filteri (fun c cut -> present.(c) < pairs cut) cuts
+
 let validate { dag; tree } =
   let ids = tree_tasks tree in
   let n = Dag.n_tasks dag in
@@ -123,42 +158,17 @@ let validate { dag; tree } =
         seen);
   match !ok with
   | Error e -> Error e
-  | Ok () ->
-      (* with every task in the tree once, each task is a sink of at
-         most one cut's left side and a source of at most one cut's
-         right side, and an implied pair (u, v) is one whose two cut
-         indices agree *)
+  | Ok () -> (
       let cuts = serial_cuts tree in
-      let sink_cut = Array.make n (-1) and source_cut = Array.make n (-1) in
-      List.iteri
-        (fun c (sinks, sources) ->
-          List.iter (fun u -> sink_cut.(u) <- c) sinks;
-          List.iter (fun v -> source_cut.(v) <- c) sources)
-        cuts;
-      let implied =
-        List.fold_left
-          (fun acc (sinks, sources) -> acc + (List.length sinks * List.length sources))
-          0 cuts
-      in
-      let present = ref 0 and extra = ref [] in
-      for u = 0 to n - 1 do
-        (* [succ_ids] is sorted: skip parallel file edges *)
-        let rec scan prev = function
-          | [] -> ()
-          | v :: tl when v = prev -> scan prev tl
-          | v :: tl ->
-              if sink_cut.(u) >= 0 && sink_cut.(u) = source_cut.(v) then incr present
-              else extra := (u, v) :: !extra;
-              scan v tl
-        in
-        scan (-1) (Dag.succ_ids dag u)
-      done;
-      if !extra = [] then Ok (implied - !present)
-      else
-        let show (u, v) = Printf.sprintf "%d->%d" u v in
-        Error
-          (Printf.sprintf "edge mismatch: the tree does not imply [%s]"
-             (String.concat "," (List.rev_map show !extra)))
+      match cut_edges dag cuts with
+      | present, [] ->
+          let implied = List.fold_left (fun acc cut -> acc + pairs cut) 0 cuts in
+          Ok (implied - Array.fold_left ( + ) 0 present)
+      | _, extra ->
+          let show (u, v) = Printf.sprintf "%d->%d" u v in
+          Error
+            (Printf.sprintf "edge mismatch: the tree does not imply [%s]"
+               (String.concat "," (List.map show extra))))
 
 type blueprint =
   | Btask of string * float

@@ -84,6 +84,13 @@ val implied_edges : tree -> (Task.id * Task.id) list
 (** The exact edge set the M-SPG definition induces for this tree: the
     products of its {!serial_cuts}, each pair once. *)
 
+val completion : t -> (Task.id list * Task.id list) list
+(** The {!serial_cuts} whose pairs the DAG does not all hold as edges:
+    empty for a strict M-SPG; after a bipartite completion, the cuts
+    carrying its dummy dependencies (their pairs minus the DAG's
+    edges). Every other cut's pairs are DAG edges. The tree must hold
+    each DAG task once (as {!validate} checks). *)
+
 val validate : t -> (int, string) result
 (** Checks that the tree contains every DAG task exactly once and that
     every DAG edge is one of {!implied_edges}. Returns how many implied

@@ -19,9 +19,7 @@ exception Reject of string
    Bipartite completion inserts no edges: the tree records each
    completed cut as a serial composition, which implies every pair
    (see [Mspg.serial_cuts]), and recognition only counts the pairs the
-   DAG lacks. A dummy pair always crosses the cut being completed and
-   the recursion descends into the two sides separately, so it could
-   never have been reached by a later neighbourhood scan anyway. *)
+   DAG lacks. *)
 
 type ctx = {
   csr : Csr.t;

@@ -3,7 +3,7 @@
    the makespan distribution, the analytic and simulated makespans, and
    the superchain orders ALLOCATE produces under each linearisation
    policy. MONTAGE needs bipartite completion at every size; LIGO
-   completes one small cut. Floats are rendered with [%h], so a change
+   completes one or two small cuts. Floats are rendered with [%h], so a change
    in any bit, in the order of float operations or in the randomness
    consumed changes a digest. The digests were recorded while the
    completion was still materialised as zero-size edges in a copy of
@@ -157,6 +157,22 @@ let test_orders () =
          order_digests "side-by-side" (Completion_fixture.side_by_side ()) [ 1; 2 ];
        ])
 
+(* LIGO n=1000 completes cuts of 2x82 and 3x123 tasks that land inside
+   one superchain at p = 1 and 2, so linearisation must order their
+   missing pairs there; recorded, like the digests above, with the
+   completion materialised *)
+let test_orders_in_superchain_cuts () =
+  check_digests "superchain orders, in-superchain cuts"
+    [
+      ("LIGO n=1000 p=1 deterministic", "d11dcb1d08be98fac892b373f6576d06");
+      ("LIGO n=1000 p=1 random", "0fbf013112ed99497d995c7411be2ed0");
+      ("LIGO n=1000 p=1 min-volume", "1dc7bbd3ecec183c7aaf94c4af73cb43");
+      ("LIGO n=1000 p=2 deterministic", "95fbd51c755ec63f630e524ffd9f4c1a");
+      ("LIGO n=1000 p=2 random", "286dc6379c1f38eed4a6365e3092b5f0");
+      ("LIGO n=1000 p=2 min-volume", "7b073b23f330caa9ae5fa5b7b2b8842b");
+    ]
+    (order_digests "LIGO n=1000" (Spec.generate Spec.Ligo ~seed:1 ~tasks:1000 ()) [ 1; 2 ])
+
 let suite =
   [
     Alcotest.test_case "estimators on MONTAGE n=50 p=1" `Quick
@@ -174,4 +190,6 @@ let suite =
     Alcotest.test_case "MONTAGE n=50 p=4 distribution, analytic, runner" `Quick
       test_montage50_p4_plan;
     Alcotest.test_case "superchain orders under every policy" `Quick test_orders;
+    Alcotest.test_case "superchain orders with in-superchain cuts" `Quick
+      test_orders_in_superchain_cuts;
   ]

@@ -340,6 +340,8 @@ let test_completed_prob_dags () =
       (Spec.Montage, 300, 2);
       (Spec.Ligo, 300, 18);
       (Spec.Ligo, 300, 5);
+      (* two completed cuts inside one superchain: direct edges only *)
+      (Spec.Ligo, 1000, 1);
     ];
   (* the join path is the one under test: MONTAGE's large cut takes it *)
   Alcotest.(check bool) "some plan synchronises through a join" true (!joined > 0)

@@ -37,5 +37,5 @@ let () =
       ("analytic", Test_analytic.suite);
       ("sim-golden", Test_sim_golden.suite);
       ("engine-oracle", Test_engine_oracle.suite);
-      ("completion-digests", Test_completion_digests.suite);
+      ("completion", Test_completion_digests.suite);
     ]

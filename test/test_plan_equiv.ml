@@ -408,6 +408,60 @@ let test_macro_edges_materialised () =
         (List.sort compare (Schedule.macro_edges schedule)))
     [ (50, 1); (50, 4); (300, 18); (300, 2) ]
 
+(* --- long chains whose cost tables pass the Monge guard ------------- *)
+
+(* Seed-1 cells where some superchain of at least
+   [Toueg.monotone_cutoff] tasks has a Monge cost table: small p, where
+   superchains grow long. On every superchain the planner's Algorithm 2
+   must return the reference DP's bits and positions, with and without
+   a checkpoint budget *)
+let long_chain_cells =
+  [
+    (Spec.Genome, 300, 1e-4, 1e-4);
+    (Spec.Montage, 1000, 1e-3, 1e-3);
+    (Spec.Montage, 1000, 1e-3, 1.);
+  ]
+
+let test_long_monge_chains () =
+  List.iter
+    (fun (wf, tasks, pfail, ccr) ->
+      let dag = Spec.generate wf ~seed:1 ~tasks () in
+      List.iter
+        (fun processors ->
+          let setup = Pipeline.prepare ~dag ~processors ~pfail ~ccr () in
+          let raw = setup.Pipeline.raw and platform = setup.Pipeline.platform in
+          let cell =
+            Printf.sprintf "%s n=%d p=%d pfail=%g ccr=%g" (Spec.name wf) tasks processors pfail
+              ccr
+          in
+          let monge = ref 0 in
+          Array.iter
+            (fun (sc : Ckpt_core.Superchain.t) ->
+              let n = Ckpt_core.Superchain.n_tasks sc in
+              let tri = pack_table (Placement.cost_matrix platform raw sc) n in
+              if n >= Toueg.monotone_cutoff && Toueg.tri_is_monge ~n ~tri then incr monge;
+              let check label (ref_v, ref_p) (v, p) =
+                let name = Printf.sprintf "%s chain %d %s" cell sc.Ckpt_core.Superchain.id label in
+                Alcotest.(check int64) (name ^ ": value bits") (bits ref_v) (bits v);
+                Alcotest.(check (list int)) (name ^ ": positions") ref_p p
+              in
+              check "unbudgeted"
+                (Placement.reference_optimal_positions platform raw sc)
+                (Placement.optimal_positions platform raw sc);
+              List.iter
+                (fun budget ->
+                  check
+                    (Printf.sprintf "budget %d" budget)
+                    (Placement.reference_optimal_positions_budget platform raw sc ~budget)
+                    (Placement.optimal_positions_budget platform raw sc ~budget))
+                [ 2; 5; 10 ])
+            setup.Pipeline.schedule.Schedule.superchains;
+          if !monge = 0 then
+            Alcotest.failf "%s: no Monge cost table on a chain of >= %d tasks" cell
+              Toueg.monotone_cutoff)
+        [ 1; 2 ])
+    long_chain_cells
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_solve_packed_matches_reference;
@@ -428,4 +482,6 @@ let suite =
       test_in_superchain_cuts;
     Alcotest.test_case "macro edges = the materialised completion's" `Quick
       test_macro_edges_materialised;
+    Alcotest.test_case "long Monge-table chains = reference DPs (bitwise)" `Quick
+      test_long_monge_chains;
   ]

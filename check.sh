@@ -72,6 +72,23 @@ cloud -w montage -n 300 -p 18 --trials 20
 EOF
 diff -u test/completed_golden.txt "$TMP/completed_golden.txt"
 
+echo "== long superchains: printed output matches the golden =="
+# small p gives superchains of hundreds of tasks, whose cost tables
+# are often Monge: the stdout of sweeps and budgeted quantiles over
+# them is pinned byte for byte in test/long_chain_golden.txt
+while read -r args; do
+    echo "\$ ckptwf $args"
+    $CKPTWF $args 2> /dev/null
+done > "$TMP/long_chain_golden.txt" <<'EOF'
+sweep --csv -w genome -n 300 -p 1 --pfail 0.001
+sweep --csv -w genome -n 300 -p 2 --pfail 0.0001
+sweep --csv -w montage -n 1000 -p 1 --pfail 0.0001
+sweep --csv -w montage -n 1000 -p 2 --pfail 0.001
+quantiles -w montage -n 1000 -p 2 --strategy budget-5 --trials 200
+quantiles -w genome -n 300 -p 1 --ccr 0.001 --strategy budget-10 --trials 200
+EOF
+diff -u test/long_chain_golden.txt "$TMP/long_chain_golden.txt"
+
 echo "== journal keys tell apart knob values that agree to six digits =="
 # a resume at a nearby pfail (sweep) or ccr (degrade) must recompute,
 # not replay the rows journaled for the other value

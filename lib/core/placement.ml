@@ -227,25 +227,15 @@ let cost_matrix ?(replicas = 1) platform dag sc =
       done;
       row)
 
-let reference_optimal_positions ?replicas platform dag sc =
-  let n = Superchain.n_tasks sc in
-  let matrix = cost_matrix ?replicas platform dag sc in
-  Toueg.reference_solve ~n ~cost:(fun i j -> matrix.(j).(i))
-
 let optimal_positions ?arena:a ?replicas platform dag sc =
   let a = match a with Some a -> a | None -> arena dag in
   let n = fill_cost_tri ?replicas a platform dag sc in
-  Toueg.solve_packed_auto ~n ~tri:a.tri ~etime:a.etime ~last_ckpt:a.last_ckpt
-
-let reference_optimal_positions_budget ?replicas platform dag sc ~budget =
-  let n = Superchain.n_tasks sc in
-  let matrix = cost_matrix ?replicas platform dag sc in
-  Toueg.reference_solve_budget ~n ~cost:(fun i j -> matrix.(j).(i)) ~budget
+  Toueg.solve_packed ~n ~tri:a.tri ~etime:a.etime ~last_ckpt:a.last_ckpt
 
 let optimal_positions_budget ?arena:a ?replicas platform dag sc ~budget =
   let a = match a with Some a -> a | None -> arena dag in
   let n = fill_cost_tri ?replicas a platform dag sc in
-  Toueg.solve_budget_packed_auto ~n ~tri:a.tri ~budget
+  Toueg.solve_budget_packed ~n ~tri:a.tri ~budget
 
 let periodic_positions sc ~period =
   if period < 1 then invalid_arg "Placement.periodic_positions: period < 1";

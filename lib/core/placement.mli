@@ -58,8 +58,10 @@ val segment_of :
 val cost_matrix : ?replicas:int -> Platform.t -> Dag.t -> Superchain.t -> float array array
 (** [m.(j).(i)], for [i <= j], is the expected time of segment [i..j]
     — computed in O(n * sum of degrees) by a descending-[i] sweep per
-    [j]. Reference implementation; the planning hot path fills a
-    packed triangular array through an {!arena} instead. *)
+    [j]. Reference implementation, read by the test suite's reference
+    Algorithm 2 and by perfbench; the planning hot path fills a packed
+    triangular array through an {!arena} instead, with the same float
+    operations in the same order. *)
 
 type arena
 (** Preallocated planning scratch (packed cost table, DP arrays,
@@ -74,18 +76,11 @@ val arena : Dag.t -> arena
 val optimal_positions :
   ?arena:arena -> ?replicas:int -> Platform.t -> Dag.t -> Superchain.t -> float * int list
 (** Algorithm 2: optimal expected superchain time and the sorted
-    checkpoint positions (the last position always included). Runs
-    {!Toueg.solve_packed_auto}: bitwise-identical to
-    {!reference_optimal_positions} below {!Toueg.monotone_cutoff} or
-    when the cost table is not Monge, cost-optimal via the
-    divide-and-conquer path otherwise. Passing [?arena] (built from
-    the same DAG) reuses scratch across calls. *)
-
-val reference_optimal_positions :
-  ?replicas:int -> Platform.t -> Dag.t -> Superchain.t -> float * int list
-(** The pinned list/Hashtbl reference path ({!cost_matrix} +
-    {!Toueg.reference_solve}) the equivalence tests compare
-    {!optimal_positions} against. *)
+    checkpoint positions (the last position always included). Fills
+    the packed cost table and runs {!Toueg.solve_packed} over it. On
+    every input the result is bit for bit the one the test suite's
+    reference gets from {!cost_matrix} and a closure-cost DP. Passing
+    [?arena] (built from the same DAG) reuses scratch across calls. *)
 
 val optimal_positions_budget :
   ?arena:arena ->
@@ -96,11 +91,9 @@ val optimal_positions_budget :
   budget:int ->
   float * int list
 (** Budget-constrained Algorithm 2 (extension): at most [budget]
-    checkpoints in this superchain, the forced final one included. *)
-
-val reference_optimal_positions_budget :
-  ?replicas:int -> Platform.t -> Dag.t -> Superchain.t -> budget:int -> float * int list
-(** The pinned reference path for {!optimal_positions_budget}. *)
+    checkpoints in this superchain, the forced final one included.
+    Runs {!Toueg.solve_budget_packed}; bit for bit the test suite's
+    reference, like {!optimal_positions}. *)
 
 val periodic_positions : Superchain.t -> period:int -> int list
 (** Checkpoint after every [period]-th task plus the mandatory final

@@ -1,62 +1,3 @@
-(* Reference implementations first: these are the pinned closure-cost
-   originals the QCheck equivalence suite checks the packed rewrites
-   against. The packed variants below perform the same float
-   comparisons in the same order, so they return bitwise-identical
-   values and identical checkpoint sets. *)
-
-let reference_solve ~n ~cost =
-  if n < 1 then invalid_arg "Toueg.solve: n < 1";
-  let etime = Array.make n infinity in
-  let last_ckpt = Array.make n (-1) in
-  for j = 0 to n - 1 do
-    etime.(j) <- cost 0 j;
-    last_ckpt.(j) <- -1;
-    for i = 0 to j - 1 do
-      let candidate = etime.(i) +. cost (i + 1) j in
-      if candidate < etime.(j) then begin
-        etime.(j) <- candidate;
-        last_ckpt.(j) <- i
-      end
-    done
-  done;
-  let rec backtrack j acc = if j < 0 then acc else backtrack last_ckpt.(j) (j :: acc) in
-  (etime.(n - 1), backtrack (n - 1) [])
-
-let solve = reference_solve
-
-let reference_solve_budget ~n ~cost ~budget =
-  if n < 1 then invalid_arg "Toueg.solve_budget: n < 1";
-  if budget < 1 then invalid_arg "Toueg.solve_budget: budget < 1";
-  let budget = min budget n in
-  (* etime.(b).(j): optimal time for tasks 0..j ending in a checkpoint
-     after j, using at most b+1 checkpoints in total *)
-  let etime = Array.make_matrix budget n infinity in
-  let last_ckpt = Array.make_matrix budget n (-1) in
-  for b = 0 to budget - 1 do
-    for j = 0 to n - 1 do
-      etime.(b).(j) <- cost 0 j;
-      last_ckpt.(b).(j) <- -1;
-      if b > 0 then
-        for i = 0 to j - 1 do
-          let candidate = etime.(b - 1).(i) +. cost (i + 1) j in
-          if candidate < etime.(b).(j) then begin
-            etime.(b).(j) <- candidate;
-            last_ckpt.(b).(j) <- i
-          end
-        done
-    done
-  done;
-  let rec backtrack b j acc =
-    if j < 0 then acc
-    else begin
-      let i = last_ckpt.(b).(j) in
-      backtrack (max 0 (b - 1)) i (j :: acc)
-    end
-  in
-  (etime.(budget - 1).(n - 1), backtrack (budget - 1) (n - 1) [])
-
-let solve_budget = reference_solve_budget
-
 (* Packed lower-triangular cost layout: the cost of segment [i..j]
    (inclusive, i <= j) lives at [tri.(j * (j + 1) / 2 + i)]. *)
 let tri_size n = n * (n + 1) / 2
@@ -87,7 +28,8 @@ let solve_budget_packed ~n ~tri ~budget =
   if Array.length tri < tri_size n then
     invalid_arg "Toueg.solve_budget_packed: tri too short";
   let budget = min budget n in
-  (* flat budget-major layout: slot (b, j) at b*n + j *)
+  (* slot (b, j), at b*n + j: optimal time for tasks 0..j ending in a
+     checkpoint after j, using at most b+1 checkpoints in total *)
   let etime = Array.make (budget * n) infinity in
   let last_ckpt = Array.make (budget * n) (-1) in
   for b = 0 to budget - 1 do
@@ -115,27 +57,10 @@ let solve_budget_packed ~n ~tri ~budget =
   in
   (etime.(((budget - 1) * n) + n - 1), backtrack (budget - 1) (n - 1) [])
 
-(* --- monotone (Knuth/Monge) speedup ------------------------------- *)
-
-(* The DP minimises, for each row j, over columns c in [0..j] of the
-   candidate matrix  M[j][c] = D[c] + B[c][j]  where
-   B[c][j] = tri.(j*(j+1)/2 + c) is the cost of segment [c..j] and
-   D[0] = 0, D[c] = ETime(c-1) (column c = decision i+1 of the packed
-   scan; c = 0 is the no-prior-checkpoint base). D is column-additive,
-   so M inherits the Monge / quadrangle-inequality condition
-
-     B[c][j] + B[c+1][j+1] <= B[c+1][j] + B[c][j+1]
-
-   from B alone, and Monge implies the leftmost row argmin is
-   nondecreasing in j. Checking all adjacent 2x2 squares implies the
-   full inequality on the triangular domain c <= j by telescoping
-   (every intermediate square stays inside the domain). Segment-cost
-   tables of the first-order model are Monge whenever the per-task
-   read/write overheads do not invert the super-additivity of
-   [first_order] — true for the homogeneous R/W/C of the paper's
-   platforms, violated only by adversarial per-task overrides, hence
-   the runtime guard. *)
-
+(* Whether every adjacent 2x2 square of the triangular domain satisfies
+   the quadrangle inequality
+     tri(c,j) + tri(c+1,j+1) <= tri(c+1,j) + tri(c,j+1),
+   with early exit on the first violation. *)
 let tri_is_monge ~n ~tri =
   let ok = ref true in
   let j = ref 1 in
@@ -152,188 +77,6 @@ let tri_is_monge ~n ~tri =
   done;
   !ok
 
-(* Below this size the packed O(n^2) scan wins on constants, and every
-   plan stays bitwise identical to the pre-monotone code path. *)
 let monotone_cutoff = 128
 
-let solve_packed_monotone ~n ~tri ~etime ~last_ckpt =
-  if n < 1 then invalid_arg "Toueg.solve_packed_monotone: n < 1";
-  if Array.length tri < tri_size n then
-    invalid_arg "Toueg.solve_packed_monotone: tri too short";
-  if Array.length etime < n || Array.length last_ckpt < n then
-    invalid_arg "Toueg.solve_packed_monotone: scratch too short";
-  Array.fill etime 0 n infinity;
-  Array.fill last_ckpt 0 n (-1);
-  let dval c = if c = 0 then 0. else etime.(c - 1) in
-  (* Fold columns [clo..chi] (all already-final decisions) into rows
-     [rlo..rhi] by divide and conquer on rows: the leftmost argmin of
-     the mid row splits the column range for the rows on either side
-     (valid because the restricted matrix stays Monge). *)
-  let rec fold rlo rhi clo chi =
-    if rlo <= rhi then begin
-      let rm = (rlo + rhi) / 2 in
-      let row = rm * (rm + 1) / 2 in
-      let rbest = ref infinity and rbestc = ref clo in
-      for c = clo to chi do
-        let cand = dval c +. tri.(row + c) in
-        if cand < !rbest then begin
-          rbest := cand;
-          rbestc := c
-        end
-      done;
-      if !rbest < etime.(rm) then begin
-        etime.(rm) <- !rbest;
-        last_ckpt.(rm) <- !rbestc - 1
-      end;
-      fold rlo (rm - 1) clo !rbestc;
-      fold (rm + 1) rhi !rbestc chi
-    end
-  in
-  (* CDQ online-to-offline: finish rows [lo..mid], fold their columns
-     into rows [mid+1..hi], recurse right. Rows enter [go lo hi] with
-     columns [0..lo-1] already folded in. O(n log^2 n). *)
-  let rec go lo hi =
-    if lo = hi then begin
-      let row = lo * (lo + 1) / 2 in
-      let cand = dval lo +. tri.(row + lo) in
-      if cand < etime.(lo) then begin
-        etime.(lo) <- cand;
-        last_ckpt.(lo) <- lo - 1
-      end
-    end
-    else begin
-      let mid = (lo + hi) / 2 in
-      go lo mid;
-      fold (mid + 1) hi lo mid;
-      go (mid + 1) hi
-    end
-  in
-  go 0 (n - 1);
-  let rec backtrack j acc = if j < 0 then acc else backtrack last_ckpt.(j) (j :: acc) in
-  (etime.(n - 1), backtrack (n - 1) [])
-
-let solve_budget_packed_monotone ~n ~tri ~budget =
-  if n < 1 then invalid_arg "Toueg.solve_budget_packed_monotone: n < 1";
-  if budget < 1 then invalid_arg "Toueg.solve_budget_packed_monotone: budget < 1";
-  if Array.length tri < tri_size n then
-    invalid_arg "Toueg.solve_budget_packed_monotone: tri too short";
-  let budget = min budget n in
-  let etime = Array.make (budget * n) infinity in
-  let last_ckpt = Array.make (budget * n) (-1) in
-  (* Layer b depends only on layer b-1, so each layer is one fully
-     offline row-minima problem over the staircase c <= j (columns
-     beyond a row's diagonal are +inf, which keeps the padded matrix
-     Monge). Column c = decision i+1 as in [solve_budget_packed]; the
-     c = 0 base seeds every row before the fold, so ties keep it. *)
-  for b = 0 to budget - 1 do
-    let brow = b * n in
-    for j = 0 to n - 1 do
-      etime.(brow + j) <- tri.(j * (j + 1) / 2)
-    done;
-    if b > 0 then begin
-      let prow = brow - n in
-      let rec fold rlo rhi clo chi =
-        if rlo <= rhi then begin
-          let rm = (rlo + rhi) / 2 in
-          let hi_c = min chi rm in
-          if hi_c < clo then fold (rm + 1) rhi clo chi
-          else begin
-            let row = rm * (rm + 1) / 2 in
-            let rbest = ref infinity and rbestc = ref clo in
-            for c = clo to hi_c do
-              let cand = etime.(prow + c - 1) +. tri.(row + c) in
-              if cand < !rbest then begin
-                rbest := cand;
-                rbestc := c
-              end
-            done;
-            if !rbest < etime.(brow + rm) then begin
-              etime.(brow + rm) <- !rbest;
-              last_ckpt.(brow + rm) <- !rbestc - 1
-            end;
-            fold rlo (rm - 1) clo !rbestc;
-            fold (rm + 1) rhi !rbestc chi
-          end
-        end
-      in
-      fold 1 (n - 1) 1 (n - 1)
-    end
-  done;
-  let rec backtrack b j acc =
-    if j < 0 then acc
-    else begin
-      let i = last_ckpt.((b * n) + j) in
-      backtrack (max 0 (b - 1)) i (j :: acc)
-    end
-  in
-  (etime.(((budget - 1) * n) + n - 1), backtrack (budget - 1) (n - 1) [])
-
-let solve_packed_auto ~n ~tri ~etime ~last_ckpt =
-  if n >= monotone_cutoff && tri_is_monge ~n ~tri then
-    solve_packed_monotone ~n ~tri ~etime ~last_ckpt
-  else solve_packed ~n ~tri ~etime ~last_ckpt
-
-let solve_budget_packed_auto ~n ~tri ~budget =
-  if n >= monotone_cutoff && tri_is_monge ~n ~tri then
-    solve_budget_packed_monotone ~n ~tri ~budget
-  else solve_budget_packed ~n ~tri ~budget
-
-let first_order ~lambda s =
-  let pfail = Float.min 1. (lambda *. s) in
-  ((1. -. pfail) *. s) +. (pfail *. 1.5 *. s)
-
-let chain_cost ~lambda ~read ~weight ~write i j =
-  let w = ref 0. in
-  for k = i to j do
-    w := !w +. weight k
-  done;
-  first_order ~lambda (read i +. !w +. write j)
-
-let solve_chain ~n ~lambda ~read ~weight ~write =
-  if n < 1 then invalid_arg "Toueg.solve_chain: n < 1";
-  (* prefix-summed segment work: W(i,j) = pw.(j+1) - pw.(i), so the
-     whole packed cost table fills in O(n^2) instead of the O(n^3) of
-     [solve] over [chain_cost] (which re-sums every segment) *)
-  let pw = Array.make (n + 1) 0. in
-  for k = 0 to n - 1 do
-    pw.(k + 1) <- pw.(k) +. weight k
-  done;
-  let tri = Array.make (tri_size n) 0. in
-  for j = 0 to n - 1 do
-    let row = j * (j + 1) / 2 in
-    let wj = write j in
-    for i = 0 to j do
-      tri.(row + i) <- first_order ~lambda (read i +. (pw.(j + 1) -. pw.(i)) +. wj)
-    done
-  done;
-  let etime = Array.make n infinity and last_ckpt = Array.make n (-1) in
-  solve_packed ~n ~tri ~etime ~last_ckpt
-
-let brute_force ~n ~cost =
-  if n < 1 then invalid_arg "Toueg.brute_force: n < 1";
-  if n > 20 then invalid_arg "Toueg.brute_force: too large";
-  (* bit k of the mask (k < n-1) = checkpoint after task k; the final
-     checkpoint after task n-1 is implicit *)
-  let best = ref infinity and best_set = ref [] in
-  for mask = 0 to (1 lsl (n - 1)) - 1 do
-    let total = ref 0. in
-    let start = ref 0 in
-    for k = 0 to n - 1 do
-      let is_ckpt = k = n - 1 || mask land (1 lsl k) <> 0 in
-      if is_ckpt then begin
-        total := !total +. cost !start k;
-        start := k + 1
-      end
-    done;
-    if !total < !best then begin
-      best := !total;
-      (* seed with the implicit final checkpoint and prepend downward:
-         O(n) per improvement instead of the former O(n^2) list append *)
-      let set = ref [ n - 1 ] in
-      for k = n - 2 downto 0 do
-        if mask land (1 lsl k) <> 0 then set := k :: !set
-      done;
-      best_set := !set
-    end
-  done;
-  (!best, !best_set)
+let solve_packed_auto = solve_packed

@@ -3,43 +3,29 @@
     and the paper's superchain extension (Algorithm 2).
 
     Tasks [0 .. n-1] execute in sequence; a checkpoint may be taken
-    after any task and is mandatory after the last one. [cost i j] is
-    the expected time to successfully execute the segment
-    [i..j] (inclusive) given a checkpoint right before [i] and one
-    right after [j]. The DP
+    after any task and is mandatory after the last one. [cost(i,j)] is
+    the expected time to successfully execute the segment [i..j]
+    (inclusive) given a checkpoint right before [i] and one right
+    after [j]. The DP
 
-    [ETime j = min (cost 0 j, min over i < j (ETime i + cost (i+1) j))]
+    [ETime j = min (cost(0,j), min over i < j (ETime i + cost(i+1,j)))]
 
     is optimal because expected segment times are independent across
     checkpoints (a checkpoint regenerates the state), and runs in
-    O(n^2) calls to [cost].
+    O(n^2) reads of the cost table.
+
+    Costs live in a packed lower-triangular float array — [cost(i,j)]
+    at index [j*(j+1)/2 + i] — which {!Placement} fills once per
+    superchain; the DP runs straight over it with no cost closure and
+    no per-row boxing. The test suite keeps closure-cost reference
+    DPs and an exhaustive search, and checks these solvers against
+    them bit for bit.
 
     The DP is agnostic to {e how} segments are priced: k-way
     checkpoint replication ({!Placement}'s [?replicas], storage-fault
-    extension) enters purely through the [cost] table as a [k·C]
-    commit term, so the same recurrence places optimal checkpoints for
+    extension) enters purely through the cost table as a [k·C] commit
+    term, so the same recurrence places optimal checkpoints for
     replicated plans too. *)
-
-val solve : n:int -> cost:(int -> int -> float) -> float * int list
-(** [solve ~n ~cost] returns the optimal expected completion time and
-    the sorted positions after which to checkpoint (always including
-    [n-1]).
-
-    @raise Invalid_argument if [n < 1]. *)
-
-val reference_solve : n:int -> cost:(int -> int -> float) -> float * int list
-(** The pinned reference implementation of {!solve} (they are the same
-    function today); the equivalence tests compare the packed rewrite
-    below against this entry point. *)
-
-(** {1 Packed variants}
-
-    The planning hot path stores segment costs in a packed
-    lower-triangular float array — the cost of segment [i..j] at index
-    [j*(j+1)/2 + i] — and runs the DP straight over it, with no cost
-    closure and no per-row boxing. The comparison sequence is
-    identical to {!reference_solve} reading the same costs, so values
-    and checkpoint sets are bitwise-identical. *)
 
 val tri_size : int -> int
 (** Slots needed for a packed [n]-task cost table: [n*(n+1)/2]. *)
@@ -50,60 +36,42 @@ val solve_packed :
   etime:float array ->
   last_ckpt:int array ->
   float * int list
-(** Allocation-free {!solve} over a packed cost table; [etime] and
-    [last_ckpt] are caller-provided scratch of length at least [n].
+(** [solve_packed ~n ~tri ~etime ~last_ckpt] returns the optimal
+    expected completion time and the sorted positions after which to
+    checkpoint (always including [n-1]). Allocation-free apart from
+    the position list: [etime] and [last_ckpt] are caller-provided
+    scratch of length at least [n]. Ties keep the earliest split.
 
     @raise Invalid_argument if [n < 1] or an array is too short. *)
 
 val solve_budget_packed :
   n:int -> tri:float array -> budget:int -> float * int list
-(** {!solve_budget} over a packed cost table (flat budget-major DP
-    matrices, no per-row boxing). *)
+(** Budget-constrained variant (an extension beyond the paper): at
+    most [budget] checkpoints in total, the mandatory final one
+    included. [ETime(j, b) = min(cost(0,j), min over i < j
+    (ETime(i, b-1) + cost(i+1,j)))], O(n² · budget), over flat
+    budget-major DP arrays.
 
-(** {1 Monotone (Knuth/Monge) speedup}
+    @raise Invalid_argument if [n < 1], [budget < 1] or [tri] is too
+    short. *)
 
-    When the packed cost table satisfies the quadrangle inequality
-    (Monge condition)
+(** {1 Read only by perfbench}
 
-    [tri(c,j) + tri(c+1,j+1) <= tri(c+1,j) + tri(c,j+1)]
-
-    the leftmost optimal split point is nondecreasing in [j], and the
-    DP's decision matrix can be searched by divide and conquer in
-    O(n log² n) instead of the packed O(n²) scan. The [auto] entry
-    points verify the condition at runtime (adjacent 2×2 squares — by
-    telescoping this implies the full inequality on the triangular
-    domain) and fall back to the bitwise-identical packed scan when it
-    fails or when [n < monotone_cutoff]. On the monotone path the
-    expected makespan is optimal — equal to {!reference_solve} up to
-    float rounding (the divide-and-conquer evaluates the same
-    candidates but may prune an ulp-different one); with exactly
-    representable costs it is exactly equal, positions included. *)
+    perfbench's replay ([perfbench/replay.ml]) is the only reader of
+    the three values below: it counts the cost tables that pass the
+    quadrangle-inequality guard of a divide-and-conquer solver this
+    module no longer has. They go when the replay is brought in line
+    with the binary (ROADMAP.md, the benchmark item). *)
 
 val monotone_cutoff : int
-(** Chains shorter than this always take the packed O(n²) scan in the
-    [auto] entry points: bitwise identity for every existing plan, and
-    the scan wins on constants there anyway. *)
+(** The chain length (128) from which the replay probes
+    {!tri_is_monge}. *)
 
 val tri_is_monge : n:int -> tri:float array -> bool
-(** Whether a packed cost table satisfies the Monge condition on every
+(** Whether a packed cost table satisfies the Monge condition
+    [tri(c,j) + tri(c+1,j+1) <= tri(c+1,j) + tri(c,j+1)] on every
     adjacent 2×2 square of the triangular domain (O(n²) float
     comparisons, early exit on the first violation). *)
-
-val solve_packed_monotone :
-  n:int ->
-  tri:float array ->
-  etime:float array ->
-  last_ckpt:int array ->
-  float * int list
-(** Divide-and-conquer {!solve_packed} for Monge cost tables.
-    Precondition: [tri_is_monge ~n ~tri] — unchecked here; call
-    through {!solve_packed_auto} to get the runtime guard. *)
-
-val solve_budget_packed_monotone :
-  n:int -> tri:float array -> budget:int -> float * int list
-(** Divide-and-conquer {!solve_budget_packed} for Monge cost tables:
-    each budget layer is one offline row-minima problem,
-    O(n log n · budget). Same unchecked precondition. *)
 
 val solve_packed_auto :
   n:int ->
@@ -111,54 +79,4 @@ val solve_packed_auto :
   etime:float array ->
   last_ckpt:int array ->
   float * int list
-(** {!solve_packed_monotone} when [n >= monotone_cutoff] and the table
-    is Monge, {!solve_packed} (bitwise-identical fallback) otherwise. *)
-
-val solve_budget_packed_auto :
-  n:int -> tri:float array -> budget:int -> float * int list
-(** Guarded dispatch for the budgeted variant, mirroring
-    {!solve_packed_auto}. *)
-
-val solve_chain :
-  n:int ->
-  lambda:float ->
-  read:(int -> float) ->
-  weight:(int -> float) ->
-  write:(int -> float) ->
-  float * int list
-(** Linear-chain placement with prefix-summed segment work: fills the
-    packed cost table in O(n²) total — versus the O(n³) of {!solve}
-    over {!chain_cost}, which re-sums every segment — then runs
-    {!solve_packed}. Costs may differ from {!chain_cost} by float
-    rounding (prefix-sum differences reassociate the additions). *)
-
-val chain_cost :
-  lambda:float ->
-  read:(int -> float) ->
-  weight:(int -> float) ->
-  write:(int -> float) ->
-  int ->
-  int ->
-  float
-(** Expected segment time for a plain linear chain under the
-    first-order model (Eq. 2 with chain-shaped R/W/C): the segment
-    [i..j] reads the input of task [i], executes [w_i..w_j] and writes
-    the output of task [j]; with probability [λS] one failure adds
-    [S/2]. Supply per-task read/write-to-stable-storage times. *)
-
-val solve_budget :
-  n:int -> cost:(int -> int -> float) -> budget:int -> float * int list
-(** Budget-constrained variant (an extension beyond the paper): at
-    most [budget] checkpoints in total, the mandatory final one
-    included. [ETime(j, b) = min(cost 0 j, min over i < j
-    (ETime(i, b-1) + cost (i+1) j))], O(n² · budget).
-
-    @raise Invalid_argument if [n < 1] or [budget < 1]. *)
-
-val reference_solve_budget :
-  n:int -> cost:(int -> int -> float) -> budget:int -> float * int list
-(** The pinned reference implementation of {!solve_budget}. *)
-
-val brute_force : n:int -> cost:(int -> int -> float) -> float * int list
-(** Exhaustive search over the [2^(n-1)] checkpoint subsets — for
-    testing the DP on small instances only. *)
+(** {!solve_packed}. *)

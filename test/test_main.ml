@@ -13,7 +13,6 @@ let () =
       ("platform", Test_platform.suite);
       ("workflows", Test_workflows.suite);
       ("toueg", Test_toueg.suite);
-      ("toueg-fast", Test_toueg_fast.suite);
       ("scheduling", Test_scheduling.suite);
       ("placement", Test_placement.suite);
       ("evaluation", Test_evaluation.suite);

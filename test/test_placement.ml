@@ -7,7 +7,6 @@ module Dag = Ckpt_dag.Dag
 module Platform = Ckpt_platform.Platform
 module Superchain = Ckpt_core.Superchain
 module Placement = Ckpt_core.Placement
-module Toueg = Ckpt_core.Toueg
 module Rng = Ckpt_prob.Rng
 
 let check_close ?(eps = 1e-9) msg expected actual =
@@ -177,7 +176,7 @@ let test_optimal_positions_match_brute_force () =
     let platform = unit_platform ~lambda:0.05 () in
     let dp_value, dp_positions = Placement.optimal_positions platform d sc in
     let matrix = Placement.cost_matrix platform d sc in
-    let bf_value, _ = Toueg.brute_force ~n:9 ~cost:(fun i j -> matrix.(j).(i)) in
+    let bf_value, _ = Dp_oracle.brute_force ~n:9 ~cost:(fun i j -> matrix.(j).(i)) in
     check_close (Printf.sprintf "seed %d optimal" seed) bf_value dp_value;
     Alcotest.(check int) "last position checkpointed" 8 (List.rev dp_positions |> List.hd)
   done

@@ -1,13 +1,16 @@
 (* Equivalence suite for the compiled/array planner: the packed-DP and
    arena paths must return exactly — bitwise — what the pinned
-   list/Hashtbl references return, on random superchains and random
-   M-SPGs, and plans must be identical at any [jobs]. *)
+   list/Hashtbl references of [Dp_oracle] return, on random superchains,
+   random M-SPGs and long superchains of the generated families, and
+   plans must be identical at any [jobs]. An oracle that re-derives
+   segment costs from the DAG alone checks the cost model itself. *)
 
 module Dag = Ckpt_dag.Dag
 module Mspg = Ckpt_mspg.Mspg
 module Random_wf = Ckpt_workflows.Random_wf
 module Platform = Ckpt_platform.Platform
 module Toueg = Ckpt_core.Toueg
+module Superchain = Ckpt_core.Superchain
 module Placement = Ckpt_core.Placement
 module Pipeline = Ckpt_core.Pipeline
 module Strategy = Ckpt_core.Strategy
@@ -24,15 +27,6 @@ let random_cost_table rng n =
   Array.init n (fun j ->
       Array.init (j + 1) (fun _ -> 0.1 +. Rng.float rng 10.))
 
-let pack_table table n =
-  let tri = Array.make (Toueg.tri_size n) 0. in
-  for j = 0 to n - 1 do
-    for i = 0 to j do
-      tri.((j * (j + 1) / 2) + i) <- table.(j).(i)
-    done
-  done;
-  tri
-
 let prop_solve_packed_matches_reference =
   QCheck.Test.make ~count:200 ~name:"solve_packed = reference_solve (bitwise)"
     QCheck.small_nat (fun seed ->
@@ -40,8 +34,8 @@ let prop_solve_packed_matches_reference =
       let n = 1 + Rng.int rng 40 in
       let table = random_cost_table rng n in
       let cost i j = table.(j).(i) in
-      let ref_v, ref_p = Toueg.reference_solve ~n ~cost in
-      let tri = pack_table table n in
+      let ref_v, ref_p = Dp_oracle.reference_solve ~n ~cost in
+      let tri = Dp_oracle.pack ~n cost in
       let etime = Array.make n 0. and last_ckpt = Array.make n 0 in
       let v, p = Toueg.solve_packed ~n ~tri ~etime ~last_ckpt in
       v = ref_v && p = ref_p)
@@ -55,34 +49,10 @@ let prop_solve_budget_packed_matches_reference =
       let budget = 1 + Rng.int rng n in
       let table = random_cost_table rng n in
       let cost i j = table.(j).(i) in
-      let ref_v, ref_p = Toueg.reference_solve_budget ~n ~cost ~budget in
-      let tri = pack_table table n in
+      let ref_v, ref_p = Dp_oracle.reference_solve_budget ~n ~cost ~budget in
+      let tri = Dp_oracle.pack ~n cost in
       let v, p = Toueg.solve_budget_packed ~n ~tri ~budget in
       v = ref_v && p = ref_p)
-
-let prop_solve_chain_matches_reference =
-  (* solve_chain prefix-sums segment work, so values may differ from
-     chain_cost by rounding — equal within float tolerance, and its
-     positions must realise its value *)
-  QCheck.Test.make ~count:200 ~name:"solve_chain ~= reference_solve over chain_cost"
-    QCheck.small_nat (fun seed ->
-      let rng = Rng.create (seed + 211) in
-      let n = 1 + Rng.int rng 40 in
-      let arr _ = Array.init n (fun _ -> 0.1 +. Rng.float rng 5.) in
-      let r = arr () and w = arr () and c = arr () in
-      let lambda = Rng.float rng 0.01 in
-      let read k = r.(k) and weight k = w.(k) and write k = c.(k) in
-      let ref_v, _ = Toueg.reference_solve ~n ~cost:(Toueg.chain_cost ~lambda ~read ~weight ~write) in
-      let v, p = Toueg.solve_chain ~n ~lambda ~read ~weight ~write in
-      let close a b = abs_float (a -. b) <= 1e-9 *. (1. +. abs_float a) in
-      let realised =
-        let rec total start = function
-          | [] -> 0.
-          | q :: rest -> Toueg.chain_cost ~lambda ~read ~weight ~write start q +. total (q + 1) rest
-        in
-        total 0 p
-      in
-      close ref_v v && close v realised)
 
 (* --- random M-SPGs: arena placement vs reference ---------------- *)
 
@@ -100,7 +70,7 @@ let prop_optimal_positions_match =
       let shared = Placement.arena dag in
       Array.for_all
         (fun sc ->
-          let ref_v, ref_p = Placement.reference_optimal_positions platform dag sc in
+          let ref_v, ref_p = Dp_oracle.reference_optimal_positions platform dag sc in
           (* both with a shared arena (the sequential planner) and with
              the per-call default (parallel workers) *)
           Placement.optimal_positions ~arena:shared platform dag sc = (ref_v, ref_p)
@@ -117,9 +87,146 @@ let prop_optimal_positions_budget_match =
       let budget = 1 + (seed mod 4) in
       Array.for_all
         (fun sc ->
-          let reference = Placement.reference_optimal_positions_budget platform dag sc ~budget in
+          let reference = Dp_oracle.reference_optimal_positions_budget platform dag sc ~budget in
           Placement.optimal_positions_budget ~arena:shared platform dag sc ~budget = reference)
         setup.Pipeline.schedule.Schedule.superchains)
+
+(* --- an independent Figure-4 oracle -------------------------------- *)
+
+(* Segment costs re-derived from the DAG alone, by executing the
+   superchain forward from a checkpoint right before position [first]:
+   a task reads each file it consumes from stable storage, once per
+   segment, unless an earlier task of the segment produced it (the file
+   is then still in memory), plus its initial inputs; the checkpoint
+   after position [last] saves every executed-but-unsaved file that
+   still has an unfinished consumer — one later in this superchain, or
+   one on another superchain. [costs.(first).(last)] is (R, W, C) in
+   seconds *)
+let oracle_costs ~replicas platform dag (sc : Superchain.t) =
+  let n = Superchain.n_tasks sc in
+  let position = Hashtbl.create n in
+  Array.iteri (fun k t -> Hashtbl.replace position t k) sc.Superchain.order;
+  let finished ~last m =
+    match Hashtbl.find_opt position m with Some k -> k <= last | None -> false
+  in
+  let speed = Platform.speed_of platform sc.Superchain.processor in
+  let costs = Array.make_matrix n n (0., 0., 0.) in
+  for first = 0 to n - 1 do
+    (* file id -> (size, consumers) of the files executed since [first] *)
+    let unsaved = Hashtbl.create 16 and read = Hashtbl.create 16 in
+    let read_bytes = ref 0. and work = ref 0. in
+    for last = first to n - 1 do
+      let t = sc.Superchain.order.(last) in
+      List.iter
+        (fun (_, (f : Dag.file)) ->
+          if not (Hashtbl.mem unsaved f.Dag.file_id || Hashtbl.mem read f.Dag.file_id) then begin
+            Hashtbl.replace read f.Dag.file_id ();
+            read_bytes := !read_bytes +. f.Dag.size
+          end)
+        (Dag.preds dag t);
+      List.iter (fun size -> read_bytes := !read_bytes +. size) (Dag.inputs dag t);
+      work := !work +. Dag.weight dag t;
+      List.iter
+        (fun (m, (f : Dag.file)) ->
+          let size, consumers =
+            Option.value (Hashtbl.find_opt unsaved f.Dag.file_id) ~default:(f.Dag.size, [])
+          in
+          Hashtbl.replace unsaved f.Dag.file_id (size, m :: consumers))
+        (Dag.succs dag t);
+      let write_bytes =
+        Hashtbl.fold
+          (fun _ (size, consumers) acc ->
+            if List.exists (fun m -> not (finished ~last m)) consumers then acc +. size else acc)
+          unsaved 0.
+      in
+      costs.(first).(last) <-
+        ( Platform.io_time platform !read_bytes,
+          !work /. speed,
+          Platform.io_time platform (float_of_int replicas *. write_bytes) )
+    done
+  done;
+  costs
+
+(* Eq. 2, written out again: (1 - p) s + p (3/2) s with p = min(1, λs) *)
+let eq2 ~lambda s =
+  let p = Float.min 1. (lambda *. s) in
+  ((1. -. p) *. s) +. (p *. 1.5 *. s)
+
+(* The oracle against [Placement.segment_of] and [cost_matrix] on every
+   segment, within 1e-9 of the segment's R+W+C (the oracle sums in
+   another order), and Algorithm 2 against brute force over the
+   oracle's costs on superchains of at most 9 tasks. Planned like
+   [Strategy.plan], over the raw workflow *)
+let check_figure4_oracle label (setup : Pipeline.setup) =
+  let dag = setup.Pipeline.raw and platform = setup.Pipeline.platform in
+  List.iter
+    (fun replicas ->
+      Array.iter
+        (fun (sc : Superchain.t) ->
+          let n = Superchain.n_tasks sc in
+          let name =
+            Printf.sprintf "%s replicas=%d chain %d" label replicas sc.Superchain.id
+          in
+          let lambda = Platform.rate_of platform sc.Superchain.processor in
+          let oracle = oracle_costs ~replicas platform dag sc in
+          let cost i j =
+            let r, w, c = oracle.(i).(j) in
+            eq2 ~lambda (r +. w +. c)
+          in
+          let matrix = Placement.cost_matrix ~replicas platform dag sc in
+          for j = 0 to n - 1 do
+            for i = 0 to j do
+              let r, w, c = oracle.(i).(j) in
+              let seg = Placement.segment_of ~replicas platform dag sc ~first:i ~last:j in
+              let near what ~tol expected actual =
+                if abs_float (expected -. actual) > tol then
+                  Alcotest.failf "%s [%d..%d] %s: oracle %.17g, Placement %.17g" name i j what
+                    expected actual
+              in
+              let tol = 1e-9 *. (r +. w +. c) in
+              near "R" ~tol r seg.Placement.read;
+              near "W" ~tol w seg.Placement.work;
+              near "C" ~tol c seg.Placement.write;
+              (* Eq. 2 at most doubles an error in R+W+C *)
+              near "cost_matrix" ~tol:(2. *. tol) (cost i j) matrix.(j).(i)
+            done
+          done;
+          if n <= 9 then begin
+            let bf_v, _ = Dp_oracle.brute_force ~n ~cost in
+            let v, positions = Placement.optimal_positions ~replicas platform dag sc in
+            let realised =
+              let rec total start = function
+                | [] -> 0.
+                | q :: rest -> cost start q +. total (q + 1) rest
+              in
+              total 0 positions
+            in
+            let close a b = abs_float (a -. b) <= 1e-9 *. abs_float a in
+            if not (close bf_v v && close v realised) then
+              Alcotest.failf "%s: brute force %.17g, Algorithm 2 %.17g, its positions %.17g"
+                name bf_v v realised
+          end)
+        setup.Pipeline.schedule.Schedule.superchains)
+    [ 1; 2 ]
+
+let test_figure4_oracle () =
+  for seed = 0 to 39 do
+    check_figure4_oracle (Printf.sprintf "random M-SPG seed %d" seed) (random_setup (seed + 1300))
+  done;
+  (* MONTAGE needs completion at n=50; LIGO is strict there and first
+     completes a cut at n=100 *)
+  List.iter
+    (fun (wf, tasks, seed, processors) ->
+      let dag = Spec.generate wf ~seed ~tasks () in
+      let setup = Pipeline.prepare ~dag ~processors ~pfail:0.01 ~ccr:0.5 () in
+      let label = Printf.sprintf "%s n=%d seed=%d p=%d" (Spec.name wf) tasks seed processors in
+      if (wf = Spec.Montage || tasks > 50) && setup.Pipeline.dummy_edges = 0 then
+        Alcotest.failf "%s: no completion edges" label;
+      check_figure4_oracle label setup)
+    [
+      (Spec.Montage, 50, 1, 4); (Spec.Montage, 50, 2, 1); (Spec.Montage, 50, 3, 7);
+      (Spec.Ligo, 50, 1, 4); (Spec.Ligo, 50, 2, 1); (Spec.Ligo, 100, 1, 4);
+    ]
 
 (* --- whole plans: jobs-invariance ------------------------------- *)
 
@@ -154,13 +261,13 @@ let completed_kinds =
 
 let expected_positions ~replicas platform dag kind (sc : Ckpt_core.Superchain.t) =
   let n = Ckpt_core.Superchain.n_tasks sc in
-  let optimal () = snd (Placement.reference_optimal_positions ~replicas platform dag sc) in
+  let optimal () = snd (Dp_oracle.reference_optimal_positions ~replicas platform dag sc) in
   match kind with
   | Strategy.Ckpt_some -> optimal ()
   | Strategy.Ckpt_all -> Placement.every_position sc
   | Strategy.Ckpt_every period -> Placement.periodic_positions sc ~period
   | Strategy.Ckpt_budget budget ->
-      snd (Placement.reference_optimal_positions_budget ~replicas platform dag sc ~budget)
+      snd (Dp_oracle.reference_optimal_positions_budget ~replicas platform dag sc ~budget)
   | Strategy.Ckpt_restart -> [ n - 1 ]
   | Strategy.Ckpt_hybrid t -> if n <= t then [ n - 1 ] else optimal ()
   | Strategy.Ckpt_none -> []
@@ -438,7 +545,8 @@ let test_long_monge_chains () =
           Array.iter
             (fun (sc : Ckpt_core.Superchain.t) ->
               let n = Ckpt_core.Superchain.n_tasks sc in
-              let tri = pack_table (Placement.cost_matrix platform raw sc) n in
+              let matrix = Placement.cost_matrix platform raw sc in
+              let tri = Dp_oracle.pack ~n (fun i j -> matrix.(j).(i)) in
               if n >= Toueg.monotone_cutoff && Toueg.tri_is_monge ~n ~tri then incr monge;
               let check label (ref_v, ref_p) (v, p) =
                 let name = Printf.sprintf "%s chain %d %s" cell sc.Ckpt_core.Superchain.id label in
@@ -446,13 +554,13 @@ let test_long_monge_chains () =
                 Alcotest.(check (list int)) (name ^ ": positions") ref_p p
               in
               check "unbudgeted"
-                (Placement.reference_optimal_positions platform raw sc)
+                (Dp_oracle.reference_optimal_positions platform raw sc)
                 (Placement.optimal_positions platform raw sc);
               List.iter
                 (fun budget ->
                   check
                     (Printf.sprintf "budget %d" budget)
-                    (Placement.reference_optimal_positions_budget platform raw sc ~budget)
+                    (Dp_oracle.reference_optimal_positions_budget platform raw sc ~budget)
                     (Placement.optimal_positions_budget platform raw sc ~budget))
                 [ 2; 5; 10 ])
             setup.Pipeline.schedule.Schedule.superchains;
@@ -466,7 +574,8 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_solve_packed_matches_reference;
     QCheck_alcotest.to_alcotest prop_solve_budget_packed_matches_reference;
-    QCheck_alcotest.to_alcotest prop_solve_chain_matches_reference;
+    Alcotest.test_case "Figure-4 oracle = Placement costs; optimum = brute force" `Quick
+      test_figure4_oracle;
     QCheck_alcotest.to_alcotest prop_optimal_positions_match;
     QCheck_alcotest.to_alcotest prop_optimal_positions_budget_match;
     QCheck_alcotest.to_alcotest prop_plan_jobs_invariant;

@@ -1,20 +1,39 @@
-(* Tests for Ckpt_core.Toueg: the generic checkpoint DP against
+(* Tests for Ckpt_core.Toueg: the packed checkpoint DP against
    closed-form cases and exhaustive search. *)
 
 module Toueg = Ckpt_core.Toueg
+module Placement = Ckpt_core.Placement
 
 let check_close ?(eps = 1e-9) msg expected actual =
   if abs_float (expected -. actual) > eps *. (1. +. abs_float expected) then
     Alcotest.failf "%s: expected %g, got %g" msg expected actual
 
+(* the production solvers over a closure cost, packed as the planner
+   lays it out *)
+let solve ~n ~cost =
+  Toueg.solve_packed ~n ~tri:(Dp_oracle.pack ~n cost) ~etime:(Array.make n 0.)
+    ~last_ckpt:(Array.make n 0)
+
+let solve_budget ~n ~cost ~budget =
+  Toueg.solve_budget_packed ~n ~tri:(Dp_oracle.pack ~n cost) ~budget
+
+(* Eq. 2 with chain-shaped R/W/C: the segment [i..j] reads the input
+   of task [i], executes [w_i..w_j] and writes the output of task [j] *)
+let chain_cost ~lambda ~read ~weight ~write i j =
+  let w = ref 0. in
+  for k = i to j do
+    w := !w +. weight k
+  done;
+  Placement.first_order ~lambda (read i +. !w +. write j)
+
 let test_single_task () =
-  let value, positions = Toueg.solve ~n:1 ~cost:(fun _ _ -> 5.) in
+  let value, positions = solve ~n:1 ~cost:(fun _ _ -> 5.) in
   check_close "value" 5. value;
   Alcotest.(check (list int)) "only final checkpoint" [ 0 ] positions
 
 let test_additive_cost_indifferent () =
   (* when cost(i,j) = j-i+1 (pure additivity), any split gives n *)
-  let value, positions = Toueg.solve ~n:6 ~cost:(fun i j -> float_of_int (j - i + 1)) in
+  let value, positions = solve ~n:6 ~cost:(fun i j -> float_of_int (j - i + 1)) in
   check_close "value" 6. value;
   Alcotest.(check bool) "ends with last" true (List.rev positions |> List.hd = 5)
 
@@ -24,13 +43,13 @@ let test_superadditive_prefers_splits () =
     let len = float_of_int (j - i + 1) in
     (len *. len) +. 0.01
   in
-  let _, positions = Toueg.solve ~n:8 ~cost in
+  let _, positions = solve ~n:8 ~cost in
   Alcotest.(check int) "checkpoint everywhere" 8 (List.length positions)
 
 let test_expensive_checkpoint_prefers_none () =
   (* heavy fixed cost per segment: single segment optimal *)
   let cost i j = float_of_int (j - i + 1) +. 100. in
-  let value, positions = Toueg.solve ~n:8 ~cost in
+  let value, positions = solve ~n:8 ~cost in
   check_close "value" 108. value;
   Alcotest.(check (list int)) "single segment" [ 7 ] positions
 
@@ -39,7 +58,7 @@ let test_positions_sorted_and_end () =
     let len = float_of_int (j - i + 1) in
     (len ** 1.5) +. 0.5
   in
-  let _, positions = Toueg.solve ~n:12 ~cost in
+  let _, positions = solve ~n:12 ~cost in
   let sorted = List.sort compare positions in
   Alcotest.(check (list int)) "sorted" sorted positions;
   Alcotest.(check int) "last is n-1" 11 (List.rev positions |> List.hd)
@@ -51,8 +70,8 @@ let test_matches_brute_force () =
     let n = 2 + Ckpt_prob.Rng.int rng 8 in
     let table = Array.init n (fun _ -> Array.init n (fun _ -> Ckpt_prob.Rng.float rng 10.)) in
     let cost i j = table.(i).(j) +. (float_of_int (j - i + 1) ** 1.3) in
-    let dp_value, dp_positions = Toueg.solve ~n ~cost in
-    let bf_value, _ = Toueg.brute_force ~n ~cost in
+    let dp_value, dp_positions = solve ~n ~cost in
+    let bf_value, _ = Dp_oracle.brute_force ~n ~cost in
     check_close "optimal value matches brute force" bf_value dp_value;
     (* the DP's reported positions must realise its value *)
     let realised =
@@ -69,7 +88,7 @@ let test_chain_cost_first_order () =
   (* single task, r=1, w=2, c=3: S=6; T = (1-6λ)6 + 6λ*9 *)
   let lambda = 0.001 in
   let t =
-    Toueg.chain_cost ~lambda ~read:(fun _ -> 1.) ~weight:(fun _ -> 2.) ~write:(fun _ -> 3.) 0 0
+    chain_cost ~lambda ~read:(fun _ -> 1.) ~weight:(fun _ -> 2.) ~write:(fun _ -> 3.) 0 0
   in
   let s = 6. in
   check_close "Eq.2" (((1. -. (lambda *. s)) *. s) +. (lambda *. s *. 1.5 *. s)) t
@@ -80,7 +99,7 @@ let test_chain_cost_segment () =
   let read k = if k = 1 then 10. else 99. in
   let write k = if k = 2 then 5. else 99. in
   let weight _ = 7. in
-  let t = Toueg.chain_cost ~lambda:0. ~read ~weight ~write 1 2 in
+  let t = chain_cost ~lambda:0. ~read ~weight ~write 1 2 in
   check_close "S with no failure" (10. +. 14. +. 5.) t
 
 let test_chain_toueg_balances () =
@@ -89,9 +108,9 @@ let test_chain_toueg_balances () =
      segments *)
   let lambda = 0.05 in
   let cost =
-    Toueg.chain_cost ~lambda ~read:(fun _ -> 0.2) ~weight:(fun _ -> 1.) ~write:(fun _ -> 0.2)
+    chain_cost ~lambda ~read:(fun _ -> 0.2) ~weight:(fun _ -> 1.) ~write:(fun _ -> 0.2)
   in
-  let _, positions = Toueg.solve ~n:10 ~cost in
+  let _, positions = solve ~n:10 ~cost in
   let k = List.length positions in
   Alcotest.(check bool) (Printf.sprintf "1 < %d < 10 checkpoints" k) true (k > 1 && k < 10)
 
@@ -99,9 +118,9 @@ let test_lambda_monotonicity () =
   (* higher failure rate never decreases the number of checkpoints *)
   let count lambda =
     let cost =
-      Toueg.chain_cost ~lambda ~read:(fun _ -> 0.3) ~weight:(fun _ -> 1.) ~write:(fun _ -> 0.3)
+      chain_cost ~lambda ~read:(fun _ -> 0.3) ~weight:(fun _ -> 1.) ~write:(fun _ -> 0.3)
     in
-    List.length (snd (Toueg.solve ~n:12 ~cost))
+    List.length (snd (solve ~n:12 ~cost))
   in
   Alcotest.(check bool) "monotone in lambda" true
     (count 0.001 <= count 0.01 && count 0.01 <= count 0.1)
@@ -112,15 +131,15 @@ let test_budget_equals_unbudgeted_when_loose () =
     let n = 2 + Ckpt_prob.Rng.int rng 8 in
     let table = Array.init n (fun _ -> Array.init n (fun _ -> Ckpt_prob.Rng.float rng 10.)) in
     let cost i j = table.(i).(j) +. (float_of_int (j - i + 1) ** 1.3) in
-    let v1, p1 = Toueg.solve ~n ~cost in
-    let v2, p2 = Toueg.solve_budget ~n ~cost ~budget:n in
+    let v1, p1 = solve ~n ~cost in
+    let v2, p2 = solve_budget ~n ~cost ~budget:n in
     check_close "same value" v1 v2;
     Alcotest.(check (list int)) "same positions" p1 p2
   done
 
 let test_budget_one_is_single_segment () =
   let cost i j = float_of_int ((j - i + 1) * (j - i + 1)) in
-  let v, p = Toueg.solve_budget ~n:6 ~cost ~budget:1 in
+  let v, p = solve_budget ~n:6 ~cost ~budget:1 in
   check_close "whole chain" 36. v;
   Alcotest.(check (list int)) "single final checkpoint" [ 5 ] p
 
@@ -132,7 +151,7 @@ let test_budget_monotone () =
   let cost i j = table.(i).(j) +. (float_of_int (j - i + 1) ** 1.5) in
   let prev = ref infinity in
   for b = 1 to n do
-    let v, positions = Toueg.solve_budget ~n ~cost ~budget:b in
+    let v, positions = solve_budget ~n ~cost ~budget:b in
     if v > !prev +. 1e-9 then Alcotest.failf "budget %d worse than %d" b (b - 1);
     if List.length positions > b then
       Alcotest.failf "budget %d exceeded: %d checkpoints" b (List.length positions);
@@ -146,7 +165,7 @@ let test_budget_matches_constrained_brute_force () =
     let table = Array.init n (fun _ -> Array.init n (fun _ -> Ckpt_prob.Rng.float rng 10.)) in
     let cost i j = table.(i).(j) +. (float_of_int (j - i + 1) ** 1.4) in
     let budget = 1 + Ckpt_prob.Rng.int rng 3 in
-    let dp_value, dp_positions = Toueg.solve_budget ~n ~cost ~budget in
+    let dp_value, dp_positions = solve_budget ~n ~cost ~budget in
     (* brute force over all subsets with <= budget checkpoints *)
     let best = ref infinity in
     for mask = 0 to (1 lsl (n - 1)) - 1 do
@@ -175,7 +194,7 @@ let test_brute_force_pinned_set () =
      returned list — ascending, ending at n-1 — through the linear
      set-accumulation path. *)
   let cost i j = if (i, j) = (0, 1) || (i, j) = (2, 4) then 1. else 10. in
-  let value, positions = Toueg.brute_force ~n:5 ~cost in
+  let value, positions = Dp_oracle.brute_force ~n:5 ~cost in
   check_close "value" 2. value;
   Alcotest.(check (list int)) "pinned set" [ 1; 4 ] positions;
   (* strictly superadditive costs: every position checkpointed, in
@@ -184,18 +203,29 @@ let test_brute_force_pinned_set () =
     let len = float_of_int (j - i + 1) in
     (len *. len) +. 0.01
   in
-  let _, all = Toueg.brute_force ~n:5 ~cost:quad in
+  let _, all = Dp_oracle.brute_force ~n:5 ~cost:quad in
   Alcotest.(check (list int)) "ascending singletons" [ 0; 1; 2; 3; 4 ] all;
   (* prohibitive checkpoints: only the mandatory final one *)
   let fixed i j = float_of_int (j - i + 1) +. 100. in
-  let _, final = Toueg.brute_force ~n:5 ~cost:fixed in
+  let _, final = Dp_oracle.brute_force ~n:5 ~cost:fixed in
   Alcotest.(check (list int)) "final only" [ 4 ] final
 
 let test_brute_force_guard () =
   Alcotest.(check bool) "rejects n>20" true
-    (match Toueg.brute_force ~n:25 ~cost:(fun _ _ -> 1.) with
+    (match Dp_oracle.brute_force ~n:25 ~cost:(fun _ _ -> 1.) with
     | exception Invalid_argument _ -> true
     | _ -> false)
+
+(* The Monge guard perfbench's replay reads *)
+let prop_random_not_monge =
+  (* a continuous random table violates some quadrangle inequality
+     with overwhelming probability once there are a few squares *)
+  QCheck.Test.make ~count:200 ~name:"tri_is_monge rejects random tables"
+    QCheck.small_nat (fun seed ->
+      let rng = Ckpt_prob.Rng.create (seed + 211) in
+      let n = 6 + Ckpt_prob.Rng.int rng 40 in
+      let tri = Array.init (Toueg.tri_size n) (fun _ -> 0.1 +. Ckpt_prob.Rng.float rng 10.) in
+      not (Toueg.tri_is_monge ~n ~tri))
 
 let suite =
   [
@@ -215,4 +245,5 @@ let suite =
     Alcotest.test_case "budget vs brute force" `Quick test_budget_matches_constrained_brute_force;
     Alcotest.test_case "brute force pinned set" `Quick test_brute_force_pinned_set;
     Alcotest.test_case "brute force guard" `Quick test_brute_force_guard;
+    QCheck_alcotest.to_alcotest prop_random_not_monge;
   ]

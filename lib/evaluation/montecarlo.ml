@@ -17,27 +17,20 @@ let sample_chunks ?(trials = 10_000) ?(seed = 1) ?(deadline = Deadline.never) ?(
   if jobs < 1 then invalid_arg "Montecarlo.estimate: jobs < 1";
   let compiled = Prob_dag.compile dag in
   let nchunks = (trials + chunk_trials - 1) / chunk_trials in
-  let partial = Array.make nchunks None in
-  let next = Atomic.make 0 in
-  Pool.run_shared ~jobs:(min jobs nchunks) (fun ~worker:_ ->
-      let s = Prob_dag.sampler compiled in
-      let rec loop () =
-        let c = Atomic.fetch_and_add next 1 in
-        (* the first chunk always completes so a blown deadline still
-           returns well-defined statistics; afterwards workers stop
-           claiming chunks once the budget is gone *)
-        if c < nchunks && (c = 0 || not (Deadline.expired deadline)) then begin
-          let st = Stats.create () in
-          let hi = min trials ((c + 1) * chunk_trials) in
-          for trial = c * chunk_trials to hi - 1 do
-            Stats.add st (Prob_dag.sample_with s (Rng.for_trial ~seed trial))
-          done;
-          partial.(c) <- Some st;
-          loop ()
-        end
-      in
-      loop ());
-  partial
+  Pool.map_shared ~jobs nchunks (fun c ->
+      (* the first chunk always completes so a blown deadline still
+         returns well-defined statistics; afterwards a chunk yields
+         nothing once the budget is gone *)
+      if c > 0 && Deadline.expired deadline then None
+      else begin
+        let s = Prob_dag.sampler compiled in
+        let st = Stats.create () in
+        let hi = min trials ((c + 1) * chunk_trials) in
+        for trial = c * chunk_trials to hi - 1 do
+          Stats.add st (Prob_dag.sample_with s (Rng.for_trial ~seed trial))
+        done;
+        Some st
+      end)
 
 let estimate_with_stats ?trials ?seed ?deadline ?jobs dag =
   let partial = sample_chunks ?trials ?seed ?deadline ?jobs dag in

@@ -298,19 +298,10 @@ let sample ~name ?(trials = 200) ?(seed = 11) ?(jobs = 1) run_trial =
   if trials < 1 then invalid_arg (name ^ ".sample: trials < 1");
   if jobs < 1 then invalid_arg (name ^ ".sample: jobs < 1");
   let nchunks = (trials + chunk_trials - 1) / chunk_trials in
-  let results = Array.make nchunks None in
-  let next = Atomic.make 0 in
-  Pool.run_shared ~jobs:(min jobs nchunks) (fun ~worker:_ ->
-      let rec loop () =
-        let c = Atomic.fetch_and_add next 1 in
-        if c < nchunks then begin
-          let lo = c * chunk_trials in
-          let hi = min trials (lo + chunk_trials) in
-          results.(c) <-
-            Some (Array.init (hi - lo) (fun k -> run_trial (Rng.for_trial ~seed (lo + k))));
-          loop ()
-        end
-      in
-      loop ());
-  Array.concat
-    (Array.to_list (Array.map (function Some a -> a | None -> assert false) results))
+  let chunks =
+    Pool.map_shared ~jobs nchunks (fun c ->
+        let lo = c * chunk_trials in
+        let hi = min trials (lo + chunk_trials) in
+        Array.init (hi - lo) (fun k -> run_trial (Rng.for_trial ~seed (lo + k))))
+  in
+  Array.concat (Array.to_list chunks)

@@ -45,7 +45,7 @@ let sample_makespans ?(trials = 1000) ?(seed = 7) ?(deadline = Deadline.never)
   if trials < 1 then invalid_arg "Runner.simulate: trials < 1";
   if jobs < 1 then invalid_arg "Runner.simulate: jobs < 1";
   let platform = plan.Strategy.platform in
-  (* [make_one_trial ()] builds a per-worker trial function with its
+  (* [make_one_trial ()] builds a per-chunk trial function with its
      own preallocated failure-trace table (one slot per processor,
      reset between trials) — no per-trial Hashtbl allocation, and no
      state shared between worker domains *)
@@ -81,15 +81,13 @@ let sample_makespans ?(trials = 1000) ?(seed = 7) ?(deadline = Deadline.never)
         fun () trial_rng -> Engine.restart_rate_makespan ~wpar ~rate trial_rng
   in
   let nchunks = (trials + chunk_trials - 1) / chunk_trials in
-  let results = Array.make nchunks None in
-  let next = Atomic.make 0 in
-  Pool.run_shared ~jobs:(min jobs nchunks) (fun ~worker:_ ->
-      let one_trial = make_one_trial () in
-      let rec loop () =
-        let c = Atomic.fetch_and_add next 1 in
+  let results =
+    Pool.map_shared ~jobs nchunks (fun c ->
         (* deadline cut-off between chunks, always keeping at least one
            completed chunk so statistics stay well-defined *)
-        if c < nchunks && (c = 0 || not (Deadline.expired deadline)) then begin
+        if c > 0 && Deadline.expired deadline then None
+        else begin
+          let one_trial = make_one_trial () in
           let lo = c * chunk_trials in
           let hi = min trials (lo + chunk_trials) in
           let out = Array.make (hi - lo) 0. in
@@ -117,11 +115,9 @@ let sample_makespans ?(trials = 1000) ?(seed = 7) ?(deadline = Deadline.never)
             in
             out.(k - lo) <- v
           done;
-          results.(c) <- Some out;
-          loop ()
-        end
-      in
-      loop ());
+          Some out
+        end)
+  in
   (* the completed prefix, in trial order: deterministic for any [jobs]
      (chunks finished beyond a deadline-induced gap are discarded) *)
   let rec prefix i acc =
@@ -181,48 +177,40 @@ let sample_storage ?(trials = 1000) ?(seed = 7) ?(jobs = 1) ?inject ?persist ?sc
   let writes = writes_of_plan plan in
   let nprocs = platform.Platform.processors in
   let nchunks = (trials + chunk_trials - 1) / chunk_trials in
-  let results = Array.make nchunks None in
-  let next = Atomic.make 0 in
-  Pool.run_shared ~jobs:(min jobs nchunks) (fun ~worker:_ ->
-      let traces = Array.make nprocs None in
-      let one_trial k =
-        Array.fill traces 0 nprocs None;
-        let trial_rng = Rng.for_trial ~seed k in
-        let trace_of p =
-          match traces.(p) with
-          | Some t -> t
-          | None ->
-              let t = Failure.create trial_rng ~lambda:(Platform.rate_of platform p) in
-              traces.(p) <- Some t;
-              t
+  let chunks =
+    Pool.map_shared ~jobs nchunks (fun c ->
+        let traces = Array.make nprocs None in
+        let one_trial k =
+          Array.fill traces 0 nprocs None;
+          let trial_rng = Rng.for_trial ~seed k in
+          let trace_of p =
+            match traces.(p) with
+            | Some t -> t
+            | None ->
+                let t = Failure.create trial_rng ~lambda:(Platform.rate_of platform p) in
+                traces.(p) <- Some t;
+                t
+          in
+          let st =
+            Store.create ?inject ?persist ?scope ~trial:k store
+              (Rng.for_trial ~seed:(storage_seed seed) k)
+          in
+          let run = Engine.run ~store:st ~write:writes segs trace_of in
+          let stats = Store.stats st in
+          {
+            makespan = run.Engine.finish;
+            commit_retries = stats.Store.commit_retries;
+            commit_exhausted = stats.Store.commit_exhausted;
+            corrupt_reads = stats.Store.corrupt_reads;
+            rollbacks = List.length run.Engine.rollbacks;
+            store = stats;
+          }
         in
-        let st =
-          Store.create ?inject ?persist ?scope ~trial:k store
-            (Rng.for_trial ~seed:(storage_seed seed) k)
-        in
-        let run = Engine.run ~store:st ~write:writes segs trace_of in
-        let stats = Store.stats st in
-        {
-          makespan = run.Engine.finish;
-          commit_retries = stats.Store.commit_retries;
-          commit_exhausted = stats.Store.commit_exhausted;
-          corrupt_reads = stats.Store.corrupt_reads;
-          rollbacks = List.length run.Engine.rollbacks;
-          store = stats;
-        }
-      in
-      let rec loop () =
-        let c = Atomic.fetch_and_add next 1 in
-        if c < nchunks then begin
-          let lo = c * chunk_trials in
-          let hi = min trials (lo + chunk_trials) in
-          results.(c) <- Some (Array.init (hi - lo) (fun k -> one_trial (lo + k)));
-          loop ()
-        end
-      in
-      loop ());
-  Array.concat
-    (Array.to_list (Array.map (function Some a -> a | None -> assert false) results))
+        let lo = c * chunk_trials in
+        let hi = min trials (lo + chunk_trials) in
+        Array.init (hi - lo) (fun k -> one_trial (lo + k)))
+  in
+  Array.concat (Array.to_list chunks)
 
 let simulate ?trials ?seed ?deadline ?inject ?retry ?jobs plan =
   Stats.of_array (sample_makespans ?trials ?seed ?deadline ?inject ?retry ?jobs plan)

@@ -20,8 +20,10 @@
     [T = (1 - λS) S + λS (3/2 S)] with [S = R + W + C] (probability
     clamped at 1 when λS exceeds it), and the optimal checkpoint
     positions minimise total expected time through the
-    {!Toueg} recurrence. The final position is always checkpointed,
-    which removes crossover dependencies.
+    {!Toueg} recurrence — one packed O(n²) DP on every superchain,
+    bit for bit the test suite's reference DP over {!cost_matrix}.
+    The final position is always checkpointed, which removes
+    crossover dependencies.
 
     Every cost entry point takes [?replicas] (default 1), the k-way
     checkpoint replication factor of the storage-fault extension: a

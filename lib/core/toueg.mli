@@ -60,8 +60,8 @@ val solve_budget_packed :
     perfbench's replay ([perfbench/replay.ml]) is the only reader of
     the three values below: it counts the cost tables that pass the
     quadrangle-inequality guard of a divide-and-conquer solver this
-    module no longer has. They go when the replay is brought in line
-    with the binary (ROADMAP.md, the benchmark item). *)
+    module no longer has. They go with the replay's benchmark-only fix
+    (ROADMAP.md, item 3). *)
 
 val monotone_cutoff : int
 (** The chain length (128) from which the replay probes

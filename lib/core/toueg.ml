@@ -57,10 +57,6 @@ let solve_budget_packed ~n ~tri ~budget =
   in
   (etime.(((budget - 1) * n) + n - 1), backtrack (budget - 1) (n - 1) [])
 
-(* Whether every adjacent 2x2 square of the triangular domain satisfies
-   the quadrangle inequality
-     tri(c,j) + tri(c+1,j+1) <= tri(c+1,j) + tri(c,j+1),
-   with early exit on the first violation. *)
 let tri_is_monge ~n ~tri =
   let ok = ref true in
   let j = ref 1 in

@@ -3,9 +3,15 @@
    exhaustive search, and the superchain placement the recurrence gives
    over [Placement.cost_matrix]. The planner's packed solvers perform
    the same float comparisons in the same order, so the equivalence
-   suites compare them bit for bit. *)
+   suites compare them bit for bit. Two plan-assembly references ride
+   along: a segment priced through per-segment Hashtbls, and the
+   failure-free parallel time read off a built [Prob_dag]. *)
 
+module Dag = Ckpt_dag.Dag
+module Platform = Ckpt_platform.Platform
+module Prob_dag = Ckpt_eval.Prob_dag
 module Placement = Ckpt_core.Placement
+module Schedule = Ckpt_core.Schedule
 module Superchain = Ckpt_core.Superchain
 module Toueg = Ckpt_core.Toueg
 
@@ -108,3 +114,86 @@ let reference_optimal_positions_budget ?replicas platform dag sc ~budget =
   let n = Superchain.n_tasks sc in
   let matrix = Placement.cost_matrix ?replicas platform dag sc in
   reference_solve_budget ~n ~cost:(fun i j -> matrix.(j).(i)) ~budget
+
+(* --- plan-assembly references ------------------------------------- *)
+
+(* One segment's R, W and C, priced straight from the DAG: per task in
+   ascending position, its work, its initial inputs, then every distinct
+   file it reads from outside the segment and every distinct file it
+   writes for a consumer outside the segment. A producer inside the
+   superchain always has a smaller position (the linearisation is
+   topological), so "outside" is a position test. *)
+let reference_segment_of ?(replicas = 1) platform dag sc ~first ~last =
+  if first < 0 || last >= Superchain.n_tasks sc || first > last then
+    invalid_arg "Dp_oracle.reference_segment_of: bad range";
+  let producer_outside l =
+    (not (Superchain.mem sc l)) || Superchain.position sc l < first
+  in
+  let consumer_outside m = (not (Superchain.mem sc m)) || Superchain.position sc m > last in
+  let speed =
+    if Platform.uniform_speed platform then 1.
+    else Platform.speed_of platform sc.Superchain.processor
+  in
+  let read_bytes = ref 0. and write_bytes = ref 0. and work = ref 0. in
+  let read_seen = Hashtbl.create 16 and write_seen = Hashtbl.create 16 in
+  for k = first to last do
+    let t = Superchain.task_at sc k in
+    work := !work +. Dag.weight dag t;
+    List.iter (fun size -> read_bytes := !read_bytes +. size) (Dag.inputs dag t);
+    List.iter
+      (fun (l, (f : Dag.file)) ->
+        if producer_outside l && not (Hashtbl.mem read_seen f.Dag.file_id) then begin
+          Hashtbl.replace read_seen f.Dag.file_id ();
+          read_bytes := !read_bytes +. f.Dag.size
+        end)
+      (Dag.preds dag t);
+    List.iter
+      (fun (m, (f : Dag.file)) ->
+        if consumer_outside m && not (Hashtbl.mem write_seen f.Dag.file_id) then begin
+          Hashtbl.replace write_seen f.Dag.file_id ();
+          write_bytes := !write_bytes +. f.Dag.size
+        end)
+      (Dag.succs dag t)
+  done;
+  let write_bytes =
+    if replicas > 1 then float_of_int replicas *. !write_bytes else !write_bytes
+  in
+  {
+    Placement.chain = sc.Superchain.id;
+    first;
+    last;
+    read = Platform.io_time platform !read_bytes;
+    work = !work /. speed;
+    write = Platform.io_time platform write_bytes;
+  }
+
+(* The failure-free, checkpoint-free parallel time of a schedule: the
+   longest path of a [Prob_dag] with one node per task (weight over its
+   processor's speed, plus its initial-input reads) and an edge per raw
+   dependency and per pair of consecutive superchain tasks.
+   @raise Invalid_argument when the superchain orders contradict a
+   dependency (the graph has a cycle). *)
+let reference_wpar ~raw ~(schedule : Schedule.t) ~platform =
+  let dag = schedule.Schedule.dag in
+  let pd = Prob_dag.create () in
+  let chain_of = schedule.Schedule.chain_of_task in
+  for t = 0 to Dag.n_tasks dag - 1 do
+    let input_read =
+      List.fold_left (fun acc s -> acc +. Platform.io_time platform s) 0. (Dag.inputs dag t)
+    in
+    let proc = schedule.Schedule.superchains.(chain_of.(t)).Superchain.processor in
+    let speed = if Platform.uniform_speed platform then 1. else Platform.speed_of platform proc in
+    let d = (Dag.weight dag t /. speed) +. input_read in
+    ignore (Prob_dag.add_node pd ~base:d ~degraded:d ~pfail:0.)
+  done;
+  for u = 0 to Dag.n_tasks raw - 1 do
+    List.iter (fun v -> Prob_dag.add_edge pd u v) (Dag.succ_ids raw u)
+  done;
+  Array.iter
+    (fun (sc : Superchain.t) ->
+      let order = sc.Superchain.order in
+      for k = 0 to Array.length order - 2 do
+        Prob_dag.add_edge pd order.(k) order.(k + 1)
+      done)
+    schedule.Schedule.superchains;
+  Prob_dag.deterministic_makespan pd

@@ -298,8 +298,8 @@ let check_completed_plans label (setup : Pipeline.setup) =
             (fun (seg : Placement.segment) ->
               let sc = chains.(seg.Placement.chain) in
               let r =
-                Placement.segment_of ~replicas platform dag sc ~first:seg.Placement.first
-                  ~last:seg.Placement.last
+                Dp_oracle.reference_segment_of ~replicas platform dag sc
+                  ~first:seg.Placement.first ~last:seg.Placement.last
               in
               Alcotest.(check (list int64))
                 (Printf.sprintf "%s: segment %d.%d-%d costs" name seg.Placement.chain
@@ -572,6 +572,119 @@ let test_long_monge_chains () =
         [ 1; 2 ])
     long_chain_cells
 
+(* --- plan assembly against the list/Hashtbl references ----------- *)
+
+(* Every kind's W_par must be the bits of the [Prob_dag] longest path
+   and every segment's R, W and C the bits of the Hashtbl pricer, on
+   the paper's families at the paper's processor counts and on one or
+   two long superchains, homogeneous and heterogeneous-speed; and a
+   superchain order that runs a task before its own predecessor must
+   be refused *)
+let assembly_kinds =
+  Strategy.
+    [
+      Ckpt_all; Ckpt_some; Ckpt_none; Ckpt_every 3; Ckpt_budget 5; Ckpt_restart; Ckpt_hybrid 4;
+    ]
+
+let check_assembly label (setup : Pipeline.setup) =
+  let raw = setup.Pipeline.raw
+  and schedule = setup.Pipeline.schedule
+  and platform = setup.Pipeline.platform in
+  let wpar = Dp_oracle.reference_wpar ~raw ~schedule ~platform in
+  List.iter
+    (fun replicas ->
+      List.iter
+        (fun kind ->
+          let name =
+            Printf.sprintf "%s %s replicas=%d" label (Strategy.kind_name kind) replicas
+          in
+          let plan = Pipeline.plan ~replicas setup kind in
+          Alcotest.(check int64) (name ^ ": wpar") (bits wpar) (bits plan.Strategy.wpar);
+          Array.iter
+            (fun (seg : Placement.segment) ->
+              let sc = schedule.Schedule.superchains.(seg.Placement.chain) in
+              let r =
+                Dp_oracle.reference_segment_of ~replicas platform raw sc
+                  ~first:seg.Placement.first ~last:seg.Placement.last
+              in
+              let got = Placement.[ seg.read; seg.work; seg.write ]
+              and want = Placement.[ r.read; r.work; r.write ] in
+              if List.map bits got <> List.map bits want then
+                Alcotest.failf "%s: segment %d.%d-%d costs %s, reference %s" name
+                  seg.Placement.chain seg.Placement.first seg.Placement.last
+                  (String.concat "/" (List.map (Printf.sprintf "%h") got))
+                  (String.concat "/" (List.map (Printf.sprintf "%h") want)))
+            plan.Strategy.segments)
+        assembly_kinds)
+    [ 1; 2 ]
+
+(* [setup]'s schedule with one intra-superchain dependency u -> v
+   reversed in its superchain's order *)
+let reversed_dependency (setup : Pipeline.setup) =
+  let schedule = setup.Pipeline.schedule and raw = setup.Pipeline.raw in
+  let chain_of = schedule.Schedule.chain_of_task in
+  let rec find u =
+    if u >= Dag.n_tasks raw then Alcotest.fail "no intra-superchain dependency"
+    else
+      match List.find_opt (fun v -> chain_of.(v) = chain_of.(u)) (Dag.succ_ids raw u) with
+      | Some v -> (u, v)
+      | None -> find (u + 1)
+  in
+  let u, v = find 0 in
+  let superchains =
+    Array.to_list
+      (Array.map
+         (fun (sc : Superchain.t) ->
+           let order =
+             Array.map
+               (fun t -> if t = u then v else if t = v then u else t)
+               sc.Superchain.order
+           in
+           Superchain.make ~id:sc.Superchain.id ~processor:sc.Superchain.processor ~order)
+         schedule.Schedule.superchains)
+  in
+  Schedule.make ~dag:raw ~tree:schedule.Schedule.tree
+    ~processors:schedule.Schedule.processors ~superchains
+
+let test_assembly_references () =
+  let sized = [ (50, [ 3; 5; 7; 10 ]); (300, [ 18; 35; 52; 70 ]) ] in
+  List.iter
+    (fun wf ->
+      List.iter
+        (fun (tasks, paper_ps) ->
+          let dag = Spec.generate wf ~seed:1 ~tasks () in
+          let label p = Printf.sprintf "%s n=%d p=%d" (Spec.name wf) tasks p in
+          List.iter
+            (fun processors ->
+              check_assembly (label processors)
+                (Pipeline.prepare ~dag ~processors ~pfail:0.01 ~ccr:0.5 ()))
+            (1 :: 2 :: paper_ps);
+          let platform =
+            Platform.make_heterogeneous
+              ~speeds:[| 1.; 0.5; 2.; 1.25 |]
+              ~rates:[| 1e-4; 4e-4; 2e-4; 8e-5 |]
+              ~bandwidth:(Dag.total_data dag /. (0.5 *. Dag.total_weight dag))
+              ()
+          in
+          check_assembly
+            (label 4 ^ " heterogeneous")
+            (Pipeline.prepare ~platform ~dag ~processors:4 ~pfail:0.01 ~ccr:0.5 ()))
+        sized)
+    Spec.paper;
+  let setup =
+    Pipeline.prepare ~dag:(Spec.generate Spec.Genome ~seed:1 ~tasks:50 ()) ~processors:2
+      ~pfail:0.01 ~ccr:0.5 ()
+  in
+  let schedule = reversed_dependency setup in
+  List.iter
+    (fun kind ->
+      match
+        Strategy.plan kind ~raw:setup.Pipeline.raw ~schedule ~platform:setup.Pipeline.platform
+      with
+      | _ -> Alcotest.failf "%s: reversed dependency accepted" (Strategy.kind_name kind)
+      | exception Invalid_argument _ -> ())
+    assembly_kinds
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_solve_packed_matches_reference;
@@ -595,4 +708,6 @@ let suite =
       test_macro_edges_materialised;
     Alcotest.test_case "long Monge-table chains = reference DPs (bitwise)" `Quick
       test_long_monge_chains;
+    Alcotest.test_case "W_par and segment costs = Prob_dag/Hashtbl references" `Quick
+      test_assembly_references;
   ]

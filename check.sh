@@ -89,6 +89,32 @@ quantiles -w genome -n 300 -p 1 --ccr 0.001 --strategy budget-10 --trials 200
 EOF
 diff -u test/long_chain_golden.txt "$TMP/long_chain_golden.txt"
 
+echo "== strict workflows: printed output matches the golden =="
+# GENOME, CYBERSHAKE and SIPHT need no completion and LIGO completes
+# few cuts: sweeps at the paper's processor counts and the subcommands
+# that plan, evaluate and simulate such workflows are pinned byte for
+# byte in test/strict_golden.txt
+while read -r args; do
+    echo "\$ ckptwf $args"
+    $CKPTWF $args 2> /dev/null
+done > "$TMP/strict_golden.txt" <<'EOF'
+sweep --csv -w genome -n 1000 -p 123 --pfail 0.001
+sweep --csv -w ligo -n 1000 -p 61 --pfail 0.01
+sweep --csv -w ligo -n 300 -p 35 --pfail 0.0001
+sweep --csv -w cybershake -n 300 -p 35 --pfail 0.001
+sweep --csv -w sipht -n 300 -p 35 --pfail 0.001
+schedule -v -w ligo -n 50 -p 3
+evaluate -w genome -n 300 -p 18 --method dodin
+evaluate -w genome -n 300 -p 18 --method normal
+evaluate -w ligo -n 300 -p 35 --method montecarlo
+simulate -w genome -n 300 -p 35 --trials 200
+degrade --csv -w genome -n 300 -p 35 --trials 20
+cloud -w ligo -n 300 -p 35 --trials 20
+quantiles -w ligo -n 300 -p 35 --strategy budget-3 --trials 200
+quantiles -w ligo -n 300 -p 35 --strategy hybrid-4 --trials 200
+EOF
+diff -u test/strict_golden.txt "$TMP/strict_golden.txt"
+
 echo "== journal keys tell apart knob values that agree to six digits =="
 # a resume at a nearby pfail (sweep) or ccr (degrade) must recompute,
 # not replay the rows journaled for the other value

@@ -37,4 +37,5 @@ let () =
       ("sim-golden", Test_sim_golden.suite);
       ("engine-oracle", Test_engine_oracle.suite);
       ("completion", Test_completion_digests.suite);
+      ("metamorphic", Test_metamorphic.suite);
     ]

@@ -30,57 +30,19 @@ let first_order ~lambda s =
 
 let expected_time ~lambda seg = first_order ~lambda (seg.read +. seg.work +. seg.write)
 
-(* A file consumed by a segment task is on stable storage iff its
-   producer lies outside the segment; by the topological linearisation
-   a producer inside the superchain always has a smaller position. *)
-let producer_outside sc ~first l =
-  (not (Superchain.mem sc l)) || Superchain.position sc l < first
-
+(* A file a segment task produces escapes the segment iff its consumer
+   lies outside it: on another superchain, or later in this one. *)
 let consumer_outside sc ~last m =
   (not (Superchain.mem sc m)) || Superchain.position sc m > last
 
-let segment_of ?(replicas = 1) platform dag sc ~first ~last =
-  if first < 0 || last >= Superchain.n_tasks sc || first > last then
-    invalid_arg "Placement.segment_of: bad range";
-  (* heterogeneous speeds: compute time is weight / speed of the
-     superchain's own processor (speed 1 is bitwise the identity) *)
-  let speed = chain_speed platform sc.Superchain.processor in
-  let read_bytes = ref 0. and write_bytes = ref 0. and work = ref 0. in
-  let read_seen = Hashtbl.create 16 and write_seen = Hashtbl.create 16 in
-  for k = first to last do
-    let t = Superchain.task_at sc k in
-    work := !work +. Dag.weight dag t;
-    List.iter (fun size -> read_bytes := !read_bytes +. size) (Dag.inputs dag t);
-    List.iter
-      (fun (l, (f : Dag.file)) ->
-        if producer_outside sc ~first l && not (Hashtbl.mem read_seen f.Dag.file_id) then begin
-          Hashtbl.replace read_seen f.Dag.file_id ();
-          read_bytes := !read_bytes +. f.Dag.size
-        end)
-      (Dag.preds dag t);
-    List.iter
-      (fun (m, (f : Dag.file)) ->
-        if consumer_outside sc ~last m && not (Hashtbl.mem write_seen f.Dag.file_id) then begin
-          Hashtbl.replace write_seen f.Dag.file_id ();
-          write_bytes := !write_bytes +. f.Dag.size
-        end)
-      (Dag.succs dag t);
-  done;
-  {
-    chain = sc.Superchain.id;
-    first;
-    last;
-    read = Platform.io_time platform !read_bytes;
-    work = !work /. speed;
-    write = Platform.io_time platform (scale_replicas replicas !write_bytes);
-  }
-
 (* Preallocated planning scratch, reused across the superchains of one
-   DAG: the per-row Hashtbls of the reference [cost_matrix] become
-   epoch-stamped per-file int arrays, the cost matrix a packed
-   lower-triangular float array, and the DP runs over caller scratch.
-   Every float operation happens in the same order as the reference,
-   so the costs — and hence the checkpoint sets — are
+   DAG. Each superchain is flattened once, position by position, into
+   the arrays below; the Algorithm-2 table and the segment pricer then
+   read nothing else. The per-row Hashtbls of the reference
+   [cost_matrix] become epoch-stamped per-file int arrays, the cost
+   matrix a packed lower-triangular float array, and the DP runs over
+   caller scratch. Every float operation happens in the same order as
+   the references, so the costs — and hence the checkpoint sets — are
    bitwise-identical. Not shareable across domains: parallel callers
    use one arena each. *)
 type arena = {
@@ -91,6 +53,26 @@ type arena = {
   mutable read_epoch : int;
   write_stamp : int array;  (* per-(j,i) escaping-file dedup *)
   mutable write_epoch : int;
+  pos_stamp : int array;  (* per task: the flatten that set [pos] *)
+  pos : int array;  (* per task: its position in the flattened superchain *)
+  mutable pos_epoch : int;
+  mutable flat : (Dag.t * Superchain.t) option;  (* what the arrays below hold *)
+  (* per position: the task's weight, its initial inputs (Dag order),
+     its out-edges (file, size, consumer position or [max_int] outside
+     the superchain) and its in-edges (file, size, producer position or
+     [-1] outside the superchain), both in Dag order; position [k]'s
+     items sit at [off.(k) .. off.(k+1) - 1] *)
+  mutable weight : float array;
+  mutable inp_off : int array;
+  mutable inp_size : float array;
+  mutable out_off : int array;
+  mutable out_file : int array;
+  mutable out_size : float array;
+  mutable out_pos : int array;
+  mutable in_off : int array;
+  mutable in_file : int array;
+  mutable in_size : float array;
+  mutable in_pos : int array;
   mutable tri : float array;
   mutable etime : float array;
   mutable last_ckpt : int array;
@@ -104,9 +86,144 @@ let arena dag =
     read_epoch = 0;
     write_stamp = Array.make (max 1 nf) 0;
     write_epoch = 0;
+    pos_stamp = Array.make (Dag.n_tasks dag) 0;
+    pos = Array.make (Dag.n_tasks dag) 0;
+    pos_epoch = 0;
+    flat = None;
+    weight = [||];
+    inp_off = [||];
+    inp_size = [||];
+    out_off = [||];
+    out_file = [||];
+    out_size = [||];
+    out_pos = [||];
+    in_off = [||];
+    in_file = [||];
+    in_size = [||];
+    in_pos = [||];
     tri = [||];
     etime = [||];
     last_ckpt = [||];
+  }
+
+let grow a need fill =
+  if Array.length a >= need then a
+  else begin
+    let b = Array.make (max need (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* Flatten [sc] into [a], unless it already holds [sc] of [dag]. One
+   pass over the superchain's edges, O(n·d) *)
+let flatten a dag sc =
+  match a.flat with
+  | Some (d, s) when d == dag && s == sc -> ()
+  | _ ->
+      if a.n_files <> Dag.n_files dag || Array.length a.pos <> Dag.n_tasks dag then
+        invalid_arg "Placement: arena built for another DAG";
+      let n = Superchain.n_tasks sc in
+      a.pos_epoch <- a.pos_epoch + 1;
+      let e = a.pos_epoch in
+      Array.iteri
+        (fun k t ->
+          a.pos_stamp.(t) <- e;
+          a.pos.(t) <- k)
+        sc.Superchain.order;
+      let position t = if a.pos_stamp.(t) = e then a.pos.(t) else -1 in
+      a.weight <- grow a.weight n 0.;
+      a.inp_off <- grow a.inp_off (n + 1) 0;
+      a.out_off <- grow a.out_off (n + 1) 0;
+      a.in_off <- grow a.in_off (n + 1) 0;
+      let ni = ref 0 and no = ref 0 and nx = ref 0 in
+      for k = 0 to n - 1 do
+        let t = Superchain.task_at sc k in
+        a.weight.(k) <- Dag.weight dag t;
+        let inputs = Dag.inputs dag t in
+        a.inp_off.(k) <- !ni;
+        a.inp_size <- grow a.inp_size (!ni + List.length inputs) 0.;
+        List.iter
+          (fun size ->
+            a.inp_size.(!ni) <- size;
+            incr ni)
+          inputs;
+        let succs = Dag.succs dag t in
+        let need = !no + List.length succs in
+        a.out_off.(k) <- !no;
+        a.out_file <- grow a.out_file need 0;
+        a.out_size <- grow a.out_size need 0.;
+        a.out_pos <- grow a.out_pos need 0;
+        List.iter
+          (fun (m, (f : Dag.file)) ->
+            let p = position m in
+            a.out_file.(!no) <- f.Dag.file_id;
+            a.out_size.(!no) <- f.Dag.size;
+            a.out_pos.(!no) <- (if p < 0 then max_int else p);
+            incr no)
+          succs;
+        let preds = Dag.preds dag t in
+        let need = !nx + List.length preds in
+        a.in_off.(k) <- !nx;
+        a.in_file <- grow a.in_file need 0;
+        a.in_size <- grow a.in_size need 0.;
+        a.in_pos <- grow a.in_pos need 0;
+        List.iter
+          (fun (l, (f : Dag.file)) ->
+            a.in_file.(!nx) <- f.Dag.file_id;
+            a.in_size.(!nx) <- f.Dag.size;
+            a.in_pos.(!nx) <- position l;
+            incr nx)
+          preds
+      done;
+      a.inp_off.(n) <- !ni;
+      a.out_off.(n) <- !no;
+      a.in_off.(n) <- !nx;
+      a.flat <- Some (dag, sc)
+
+(* The one segment pricer: per position in ascending order, its work,
+   its initial inputs, every distinct file it reads from before
+   [first] (or another superchain), then every distinct file it writes
+   for a consumer after [last] (or on another superchain) *)
+let segment_of ?arena:a ?(replicas = 1) platform dag sc ~first ~last =
+  if first < 0 || last >= Superchain.n_tasks sc || first > last then
+    invalid_arg "Placement.segment_of: bad range";
+  let a = match a with Some a -> a | None -> arena dag in
+  flatten a dag sc;
+  (* heterogeneous speeds: compute time is weight / speed of the
+     superchain's own processor (speed 1 is bitwise the identity) *)
+  let speed = chain_speed platform sc.Superchain.processor in
+  let read_bytes = ref 0. and write_bytes = ref 0. and work = ref 0. in
+  a.read_epoch <- a.read_epoch + 1;
+  let re = 2 * a.read_epoch in
+  a.write_epoch <- a.write_epoch + 1;
+  let we = a.write_epoch in
+  for k = first to last do
+    work := !work +. a.weight.(k);
+    for x = a.inp_off.(k) to a.inp_off.(k + 1) - 1 do
+      read_bytes := !read_bytes +. a.inp_size.(x)
+    done;
+    for x = a.in_off.(k) to a.in_off.(k + 1) - 1 do
+      let f = a.in_file.(x) in
+      if a.in_pos.(x) < first && a.read_stamp.(f) <> re then begin
+        a.read_stamp.(f) <- re;
+        read_bytes := !read_bytes +. a.in_size.(x)
+      end
+    done;
+    for x = a.out_off.(k) to a.out_off.(k + 1) - 1 do
+      let f = a.out_file.(x) in
+      if a.out_pos.(x) > last && a.write_stamp.(f) <> we then begin
+        a.write_stamp.(f) <- we;
+        write_bytes := !write_bytes +. a.out_size.(x)
+      end
+    done
+  done;
+  {
+    chain = sc.Superchain.id;
+    first;
+    last;
+    read = Platform.io_time platform !read_bytes;
+    work = !work /. speed;
+    write = Platform.io_time platform (scale_replicas replicas !write_bytes);
   }
 
 let ensure_capacity a n =
@@ -119,52 +236,57 @@ let ensure_capacity a n =
 
 (* Fill [a.tri] with the packed cost table of [sc] (cost of segment
    [i..j] at [j*(j+1)/2 + i]); the descending-[i] sweep per [j] and
-   its in/out file bookkeeping mirror [cost_matrix] line for line. *)
+   its in/out file bookkeeping mirror [cost_matrix] line for line,
+   over the flattened superchain *)
 let fill_cost_tri ?(replicas = 1) a platform dag sc =
-  if a.n_files <> Dag.n_files dag then
-    invalid_arg "Placement.fill_cost_tri: arena built for another DAG";
+  flatten a dag sc;
   let n = Superchain.n_tasks sc in
   ensure_capacity a n;
   let lambda = Platform.rate_of platform sc.Superchain.processor in
   let speed = chain_speed platform sc.Superchain.processor in
-  let tri = a.tri in
+  let tri = a.tri and read_stamp = a.read_stamp and write_stamp = a.write_stamp in
+  let weight = a.weight and inp_off = a.inp_off and inp_size = a.inp_size in
+  let out_off = a.out_off and out_file = a.out_file and out_size = a.out_size in
+  let out_pos = a.out_pos in
+  let in_off = a.in_off and in_file = a.in_file and in_size = a.in_size in
   for j = 0 to n - 1 do
     let row = j * (j + 1) / 2 in
     let read_bytes = ref 0. and write_bytes = ref 0. and work = ref 0. in
     a.read_epoch <- a.read_epoch + 1;
     let in_e = 2 * a.read_epoch in
     for i = j downto 0 do
-      let t = Superchain.task_at sc i in
-      work := !work +. Dag.weight dag t;
-      (* C grows by t's distinct files that escape [i..j] *)
+      work := !work +. weight.(i);
+      (* C grows by the task's distinct files that escape [i..j] *)
       a.write_epoch <- a.write_epoch + 1;
       let we = a.write_epoch in
-      List.iter
-        (fun (m, (f : Dag.file)) ->
-          if consumer_outside sc ~last:j m && a.write_stamp.(f.Dag.file_id) <> we then begin
-            a.write_stamp.(f.Dag.file_id) <- we;
-            write_bytes := !write_bytes +. f.Dag.size
-          end)
-        (Dag.succs dag t);
-      (* R: files of t that earlier (larger-i) sweeps counted as
+      for x = out_off.(i) to out_off.(i + 1) - 1 do
+        let f = out_file.(x) in
+        if out_pos.(x) > j && write_stamp.(f) <> we then begin
+          write_stamp.(f) <- we;
+          write_bytes := !write_bytes +. out_size.(x)
+        end
+      done;
+      (* R: files of the task that earlier (larger-i) sweeps counted as
          external are now produced inside the segment *)
-      List.iter
-        (fun (_, (f : Dag.file)) ->
-          if a.read_stamp.(f.Dag.file_id) = in_e then begin
-            a.read_stamp.(f.Dag.file_id) <- in_e + 1;
-            read_bytes := !read_bytes -. f.Dag.size
-          end)
-        (Dag.succs dag t);
-      (* R: files t consumes; their producers are before position i
-         hence outside the segment *)
-      List.iter
-        (fun (_, (f : Dag.file)) ->
-          if a.read_stamp.(f.Dag.file_id) <> in_e then begin
-            a.read_stamp.(f.Dag.file_id) <- in_e;
-            read_bytes := !read_bytes +. f.Dag.size
-          end)
-        (Dag.preds dag t);
-      List.iter (fun size -> read_bytes := !read_bytes +. size) (Dag.inputs dag t);
+      for x = out_off.(i) to out_off.(i + 1) - 1 do
+        let f = out_file.(x) in
+        if read_stamp.(f) = in_e then begin
+          read_stamp.(f) <- in_e + 1;
+          read_bytes := !read_bytes -. out_size.(x)
+        end
+      done;
+      (* R: files the task consumes; their producers are before
+         position i hence outside the segment *)
+      for x = in_off.(i) to in_off.(i + 1) - 1 do
+        let f = in_file.(x) in
+        if read_stamp.(f) <> in_e then begin
+          read_stamp.(f) <- in_e;
+          read_bytes := !read_bytes +. in_size.(x)
+        end
+      done;
+      for x = inp_off.(i) to inp_off.(i + 1) - 1 do
+        read_bytes := !read_bytes +. inp_size.(x)
+      done;
       let s =
         Platform.io_time platform !read_bytes
         +. (!work /. speed)
@@ -244,18 +366,21 @@ let periodic_positions sc ~period =
   let regular = collect (period - 1) [] in
   List.sort_uniq compare ((n - 1) :: regular)
 
-let segments_of_positions ?replicas platform dag sc ~positions =
+let segments_of_positions ?arena:a ?replicas platform dag sc ~positions =
   let n = Superchain.n_tasks sc in
   (match List.rev positions with
   | [] -> invalid_arg "Placement.segments_of_positions: no positions"
   | last :: _ ->
       if last <> n - 1 then
         invalid_arg "Placement.segments_of_positions: final position must be checkpointed");
+  let a = match a with Some a -> a | None -> arena dag in
   let rec cut start = function
     | [] -> []
     | p :: rest ->
         if p < start then invalid_arg "Placement.segments_of_positions: unsorted positions"
-        else segment_of ?replicas platform dag sc ~first:start ~last:p :: cut (p + 1) rest
+        else
+          segment_of ~arena:a ?replicas platform dag sc ~first:start ~last:p
+          :: cut (p + 1) rest
   in
   cut 0 positions
 

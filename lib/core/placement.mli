@@ -25,6 +25,15 @@
     The final position is always checkpointed, which removes
     crossover dependencies.
 
+    Planning runs over an {!arena}, which flattens each superchain
+    once into position-indexed arrays: every task's weight and initial
+    inputs, and its out- and in-edges as (file, size, position of the
+    other end). The Algorithm-2 table and {!segment_of}, the one
+    segment pricer, read only those arrays, with epoch-stamped
+    per-file arrays for the distinct-file rule. The Hashtbl pricer and
+    {!cost_matrix} are their references, with the same float
+    operations in the same order.
+
     Every cost entry point takes [?replicas] (default 1), the k-way
     checkpoint replication factor of the storage-fault extension: a
     replicated commit writes each escaping file [k] times, so [C] is
@@ -53,10 +62,6 @@ val first_order : lambda:float -> float -> float
 val expected_time : lambda:float -> segment -> float
 (** Eq. (2). *)
 
-val segment_of :
-  ?replicas:int -> Platform.t -> Dag.t -> Superchain.t -> first:int -> last:int -> segment
-(** Direct (non-incremental) cost computation of one segment. *)
-
 val cost_matrix : ?replicas:int -> Platform.t -> Dag.t -> Superchain.t -> float array array
 (** [m.(j).(i)], for [i <= j], is the expected time of segment [i..j]
     — computed in O(n * sum of degrees) by a descending-[i] sweep per
@@ -66,14 +71,30 @@ val cost_matrix : ?replicas:int -> Platform.t -> Dag.t -> Superchain.t -> float 
     operations in the same order. *)
 
 type arena
-(** Preallocated planning scratch (packed cost table, DP arrays,
-    per-file stamp arrays), reused across the superchains of one DAG.
-    Sharing an arena across domains is a race — parallel planners use
-    one arena each. *)
+(** Preallocated planning scratch (the flattened superchain, packed
+    cost table, DP arrays, per-file stamp arrays), reused across the
+    superchains of one DAG. It keeps the last superchain it flattened,
+    so the DAG must not change while the arena is in use. Sharing an
+    arena across domains is a race — parallel planners use one arena
+    each. *)
 
 val arena : Dag.t -> arena
-(** Fresh scratch sized for [dag]'s file set; segment tables grow on
-    demand to the longest superchain planned through it. *)
+(** Fresh scratch sized for [dag]'s tasks and files; the flattened
+    superchain and the cost table grow on demand to the longest
+    superchain planned through it. *)
+
+val segment_of :
+  ?arena:arena ->
+  ?replicas:int ->
+  Platform.t ->
+  Dag.t ->
+  Superchain.t ->
+  first:int ->
+  last:int ->
+  segment
+(** R, W and C of segment [first..last], from the superchain as
+    flattened in [arena] (a fresh one by default). Pricing many
+    segments of one superchain through one arena flattens it once. *)
 
 val optimal_positions :
   ?arena:arena -> ?replicas:int -> Platform.t -> Dag.t -> Superchain.t -> float * int list
@@ -105,9 +126,15 @@ val periodic_positions : Superchain.t -> period:int -> int list
     @raise Invalid_argument if [period < 1]. *)
 
 val segments_of_positions :
-  ?replicas:int -> Platform.t -> Dag.t -> Superchain.t -> positions:int list -> segment list
+  ?arena:arena ->
+  ?replicas:int ->
+  Platform.t ->
+  Dag.t ->
+  Superchain.t ->
+  positions:int list ->
+  segment list
 (** Cut the superchain at the given sorted positions (which must end
-    at the last position) and price each segment. *)
+    at the last position) and price each segment with {!segment_of}. *)
 
 val every_position : Superchain.t -> int list
 (** All positions — the CKPTALL policy on this superchain. *)

@@ -4,6 +4,7 @@ module Mspg = Ckpt_mspg.Mspg
 
 type t = {
   dag : Dag.t;
+  csr : Ckpt_dag.Compiled.t;
   tree : Mspg.tree;
   completion : (Task.id list * Task.id list) list;
   processors : int;
@@ -33,7 +34,8 @@ let make ~dag ~tree ~processors ~superchains =
       if c < 0 then invalid_arg (Printf.sprintf "Schedule.make: task %d unscheduled" task))
     chain_of_task;
   let completion = Mspg.completion { Mspg.dag; tree } in
-  { dag; tree; completion; processors; superchains; chain_of_task }
+  let csr = Ckpt_dag.Compiled.of_dag dag in
+  { dag; csr; tree; completion; processors; superchains; chain_of_task }
 
 let superchain_of_task t task = t.superchains.(t.chain_of_task.(task))
 

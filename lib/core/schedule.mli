@@ -16,6 +16,9 @@ module Mspg = Ckpt_mspg.Mspg
 
 type t = private {
   dag : Dag.t;  (** the raw workflow *)
+  csr : Ckpt_dag.Compiled.t;
+      (** [dag]'s flat adjacency, taken by {!make}; {!Strategy}'s W_par
+          sweep reads it *)
   tree : Mspg.tree;  (** its decomposition; the completion lives in the serial cuts *)
   completion : (Task.id list * Task.id list) list;
       (** {!Ckpt_mspg.Mspg.completion}: the cuts whose pairs [dag] lacks *)

@@ -35,14 +35,30 @@ type plan = {
 }
 
 (* Failure-free parallel time of the schedule with no checkpoint I/O:
-   tasks cost weight + initial-input reads; edges are the raw
-   dependencies plus the serialisation of each superchain. *)
+   the longest path over [raw]'s dependencies plus the serialisation
+   of each superchain, a task lasting its weight over its processor's
+   speed plus its initial-input reads. One Kahn sweep relaxes a task's
+   out-edges when it is popped, once its distance is final; max is
+   exact, so the bits do not depend on the pop order. *)
 let parallel_time ~raw ~schedule ~platform =
   let dag = schedule.Schedule.dag in
   let n = Dag.n_tasks dag in
-  let pd = Prob_dag.create () in
+  let csr = if raw == dag then schedule.Schedule.csr else Ckpt_dag.Compiled.of_dag raw in
+  let off = csr.Ckpt_dag.Compiled.succ_off and tgt = csr.Ckpt_dag.Compiled.succ_tgt in
+  let pred_off = csr.Ckpt_dag.Compiled.pred_off in
+  (* [next.(t)]: t's successor in its superchain, -1 at the chain's end *)
+  let next = Array.make n (-1) and indeg = Array.make n 0 in
+  Array.iter
+    (fun (sc : Superchain.t) ->
+      let order = sc.Superchain.order in
+      for k = 0 to Array.length order - 2 do
+        next.(order.(k)) <- order.(k + 1);
+        indeg.(order.(k + 1)) <- 1
+      done)
+    schedule.Schedule.superchains;
   let chain_of = schedule.Schedule.chain_of_task in
-  for t = 0 to n - 1 do
+  let dur = Array.make n 0. and ready = Array.make n 0 and top = ref 0 in
+  for t = n - 1 downto 0 do
     let input_read =
       List.fold_left (fun acc s -> acc +. Platform.io_time platform s) 0. (Dag.inputs dag t)
     in
@@ -50,20 +66,35 @@ let parallel_time ~raw ~schedule ~platform =
        processor's speed (speed 1 divides exactly, staying bitwise) *)
     let proc = schedule.Schedule.superchains.(chain_of.(t)).Superchain.processor in
     let speed = if Platform.uniform_speed platform then 1. else Platform.speed_of platform proc in
-    let d = (Dag.weight dag t /. speed) +. input_read in
-    ignore (Prob_dag.add_node pd ~base:d ~degraded:d ~pfail:0.)
+    dur.(t) <- (Dag.weight dag t /. speed) +. input_read;
+    indeg.(t) <- indeg.(t) + pred_off.(t + 1) - pred_off.(t);
+    if indeg.(t) = 0 then begin
+      ready.(!top) <- t;
+      incr top
+    end
   done;
-  for u = 0 to Dag.n_tasks raw - 1 do
-    List.iter (fun v -> Prob_dag.add_edge pd u v) (Dag.succ_ids raw u)
+  let dist = Array.make n 0. and best = ref 0. and popped = ref 0 in
+  while !top > 0 do
+    decr top;
+    let u = ready.(!top) in
+    incr popped;
+    let d = dist.(u) +. dur.(u) in
+    if d > !best then best := d;
+    (* the superchain successor is one more out-edge, after [raw]'s *)
+    let stop = if next.(u) >= 0 then off.(u + 1) else off.(u + 1) - 1 in
+    for k = off.(u) to stop do
+      let v = if k < off.(u + 1) then tgt.(k) else next.(u) in
+      if d > dist.(v) then dist.(v) <- d;
+      indeg.(v) <- indeg.(v) - 1;
+      if indeg.(v) = 0 then begin
+        ready.(!top) <- v;
+        incr top
+      end
+    done
   done;
-  Array.iter
-    (fun (sc : Superchain.t) ->
-      let order = sc.Superchain.order in
-      for k = 0 to Array.length order - 2 do
-        Prob_dag.add_edge pd order.(k) order.(k + 1)
-      done)
-    schedule.Schedule.superchains;
-  Prob_dag.deterministic_makespan pd
+  if !popped < n then
+    invalid_arg "Strategy.plan: a superchain order contradicts a dependency";
+  !best
 
 (* Coalesce checkpointed segments into a 2-state DAG. The
    cross-superchain synchronisations are [raw]'s edges plus the pairs
@@ -84,24 +115,12 @@ let build_prob_dag ~raw ~cuts ~schedule ~platform ~segments ~segment_of_task =
       let pfail = Float.min 1. (lambda *. s) in
       ignore (Prob_dag.add_node pd ~base:s ~degraded:(1.5 *. s) ~pfail))
     segments;
-  (* serialisation: consecutive segments of a superchain *)
-  let by_chain = Hashtbl.create 16 in
-  Array.iteri
-    (fun idx (seg : Placement.segment) ->
-      let l = Option.value ~default:[] (Hashtbl.find_opt by_chain seg.Placement.chain) in
-      Hashtbl.replace by_chain seg.Placement.chain ((seg.Placement.first, idx) :: l))
-    segments;
-  Hashtbl.iter
-    (fun _ l ->
-      let sorted = List.sort compare l in
-      let rec link = function
-        | (_, a) :: ((_, b) :: _ as tl) ->
-            Prob_dag.add_edge pd a b;
-            link tl
-        | [] | [ _ ] -> ()
-      in
-      link sorted)
-    by_chain;
+  (* serialisation: the segments come chain by chain in position
+     order, so each follows the one before it on its chain *)
+  for idx = 1 to Array.length segments - 1 do
+    if segments.(idx).Placement.chain = segments.(idx - 1).Placement.chain then
+      Prob_dag.add_edge pd (idx - 1) idx
+  done;
   let chain_of = schedule.Schedule.chain_of_task in
   let seg u = segment_of_task.(u) in
   let cross u v = if chain_of.(u) <> chain_of.(v) then Prob_dag.add_edge pd (seg u) (seg v) in
@@ -131,24 +150,29 @@ let build_prob_dag ~raw ~cuts ~schedule ~platform ~segments ~segment_of_task =
   done;
   pd
 
-let plan_of_positions ?(jobs = 1) ?(replicas = 1) ~kind ~raw ~schedule ~platform
-    ~positions () =
+(* [positions arena sc]: the checkpoint positions of superchain [sc],
+   found through [arena] *)
+let assemble ~jobs ~replicas ~kind ~raw ~schedule ~platform ~positions =
   if replicas < 1 then invalid_arg "Strategy.plan: replicas < 1";
   let dag = schedule.Schedule.dag in
   if Dag.n_tasks raw <> Dag.n_tasks dag then
     invalid_arg "Strategy.plan: raw and scheduled DAGs disagree on tasks";
   let wpar = parallel_time ~raw ~schedule ~platform in
   (* independent per-superchain solves, reduced in superchain order:
-     the result is the same for any [jobs]. Segments are priced over
-     [raw]: the scheduled DAG only adds zero-size completion files, and
-     adding or removing [0.] in a byte sum that starts at [+0.] leaves
-     it bitwise unchanged, so the costs are the same for far fewer
-     edges walked *)
+     the result is the same for any [jobs]. Sequential runs reuse one
+     arena across superchains; parallel workers each build their own
+     (sharing would race). Each superchain's positions and segment
+     prices read one flattening of it. Like the Algorithm-2 tables,
+     segments are priced over [raw]: the completion adds only
+     zero-size synchronisations, which change no cost *)
   let chains = schedule.Schedule.superchains in
+  let shared = if jobs = 1 then Some (Placement.arena raw) else None in
   let per_chain =
     Ckpt_parallel.Pool.map_shared ~jobs (Array.length chains) (fun c ->
+        let arena = match shared with Some a -> a | None -> Placement.arena raw in
         let sc = chains.(c) in
-        Placement.segments_of_positions ~replicas platform raw sc ~positions:(positions sc))
+        Placement.segments_of_positions ~arena ~replicas platform raw sc
+          ~positions:(positions arena sc))
   in
   let segments = Array.of_list (List.concat (Array.to_list per_chain)) in
   let segment_of_task = Array.make (Dag.n_tasks dag) (-1) in
@@ -180,6 +204,11 @@ let plan_of_positions ?(jobs = 1) ?(replicas = 1) ~kind ~raw ~schedule ~platform
     checkpoint_count = Array.length segments;
     replicas;
   }
+
+let plan_of_positions ?(jobs = 1) ?(replicas = 1) ~kind ~raw ~schedule ~platform
+    ~positions () =
+  assemble ~jobs ~replicas ~kind ~raw ~schedule ~platform ~positions:(fun _ sc ->
+      positions sc)
 
 let plan ?(jobs = 1) ?(replicas = 1) kind ~raw ~schedule ~platform =
   if replicas < 1 then invalid_arg "Strategy.plan: replicas < 1";
@@ -218,18 +247,12 @@ let plan ?(jobs = 1) ?(replicas = 1) kind ~raw ~schedule ~platform =
         if Array.length schedule.Schedule.superchains < 2 || dp_cells < 20_000 then 1
         else jobs
       in
-      (* sequential runs reuse one arena across superchains; parallel
-         workers each build their own (sharing would race). Like the
-         segments, the Algorithm-2 tables read [raw]'s files *)
-      let shared = if jobs = 1 then Some (Placement.arena raw) else None in
-      let positions (sc : Superchain.t) =
+      let positions arena (sc : Superchain.t) =
         match kind with
         | Ckpt_all -> Placement.every_position sc
         | Ckpt_every period -> Placement.periodic_positions sc ~period
         | Ckpt_budget budget ->
-            snd
-              (Placement.optimal_positions_budget ?arena:shared ~replicas platform raw sc
-                 ~budget)
+            snd (Placement.optimal_positions_budget ~arena ~replicas platform raw sc ~budget)
         (* RESTART: no checkpoint inside the superchain — a failure
            re-executes from the last natural boundary (the previous
            superchain's forced final checkpoint), i.e. one segment
@@ -241,11 +264,11 @@ let plan ?(jobs = 1) ?(replicas = 1) kind ~raw ~schedule ~platform =
            of work *)
         | Ckpt_hybrid threshold ->
             if Superchain.n_tasks sc <= threshold then [ Superchain.n_tasks sc - 1 ]
-            else snd (Placement.optimal_positions ?arena:shared ~replicas platform raw sc)
+            else snd (Placement.optimal_positions ~arena ~replicas platform raw sc)
         | Ckpt_some | Ckpt_none ->
-            snd (Placement.optimal_positions ?arena:shared ~replicas platform raw sc)
+            snd (Placement.optimal_positions ~arena ~replicas platform raw sc)
       in
-      plan_of_positions ~jobs ~replicas ~kind ~raw ~schedule ~platform ~positions ()
+      assemble ~jobs ~replicas ~kind ~raw ~schedule ~platform ~positions
 
 let restart_rate plan =
   let used = Hashtbl.create 16 in

@@ -19,7 +19,15 @@
     processor. CKPTSOME-family plans read the dummies from the
     schedule tree's serial cuts; a large cut whose sides share no
     superchain synchronises through one join node
-    ({!Ckpt_eval.Prob_dag.add_join}) instead of a pair per dummy. *)
+    ({!Ckpt_eval.Prob_dag.add_join}) instead of a pair per dummy.
+
+    Assembly runs over flat arrays. W_par is one Kahn sweep over the
+    schedule's CSR view of the raw edges ({!Schedule.t.csr}) plus each
+    superchain's serialisation, relaxing max-plus distances as it
+    pops. Each superchain is flattened once into a {!Placement.arena},
+    and its Algorithm-2 table and segment prices read only that. The
+    test suite keeps a [Prob_dag]-built W_par and a Hashtbl segment
+    pricer as bit-for-bit references. *)
 
 module Dag = Ckpt_dag.Dag
 module Platform = Ckpt_platform.Platform
@@ -84,7 +92,10 @@ val plan :
     hand-off, so the plan is identical for any value. [replicas]
     (default 1) prices every checkpoint commit at [k·C]
     ({!Placement}); the optimal positions are re-derived under that
-    cost, so a replicated CKPTSOME plan may checkpoint less often. *)
+    cost, so a replicated CKPTSOME plan may checkpoint less often.
+
+    @raise Invalid_argument if a superchain order runs a task before
+    one of its dependencies. *)
 
 val plan_of_positions :
   ?jobs:int ->

@@ -36,13 +36,15 @@ type trial = {
    task's speed-scaled compute span, and the write span of a partial
    checkpoint covering the first k tasks (a [segment_of] cut at task
    k, so files consumed by the segment's own tail count as escaping —
-   the tail re-executes elsewhere after the eviction). *)
+   the tail re-executes elsewhere after the eviction). One arena
+   flattens each superchain once for all its segments' prefixes. *)
 let rescue_of_plan (plan : Strategy.plan) =
   (* the raw workflow's files, as the plan's own segment costs: the
      completion edges carry no data *)
   let dag = plan.Strategy.raw_dag in
   let platform = plan.Strategy.platform in
   let replicas = plan.Strategy.replicas in
+  let arena = Placement.arena dag in
   Array.map
     (fun (seg : Placement.segment) ->
       let sc = plan.Strategy.schedule.Schedule.superchains.(seg.Placement.chain) in
@@ -57,8 +59,8 @@ let rescue_of_plan (plan : Strategy.plan) =
       in
       let partial_writes =
         Array.init len (fun k ->
-            (Placement.segment_of ~replicas platform dag sc ~first:seg.Placement.first
-               ~last:(seg.Placement.first + k))
+            (Placement.segment_of ~arena ~replicas platform dag sc
+               ~first:seg.Placement.first ~last:(seg.Placement.first + k))
               .Placement.write)
       in
       { Engine.rread = seg.Placement.read; task_durs; partial_writes })

@@ -1,97 +1,45 @@
-(* Immutable CSR ("compressed sparse row") view of a Dag.t, the arena
-   the planning hot loops run on. The mutable adjacency lists of the
-   builder are flattened into offset/target int arrays once, after
-   which every neighbourhood scan is a contiguous int-array walk with
-   no list cells, no closures and no Hashtbl probes — the same
-   treatment Prob_dag received for the Monte-Carlo sampler.
+(* Immutable CSR ("compressed sparse row") view of a Dag.t. The mutable
+   adjacency lists of the builder are flattened into offset/target int
+   arrays once, after which every neighbourhood scan is a contiguous
+   int-array walk with no list cells and no closures.
 
-   Edge order is preserved exactly: [succ] slices replay [out_edges]
-   (sorted by destination, parallel file edges kept), [pred] slices
-   replay [in_edges] (sorted by source). Algorithms that enumerate
-   neighbours therefore see the same sequences as the list-based
-   accessors, which keeps the compiled planners bit-identical to the
-   reference ones. *)
+   Edge order is preserved exactly: [succ] slices replay the out-edges
+   (sorted by destination, parallel file edges kept), [pred] slices the
+   in-edges (sorted by source), so algorithms that enumerate
+   neighbours see the same sequences as the list-based accessors. *)
 
 type t = {
   n : int;
-  n_files : int;
   succ_off : int array;  (* length n+1; out-edge range of task i *)
   succ_tgt : int array;
-  succ_file : int array;
   pred_off : int array;  (* length n+1; in-edge range of task i *)
   pred_src : int array;
-  pred_file : int array;
-  weight : float array;
-  input_bytes : float array;  (* summed initial-input sizes per task *)
-  file_size : float array;
-  file_producer : int array;
-  topo : int array;  (* deterministic (min-id Kahn) topological order *)
 }
 
 let of_dag dag =
   let n = Dag.n_tasks dag in
   let n_edges = Dag.n_edges dag in
-  let files = Dag.files dag in
-  let n_files = Array.length files in
   let succ_off = Array.make (n + 1) 0
   and pred_off = Array.make (n + 1) 0
   and succ_tgt = Array.make n_edges 0
-  and succ_file = Array.make n_edges 0
-  and pred_src = Array.make n_edges 0
-  and pred_file = Array.make n_edges 0
-  and weight = Array.make (max 1 n) 0.
-  and input_bytes = Array.make (max 1 n) 0. in
+  and pred_src = Array.make n_edges 0 in
   let si = ref 0 and pi = ref 0 in
   for u = 0 to n - 1 do
     succ_off.(u) <- !si;
     pred_off.(u) <- !pi;
-    weight.(u) <- Dag.weight dag u;
-    input_bytes.(u) <-
-      List.fold_left (fun acc s -> acc +. s) 0. (Dag.inputs dag u);
     List.iter
-      (fun (v, (f : Dag.file)) ->
+      (fun v ->
         succ_tgt.(!si) <- v;
-        succ_file.(!si) <- f.Dag.file_id;
         incr si)
-      (Dag.succs dag u);
+      (Dag.succ_ids dag u);
     List.iter
-      (fun (v, (f : Dag.file)) ->
+      (fun v ->
         pred_src.(!pi) <- v;
-        pred_file.(!pi) <- f.Dag.file_id;
         incr pi)
-      (Dag.preds dag u)
+      (Dag.pred_ids dag u)
   done;
   succ_off.(n) <- !si;
   pred_off.(n) <- !pi;
-  {
-    n;
-    n_files;
-    succ_off;
-    succ_tgt;
-    succ_file;
-    pred_off;
-    pred_src;
-    pred_file;
-    weight;
-    input_bytes;
-    file_size = Array.map (fun (f : Dag.file) -> f.Dag.size) files;
-    file_producer = Array.map (fun (f : Dag.file) -> f.Dag.producer) files;
-    topo = Dag.topological_sort dag;
-  }
+  { n; succ_off; succ_tgt; pred_off; pred_src }
 
 let n_tasks t = t.n
-let n_files t = t.n_files
-let weight t u = t.weight.(u)
-let input_bytes t u = t.input_bytes.(u)
-let out_degree t u = t.succ_off.(u + 1) - t.succ_off.(u)
-let in_degree t u = t.pred_off.(u + 1) - t.pred_off.(u)
-
-let iter_succs t u f =
-  for k = t.succ_off.(u) to t.succ_off.(u + 1) - 1 do
-    f t.succ_tgt.(k) t.succ_file.(k)
-  done
-
-let iter_preds t u f =
-  for k = t.pred_off.(u) to t.pred_off.(u + 1) - 1 do
-    f t.pred_src.(k) t.pred_file.(k)
-  done

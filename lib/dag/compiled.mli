@@ -1,45 +1,24 @@
-(** Immutable CSR form of a {!Dag.t} — flat int successor/predecessor
-    arrays, unboxed float cost fields and a cached deterministic
-    topological order — shared by the M-SPG recogniser, the planning
-    core and the recovery replanner as their zero-allocation traversal
-    substrate.
+(** Immutable CSR form of a {!Dag.t}: flat int successor and
+    predecessor arrays. M-SPG recognition walks both; the schedule
+    keeps one of its DAG, whose successor rows and in-degrees
+    {!Ckpt_core.Strategy}'s W_par sweep reads.
 
-    Edge enumeration order matches the list-based {!Dag.succs} /
-    {!Dag.preds} exactly (destination-sorted out-edges, source-sorted
-    in-edges, parallel file edges preserved), so algorithms ported to
-    the compiled view produce bit-identical results. The view is a
-    snapshot: mutating the source DAG afterwards does not update it. *)
+    Edge enumeration order matches {!Dag.succ_ids} / {!Dag.pred_ids}
+    exactly (destination-sorted out-edges, source-sorted in-edges,
+    parallel file edges kept), so algorithms ported to the compiled
+    view produce bit-identical results. The view is a snapshot:
+    mutating the source DAG afterwards does not update it. *)
 
 type t = private {
   n : int;
-  n_files : int;
   succ_off : int array;  (** length [n+1]: out-edges of [u] live at
                              [succ_off.(u) .. succ_off.(u+1) - 1] *)
   succ_tgt : int array;
-  succ_file : int array;
-  pred_off : int array;
+  pred_off : int array;  (** length [n+1], as [succ_off] *)
   pred_src : int array;
-  pred_file : int array;
-  weight : float array;
-  input_bytes : float array;  (** summed initial-input sizes per task *)
-  file_size : float array;
-  file_producer : int array;
-  topo : int array;
 }
 
 val of_dag : Dag.t -> t
-(** One-pass compilation, O(tasks + edges + files). *)
+(** One pass, O(tasks + edges). *)
 
 val n_tasks : t -> int
-val n_files : t -> int
-val weight : t -> int -> float
-val input_bytes : t -> int -> float
-val out_degree : t -> int -> int
-val in_degree : t -> int -> int
-
-val iter_succs : t -> int -> (int -> int -> unit) -> unit
-(** [iter_succs t u f] calls [f dst file_id] for every out-edge of [u]
-    in destination-sorted order. *)
-
-val iter_preds : t -> int -> (int -> int -> unit) -> unit
-(** [iter_preds t u f] calls [f src file_id] in source-sorted order. *)

@@ -283,6 +283,28 @@ let prop_optimal_value_realised_by_positions =
       in
       abs_float (total -. value) < 1e-9 *. (1. +. value))
 
+(* An arena keeps the superchain it last flattened: pricing the same
+   superchain over another DAG of the same shape must re-flatten, and
+   a DAG of another size is refused *)
+let test_arena_follows_dag () =
+  let d, sc = fig4 () in
+  let arena = Placement.arena d in
+  let platform = unit_platform () in
+  let heavier = Dag.copy d in
+  Dag.set_weight heavier 2 5.;
+  Dag.scale_files heavier 2.;
+  let seg dag = Placement.segment_of ~arena platform dag sc ~first:2 ~last:3 in
+  let a = seg d and b = seg heavier and c = seg d in
+  check_close "W over the first DAG" 2. a.Placement.work;
+  check_close "W over the second DAG" 6. b.Placement.work;
+  check_close "R over the second DAG" (2. *. a.Placement.read) b.Placement.read;
+  check_close "W over the first DAG again" 2. c.Placement.work;
+  let other, _ = fig4 () in
+  ignore (Dag.add_task other ~name:"extra" ~weight:1.);
+  Alcotest.check_raises "arena of another DAG"
+    (Invalid_argument "Placement: arena built for another DAG") (fun () ->
+      ignore (Placement.segment_of ~arena platform other sc ~first:0 ~last:0))
+
 let suite =
   [
     Alcotest.test_case "whole chain" `Quick test_whole_chain_segment;
@@ -305,4 +327,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_segment_work_additive;
     QCheck_alcotest.to_alcotest prop_splitting_never_loses_data;
     QCheck_alcotest.to_alcotest prop_optimal_value_realised_by_positions;
+    Alcotest.test_case "arena follows the DAG" `Quick test_arena_follows_dag;
   ]

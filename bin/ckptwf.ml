@@ -1758,8 +1758,8 @@ let setup_key ~workflow ~tasks ~seed ~processors ~pfail ~ccr =
     tasks seed processors pfail ccr
 
 (* the shared setup for a request: generated + validated + recognised +
-   scheduled once per distinct configuration, then reused (the compiled
-   CSR views and placement arenas ride along inside) *)
+   scheduled once per distinct configuration, then reused (the
+   schedule's CSR view of the DAG rides along inside) *)
 let serve_setup state req =
   let workflow = workflow_of_req req in
   let tasks = req_int req "tasks" ~default:300 in

@@ -35,6 +35,16 @@ let expected_time ~lambda seg = first_order ~lambda (seg.read +. seg.work +. seg
 let consumer_outside sc ~last m =
   (not (Superchain.mem sc m)) || Superchain.position sc m > last
 
+(* One side of a flattened superchain's edges: position [k]'s edges sit
+   at [off.(k) .. off.(k+1) - 1], in Dag order, each as its file, the
+   file's size and the position of the edge's other end *)
+type edges = {
+  mutable off : int array;
+  mutable file : int array;
+  mutable size : float array;
+  mutable other : int array;
+}
+
 (* Preallocated planning scratch, reused across the superchains of one
    DAG. Each superchain is flattened once, position by position, into
    the arrays below; the Algorithm-2 table and the segment pricer then
@@ -57,26 +67,17 @@ type arena = {
   pos : int array;  (* per task: its position in the flattened superchain *)
   mutable pos_epoch : int;
   mutable flat : (Dag.t * Superchain.t) option;  (* what the arrays below hold *)
-  (* per position: the task's weight, its initial inputs (Dag order),
-     its out-edges (file, size, consumer position or [max_int] outside
-     the superchain) and its in-edges (file, size, producer position or
-     [-1] outside the superchain), both in Dag order; position [k]'s
-     items sit at [off.(k) .. off.(k+1) - 1] *)
-  mutable weight : float array;
-  mutable inp_off : int array;
-  mutable inp_size : float array;
-  mutable out_off : int array;
-  mutable out_file : int array;
-  mutable out_size : float array;
-  mutable out_pos : int array;
-  mutable in_off : int array;
-  mutable in_file : int array;
-  mutable in_size : float array;
-  mutable in_pos : int array;
+  mutable weight : float array;  (* per position *)
+  mutable inp_off : int array;  (* position [k]'s initial inputs, in Dag order, *)
+  mutable inp_size : float array;  (* at [inp_off.(k) .. inp_off.(k+1) - 1] *)
+  outs : edges;  (* [other]: the consumer's position, [max_int] off the superchain *)
+  ins : edges;  (* [other]: the producer's position, [-1] off the superchain *)
   mutable tri : float array;
   mutable etime : float array;
   mutable last_ckpt : int array;
 }
+
+let no_edges () = { off = [||]; file = [||]; size = [||]; other = [||] }
 
 let arena dag =
   let nf = Dag.n_files dag in
@@ -93,14 +94,8 @@ let arena dag =
     weight = [||];
     inp_off = [||];
     inp_size = [||];
-    out_off = [||];
-    out_file = [||];
-    out_size = [||];
-    out_pos = [||];
-    in_off = [||];
-    in_file = [||];
-    in_size = [||];
-    in_pos = [||];
+    outs = no_edges ();
+    ins = no_edges ();
     tri = [||];
     etime = [||];
     last_ckpt = [||];
@@ -114,6 +109,22 @@ let grow a need fill =
     b
   end
 
+(* Store position [k]'s [edges] from index [first] on, the other end of
+   each at [other_of] its task; the next free index *)
+let push_edges e k first edges other_of =
+  e.off.(k) <- first;
+  let need = first + List.length edges in
+  e.file <- grow e.file need 0;
+  e.size <- grow e.size need 0.;
+  e.other <- grow e.other need 0;
+  List.fold_left
+    (fun x (t, (f : Dag.file)) ->
+      e.file.(x) <- f.Dag.file_id;
+      e.size.(x) <- f.Dag.size;
+      e.other.(x) <- other_of t;
+      x + 1)
+    first edges
+
 (* Flatten [sc] into [a], unless it already holds [sc] of [dag]. One
    pass over the superchain's edges, O(n·d) *)
 let flatten a dag sc =
@@ -122,6 +133,7 @@ let flatten a dag sc =
   | _ ->
       if a.n_files <> Dag.n_files dag || Array.length a.pos <> Dag.n_tasks dag then
         invalid_arg "Placement: arena built for another DAG";
+      a.flat <- None;
       let n = Superchain.n_tasks sc in
       a.pos_epoch <- a.pos_epoch + 1;
       let e = a.pos_epoch in
@@ -130,11 +142,12 @@ let flatten a dag sc =
           a.pos_stamp.(t) <- e;
           a.pos.(t) <- k)
         sc.Superchain.order;
-      let position t = if a.pos_stamp.(t) = e then a.pos.(t) else -1 in
+      let producer t = if a.pos_stamp.(t) = e then a.pos.(t) else -1 in
+      let consumer t = if a.pos_stamp.(t) = e then a.pos.(t) else max_int in
       a.weight <- grow a.weight n 0.;
       a.inp_off <- grow a.inp_off (n + 1) 0;
-      a.out_off <- grow a.out_off (n + 1) 0;
-      a.in_off <- grow a.in_off (n + 1) 0;
+      a.outs.off <- grow a.outs.off (n + 1) 0;
+      a.ins.off <- grow a.ins.off (n + 1) 0;
       let ni = ref 0 and no = ref 0 and nx = ref 0 in
       for k = 0 to n - 1 do
         let t = Superchain.task_at sc k in
@@ -147,37 +160,12 @@ let flatten a dag sc =
             a.inp_size.(!ni) <- size;
             incr ni)
           inputs;
-        let succs = Dag.succs dag t in
-        let need = !no + List.length succs in
-        a.out_off.(k) <- !no;
-        a.out_file <- grow a.out_file need 0;
-        a.out_size <- grow a.out_size need 0.;
-        a.out_pos <- grow a.out_pos need 0;
-        List.iter
-          (fun (m, (f : Dag.file)) ->
-            let p = position m in
-            a.out_file.(!no) <- f.Dag.file_id;
-            a.out_size.(!no) <- f.Dag.size;
-            a.out_pos.(!no) <- (if p < 0 then max_int else p);
-            incr no)
-          succs;
-        let preds = Dag.preds dag t in
-        let need = !nx + List.length preds in
-        a.in_off.(k) <- !nx;
-        a.in_file <- grow a.in_file need 0;
-        a.in_size <- grow a.in_size need 0.;
-        a.in_pos <- grow a.in_pos need 0;
-        List.iter
-          (fun (l, (f : Dag.file)) ->
-            a.in_file.(!nx) <- f.Dag.file_id;
-            a.in_size.(!nx) <- f.Dag.size;
-            a.in_pos.(!nx) <- position l;
-            incr nx)
-          preds
+        no := push_edges a.outs k !no (Dag.succs dag t) consumer;
+        nx := push_edges a.ins k !nx (Dag.preds dag t) producer
       done;
       a.inp_off.(n) <- !ni;
-      a.out_off.(n) <- !no;
-      a.in_off.(n) <- !nx;
+      a.outs.off.(n) <- !no;
+      a.ins.off.(n) <- !nx;
       a.flat <- Some (dag, sc)
 
 (* The one segment pricer: per position in ascending order, its work,
@@ -197,23 +185,24 @@ let segment_of ?arena:a ?(replicas = 1) platform dag sc ~first ~last =
   let re = 2 * a.read_epoch in
   a.write_epoch <- a.write_epoch + 1;
   let we = a.write_epoch in
+  let outs = a.outs and ins = a.ins in
   for k = first to last do
     work := !work +. a.weight.(k);
     for x = a.inp_off.(k) to a.inp_off.(k + 1) - 1 do
       read_bytes := !read_bytes +. a.inp_size.(x)
     done;
-    for x = a.in_off.(k) to a.in_off.(k + 1) - 1 do
-      let f = a.in_file.(x) in
-      if a.in_pos.(x) < first && a.read_stamp.(f) <> re then begin
+    for x = ins.off.(k) to ins.off.(k + 1) - 1 do
+      let f = ins.file.(x) in
+      if ins.other.(x) < first && a.read_stamp.(f) <> re then begin
         a.read_stamp.(f) <- re;
-        read_bytes := !read_bytes +. a.in_size.(x)
+        read_bytes := !read_bytes +. ins.size.(x)
       end
     done;
-    for x = a.out_off.(k) to a.out_off.(k + 1) - 1 do
-      let f = a.out_file.(x) in
-      if a.out_pos.(x) > last && a.write_stamp.(f) <> we then begin
+    for x = outs.off.(k) to outs.off.(k + 1) - 1 do
+      let f = outs.file.(x) in
+      if outs.other.(x) > last && a.write_stamp.(f) <> we then begin
         a.write_stamp.(f) <- we;
-        write_bytes := !write_bytes +. a.out_size.(x)
+        write_bytes := !write_bytes +. outs.size.(x)
       end
     done
   done;
@@ -246,9 +235,9 @@ let fill_cost_tri ?(replicas = 1) a platform dag sc =
   let speed = chain_speed platform sc.Superchain.processor in
   let tri = a.tri and read_stamp = a.read_stamp and write_stamp = a.write_stamp in
   let weight = a.weight and inp_off = a.inp_off and inp_size = a.inp_size in
-  let out_off = a.out_off and out_file = a.out_file and out_size = a.out_size in
-  let out_pos = a.out_pos in
-  let in_off = a.in_off and in_file = a.in_file and in_size = a.in_size in
+  let out_off = a.outs.off and out_file = a.outs.file and out_size = a.outs.size in
+  let consumer = a.outs.other in
+  let in_off = a.ins.off and in_file = a.ins.file and in_size = a.ins.size in
   for j = 0 to n - 1 do
     let row = j * (j + 1) / 2 in
     let read_bytes = ref 0. and write_bytes = ref 0. and work = ref 0. in
@@ -261,7 +250,7 @@ let fill_cost_tri ?(replicas = 1) a platform dag sc =
       let we = a.write_epoch in
       for x = out_off.(i) to out_off.(i + 1) - 1 do
         let f = out_file.(x) in
-        if out_pos.(x) > j && write_stamp.(f) <> we then begin
+        if consumer.(x) > j && write_stamp.(f) <> we then begin
           write_stamp.(f) <- we;
           write_bytes := !write_bytes +. out_size.(x)
         end

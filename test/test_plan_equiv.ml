@@ -591,6 +591,12 @@ let check_assembly label (setup : Pipeline.setup) =
   and schedule = setup.Pipeline.schedule
   and platform = setup.Pipeline.platform in
   let wpar = Dp_oracle.reference_wpar ~raw ~schedule ~platform in
+  (* a raw DAG that is not the schedule's own object, edge for edge the
+     same, reads its own edges *)
+  Alcotest.(check int64)
+    (label ^ ": wpar over a copy of raw")
+    (bits wpar)
+    (bits (Strategy.plan Strategy.Ckpt_none ~raw:(Dag.copy raw) ~schedule ~platform).Strategy.wpar);
   List.iter
     (fun replicas ->
       List.iter

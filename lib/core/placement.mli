@@ -30,9 +30,9 @@
     inputs, and its out- and in-edges as (file, size, position of the
     other end). The Algorithm-2 table and {!segment_of}, the one
     segment pricer, read only those arrays, with epoch-stamped
-    per-file arrays for the distinct-file rule. The Hashtbl pricer and
-    {!cost_matrix} are their references, with the same float
-    operations in the same order.
+    per-file arrays for the distinct-file rule. {!cost_matrix} and the
+    test suite's Hashtbl pricer are their references, with the same
+    float operations in the same order.
 
     Every cost entry point takes [?replicas] (default 1), the k-way
     checkpoint replication factor of the storage-fault extension: a

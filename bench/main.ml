@@ -17,10 +17,7 @@
    Run with: dune exec bench/main.exe
    (pass --quick for a single representative row set per figure;
    --jobs N fans figure cells and Monte-Carlo trials over N worker
-   domains, 0 meaning all available, without changing any output;
-   --json FILE writes the Monte-Carlo throughput record to FILE;
-   --mc-only, --plan-only and --sweep-only run just that benchmark
-   and exit)
+   domains, 0 meaning all available, without changing any output)
 
    The figure series and the accuracy table — the long-running parts —
    are crash-tolerant: with --journal FILE every completed cell is
@@ -566,410 +563,9 @@ let cloud_revocation_table ?journal ?(jobs = 1) () =
     [ (0.2, 0.); (0.2, 30.); (0.5, 0.); (0.5, 30.) ];
   print_newline ()
 
-(* ------------------------------------------------------------------ *)
-(* Monte-Carlo throughput benchmark                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* End-to-end sampling rate of the MONTECARLO estimator on the paper's
-   largest workflow (GENOME, n = 1000 tasks) — the figure the compiled
-   CSR + bulk-stream sampling work is measured by. With --json FILE the
-   numbers are also written as a machine-readable record (the tracked
-   baseline lives in BENCH_mc.json at the repository root). *)
-let mc_throughput ?json ~jobs () =
-  Printf.printf "== Monte-Carlo throughput (GENOME, CKPTALL prob-DAG) ==\n";
-  let cores = Domain.recommended_domain_count () in
-  let jobs_requested = jobs in
-  let jobs = Pool.effective_jobs jobs in
-  if jobs_requested > cores then
-    Printf.eprintf
-      "bench: --jobs %d exceeds the %d available core(s); parallel legs run at the \
-       clamped effective width %d\n%!"
-      jobs_requested cores jobs;
-  let trials = 10_000 in
-  let dag = Spec.generate Spec.Genome ~seed:1 ~tasks:1000 () in
-  let setup = Pipeline.prepare ~dag ~processors:61 ~pfail:0.001 ~ccr:0.01 () in
-  let plan = Pipeline.plan setup Strategy.Ckpt_all in
-  let pd = Option.get plan.Strategy.prob_dag in
-  let n = Ckpt_eval.Prob_dag.n_nodes pd in
-  (* warm-up: compile the CSR outside the timed region *)
-  ignore (Ckpt_eval.Montecarlo.estimate ~trials:100 ~jobs pd);
-  let t0 = Unix.gettimeofday () in
-  let mean = Ckpt_eval.Montecarlo.estimate ~trials ~jobs pd in
-  let wall = Unix.gettimeofday () -. t0 in
-  let rate = float_of_int trials /. wall in
-  Printf.printf "  workflow=genome n=%d trials=%d jobs=%d mean=%.4f wall=%.3fs trials/sec=%.0f\n\n"
-    n trials jobs mean wall rate;
-  let record =
-    Printf.sprintf
-      "{\n  \"benchmark\": \"montecarlo-throughput\",\n  \"workflow\": \"genome\",\n\
-      \  \"n\": %d,\n  \"trials\": %d,\n  \"jobs_requested\": %d,\n  \"jobs\": %d,\n\
-      \  \"cores\": %d,\n  \"wall_seconds\": %.6f,\n  \"trials_per_sec\": %.0f\n}\n"
-      n trials jobs_requested jobs cores wall rate
-  in
-  Option.iter (fun path -> History.write_file path record) json;
-  ignore (History.record ~name:"mc" record)
-
-(* ------------------------------------------------------------------ *)
-(* Planning throughput benchmark                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* End-to-end planning rate — recognition + ALLOCATE + the Algorithm 2
-   placement DP — on the paper's largest workflow and on a larger
-   generated M-SPG, sequentially and fanned over [jobs] domains, plus
-   the degraded-mode replanning rate with its cache hit rate. This is
-   the figure the CSR recogniser + packed-DP + replan-cache work is
-   measured by; the tracked baseline lives in BENCH_plan.json at the
-   repository root. The seed (pre-CSR) planner measured 8.2 plans/sec
-   on GENOME n=999 on the reference machine. *)
-let seed_baseline_plans_per_sec = 8.2
-
-let plan_throughput ?json ~jobs () =
-  let module Degrade = Ckpt_sim.Degrade in
-  let cores = Domain.recommended_domain_count () in
-  let jobs_requested = jobs in
-  let jobs = Pool.effective_jobs jobs in
-  Printf.printf "== Planning throughput (recognition + ALLOCATE + placement DP) ==\n";
-  if jobs_requested > cores then
-    Printf.eprintf
-      "bench: --jobs %d exceeds the %d available core(s); parallel legs run at the \
-       clamped effective width %d\n%!"
-      jobs_requested cores jobs;
-  let reps = History.reps ~default:10 in
-  let time iters f =
-    ignore (f ());
-    (* level the heap between legs: the seq/par pairs must differ by
-       the code path alone, not by the major-GC debt the previous leg
-       left behind *)
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    let wall = Unix.gettimeofday () -. t0 in
-    float_of_int iters /. wall
-  in
-  let genome = Spec.generate Spec.Genome ~seed:1 ~tasks:1000 () in
-  let n_genome = Dag.n_tasks genome in
-  let full_plan ~jobs dag ~processors =
-    let setup = Pipeline.prepare ~dag ~processors ~pfail:0.001 ~ccr:0.01 () in
-    Pipeline.plan ~jobs setup Strategy.Ckpt_some
-  in
-  let genome_seq = time reps (fun () -> full_plan ~jobs:1 genome ~processors:61) in
-  let genome_par = time reps (fun () -> full_plan ~jobs genome ~processors:61) in
-  Printf.printf "  genome   n=%d   plans/sec seq=%.1f  par(jobs=%d)=%.1f  seed=%.1f (%.1fx)\n"
-    n_genome genome_seq jobs genome_par seed_baseline_plans_per_sec
-    (genome_seq /. seed_baseline_plans_per_sec);
-  (* a large generated M-SPG: 6 parallel branches of 600-task chains
-     (random weights/file sizes), scheduled on 6 processors so every
-     superchain carries a long placement DP — the shape where fanning
-     the per-superchain solves over domains can pay, given the cores *)
-  let random_mspg =
-    let module Mspg = Ckpt_mspg.Mspg in
-    let rng = Ckpt_prob.Rng.create 5 in
-    let counter = ref 0 in
-    let task () =
-      incr counter;
-      Mspg.Btask (Printf.sprintf "t%d" !counter, 0.5 +. Ckpt_prob.Rng.float rng 49.5)
-    in
-    let bp =
-      Mspg.Bparallel (List.init 6 (fun _ -> Mspg.Bserial (List.init 600 (fun _ -> task ()))))
-    in
-    let edge_rng = Ckpt_prob.Rng.split rng in
-    Mspg.build ~name:"large-mspg"
-      ~edge_size:(fun _ _ -> 1e5 +. Ckpt_prob.Rng.float edge_rng (1e8 -. 1e5))
-      bp
-  in
-  let random_dag = random_mspg.Ckpt_mspg.Mspg.dag in
-  let n_random = Dag.n_tasks random_dag in
-  (* the tree of a generated M-SPG is known by construction, so this
-     leg prices ALLOCATE + Algorithm 2 only (no recognition pass) *)
-  let plan_known ?(kind = Strategy.Ckpt_some) ~jobs () =
-    let n = Dag.n_tasks random_dag in
-    let mean_weight = Dag.total_weight random_dag /. float_of_int n in
-    let lambda = Platform.lambda_of_pfail ~pfail:0.001 ~mean_weight in
-    let bandwidth =
-      Platform.bandwidth_for_ccr ~ccr:0.01 ~total_data:(Dag.total_data random_dag)
-        ~total_weight:(Dag.total_weight random_dag)
-    in
-    let platform = Platform.make ~processors:6 ~lambda ~bandwidth in
-    let schedule = Allocate.run random_mspg ~processors:6 in
-    Strategy.plan ~jobs kind ~raw:random_dag ~schedule ~platform
-  in
-  let half_reps = max 1 (reps / 2) in
-  let random_seq = time half_reps (fun () -> plan_known ~jobs:1 ()) in
-  let random_par = time half_reps (fun () -> plan_known ~jobs ()) in
-  Printf.printf "  large    n=%d  plans/sec seq=%.1f  par(jobs=%d)=%.1f  (alloc+DP only)\n"
-    n_random random_seq jobs random_par;
-  (* daemon-batch leg: the serve workload — a 256-request batch over a
-     bounded set of strategies hitting a Service plan cache, so all but
-     the first request per strategy is a hash lookup.  This is the
-     plans/sec a resident [ckptwf serve] process sustains. *)
-  let module Service = Ckpt_core.Service in
-  let batch_requests = 512 in
-  let batch_kinds =
-    [| Strategy.Ckpt_some; Strategy.Ckpt_all; Strategy.Ckpt_every 5; Strategy.Ckpt_budget 8 |]
-  in
-  let service = Service.create () in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to batch_requests - 1 do
-    let kind = batch_kinds.(i mod Array.length batch_kinds) in
-    ignore
-      (Sys.opaque_identity
-         (Service.plan service
-            ~key:(Printf.sprintf "bench|large|%s" (Strategy.kind_name kind))
-            (fun () -> plan_known ~kind ~jobs:1 ())))
-  done;
-  let batch_wall = Unix.gettimeofday () -. t0 in
-  let random_batch = float_of_int batch_requests /. batch_wall in
-  let svc = Service.stats service in
-  Printf.printf
-    "  daemon   n=%d  plans/sec batch=%.0f  (%d requests, %d plan hit(s), %d miss(es))\n"
-    n_random random_batch batch_requests svc.Service.plan_hits svc.Service.plan_misses;
-  (* concurrent daemon leg: the same 512-request load issued by 4
-     simultaneous connections — each domain plays one connection
-     handler hammering a shared Service. Once the four strategies are
-     cached the throughput prices the mutex-guarded lookup path under
-     contention (racing duplicate computes land in [plan_races]). *)
-  let conc_clients = 4 in
-  let per_client = batch_requests / conc_clients in
-  let conc_service = Service.create () in
-  let t0 = Unix.gettimeofday () in
-  let clients =
-    List.init conc_clients (fun c ->
-        Domain.spawn (fun () ->
-            for i = 0 to per_client - 1 do
-              let kind = batch_kinds.((c + i) mod Array.length batch_kinds) in
-              ignore
-                (Sys.opaque_identity
-                   (Service.plan conc_service
-                      ~key:(Printf.sprintf "bench|large|%s" (Strategy.kind_name kind))
-                      (fun () -> plan_known ~kind ~jobs:1 ())))
-            done))
-  in
-  List.iter Domain.join clients;
-  let conc_wall = Unix.gettimeofday () -. t0 in
-  let random_conc = float_of_int (conc_clients * per_client) /. conc_wall in
-  let conc_svc = Service.stats conc_service in
-  Printf.printf
-    "  daemon   n=%d  plans/sec concurrent=%.0f  (%d clients x %d requests, %d race(s))\n"
-    n_random random_conc conc_clients per_client conc_svc.Service.plan_races;
-  (* degraded-mode replanning: 120-trial repair batches on the
-     standard small scenario, replan cache on *)
-  let dag50 = Spec.generate Spec.Genome ~seed:1 ~tasks:50 () in
-  let setup50 = Pipeline.prepare ~dag:dag50 ~processors:5 ~pfail:0.001 ~ccr:0.1 () in
-  let plan50 = Pipeline.plan setup50 Strategy.Ckpt_some in
-  let config =
-    {
-      Degrade.lambda_death =
-        Platform.lambda_of_pfail ~pfail:0.2 ~mean_weight:plan50.Strategy.wpar;
-      max_losses = 1;
-      kind = Strategy.Ckpt_some;
-      store = Ckpt_storage.Store.default;
-    }
-  in
-  let trials = 120 in
-  let prepared = Degrade.prepare plan50 in
-  let batches =
-    time half_reps (fun () ->
-        Degrade.sample_prepared ~trials ~seed:13 ~jobs:1 ~mode:Degrade.Repair config
-          prepared)
-  in
-  let hits, misses = Degrade.cache_stats prepared in
-  let hit_rate = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
-  let degrade_rate = batches *. float_of_int trials in
-  Printf.printf
-    "  degrade  n=50 p=5  trials/sec=%.0f  replan cache: %d hit(s), %d miss(es) (%.0f%%)\n"
-    degrade_rate hits misses (100. *. hit_rate);
-  (* disk-store commit throughput: durable commits through the
-     crash-consistent journal — one atomic tmp+fsync+rename per fresh
-     record, so this prices the I/O floor a `--store disk` resumable
-     run pays per recovery line *)
-  let module Store = Ckpt_storage.Store in
-  let store_commits = 128 in
-  let store_path = Filename.temp_file "ckptwf_bench_store" ".journal" in
-  let store_rate =
-    match
-      Store.open_persist ~path:store_path
-        ~fingerprint:(Store.fingerprint [ "bench|plan-throughput" ])
-        ()
-    with
-    | Result.Error _ -> 0.
-    | Ok persist ->
-        let cfg =
-          { Store.default with Store.backend = Store.Disk { path = store_path } }
-        in
-        let st = Store.create ~persist cfg (Ckpt_prob.Rng.create 3) in
-        let t0 = Unix.gettimeofday () in
-        for seg = 0 to store_commits - 1 do
-          ignore
-            (Sys.opaque_identity (Store.commit st ~seg ~write:0.1 ~at:(float_of_int seg)))
-        done;
-        let wall = Unix.gettimeofday () -. t0 in
-        float_of_int store_commits /. wall
-  in
-  (try Sys.remove store_path with Sys_error _ -> ());
-  Printf.printf "  store    disk commits/sec=%.0f  (%d durable commits, fsynced append each)\n\n"
-    store_rate store_commits;
-  let record =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"plan-throughput\",\n\
-      \  \"jobs_requested\": %d,\n\
-      \  \"jobs\": %d,\n\
-      \  \"cores\": %d,\n\
-      \  \"reps\": %d,\n\
-      \  \"genome_n\": %d,\n\
-      \  \"genome_plans_per_sec_seq\": %.2f,\n\
-      \  \"genome_plans_per_sec_par\": %.2f,\n\
-      \  \"random_mspg_n\": %d,\n\
-      \  \"random_plans_per_sec_seq\": %.2f,\n\
-      \  \"random_plans_per_sec_par\": %.2f,\n\
-      \  \"random_plans_per_sec_batch\": %.2f,\n\
-      \  \"random_plans_per_sec_concurrent\": %.2f,\n\
-      \  \"concurrent_clients\": %d,\n\
-      \  \"service_plan_races\": %d,\n\
-      \  \"batch_requests\": %d,\n\
-      \  \"service_plan_hits\": %d,\n\
-      \  \"service_plan_misses\": %d,\n\
-      \  \"degrade_trials_per_sec\": %.2f,\n\
-      \  \"replan_cache_hits\": %d,\n\
-      \  \"replan_cache_misses\": %d,\n\
-      \  \"replan_cache_hit_rate\": %.4f,\n\
-      \  \"store_commits\": %d,\n\
-      \  \"store_commits_per_sec\": %.2f,\n\
-      \  \"seed_baseline_plans_per_sec\": %.2f,\n\
-      \  \"speedup_vs_seed\": %.2f\n\
-       }\n"
-      jobs_requested jobs cores reps n_genome genome_seq genome_par n_random random_seq
-      random_par random_batch random_conc conc_clients conc_svc.Service.plan_races
-      batch_requests svc.Service.plan_hits svc.Service.plan_misses
-      degrade_rate hits misses hit_rate store_commits store_rate
-      seed_baseline_plans_per_sec
-      (genome_seq /. seed_baseline_plans_per_sec)
-  in
-  Option.iter (fun path -> History.write_file path record) json;
-  ignore (History.record ~name:"plan" record)
-
-(* ------------------------------------------------------------------ *)
-(* Sweep-cell throughput benchmark                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The figure the analytic expected-makespan engine is measured by: a
-   pinned Figure-5 sweep (GENOME n=300, p=35, pfail=0.001, the 9
-   default CCR points of `ckptwf sweep`) evaluated per cell by the
-   closed-form analytic engine and by the 10k-trial MONTECARLO
-   estimator. Setups and plans are prepared once outside the timed
-   region — planning throughput is BENCH_plan.json's figure — so the
-   two rates isolate the estimator cost, which is what `--eval
-   analytic|mc` switches inside an already-planned sweep. The analytic
-   value is additionally asserted to lie inside the MC 95% confidence
-   interval on every cell and both strategies; the tracked baseline
-   lives in BENCH_sweep.json at the repository root. *)
-let sweep_throughput ?json ~jobs () =
-  let module Analytic = Ckpt_analytic.Analytic in
-  Printf.printf "== Sweep-cell throughput (GENOME n=300 p=35: analytic vs 10k-trial MC) ==\n";
-  let cores = Domain.recommended_domain_count () in
-  let jobs_requested = jobs in
-  let jobs = Pool.effective_jobs jobs in
-  if jobs_requested > cores then
-    Printf.eprintf
-      "bench: --jobs %d exceeds the %d available core(s); parallel legs run at the \
-       clamped effective width %d\n%!"
-      jobs_requested cores jobs;
-  let trials = 10_000 in
-  let reps = History.reps ~default:5 in
-  let dag = Spec.generate Spec.Genome ~seed:1 ~tasks:300 () in
-  let ccrs = logspace 1e-4 1e-2 9 in
-  let cells =
-    List.map
-      (fun ccr ->
-        let setup = Pipeline.prepare ~dag ~processors:35 ~pfail:0.001 ~ccr () in
-        let plans = [ Pipeline.plan setup Strategy.Ckpt_some; Pipeline.plan setup Strategy.Ckpt_all ] in
-        (ccr, plans))
-      ccrs
-  in
-  let n_cells = List.length cells in
-  (* containment first: |analytic − MC mean| <= the MC 95% half-width,
-     cell by cell, strategy by strategy *)
-  let worst_gap = ref 0. in
-  let within_ci =
-    List.for_all
-      (fun (_, plans) ->
-        List.for_all
-          (fun (plan : Strategy.plan) ->
-            let pd = Option.get plan.Strategy.prob_dag in
-            let st = Ckpt_eval.Montecarlo.estimate_with_stats ~trials ~seed:1 ~jobs pd in
-            let gap =
-              abs_float (Analytic.expected_makespan plan -. Ckpt_prob.Stats.mean st)
-            in
-            let hw = Ckpt_prob.Stats.ci95_halfwidth st in
-            if hw > 0. && gap /. hw > !worst_gap then worst_gap := gap /. hw;
-            gap <= hw)
-          plans)
-      cells
-  in
-  (* timed phases: one "pass" prices every cell of the sweep *)
-  let time_pass passes f =
-    ignore (f ());
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to passes do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    float_of_int (passes * n_cells) /. (Unix.gettimeofday () -. t0)
-  in
-  let eval_with f () =
-    List.iter (fun (_, plans) -> List.iter (fun p -> ignore (Sys.opaque_identity (f p))) plans) cells
-  in
-  (* the analytic pass is microseconds per cell: scale the pass count
-     up so the timed region stays measurable *)
-  let analytic_rate =
-    time_pass (reps * 100) (eval_with (fun p -> Analytic.expected_makespan p))
-  in
-  let mc_rate =
-    time_pass reps
-      (eval_with (fun (p : Strategy.plan) ->
-           Ckpt_eval.Montecarlo.estimate ~trials ~seed:1 ~jobs
-             (Option.get p.Strategy.prob_dag)))
-  in
-  let speedup = analytic_rate /. mc_rate in
-  Printf.printf
-    "  cells=%d trials=%d jobs=%d cells/sec analytic=%.0f mc=%.2f (%.0fx) within_ci=%b \
-     (worst gap %.2f of CI)\n\n"
-    n_cells trials jobs analytic_rate mc_rate speedup within_ci !worst_gap;
-  let record =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"sweep-throughput\",\n\
-      \  \"workflow\": \"genome\",\n\
-      \  \"n\": %d,\n\
-      \  \"processors\": 35,\n\
-      \  \"cells\": %d,\n\
-      \  \"trials\": %d,\n\
-      \  \"jobs_requested\": %d,\n\
-      \  \"jobs\": %d,\n\
-      \  \"cores\": %d,\n\
-      \  \"reps\": %d,\n\
-      \  \"sweep_cells_per_sec_analytic\": %.2f,\n\
-      \  \"sweep_cells_per_sec_mc\": %.4f,\n\
-      \  \"analytic_speedup\": %.2f,\n\
-      \  \"analytic_within_ci\": %b,\n\
-      \  \"worst_gap_ci_fraction\": %.4f\n\
-       }\n"
-      (Dag.n_tasks dag) n_cells trials jobs_requested jobs cores reps analytic_rate mc_rate
-      speedup within_ci !worst_gap
-  in
-  Option.iter (fun path -> History.write_file path record) json;
-  ignore (History.record ~name:"sweep" record);
-  if not within_ci then begin
-    prerr_endline "bench: analytic expected makespan left the MC 95% CI";
-    exit 1
-  end
-
 let () =
   let quick = Array.exists (fun a -> a = "--quick") Sys.argv in
   let resume = Array.exists (fun a -> a = "--resume") Sys.argv in
-  let mc_only = Array.exists (fun a -> a = "--mc-only") Sys.argv in
   let value_of name =
     let n = Array.length Sys.argv in
     let rec find i =
@@ -990,24 +586,11 @@ let () =
             prerr_endline "bench: --jobs wants a non-negative integer";
             exit 2)
   in
-  let json = value_of "--json" in
   let journal_path = value_of "--journal" in
   (if resume && journal_path = None then begin
      prerr_endline "bench: --resume requires --journal FILE";
      exit 2
    end);
-  if mc_only then begin
-    mc_throughput ?json ~jobs ();
-    exit 0
-  end;
-  if Array.exists (fun a -> a = "--plan-only") Sys.argv then begin
-    plan_throughput ?json ~jobs ();
-    exit 0
-  end;
-  if Array.exists (fun a -> a = "--sweep-only") Sys.argv then begin
-    sweep_throughput ?json ~jobs ();
-    exit 0
-  end;
   let journal =
     match journal_path with
     | None -> None
@@ -1025,9 +608,6 @@ let () =
           (Journal.path j))
     journal;
   run_benchmarks ();
-  mc_throughput ?json ~jobs ();
-  plan_throughput ~jobs ();
-  sweep_throughput ~jobs ();
   accuracy_table ?journal ();
   linearization_ablation ();
   policy_ablation ();

@@ -13,7 +13,6 @@ module Strategy = Ckpt_core.Strategy
 module Schedule = Ckpt_core.Schedule
 module Superchain = Ckpt_core.Superchain
 module Evaluator = Ckpt_eval.Evaluator
-module Analytic = Ckpt_analytic.Analytic
 module Runner = Ckpt_sim.Runner
 module Stats = Ckpt_prob.Stats
 module Rerror = Ckpt_resilience.Error
@@ -103,27 +102,6 @@ let method_arg =
     & opt method_conv Evaluator.Pathapprox
     & info [ "m"; "method" ] ~docv:"METHOD"
         ~doc:"Expected-makespan estimator: montecarlo, dodin, normal or pathapprox.")
-
-let eval_conv =
-  let parse s =
-    match Analytic.eval_of_name s with
-    | Some e -> Ok e
-    | None -> Error (`Msg (Printf.sprintf "unknown evaluator %S (analytic|mc|auto)" s))
-  in
-  Arg.conv (parse, fun fmt e -> Format.pp_print_string fmt (Analytic.eval_name e))
-
-let eval_arg =
-  Arg.(
-    value
-    & opt (some eval_conv) None
-    & info [ "eval" ] ~docv:"EVAL"
-        ~doc:
-          "Sweep-cell evaluator: $(b,analytic) (closed-form expected makespan, no \
-           sampling), $(b,mc) (10k-trial Monte-Carlo), or $(b,auto) (analytic exactly \
-           when the failure model is exponential and no storage/contention knob is \
-           live — always the case for sweep cells, which model neither). Omitting the \
-           flag keeps the historic $(b,--method) estimator and its bitwise-identical \
-           output.")
 
 let trials_arg =
   Arg.(value & opt int 1000 & info [ "trials" ] ~docv:"T" ~doc:"Simulation trials.")
@@ -719,23 +697,11 @@ let schedule_cmd =
 
 (* --- evaluate --- *)
 
-(* The strategy comparison behind evaluate, sweep cells and serve
-   evaluate: the --method estimator, unless --eval picks the analytic
-   functional (bitwise the PATHAPPROX method) or 10k-trial MC. *)
-let compare_cell ~method_ ~eval setup =
-  let method_ =
-    match Option.map Analytic.resolve eval with
-    | None -> method_
-    | Some `Analytic -> Evaluator.Pathapprox
-    | Some `Mc -> Evaluator.default_montecarlo
-  in
-  Pipeline.compare_strategies ~method_ setup
-
 let evaluate_run dax workflow tasks seed processors pfail ccr method_ =
   protect @@ fun () ->
   let dag = source dax workflow tasks seed in
   let setup = Pipeline.prepare ~dag ~processors ~pfail ~ccr () in
-  let cmp = compare_cell ~method_ ~eval:None setup in
+  let cmp = Pipeline.compare_strategies ~method_ setup in
   Format.printf "workflow=%s n=%d p=%d pfail=%g ccr=%g method=%s@." (Dag.name dag)
     (Dag.n_tasks dag) processors pfail ccr (Evaluator.name method_);
   Format.printf "  EM(CKPTSOME) = %.2f s  (%d checkpoints)@." cmp.Pipeline.em_some
@@ -857,8 +823,9 @@ let default_ccrs workflow =
    gets journaled, so a resumed sweep replays it verbatim. [structure]
    yields the sweep's one recognised and scheduled setup: the cells
    differ only in CCR, so each just reprices it. *)
-let sweep_row ~csv ~dag ~processors ~pfail ~method_ ~eval ~structure ccr =
-  let cmp = compare_cell ~method_ ~eval (Pipeline.reprice (structure ()) ~pfail ~ccr) in
+let sweep_row ~csv ~dag ~processors ~pfail ~method_ ~structure ccr =
+  let setup = Pipeline.reprice (structure ()) ~pfail ~ccr in
+  let cmp = Pipeline.compare_strategies ~method_ setup in
   if csv then
     Printf.sprintf "%s,%d,%d,%g,%g,%.4f,%.4f,%.4f,%.4f,%.4f,%d" (Dag.name dag)
       (Dag.n_tasks dag) processors pfail ccr cmp.Pipeline.em_some cmp.Pipeline.em_all
@@ -869,19 +836,12 @@ let sweep_row ~csv ~dag ~processors ~pfail ~method_ ~eval ~structure ccr =
       cmp.Pipeline.em_some cmp.Pipeline.em_all cmp.Pipeline.em_none cmp.Pipeline.rel_all
       cmp.Pipeline.rel_none cmp.Pipeline.ckpts_some
 
-let sweep_cell_key ~csv ~dag ~seed ~processors ~pfail ~method_ ~eval ccr =
-  let base =
-    Printf.sprintf "sweep|wf=%s|n=%d|seed=%d|p=%d|pfail=%s|m=%s|csv=%b|ccr=%.17g"
-      (Dag.name dag) (Dag.n_tasks dag) seed processors (key_float pfail)
-      (Evaluator.name method_) csv ccr
-  in
-  (* the suffix appears only when --eval is given, so pre-existing
-     journals keep resuming and the default key stays byte-identical *)
-  match eval with
-  | None -> base
-  | Some e -> Printf.sprintf "%s|eval=%s" base (Analytic.eval_name e)
+let sweep_cell_key ~csv ~dag ~seed ~processors ~pfail ~method_ ccr =
+  Printf.sprintf "sweep|wf=%s|n=%d|seed=%d|p=%d|pfail=%s|m=%s|csv=%b|ccr=%.17g"
+    (Dag.name dag) (Dag.n_tasks dag) seed processors (key_float pfail)
+    (Evaluator.name method_) csv ccr
 
-let sweep_run dax workflow tasks seed processors pfail method_ eval csv journal resume
+let sweep_run dax workflow tasks seed processors pfail method_ csv journal resume
     fail_after jobs sflags =
   protect @@ fun () ->
   let dag = source dax workflow tasks seed in
@@ -915,8 +875,8 @@ let sweep_run dax workflow tasks seed processors pfail method_ eval csv journal 
   (* the cells themselves fan out over --jobs here; degrade, storm and
      cloud spend theirs inside each cell's trial sampler instead *)
   run_cells ~jobs ~journal ~fail_after ~label:"sweep cell"
-    ~key:(sweep_cell_key ~csv ~dag ~seed ~processors ~pfail ~method_ ~eval)
-    ~compute:(sweep_row ~csv ~dag ~processors ~pfail ~method_ ~eval ~structure)
+    ~key:(sweep_cell_key ~csv ~dag ~seed ~processors ~pfail ~method_)
+    ~compute:(sweep_row ~csv ~dag ~processors ~pfail ~method_ ~structure)
     ccrs
 
 let sweep_cmd =
@@ -928,7 +888,7 @@ let sweep_cmd =
           7).")
     Term.(
       const sweep_run $ dax_arg $ workflow_arg $ tasks_arg $ seed_arg $ processors_arg
-      $ pfail_arg $ method_arg $ eval_arg $ csv $ journal_path_arg "sweep" $ resume_arg
+      $ pfail_arg $ method_arg $ csv $ journal_path_arg "sweep" $ resume_arg
       $ fail_after_arg "cell" $ jobs_arg $ store_flags_term)
 
 (* --- accuracy (Section VI-B) --- *)
@@ -1904,35 +1864,23 @@ let handle_request state ~jobs ~prefetched req =
         | Some m -> m
         | None -> malformed (Printf.sprintf "unknown method %S" name)
       in
-      (* optional "eval" field mirrors `ckptwf sweep --eval`: absent
-         keeps the historic method-driven estimator byte-for-byte *)
-      let eval =
-        match req_str req "eval" ~default:"" with
-        | "" -> None
-        | name -> (
-            match Analytic.eval_of_name name with
-            | Some e -> Some e
-            | None -> malformed (Printf.sprintf "unknown eval %S (analytic|mc|auto)" name))
-      in
+      (* refused rather than ignored: a client sending "eval" expects an
+         estimator other than the one "method" names *)
+      if Json.member "eval" req <> None then
+        malformed "field \"eval\" is not supported: name the estimator in \"method\"";
       (* field formatting matches the one-shot `ckptwf evaluate` output
          (%.2f makespans, %.4f relatives) so scripted round-trips can
          compare the two verbatim *)
-      let cmp = compare_cell ~method_ ~eval setup in
-      let eval_field =
-        match eval with
-        | None -> []
-        | Some e -> [ ("eval", Json.Str (Analytic.eval_name e)) ]
-      in
+      let cmp = Pipeline.compare_strategies ~method_ setup in
       finish
-        (eval_field
-        @ [ ("method", Json.Str (Evaluator.name method_));
-            ("em_some", Json.Str (Printf.sprintf "%.2f" cmp.Pipeline.em_some));
-            ("ckpts_some", Json.Num (float_of_int cmp.Pipeline.ckpts_some));
-            ("em_all", Json.Str (Printf.sprintf "%.2f" cmp.Pipeline.em_all));
-            ("ckpts_all", Json.Num (float_of_int cmp.Pipeline.ckpts_all));
-            ("rel_all", Json.Str (Printf.sprintf "%.4f" cmp.Pipeline.rel_all));
-            ("em_none", Json.Str (Printf.sprintf "%.2f" cmp.Pipeline.em_none));
-            ("rel_none", Json.Str (Printf.sprintf "%.4f" cmp.Pipeline.rel_none)) ])
+        [ ("method", Json.Str (Evaluator.name method_));
+          ("em_some", Json.Str (Printf.sprintf "%.2f" cmp.Pipeline.em_some));
+          ("ckpts_some", Json.Num (float_of_int cmp.Pipeline.ckpts_some));
+          ("em_all", Json.Str (Printf.sprintf "%.2f" cmp.Pipeline.em_all));
+          ("ckpts_all", Json.Num (float_of_int cmp.Pipeline.ckpts_all));
+          ("rel_all", Json.Str (Printf.sprintf "%.4f" cmp.Pipeline.rel_all));
+          ("em_none", Json.Str (Printf.sprintf "%.2f" cmp.Pipeline.em_none));
+          ("rel_none", Json.Str (Printf.sprintf "%.4f" cmp.Pipeline.rel_none)) ]
   | "degrade" ->
       let pr = plan_request state req in
       if pr.preq_kind = Strategy.Ckpt_none then

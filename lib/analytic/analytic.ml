@@ -96,16 +96,3 @@ let schedule_makespan ?(model = First_order) (plan : Strategy.plan) =
         if done_at > !finish then finish := done_at
       done;
       !finish
-
-type eval = Analytic | Mc | Auto
-
-let eval_name = function Analytic -> "analytic" | Mc -> "mc" | Auto -> "auto"
-
-let eval_of_name s =
-  match String.lowercase_ascii s with
-  | "analytic" -> Some Analytic
-  | "mc" | "montecarlo" -> Some Mc
-  | "auto" -> Some Auto
-  | _ -> None
-
-let resolve = function Analytic | Auto -> `Analytic | Mc -> `Mc

@@ -12,10 +12,10 @@
       the trial-count → ∞ limit of {!Ckpt_eval.Montecarlo.estimate} up to
       the simultaneous-failure O((λs)²) terms the 2-state model itself
       discards. Exact on chains; inside the MC 95% confidence interval on
-      the tracked sweep cells and within three half-widths on randomised
-      M-SPGs (the estimator's own 95% interval excludes the true mean 5%
-      of the time, so strict containment is not a property even an exact
-      evaluator could satisfy);
+      the test suite's pinned sweep cells and within three half-widths on
+      randomised M-SPGs (the estimator's own 95% interval excludes the
+      true mean 5% of the time, so strict containment is not a property
+      even an exact evaluator could satisfy);
     - {!schedule_makespan} replays the {!Ckpt_sim.Engine} recurrence
       (predecessor joins plus same-processor serialisation) with each
       segment at its expected duration — the limit of
@@ -74,17 +74,3 @@ val schedule_makespan : ?model:model -> Strategy.plan -> float
     2-state expectations through the recurrence without the failure
     expansion. Either way it is the closed-form counterpart of what
     {!Ckpt_sim.Runner} simulates. *)
-
-(** {2 Evaluator dispatch}
-
-    How a sweep cell should be priced: [Analytic] and [Auto] take the
-    closed form (every cell the CLI prices is exponential-model and
-    free of storage and contention knobs, where it is a faithful
-    stand-in for Monte-Carlo), [Mc] samples. *)
-
-type eval = Analytic | Mc | Auto
-
-val eval_name : eval -> string
-val eval_of_name : string -> eval option
-
-val resolve : eval -> [ `Analytic | `Mc ]

@@ -1,7 +1,6 @@
 (* Tests for Ckpt_analytic: the closed-form expected-makespan engine,
    the RESTART / hybrid strategies it prices, and the analytic-vs-MC
-   cross-validation that licenses `--eval analytic` as a drop-in for
-   the Monte-Carlo sweep path.
+   cross-validation.
 
    Calibration note on the agreement bounds. The Monte-Carlo 95%
    confidence interval excludes the *true* expectation 5% of the time
@@ -302,27 +301,6 @@ let test_strategy_names () =
   Alcotest.(check string) "hybrid name" "ckpt-hybrid-5"
     (Strategy.kind_name (Strategy.Ckpt_hybrid 5))
 
-(* --- evaluator dispatch ------------------------------------------- *)
-
-let test_eval_dispatch () =
-  Alcotest.(check bool) "analytic parses" true
-    (Analytic.eval_of_name "analytic" = Some Analytic.Analytic);
-  Alcotest.(check bool) "mc parses" true (Analytic.eval_of_name "mc" = Some Analytic.Mc);
-  Alcotest.(check bool) "montecarlo parses" true
-    (Analytic.eval_of_name "montecarlo" = Some Analytic.Mc);
-  Alcotest.(check bool) "auto parses" true
-    (Analytic.eval_of_name "auto" = Some Analytic.Auto);
-  Alcotest.(check bool) "garbage rejected" true (Analytic.eval_of_name "exact" = None);
-  List.iter
-    (fun e ->
-      Alcotest.(check bool) "name round-trips" true
-        (Analytic.eval_of_name (Analytic.eval_name e) = Some e))
-    [ Analytic.Analytic; Analytic.Mc; Analytic.Auto ];
-  Alcotest.(check bool) "auto -> analytic" true (Analytic.resolve Analytic.Auto = `Analytic);
-  Alcotest.(check bool) "explicit analytic sticks" true
-    (Analytic.resolve Analytic.Analytic = `Analytic);
-  Alcotest.(check bool) "explicit mc sticks" true (Analytic.resolve Analytic.Mc = `Mc)
-
 let suite =
   [
     Alcotest.test_case "segment-time kernels" `Quick test_segment_time;
@@ -340,5 +318,4 @@ let suite =
     Alcotest.test_case "hybrid degenerate cases" `Quick test_hybrid_degenerate_cases;
     Alcotest.test_case "hybrid interpolates" `Quick test_hybrid_interpolates;
     Alcotest.test_case "strategy names" `Quick test_strategy_names;
-    Alcotest.test_case "evaluator dispatch" `Quick test_eval_dispatch;
   ]

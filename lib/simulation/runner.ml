@@ -217,9 +217,3 @@ let simulate ?trials ?seed ?deadline ?inject ?retry ?jobs plan =
 
 let simulated_expected_makespan ?trials ?seed ?jobs plan =
   Stats.mean (simulate ?trials ?seed ?jobs plan)
-
-let expected_makespan ?(eval = `Mc) ?trials ?seed ?jobs plan =
-  match eval with
-  | `Analytic ->
-      Ckpt_analytic.Analytic.schedule_makespan ~model:Ckpt_analytic.Analytic.Exact plan
-  | `Mc -> simulated_expected_makespan ?trials ?seed ?jobs plan

@@ -87,21 +87,6 @@ val simulate :
 val simulated_expected_makespan :
   ?trials:int -> ?seed:int -> ?jobs:int -> Ckpt_core.Strategy.plan -> float
 
-val expected_makespan :
-  ?eval:[ `Analytic | `Mc ] ->
-  ?trials:int ->
-  ?seed:int ->
-  ?jobs:int ->
-  Ckpt_core.Strategy.plan ->
-  float
-(** Evaluator dispatch over the simulation semantics. [`Mc] (the
-    default) is {!simulated_expected_makespan}; [`Analytic] is its
-    trials → ∞ limit,
-    {!Ckpt_analytic.Analytic.schedule_makespan}[ ~model:Exact] — the
-    engine's scheduling recurrence with every attempt loop collapsed
-    to its exact exponential expectation, so no sampling parameters
-    apply ([trials]/[seed]/[jobs] are ignored). *)
-
 val sample_makespans :
   ?trials:int ->
   ?seed:int ->

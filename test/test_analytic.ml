@@ -241,8 +241,8 @@ let prop_schedule_equals_expected_unique_procs =
 let test_runner_analytic_smoke () =
   let setup = random_setup 5 in
   let plan = Pipeline.plan setup Strategy.Ckpt_some in
-  let a = Runner.expected_makespan ~eval:`Analytic plan in
-  let mc = Runner.expected_makespan ~eval:`Mc ~trials:2_000 ~seed:3 plan in
+  let a = Analytic.schedule_makespan ~model:Analytic.Exact plan in
+  let mc = Runner.simulated_expected_makespan ~trials:2_000 ~seed:3 plan in
   Alcotest.(check bool) "analytic positive" true (a > 0.);
   (* both estimate the same schedule; engine simulation includes
      cross-superchain serialisation the DAG relaxes, so only loose

@@ -6,17 +6,19 @@
 #
 # BASE is any git revision (CI passes the merge base of a pull request,
 # or the commit a push to main replaced). The script checks BASE out in
-# a git worktree under _perfbench/, then runs the unchanged
-# `perfbench/run.sh --seconds 1` four times in ABBA order: base, head,
-# head, base. perfbench/compare.exe judges the pairs (base1, head1) and
-# (base2, head2), each metric against its bound in BENCHMARK.json.
+# a git worktree under _perfbench/, then runs `perfbench/run.sh
+# --seconds 1` four times in ABBA order: base, head, head, base.
+# perfbench/compare.exe judges the pairs (base1, head1) and (base2,
+# head2), each metric against its bound in BENCHMARK.json.
 #
 # The gate fails (exit 1) only when
-# - the same (workload, metric) row reads "regressed" in both pairs: on
-#   a 2-vCPU machine one pair of identical commits can read regressed
-#   through noise alone, but no row did so in two disjoint pairs; or
+# - the same (workload, metric) row reads "regressed" in both pairs. One
+#   pair is too noisy to gate on: on a 2-vCPU VM, identical commits
+#   read regressed in 2 of 7 single comparisons; or
 # - a head run is not correct: its last line must start
 #   {"correct":true, so the seed-1 output digests are checked twice.
+# It exits 2 when it cannot measure (bad usage, or a run that fails to
+# build or start).
 #
 # It prints both comparison tables, and leaves them with the four
 # result files and run logs in _perfbench/ab/.

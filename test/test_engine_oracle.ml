@@ -9,7 +9,9 @@
    - [summarize]'s useful + wasted time is the sum of the attempt spans;
    - a cut's [lost] is the pre-cut span of the uncommitted segments;
    - renaming processors (traces and interrupts permuted to match)
-     leaves the makespan, or the cut instant, bitwise unchanged. *)
+     leaves the makespan, or the cut instant, bitwise unchanged;
+   - without a store, [Engine.makespan] is the interrupt-free run's
+     finish, bit for bit. *)
 
 module Engine = Ckpt_sim.Engine
 module Failure = Ckpt_platform.Failure
@@ -257,6 +259,13 @@ let property ~interrupt ~with_store seed =
   let free = run ~interrupted:false c in
   if not (free.finish = v.finish && free.records = v.records) then
     QCheck.Test.fail_report "interrupts changed the execution before the cut";
+  (* the record-free makespan is the storeless run's finish, bitwise *)
+  if
+    c.store_seed = None
+    && Int64.bits_of_float (Engine.makespan c.segs (traces c ()))
+       <> Int64.bits_of_float free.finish
+  then
+    QCheck.Test.fail_report "Engine.makespan differs from Engine.run's finish";
   if not (rename_invariant c seed) then
     QCheck.Test.fail_report "renaming processors changed the makespan";
   true

@@ -40,6 +40,35 @@ type outcome = {
   cut : cut option;
 }
 
+(* Per-processor state of one execution, indexed by processor id and
+   sized by the largest id + 1: when each processor is next free, and
+   its failure trace. A trace is created at its processor's first
+   segment, even a zero-duration one: trial generators split their
+   streams in that first-use order. *)
+type procs = {
+  free : float array;
+  traces : Failure.t option array;
+  trace_of : int -> Failure.t;
+}
+
+let procs ~start segs trace_of =
+  let size =
+    Array.fold_left
+      (fun m seg ->
+        if seg.processor < 0 then invalid_arg "Engine: negative processor id";
+        max m (seg.processor + 1))
+      0 segs
+  in
+  { free = Array.make size start; traces = Array.make size None; trace_of }
+
+let trace procs p =
+  match procs.traces.(p) with
+  | Some t -> t
+  | None ->
+      let t = procs.trace_of p in
+      procs.traces.(p) <- Some t;
+      t
+
 (* Retry a segment until an attempt fits before the next failure;
    returns the end of the successful attempt and the attempts so far,
    newest first. *)
@@ -55,6 +84,14 @@ let rec attempt tr duration start acc =
       let fin = start +. duration in
       (fin, { attempt_start = start; attempt_end = fin; failed = false } :: acc)
   end
+
+(* [attempt] without the records: only the end of the successful
+   attempt. *)
+let rec retry tr duration start =
+  if duration = 0. then start
+  else
+    let failure = Failure.next_after tr start in
+    if failure < start +. duration then retry tr duration failure else start +. duration
 
 (* Interruptions only remove processors, so up to the first disruptive
    warning the execution is the interrupt-free one: we run that and cut
@@ -181,16 +218,7 @@ let run ?(start = 0.) ?store ?write ?interrupts segs trace_of_processor =
   let records = Array.make n { seg_index = 0; seg_processor = 0; attempts = [] } in
   let ckpts = match store with None -> [||] | Some _ -> Array.make n None in
   let rev_rollbacks = ref [] in
-  let proc_free = Hashtbl.create 16 in
-  let traces = Hashtbl.create 16 in
-  let trace p =
-    match Hashtbl.find_opt traces p with
-    | Some t -> t
-    | None ->
-        let t = trace_of_processor p in
-        Hashtbl.replace traces p t;
-        t
-  in
+  let procs = procs ~start segs trace_of_processor in
   let finish = ref start in
   (* [exec i ~now] (re-)executes segment [i] no earlier than [now]:
      waits until every predecessor checkpoint reads back valid
@@ -208,8 +236,8 @@ let run ?(start = 0.) ?store ?write ?interrupts segs trace_of_processor =
           ensure p ~now:(Float.max acc completion.(p)))
         now seg.preds
     in
-    let free = Option.value ~default:start (Hashtbl.find_opt proc_free seg.processor) in
-    let tr = trace seg.processor in
+    let free = procs.free.(seg.processor) in
+    let tr = trace procs seg.processor in
     let done_at, acc =
       match store with
       | None -> attempt tr seg.duration (Float.max ready free) []
@@ -229,7 +257,7 @@ let run ?(start = 0.) ?store ?write ?interrupts segs trace_of_processor =
     records.(i) <-
       { seg_index = i; seg_processor = seg.processor; attempts = List.rev acc };
     completion.(i) <- done_at;
-    Hashtbl.replace proc_free seg.processor done_at;
+    procs.free.(seg.processor) <- done_at;
     if done_at > !finish then finish := done_at;
     done_at
   and ensure p ~now =
@@ -262,7 +290,30 @@ let run ?(start = 0.) ?store ?write ?interrupts segs trace_of_processor =
     cut = Option.bind interrupts (cut_at ?store segs records completion);
   }
 
-let makespan segs trace_of_processor = (run segs trace_of_processor).finish
+(* [run]'s storeless, interrupt-free loop over flat state only: the
+   same float operations in the same order, so the result is [run]'s
+   finish bit for bit, without building one record per attempt. *)
+let makespan segs trace_of_processor =
+  let n = Array.length segs in
+  let completion = Array.make n 0. in
+  let procs = procs ~start:0. segs trace_of_processor in
+  let rec ready i acc = function
+    | [] -> acc
+    | p :: preds ->
+        if p >= i then invalid_arg "Engine.makespan: segments not topologically ordered";
+        ready i (Float.max acc completion.(p)) preds
+  in
+  let finish = ref 0. in
+  for i = 0 to n - 1 do
+    let seg = segs.(i) in
+    let ready = ready i 0. seg.preds in
+    let free = procs.free.(seg.processor) in
+    let done_at = retry (trace procs seg.processor) seg.duration (Float.max ready free) in
+    completion.(i) <- done_at;
+    procs.free.(seg.processor) <- done_at;
+    if done_at > !finish then finish := done_at
+  done;
+  !finish
 
 type summary = { failures : int; wasted_time : float; useful_time : float }
 

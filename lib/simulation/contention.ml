@@ -293,15 +293,7 @@ let simulate ?(trials = 1000) ?(seed = 7) ?store (plan : Strategy.plan) =
           Some (Store.create cfg (Rng.split trial_rng))
       | _ -> None
     in
-    let traces = Hashtbl.create 16 in
-    let trace_of p =
-      match Hashtbl.find_opt traces p with
-      | Some t -> t
-      | None ->
-          let t = Failure.create trial_rng ~lambda:(Platform.rate_of platform p) in
-          Hashtbl.replace traces p t;
-          t
-    in
+    let trace_of p = Failure.create trial_rng ~lambda:(Platform.rate_of platform p) in
     Stats.add stats (makespan ?store:st ~bandwidth segs trace_of)
   done;
   stats

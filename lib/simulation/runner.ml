@@ -45,28 +45,15 @@ let sample_makespans ?(trials = 1000) ?(seed = 7) ?(deadline = Deadline.never)
   if trials < 1 then invalid_arg "Runner.simulate: trials < 1";
   if jobs < 1 then invalid_arg "Runner.simulate: jobs < 1";
   let platform = plan.Strategy.platform in
-  (* [make_one_trial ()] builds a per-chunk trial function with its
-     own preallocated failure-trace table (one slot per processor,
-     reset between trials) — no per-trial Hashtbl allocation, and no
-     state shared between worker domains *)
-  let make_one_trial =
+  (* the engine creates each processor's trace once, at its first
+     segment, so the trial generator is split in first-use order *)
+  let one_trial =
     match plan.Strategy.prob_dag with
     | Some _ ->
         let segs = segs_of_plan plan in
-        let nprocs = platform.Platform.processors in
-        fun () ->
-          let traces = Array.make nprocs None in
-          fun trial_rng ->
-            Array.fill traces 0 nprocs None;
-            let trace_of p =
-              match traces.(p) with
-              | Some t -> t
-              | None ->
-                  let t = Failure.create trial_rng ~lambda:(Platform.rate_of platform p) in
-                  traces.(p) <- Some t;
-                  t
-            in
-            Engine.makespan segs trace_of
+        fun trial_rng ->
+          Engine.makespan segs (fun p ->
+              Failure.create trial_rng ~lambda:(Platform.rate_of platform p))
     | None ->
         let wpar = plan.Strategy.wpar in
         (* restart semantics: the aggregate failure process over the
@@ -78,7 +65,7 @@ let sample_makespans ?(trials = 1000) ?(seed = 7) ?(deadline = Deadline.never)
         let rate =
           Hashtbl.fold (fun p () acc -> acc +. Platform.rate_of platform p) used 0.
         in
-        fun () trial_rng -> Engine.restart_rate_makespan ~wpar ~rate trial_rng
+        fun trial_rng -> Engine.restart_rate_makespan ~wpar ~rate trial_rng
   in
   let nchunks = (trials + chunk_trials - 1) / chunk_trials in
   let results =
@@ -87,7 +74,6 @@ let sample_makespans ?(trials = 1000) ?(seed = 7) ?(deadline = Deadline.never)
            completed chunk so statistics stay well-defined *)
         if c > 0 && Deadline.expired deadline then None
         else begin
-          let one_trial = make_one_trial () in
           let lo = c * chunk_trials in
           let hi = min trials (lo + chunk_trials) in
           let out = Array.make (hi - lo) 0. in
@@ -175,22 +161,12 @@ let sample_storage ?(trials = 1000) ?(seed = 7) ?(jobs = 1) ?inject ?persist ?sc
   let platform = plan.Strategy.platform in
   let segs = segs_of_plan plan in
   let writes = writes_of_plan plan in
-  let nprocs = platform.Platform.processors in
   let nchunks = (trials + chunk_trials - 1) / chunk_trials in
   let chunks =
     Pool.map_shared ~jobs nchunks (fun c ->
-        let traces = Array.make nprocs None in
         let one_trial k =
-          Array.fill traces 0 nprocs None;
           let trial_rng = Rng.for_trial ~seed k in
-          let trace_of p =
-            match traces.(p) with
-            | Some t -> t
-            | None ->
-                let t = Failure.create trial_rng ~lambda:(Platform.rate_of platform p) in
-                traces.(p) <- Some t;
-                t
-          in
+          let trace_of p = Failure.create trial_rng ~lambda:(Platform.rate_of platform p) in
           let st =
             Store.create ?inject ?persist ?scope ~trial:k store
               (Rng.for_trial ~seed:(storage_seed seed) k)

@@ -1103,18 +1103,14 @@ let degrade_pair ~kind ~max_losses ~trials ~seed ~jobs ~store (plan : Strategy.p
   (repair, summary Degrade.Restart)
 
 (* One degraded-mode cell, rendered. The line is what gets journaled,
-   so a resumed sweep replays it verbatim. *)
-let degrade_row ~csv ~dag ~processors ~kind ~max_losses ~trials ~seed ~jobs ~cache_totals
-    ~store_totals ~store_cfg plan pdeath =
-  (* one replan cache per cell, shared by the paired repair/restart
-     samples; results are identical with or without it *)
-  let prepared = Degrade.prepare plan in
+   so a resumed sweep replays it verbatim. [prepared] carries the run's
+   one replan cache: a replan does not depend on pdeath, and results
+   are identical with or without the cache. *)
+let degrade_row ~csv ~dag ~processors ~kind ~max_losses ~trials ~seed ~jobs ~store_totals
+    ~store_cfg (plan, prepared) pdeath =
   let repair, restart =
     degrade_pair ~kind ~max_losses ~trials ~seed ~jobs ~store:store_cfg plan prepared pdeath
   in
-  (let hits, misses = Degrade.cache_stats prepared in
-   let th, tm = !cache_totals in
-   cache_totals := (th + hits, tm + misses));
   store_totals :=
     Store.add !store_totals
       (Store.add repair.Degrade.store_totals restart.Degrade.store_totals);
@@ -1178,15 +1174,17 @@ let degrade_run dax workflow tasks seed processors pfail ccr strategy pdeaths ma
   else
     Format.printf "%-8s %6s %11s %11s %8s %7s %8s %9s %5s@." "wf" "pdeath" "EM(repair)"
       "EM(restart)" "gain" "losses" "replans" "restarts" "strnd";
-  (* the schedule and checkpoint plan do not depend on pdeath: build
-     them once, and only if some cell is not journaled *)
-  let plan =
+  (* the schedule, checkpoint plan and replan cache do not depend on
+     pdeath: build them once, and only if some cell is not journaled *)
+  let prepared =
     lazy
-      (Pipeline.plan ~replicas:(Store.plan_replicas store_cfg)
-         (Pipeline.prepare ~dag ~processors ~pfail ~ccr ())
-         strategy)
+      (let plan =
+         Pipeline.plan ~replicas:(Store.plan_replicas store_cfg)
+           (Pipeline.prepare ~dag ~processors ~pfail ~ccr ())
+           strategy
+       in
+       (plan, Degrade.prepare plan))
   in
-  let cache_totals = ref (0, 0) in
   let store_totals = ref Store.zero in
   run_cells ~journal ~fail_after ~label:"degrade cell"
     ~key:
@@ -1194,10 +1192,11 @@ let degrade_run dax workflow tasks seed processors pfail ccr strategy pdeaths ma
          ~trials ~store_cfg)
     ~compute:(fun pdeath ->
       degrade_row ~csv ~dag ~processors ~kind:strategy ~max_losses ~trials ~seed ~jobs
-        ~cache_totals ~store_totals ~store_cfg (Lazy.force plan) pdeath)
+        ~store_totals ~store_cfg (Lazy.force prepared) pdeath)
     ~report:(fun _ ->
       if not (Store.passthrough store_cfg) then store_totals_notice !store_totals;
-      replan_cache_notice !cache_totals)
+      if Lazy.is_val prepared then
+        replan_cache_notice (Degrade.cache_stats (snd (Lazy.force prepared))))
     (Array.of_list (match pdeaths with [] -> default_pdeaths | ps -> ps))
 
 let degrade_cmd =

@@ -191,6 +191,14 @@ if [ "$status" -ne 2 ] || [ "$(wc -l < "$TMP/range.err")" -ne 1 ]; then
     exit 1
 fi
 
+echo "== simulate output is independent of --jobs =="
+# about 300 segments on 35 processors under CKPTALL: many segments per
+# processor, each failure trace created at its processor's first one
+SIMJOBS="--workflow genome --tasks 300 --processors 35 --trials 500"
+$CKPTWF simulate $SIMJOBS --jobs 1 > "$TMP/sim1.txt"
+$CKPTWF simulate $SIMJOBS --jobs 4 > "$TMP/sim4.txt"
+diff -u "$TMP/sim1.txt" "$TMP/sim4.txt"
+
 echo "== degraded mode: output independent of --jobs, crash/resume, repair wins =="
 DEGRADE="--workflow genome --tasks 50 --seed 7 --processors 5 --strategy some --trials 60 --csv"
 $CKPTWF degrade $DEGRADE --jobs 1 > "$TMP/deg1.csv"

@@ -86,9 +86,11 @@ type prepared
     for a fixed plan, so trials hitting the same degradation state
     (common for Restart, whose frontier is always empty) reuse the
     physically-mapped plan instead of re-running recognition, ALLOCATE
-    and the placement DP. Cached values are shared read-only across
-    worker domains; results are bitwise identical with the cache on or
-    off, at any [jobs]. *)
+    and the placement DP. The key holds neither the death rate nor the
+    mode, so one [prepared] serves a whole sweep over death
+    probabilities. Cached values are shared read-only across worker
+    domains; results are bitwise identical with the cache on or off,
+    at any [jobs]. *)
 
 val prepare : ?cache:bool -> Strategy.plan -> prepared
 (** [cache] (default [true]) toggles the replan cache.

@@ -165,13 +165,23 @@ val run :
     [write.(i)] is segment [i]'s (replica-scaled) checkpoint write span
     — what a retried commit re-pays; it is required with [store].
 
-    @raise Invalid_argument on a non-topological order, a [store]
-    without a matching [write] array, a [rescue] array of the wrong
-    size, or a segment mapped to a processor with [warn p <= start]. *)
+    Each processor's trace is created once, at the processor's first
+    segment (even a zero-duration one), so [trace_of_processor] is
+    called in first-use order and may create a fresh trace per call.
+
+    @raise Invalid_argument on a non-topological order, a negative
+    processor id, a [store] without a matching [write] array, a
+    [rescue] array of the wrong size, or a segment mapped to a
+    processor with [warn p <= start]. *)
 
 val makespan : seg array -> (int -> Ckpt_platform.Failure.t) -> float
-(** [(run segs trace_of_processor).finish]: the makespan without store
-    or interrupts. *)
+(** The makespan without store or interrupts: [(run segs
+    trace_of_processor).finish] bit for bit, with the same calls to
+    [trace_of_processor], but without building any attempt record —
+    the Monte-Carlo trials' loop.
+
+    @raise Invalid_argument on a non-topological order or a negative
+    processor id. *)
 
 val restart_makespan :
   wpar:float -> processors:int -> lambda:float -> Ckpt_prob.Rng.t -> float

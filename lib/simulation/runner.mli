@@ -103,9 +103,9 @@ val sample_makespans :
     ({!Ckpt_prob.Rng.for_trial}), fixed before any attempt: retried
     (fault-injected) trials reproduce the undisturbed run's samples
     exactly, and the returned array is bitwise identical for any
-    [jobs] value (default 1: fully sequential). Each worker domain
-    keeps a preallocated per-processor failure-trace table, reset
-    between trials.
+    [jobs] value (default 1: fully sequential). Each trial creates a
+    processor's failure trace at that processor's first segment
+    ({!Engine.makespan}).
 
     [deadline]: checked between 128-trial chunks; on expiry the
     completed prefix (never empty) is returned. [inject ~trial] runs

@@ -65,6 +65,21 @@ let test_topological_order_enforced () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* per-processor state is indexed by processor id: sparse ids (a
+   replan onto survivors) run, negative ones are refused *)
+let test_processor_ids () =
+  let segs =
+    [| { Engine.processor = 7; duration = 2.; preds = [] };
+       { Engine.processor = 3; duration = 1.; preds = [ 0 ] } |]
+  in
+  check_close "sparse ids" 3. (Engine.makespan segs no_failures);
+  let negative = [| { Engine.processor = -1; duration = 1.; preds = [] } |] in
+  let rejected f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  Alcotest.(check bool) "makespan rejects" true
+    (rejected (fun () -> Engine.makespan negative no_failures));
+  Alcotest.(check bool) "run rejects" true
+    (rejected (fun () -> (Engine.run negative no_failures).Engine.finish))
+
 let test_failure_retry_statistics () =
   (* single segment of duration d, failure rate λ: expected completion
      time of the retry process is (e^{λd} - 1)/λ *)
@@ -251,4 +266,5 @@ let suite =
     Alcotest.test_case "simulation vs estimate" `Slow test_simulation_close_to_estimate;
     Alcotest.test_case "simulation reproducible" `Quick test_simulation_deterministic_per_seed;
     Alcotest.test_case "monotone in failures" `Slow test_simulation_monotone_in_failures;
+    Alcotest.test_case "processor ids" `Quick test_processor_ids;
   ]

@@ -52,13 +52,7 @@ type procs = {
 }
 
 let procs ~start segs trace_of =
-  let size =
-    Array.fold_left
-      (fun m seg ->
-        if seg.processor < 0 then invalid_arg "Engine: negative processor id";
-        max m (seg.processor + 1))
-      0 segs
-  in
+  let size = Array.fold_left (fun m seg -> max m (seg.processor + 1)) 0 segs in
   { free = Array.make size start; traces = Array.make size None; trace_of }
 
 let trace procs p =
@@ -297,16 +291,16 @@ let makespan segs trace_of_processor =
   let n = Array.length segs in
   let completion = Array.make n 0. in
   let procs = procs ~start:0. segs trace_of_processor in
-  let rec ready i acc = function
+  let rec preds_done i acc = function
     | [] -> acc
     | p :: preds ->
         if p >= i then invalid_arg "Engine.makespan: segments not topologically ordered";
-        ready i (Float.max acc completion.(p)) preds
+        preds_done i (Float.max acc completion.(p)) preds
   in
   let finish = ref 0. in
   for i = 0 to n - 1 do
     let seg = segs.(i) in
-    let ready = ready i 0. seg.preds in
+    let ready = preds_done i 0. seg.preds in
     let free = procs.free.(seg.processor) in
     let done_at = retry (trace procs seg.processor) seg.duration (Float.max ready free) in
     completion.(i) <- done_at;

@@ -65,7 +65,7 @@ let sample_makespans ?(trials = 1000) ?(seed = 7) ?(deadline = Deadline.never)
         let rate =
           Hashtbl.fold (fun p () acc -> acc +. Platform.rate_of platform p) used 0.
         in
-        fun trial_rng -> Engine.restart_rate_makespan ~wpar ~rate trial_rng
+        Engine.restart_rate_makespan ~wpar ~rate
   in
   let nchunks = (trials + chunk_trials - 1) / chunk_trials in
   let results =

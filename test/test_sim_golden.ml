@@ -82,10 +82,14 @@ let ckpt_all_plan =
 
 let test_sample_makespans () =
   let sample plan =
-    digest (Printf.sprintf "%h") (Runner.sample_makespans ~trials:300 ~seed:5 (Lazy.force plan))
+    digest (Printf.sprintf "%h")
+      (Runner.sample_makespans ~trials:300 ~seed:5 (Lazy.force plan))
   in
   check_digests "Runner.sample_makespans"
-    [ ("plain", "bc0ccaa99f950ddd8eb838a862d2bda5"); ("ckpt-all", "fc535e9e6999466daf1ca5f3b4b3247c") ]
+    [
+      ("plain", "bc0ccaa99f950ddd8eb838a862d2bda5");
+      ("ckpt-all", "fc535e9e6999466daf1ca5f3b4b3247c");
+    ]
     [ ("plain", sample plan); ("ckpt-all", sample ckpt_all_plan) ]
 
 let test_sample_storage () =

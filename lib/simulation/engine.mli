@@ -165,9 +165,9 @@ val run :
     [write.(i)] is segment [i]'s (replica-scaled) checkpoint write span
     — what a retried commit re-pays; it is required with [store].
 
-    Each processor's trace is created once, at the processor's first
-    segment (even a zero-duration one), so [trace_of_processor] is
-    called in first-use order and may create a fresh trace per call.
+    [trace_of_processor] is called at most once per processor, at the
+    processor's first segment (even a zero-duration one), in
+    first-use order, so it may create a fresh trace on each call.
 
     @raise Invalid_argument on a non-topological order, a negative
     processor id, a [store] without a matching [write] array, a

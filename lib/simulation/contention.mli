@@ -44,7 +44,9 @@ val makespan :
   float
 (** Execute under fair-shared bandwidth. Preconditions as
     {!Engine.makespan}: topologically ordered, per-processor order
-    respected. [store] attaches a per-trial checkpoint store (commit
+    respected. Like it, this calls the trace function at most once
+    per processor, which may therefore create a fresh trace on each
+    call. [store] attaches a per-trial checkpoint store (commit
     failures, latent corruption, policy-volatile commits, cascading
     rollback as described above); omitted, checkpoints are perfectly
     reliable.

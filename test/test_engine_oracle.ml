@@ -259,13 +259,21 @@ let property ~interrupt ~with_store seed =
   let free = run ~interrupted:false c in
   if not (free.finish = v.finish && free.records = v.records) then
     QCheck.Test.fail_report "interrupts changed the execution before the cut";
-  (* the record-free makespan is the storeless run's finish, bitwise *)
-  if
-    c.store_seed = None
-    && Int64.bits_of_float (Engine.makespan c.segs (traces c ()))
-       <> Int64.bits_of_float free.finish
-  then
-    QCheck.Test.fail_report "Engine.makespan differs from Engine.run's finish";
+  (* the record-free makespan is the storeless run's finish, bitwise;
+     also with every trace split off one generator in first-use order,
+     as the samplers create them, which pins that order too *)
+  if c.store_seed = None then begin
+    let first_use () =
+      let rng = Rng.create c.trace_seeds.(0) in
+      fun _ -> Failure.create rng ~lambda:c.lambda
+    in
+    let bits = Int64.bits_of_float in
+    if
+      bits (Engine.makespan c.segs (traces c ())) <> bits free.finish
+      || bits (Engine.makespan c.segs (first_use ()))
+         <> bits (Engine.run c.segs (first_use ())).Engine.finish
+    then QCheck.Test.fail_report "Engine.makespan differs from Engine.run's finish"
+  end;
   if not (rename_invariant c seed) then
     QCheck.Test.fail_report "renaming processors changed the makespan";
   true

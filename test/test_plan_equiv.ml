@@ -247,6 +247,31 @@ let prop_plan_jobs_invariant =
             (Pipeline.plan ~jobs:4 setup kind))
         [ Strategy.Ckpt_some; Strategy.Ckpt_all; Strategy.Ckpt_budget 2 ])
 
+(* serve's batch planner: a batch over two setups, three kinds and two
+   replica counts must return, in request order, what planning each
+   request alone returns, whatever the batch width *)
+let prop_plan_many_matches_plan =
+  QCheck.Test.make ~count:50 ~name:"plan_many = Pipeline.plan at jobs=1 and jobs=4"
+    QCheck.small_nat (fun seed ->
+      let setups = [ random_setup (seed + 900); random_setup (seed + 1900) ] in
+      let requests =
+        Array.of_list
+          (List.concat_map
+             (fun setup ->
+               List.concat_map
+                 (fun kind -> List.map (fun replicas -> (setup, kind, replicas)) [ 1; 2 ])
+                 [ Strategy.Ckpt_some; Strategy.Ckpt_all; Strategy.Ckpt_budget 2 ])
+             setups)
+      in
+      let expected =
+        Array.map (fun (setup, kind, replicas) -> Pipeline.plan ~replicas setup kind) requests
+      in
+      List.for_all
+        (fun jobs ->
+          let got = Pipeline.plan_many ~jobs requests in
+          Array.length got = Array.length expected && Array.for_all2 plans_equal got expected)
+        [ 1; 4 ])
+
 (* --- completed workflows: plans against the scheduled DAG ---------- *)
 
 (* MONTAGE needs bipartite completion, so the completed graph the
@@ -700,6 +725,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_optimal_positions_match;
     QCheck_alcotest.to_alcotest prop_optimal_positions_budget_match;
     QCheck_alcotest.to_alcotest prop_plan_jobs_invariant;
+    QCheck_alcotest.to_alcotest prop_plan_many_matches_plan;
     Alcotest.test_case "completed MONTAGE/LIGO plans = references over the scheduled DAG"
       `Quick test_completed_plans;
     Alcotest.test_case "completed plans on a heterogeneous-speed platform" `Quick

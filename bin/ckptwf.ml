@@ -1764,7 +1764,7 @@ let serve_plan state ~prefetched pr =
   | None ->
       Service.note_plan_miss state.service;
       let plan =
-        Pipeline.plan ~jobs:1 ~replicas:pr.preq_replicas pr.preq_setup pr.preq_kind
+        Pipeline.plan ~replicas:pr.preq_replicas pr.preq_setup pr.preq_kind
       in
       (Service.store_plan state.service ~key:pr.preq_key plan, "miss")
 

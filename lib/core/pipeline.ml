@@ -59,18 +59,18 @@ let reprice setup ~pfail ~ccr =
   let processors = setup.schedule.Schedule.processors in
   { setup with platform = derive_platform setup.raw ~processors ~pfail ~ccr; pfail; ccr }
 
-let plan ?jobs ?replicas setup kind =
-  Strategy.plan ?jobs ?replicas kind ~raw:setup.raw ~schedule:setup.schedule
+let plan ?replicas setup kind =
+  Strategy.plan ?replicas kind ~raw:setup.raw ~schedule:setup.schedule
     ~platform:setup.platform
 
 let plan_many ?(jobs = 1) requests =
   (* batch parallelism across whole plan requests: each request plans
-     sequentially (jobs:1, shared arena) while the resident pool runs
-     up to [jobs] requests at once — the amortisation the degrade /
-     cloud replan loops and the serve daemon rely on *)
+     sequentially on one arena while the resident pool runs up to
+     [jobs] requests at once — the amortisation the serve daemon
+     relies on *)
   Ckpt_parallel.Pool.map_shared ~jobs (Array.length requests) (fun i ->
       let setup, kind, replicas = requests.(i) in
-      plan ~jobs:1 ~replicas setup kind)
+      plan ~replicas setup kind)
 
 type comparison = {
   em_some : float;

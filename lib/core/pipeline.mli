@@ -59,21 +59,18 @@ val reprice : setup -> pfail:float -> ccr:float -> setup
     when [s] was prepared with a caller-built [?platform].
     @raise Invalid_argument if the knobs are out of range. *)
 
-val plan : ?jobs:int -> ?replicas:int -> setup -> Strategy.kind -> Strategy.plan
-(** [jobs] fans the per-superchain placement DPs over domains
-    (default 1); the plan is identical for any value. [replicas]
-    (default 1) prices checkpoint commits at [k·C] — the replication
+val plan : ?replicas:int -> setup -> Strategy.kind -> Strategy.plan
+(** [replicas] (default 1) prices checkpoint commits at [k·C] — the replication
     knob of the storage-fault extension ({!Strategy.plan}). *)
 
 val plan_many :
   ?jobs:int -> (setup * Strategy.kind * int) array -> Strategy.plan array
 (** [plan_many ~jobs requests] plans a batch of
-    [(setup, kind, replicas)] requests over the resident
-    {!Ckpt_parallel.Pool.shared} pool, parallelising {e across}
-    requests (each individual request plans sequentially on its own
-    arena). Results are in request order and identical to mapping
-    {!plan} — this is the amortised entry point the serve daemon and
-    replan loops use. *)
+    [(setup, kind, replicas)] requests over the process-wide domain
+    pool ({!Ckpt_parallel.Pool.map_shared}), parallelising {e across}
+    requests (each request plans sequentially on its own arena).
+    Results are in request order and identical to mapping {!plan} —
+    the batch planner of the serve daemon. *)
 
 type comparison = {
   em_some : float;

@@ -152,27 +152,24 @@ let build_prob_dag ~raw ~cuts ~schedule ~platform ~segments ~segment_of_task =
 
 (* [positions arena sc]: the checkpoint positions of superchain [sc],
    found through [arena] *)
-let assemble ~jobs ~replicas ~kind ~raw ~schedule ~platform ~positions =
+let assemble ~replicas ~kind ~raw ~schedule ~platform ~positions =
   if replicas < 1 then invalid_arg "Strategy.plan: replicas < 1";
   let dag = schedule.Schedule.dag in
   if Dag.n_tasks raw <> Dag.n_tasks dag then
     invalid_arg "Strategy.plan: raw and scheduled DAGs disagree on tasks";
   let wpar = parallel_time ~raw ~schedule ~platform in
-  (* independent per-superchain solves, reduced in superchain order:
-     the result is the same for any [jobs]. Sequential runs reuse one
-     arena across superchains; parallel workers each build their own
-     (sharing would race). Each superchain's positions and segment
-     prices read one flattening of it. Like the Algorithm-2 tables,
-     segments are priced over [raw]: the completion adds only
-     zero-size synchronisations, which change no cost *)
-  let chains = schedule.Schedule.superchains in
-  let shared = if jobs = 1 then Some (Placement.arena raw) else None in
+  (* independent per-superchain solves in superchain order, all through
+     one arena. Each superchain's positions and segment prices read one
+     flattening of it. Like the Algorithm-2 tables, segments are priced
+     over [raw]: the completion adds only zero-size synchronisations,
+     which change no cost *)
+  let arena = Placement.arena raw in
   let per_chain =
-    Ckpt_parallel.Pool.map_shared ~jobs (Array.length chains) (fun c ->
-        let arena = match shared with Some a -> a | None -> Placement.arena raw in
-        let sc = chains.(c) in
+    Array.map
+      (fun sc ->
         Placement.segments_of_positions ~arena ~replicas platform raw sc
           ~positions:(positions arena sc))
+      schedule.Schedule.superchains
   in
   let segments = Array.of_list (List.concat (Array.to_list per_chain)) in
   let segment_of_task = Array.make (Dag.n_tasks dag) (-1) in
@@ -205,12 +202,10 @@ let assemble ~jobs ~replicas ~kind ~raw ~schedule ~platform ~positions =
     replicas;
   }
 
-let plan_of_positions ?(jobs = 1) ?(replicas = 1) ~kind ~raw ~schedule ~platform
-    ~positions () =
-  assemble ~jobs ~replicas ~kind ~raw ~schedule ~platform ~positions:(fun _ sc ->
-      positions sc)
+let plan_of_positions ?(replicas = 1) ~kind ~raw ~schedule ~platform ~positions () =
+  assemble ~replicas ~kind ~raw ~schedule ~platform ~positions:(fun _ sc -> positions sc)
 
-let plan ?(jobs = 1) ?(replicas = 1) kind ~raw ~schedule ~platform =
+let plan ?(replicas = 1) kind ~raw ~schedule ~platform =
   if replicas < 1 then invalid_arg "Strategy.plan: replicas < 1";
   let dag = schedule.Schedule.dag in
   match kind with
@@ -231,22 +226,6 @@ let plan ?(jobs = 1) ?(replicas = 1) kind ~raw ~schedule ~platform =
         replicas;
       }
   | Ckpt_all | Ckpt_some | Ckpt_every _ | Ckpt_budget _ | Ckpt_restart | Ckpt_hybrid _ ->
-      (* Effective width: clamp to cores (jobs beyond the core count
-         only oversubscribe), then fall back to the sequential
-         shared-arena path when the fan-out cannot pay for itself —
-         a single superchain, or too little DP work to amortise batch
-         hand-off. Every per-chain solve is jobs-invariant, so the
-         clamp never changes the plan. *)
-      let jobs = Ckpt_parallel.Pool.effective_jobs jobs in
-      let dp_cells =
-        Array.fold_left
-          (fun acc (sc : Superchain.t) -> acc + Toueg.tri_size (Superchain.n_tasks sc))
-          0 schedule.Schedule.superchains
-      in
-      let jobs =
-        if Array.length schedule.Schedule.superchains < 2 || dp_cells < 20_000 then 1
-        else jobs
-      in
       let positions arena (sc : Superchain.t) =
         match kind with
         | Ckpt_all -> Placement.every_position sc
@@ -268,7 +247,7 @@ let plan ?(jobs = 1) ?(replicas = 1) kind ~raw ~schedule ~platform =
         | Ckpt_some | Ckpt_none ->
             snd (Placement.optimal_positions ~arena ~replicas platform raw sc)
       in
-      assemble ~jobs ~replicas ~kind ~raw ~schedule ~platform ~positions
+      assemble ~replicas ~kind ~raw ~schedule ~platform ~positions
 
 let restart_rate plan =
   let used = Hashtbl.create 16 in

@@ -71,7 +71,6 @@ type plan = private {
 }
 
 val plan :
-  ?jobs:int ->
   ?replicas:int ->
   kind ->
   raw:Dag.t ->
@@ -84,12 +83,9 @@ val plan :
     and C — read [raw]'s files. The completion's dummy dependencies
     come from the schedule's tree ({!Schedule.t}): they carry no data
     (paper footnote 2) and change no cost, while CKPTSOME-family plans
-    still synchronise on them in the 2-state DAG. [jobs]
-    (default 1) fans the independent per-superchain placement DPs over
-    the resident {!Ckpt_parallel.Pool.shared} pool; the width is
-    clamped to the core count and falls back to the sequential
-    shared-arena path when there is too little DP work to amortise the
-    hand-off, so the plan is identical for any value. [replicas]
+    still synchronise on them in the 2-state DAG. The per-superchain
+    placement DPs run one after another on the calling domain; batches
+    of plans run in parallel through {!Pipeline.plan_many}. [replicas]
     (default 1) prices every checkpoint commit at [k·C]
     ({!Placement}); the optimal positions are re-derived under that
     cost, so a replicated CKPTSOME plan may checkpoint less often.
@@ -98,7 +94,6 @@ val plan :
     one of its dependencies. *)
 
 val plan_of_positions :
-  ?jobs:int ->
   ?replicas:int ->
   kind:kind ->
   raw:Dag.t ->

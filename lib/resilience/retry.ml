@@ -30,6 +30,7 @@ let schedule ?rng p =
       in
       nominal *. factor)
 
+(* the exceptions worth another attempt; everything else propagates *)
 let transient = function
   | Sys_error _ -> true
   | Error.E (Error.Io _) -> true
@@ -37,7 +38,7 @@ let transient = function
   | _ -> false
 
 let with_retries ?(policy = default) ?rng ?(sleep = Unix.sleepf)
-    ?(deadline = Deadline.never) ?(retry_on = transient) f =
+    ?(deadline = Deadline.never) f =
   let delays = schedule ?rng policy in
   let rec go attempt last_msg =
     if attempt > policy.max_attempts then
@@ -45,7 +46,7 @@ let with_retries ?(policy = default) ?rng ?(sleep = Unix.sleepf)
     else
       match f ~attempt with
       | v -> Ok v
-      | exception e when retry_on e ->
+      | exception e when transient e ->
           let msg = Printexc.to_string e in
           if attempt < policy.max_attempts then begin
             (* a deadline expiring mid-backoff cuts the sleep short: we

@@ -32,22 +32,17 @@ val check_policy : policy -> unit
     @raise Invalid_argument on a non-positive [max_attempts], negative
     delay, [multiplier < 1] or jitter outside [0, 1]. *)
 
-val transient : exn -> bool
-(** Default retry predicate: [Sys_error], [Error.E (Io _)] and
-    {!Faulty.Injected} are transient; everything else propagates. *)
-
 val with_retries :
   ?policy:policy ->
   ?rng:Ckpt_prob.Rng.t ->
   ?sleep:(float -> unit) ->
   ?deadline:Deadline.t ->
-  ?retry_on:(exn -> bool) ->
   (attempt:int -> 'a) ->
   ('a, Error.t) result
-(** [with_retries f] runs [f ~attempt:1]; if it raises an exception
-    accepted by [retry_on] (default {!transient}), sleeps the next
-    backoff delay and tries again, up to [policy.max_attempts] times.
-    Returns [Error (Retries_exhausted _)] when every attempt failed;
+(** [with_retries f] runs [f ~attempt:1]; if it raises a transient
+    exception — [Sys_error], [Error.E (Io _)] or {!Faulty.Injected} —
+    it sleeps the next backoff delay and tries again, up to
+    [policy.max_attempts] times. Returns [Error (Retries_exhausted _)] when every attempt failed;
     non-transient exceptions propagate immediately. [sleep] defaults to
     [Unix.sleepf] and is injectable so tests need not wait.
 

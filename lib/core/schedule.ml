@@ -140,8 +140,3 @@ let check t =
       in
       drain ();
       if !seen = m then Ok () else Error "macro graph of superchains has a cycle"
-
-let pp fmt t =
-  Format.fprintf fmt "schedule on %d procs: %d superchains@." t.processors
-    (Array.length t.superchains);
-  Array.iter (fun sc -> Format.fprintf fmt "  %a@." Superchain.pp sc) t.superchains

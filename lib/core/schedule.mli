@@ -3,7 +3,7 @@
 
     The schedule keeps the raw workflow and its M-SPG tree side by
     side. Its precedences are the DAG's edges plus the pairs of the
-    tree's serial cuts ({!Ckpt_mspg.Mspg.serial_cuts}): for a workflow
+    tree's serial cuts ({!Ckpt_mspg.Mspg.implied_edges}): for a workflow
     made an M-SPG by bipartite completion, the cuts carry the dummy
     dependencies that the DAG does not hold. The cuts with such pairs
     are derived once, as [completion], so that a strict workflow pays
@@ -32,8 +32,6 @@ val make :
 (** @raise Invalid_argument unless the superchains partition the DAG's
     tasks and their ids equal their positions. *)
 
-val superchain_of_task : t -> Task.id -> Superchain.t
-
 val macro_edges : t -> (int * int) list
 (** Distinct superchain dependencies [(i, j)], [i <> j], induced by the
     DAG's edges and the completed cuts, in no particular order.
@@ -49,5 +47,3 @@ val check : t -> (unit, string) result
 (** Structural sanity: every intra-superchain dependency (DAG edge or
     cut pair) goes forward in the linearised order, and the macro graph
     is acyclic. *)
-
-val pp : Format.formatter -> t -> unit

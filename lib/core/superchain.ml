@@ -30,10 +30,3 @@ let entry_tasks dag t =
 let exit_tasks dag t =
   Array.to_list t.order
   |> List.filter (fun task -> List.exists (fun s -> not (mem t s)) (Dag.succ_ids dag task))
-
-let weight dag t = Array.fold_left (fun acc task -> acc +. Dag.weight dag task) 0. t.order
-
-let pp fmt t =
-  Format.fprintf fmt "superchain#%d@p%d[%s]" t.id t.processor
-    (String.concat ","
-       (Array.to_list (Array.map string_of_int t.order)))

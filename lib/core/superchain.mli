@@ -34,6 +34,3 @@ val entry_tasks : Dag.t -> t -> Task.id list
 
 val exit_tasks : Dag.t -> t -> Task.id list
 (** Tasks with at least one successor outside the superchain. *)
-
-val weight : Dag.t -> t -> float
-val pp : Format.formatter -> t -> unit

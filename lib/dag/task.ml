@@ -4,7 +4,3 @@ type t = { id : id; name : string; weight : float }
 let make ~id ~name ~weight =
   if weight < 0. then invalid_arg "Task.make: negative weight";
   { id; name; weight }
-
-let compare a b = Int.compare a.id b.id
-let equal a b = a.id = b.id
-let pp fmt t = Format.fprintf fmt "%s#%d(w=%g)" t.name t.id t.weight

@@ -13,9 +13,3 @@ type t = { id : id; name : string; weight : float }
 
 val make : id:id -> name:string -> weight:float -> t
 (** @raise Invalid_argument if [weight < 0.]. *)
-
-val compare : t -> t -> int
-(** Orders by [id]. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

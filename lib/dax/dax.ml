@@ -249,8 +249,6 @@ let read_file path =
   close_in ic;
   src
 
-let load path = of_string (read_file path)
-
 let of_file path =
   match read_file path with
   | exception Sys_error message -> Result.Error (Ckpt_resilience.Error.Io { path; message })

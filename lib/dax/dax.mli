@@ -47,9 +47,4 @@ val of_string : string -> Ckpt_dag.Dag.t
 
 val to_string : Ckpt_dag.Dag.t -> string
 
-val load : string -> Ckpt_dag.Dag.t
-(** Thin raising wrapper over {!of_file}.
-
-    @raise Error as {!of_string}, or [Sys_error] on I/O failure. *)
-
 val save : string -> Ckpt_dag.Dag.t -> unit

@@ -204,8 +204,6 @@ let attr t key =
   | Text _ -> None
   | Element (_, attrs, _) -> List.assoc_opt key attrs
 
-let attr_exn t key = match attr t key with Some v -> v | None -> raise Not_found
-
 let children = function
   | Text _ -> []
   | Element (_, _, kids) -> List.filter (function Element _ -> true | Text _ -> false) kids

@@ -20,9 +20,6 @@ val parse : string -> t
 val attr : t -> string -> string option
 (** Attribute lookup on an element ([None] on [Text]). *)
 
-val attr_exn : t -> string -> string
-(** @raise Not_found when missing. *)
-
 val children : t -> t list
 (** Child elements (text nodes filtered out); [\[\]] on [Text]. *)
 

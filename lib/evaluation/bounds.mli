@@ -16,12 +16,5 @@
       the bucketing of values inside maxima (negligible at the default
       support). *)
 
-val lower : Prob_dag.t -> float
-(** Fulkerson bound: longest path over expected durations. *)
-
-val upper : ?max_support:int -> Prob_dag.t -> float
-(** Kleindorfer bound via the independence sweep (default support
-    2048). *)
-
 val bracket : ?max_support:int -> Prob_dag.t -> float * float
 (** [(lower, upper)]. *)

@@ -3,8 +3,3 @@ let expected_makespan_rate ~wpar ~rate =
   if rate < 0. then invalid_arg "Ckptnone.expected_makespan: negative rate";
   let pfail_run = rate *. wpar in
   ((1. -. pfail_run) *. wpar) +. (pfail_run *. (1.5 *. wpar))
-
-let expected_makespan ~wpar ~processors ~lambda =
-  if lambda < 0. then invalid_arg "Ckptnone.expected_makespan: negative lambda";
-  if processors < 1 then invalid_arg "Ckptnone.expected_makespan: need processors >= 1";
-  expected_makespan_rate ~wpar ~rate:(float_of_int processors *. lambda)

@@ -12,11 +12,7 @@
     workflow restarts from scratch, and the expected lost time is
     [Wpar / 2]. *)
 
-val expected_makespan : wpar:float -> processors:int -> lambda:float -> float
-(** @raise Invalid_argument on negative [wpar] or [lambda] or
-    non-positive [processors]. *)
-
 val expected_makespan_rate : wpar:float -> rate:float -> float
-(** Same estimate parameterised directly by the aggregate failure
-    rate [rate = Σ λ_p] — the natural form for heterogeneous
+(** The estimate at the aggregate failure rate [rate = Σ λ_p] ([p λ]
+    on a homogeneous platform) — the natural form for heterogeneous
     platforms. *)

@@ -5,7 +5,6 @@ type method_ =
   | Pathapprox
 
 let default_montecarlo = Montecarlo { trials = 10_000; seed = 1 }
-let calibration_montecarlo = Montecarlo { trials = 300_000; seed = 1 }
 let all_fast = [ Dodin { max_support = 256 }; Normal; Pathapprox ]
 
 let name = function

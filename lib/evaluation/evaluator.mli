@@ -10,9 +10,6 @@ type method_ =
 val default_montecarlo : method_
 (** 10_000 trials, seed 1. *)
 
-val calibration_montecarlo : method_
-(** 300_000 trials (the paper's ground-truth setting), seed 1. *)
-
 val all_fast : method_ list
 (** The three non-Monte-Carlo estimators. *)
 

@@ -23,6 +23,3 @@ let distribution ?(max_support = 4096) tree ~node_dist =
         |> Option.get
   in
   fold tree
-
-let estimate ?max_support tree ~node_dist =
-  Dist.mean (distribution ?max_support tree ~node_dist)

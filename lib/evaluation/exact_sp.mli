@@ -18,9 +18,3 @@ val distribution :
   Ckpt_prob.Dist.t
 (** Fold the tree; [node_dist] gives each leaf's duration
     distribution. [max_support] defaults to 4096. *)
-
-val estimate :
-  ?max_support:int ->
-  Ckpt_mspg.Mspg.tree ->
-  node_dist:(Ckpt_dag.Task.id -> Ckpt_prob.Dist.t) ->
-  float

@@ -10,6 +10,3 @@
 
 val estimate : Prob_dag.t -> float
 (** Estimated expected makespan. *)
-
-val estimate_with_variance : Prob_dag.t -> float * float
-(** (mean, variance) of the final normal approximation. *)

@@ -12,10 +12,10 @@
     {!Ckpt_dag.Dag.t} that holds task weights, edges and files. The
     tree drives the recursive scheduling (Algorithm 1); the DAG holds
     the quantitative data. Every precedence the tree implies is a pair
-    of one of its {!serial_cuts}. The DAG may lack some of these pairs:
-    a workflow made an M-SPG by bipartite completion (paper footnote 2)
-    keeps its raw edges, and the dummy dependencies stay implicit in
-    the tree's cuts. {!validate} checks that the two agree and counts
+    of one of its serial cuts ({!implied_edges}). The DAG may lack some
+    of these pairs: a workflow made an M-SPG by bipartite completion
+    (paper footnote 2) keeps its raw edges, and the dummy dependencies
+    stay implicit in the tree's cuts. {!validate} checks that the two agree and counts
     the implicit pairs. *)
 
 module Dag = Ckpt_dag.Dag
@@ -72,20 +72,17 @@ val decompose : tree -> decomposition
 
 (** {1 Consistency with the backing DAG} *)
 
-val serial_cuts : tree -> (Task.id list * Task.id list) list
-(** The serial cuts of the tree: for every serial composition
-    [G1 ⨟ ... ⨟ Gn] and every [i < n], the pair
-    [(tree_sinks Gi, tree_sources G(i+1))]. Every task of the first
+val implied_edges : tree -> (Task.id * Task.id) list
+(** The exact edge set the M-SPG definition induces for this tree: the
+    products of its serial cuts, each pair once. A serial cut is, for a
+    serial composition [G1 ⨟ ... ⨟ Gn] and some [i < n], the pair
+    [(tree_sinks Gi, tree_sources G(i+1))]: every task of the first
     list precedes every task of the second. In a tree holding each task
     once, a task is a sink in at most one cut and a source in at most
     one cut, so each implied pair belongs to exactly one cut. *)
 
-val implied_edges : tree -> (Task.id * Task.id) list
-(** The exact edge set the M-SPG definition induces for this tree: the
-    products of its {!serial_cuts}, each pair once. *)
-
 val completion : t -> (Task.id list * Task.id list) list
-(** The {!serial_cuts} whose pairs the DAG does not all hold as edges:
+(** The serial cuts whose pairs the DAG does not all hold as edges:
     empty for a strict M-SPG; after a bipartite completion, the cuts
     carrying its dummy dependencies (their pairs minus the DAG's
     edges). Every other cut's pairs are DAG edges. The tree must hold

@@ -500,5 +500,3 @@ let of_dag_gspg dag =
     | Ok (tree, _) -> Ok ({ Mspg.dag; tree }, transitive)
     | Error m -> Error m
   end
-
-let is_gspg dag = match of_dag_gspg dag with Ok _ -> true | Error _ -> false

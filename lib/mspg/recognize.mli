@@ -20,7 +20,8 @@
     dependencies ("adds synchronizations but no data transfers"), and
     recognition proceeds. The dummies are never inserted into a DAG:
     the returned tree records the completed cut as a serial
-    composition, whose {!Mspg.serial_cuts} imply every pair. *)
+    composition, whose serial cuts imply every pair
+    ({!Mspg.implied_edges}). *)
 
 module Dag = Ckpt_dag.Dag
 
@@ -52,5 +53,3 @@ val of_dag_gspg : Dag.t -> (Mspg.t * int, string) result
     Note that [Mspg.validate] legitimately fails on the result when
     transitive edges exist: the decomposition tree implies only the
     reduced dependencies. *)
-
-val is_gspg : Dag.t -> bool

@@ -1,15 +1,16 @@
 (** Minimal hand-rolled domain pool for OCaml 5 multicore.
 
-    The resident pool ({!create} / {!run_in} / {!map_in}, and the
-    process-wide {!shared} pool behind {!run_shared} / {!map_shared})
-    spawns its helper domains once and parks them between batches, so
-    repeated small parallel regions — per-superchain placement DPs,
-    degrade/cloud replan loops, daemon request batches — pay the spawn
-    cost once instead of per call. Batches additionally clamp their
-    width to {!available_jobs}, so an oversubscribed [--jobs] degrades
-    to the sequential inline path instead of thrashing one core with
-    many domains. Nested submissions from inside a batch body run
-    inline sequentially rather than deadlocking.
+    {!map_shared} runs a batch on the process-wide resident pool. The
+    pool is created on first use, spawns its helper domains once and
+    parks them between batches, so repeated small parallel regions —
+    Monte-Carlo trial chunks, sweep cells, daemon plan batches — pay the
+    spawn cost once instead of per call. Batches clamp their width to
+    {!available_jobs}, so an oversubscribed [--jobs] degrades to the
+    sequential inline path instead of thrashing one core with many
+    domains. A batch submitted from inside a batch body runs inline
+    sequentially rather than deadlocking, and batches submitted from
+    different domains ([ckptwf serve] connection handlers) queue for
+    the pool one at a time.
 
     The pool makes no determinism promises by itself: workers race for
     work. Determinism is the {e caller's} job and is achieved in this
@@ -23,71 +24,18 @@ val available_jobs : unit -> int
 
 val effective_jobs : int -> int
 (** [effective_jobs jobs] is [jobs] clamped to [[1, available_jobs ()]]
-    — the batch width the resident-pool API will actually use. *)
-
-(** {1 Resident pool} *)
-
-type t
-(** A long-lived pool of helper domains. Helpers are spawned by
-    {!create} and parked on a condition variable between batches;
-    {!shutdown} joins them. At most one batch runs at a time per pool;
-    concurrent submissions from different domains are safe and simply
-    queue on an internal submit lock ([ckptwf serve] connection
-    handlers share the one resident pool this way). Submitting from
-    {e inside} a running batch body still runs inline. *)
-
-val create : ?jobs:int -> unit -> t
-(** [create ?jobs ()] spawns a pool with capacity [jobs] (caller
-    included; default {!available_jobs}). [jobs - 1] helper domains
-    are spawned immediately and live until {!shutdown}.
-
-    @raise Invalid_argument when [jobs < 1]. *)
-
-val size : t -> int
-(** Capacity of the pool (maximum batch width, caller included). *)
-
-val run_in : t -> jobs:int -> (worker:int -> unit) -> unit
-(** [run_in t ~jobs body] runs [body ~worker] as one batch on
-    [min (effective_jobs jobs) (size t)] domains of the pool —
-    the caller plus parked helpers — and returns once all are done,
-    re-raising the first worker exception. When the clamped width is 1,
-    or when called from inside a batch body, [body ~worker:0] runs
-    inline on the caller with no synchronisation. Concurrent callers
-    on different domains serialise: each waits its turn for the whole
-    pool rather than interleaving batches.
-
-    @raise Invalid_argument when [jobs < 1] or [t] was shut down. *)
-
-val map_in : t -> jobs:int -> int -> (int -> 'a) -> 'a array
-(** [map_in t ~jobs n f] is [Array.init n f] executed as a single
-    batch on the resident pool: indices are claimed dynamically, so [f]
-    must be safe to call concurrently from several domains; results
-    come back in index order regardless of scheduling. When some call
-    to [f] raises, workers stop claiming new indices and the first
-    exception is re-raised.
-
-    @raise Invalid_argument when [jobs < 1] or [n < 0]. *)
-
-val shutdown : t -> unit
-(** Stop and join the pool's helper domains. Idempotent. Subsequent
-    {!run_in}/{!map_in} submissions raise [Invalid_argument]. *)
-
-(** {1 The process-wide shared pool} *)
-
-val shared : unit -> t
-(** The lazily created process-wide pool, sized {!available_jobs}.
-    Created on first use; lives for the rest of the process (helper
-    domains park idle between batches and cost nothing measurable). *)
-
-val run_shared : jobs:int -> (worker:int -> unit) -> unit
-(** [run_shared ~jobs body] is [run_in (shared ()) ~jobs body], except
-    that when [effective_jobs jobs = 1] the shared pool is not even
-    created and [body ~worker:0] runs inline.
-
-    @raise Invalid_argument when [jobs < 1]. *)
+    — the batch width {!map_shared} will actually use. *)
 
 val map_shared : jobs:int -> int -> (int -> 'a) -> 'a array
-(** [map_shared ~jobs n f] is [map_in (shared ()) ~jobs n f], with the
-    same inline short-circuit as {!run_shared}.
+(** [map_shared ~jobs n f] is [Array.init n f] executed as one batch on
+    at most [effective_jobs jobs] domains of the process-wide pool, the
+    caller included: indices are claimed dynamically, so [f] must be
+    safe to call concurrently from several domains; results come back
+    in index order regardless of scheduling. When some call to [f]
+    raises, workers stop claiming new indices, the batch finishes, and
+    the first exception is re-raised with its backtrace; the pool stays
+    usable. When the width is 1, [n <= 1], or the call comes from
+    inside a batch body, it is [Array.init n f] on the caller and the
+    pool is not even created.
 
     @raise Invalid_argument when [jobs < 1] or [n < 0]. *)

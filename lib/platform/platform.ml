@@ -100,8 +100,6 @@ let total_rate t =
 
 let io_time t size = size /. t.bandwidth
 
-let compute_time t proc weight = weight /. speed_of t proc
-
 (* Cloud billing: a processor is paid for from provisioning (t = 0)
    until it is released or revoked, at [price_of] dollars per hour. *)
 let billed_cost t ~until =

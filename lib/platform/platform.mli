@@ -77,10 +77,6 @@ val io_time : t -> float -> float
 (** [io_time p size] is the time to move [size] data units to or from
     stable storage. *)
 
-val compute_time : t -> int -> float -> float
-(** [compute_time t p w] is the time processor [p] spends executing a
-    task of weight [w]: [w /. speed_of t p]. *)
-
 val billed_cost : t -> until:(int -> float) -> float
 (** Dollar cost of one execution: every processor is billed at its
     hourly price from provisioning (instant 0) to [until p] — its

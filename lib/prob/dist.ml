@@ -143,82 +143,8 @@ let sample t rng =
   in
   scan 0 0.
 
-(* Lanczos approximation of Γ (g = 7, 9 coefficients) — the stdlib
-   has no gamma function and the Weibull mean needs Γ(1 + 1/k).
-   Accurate to ~13 significant digits over the arguments we meet
-   (1 < x ≤ 2 for any shape ≥ 1; the reflection formula covers the
-   rest). *)
-let rec gamma x =
-  if x < 0.5 then Float.pi /. (sin (Float.pi *. x) *. gamma (1. -. x))
-  else begin
-    let coef =
-      [|
-        0.99999999999980993;
-        676.5203681218851;
-        -1259.1392167224028;
-        771.32342877765313;
-        -176.61502916214059;
-        12.507343278686905;
-        -0.13857109526572012;
-        9.9843695780195716e-6;
-        1.5056327351493116e-7;
-      |]
-    in
-    let x = x -. 1. in
-    let a = ref coef.(0) in
-    for i = 1 to 8 do
-      a := !a +. (coef.(i) /. (x +. float_of_int i))
-    done;
-    let t = x +. 7.5 in
-    sqrt (2. *. Float.pi) *. (t ** (x +. 0.5)) *. exp (-.t) *. !a
-  end
-
-(* Heavy-tailed failure inter-arrival samplers (ROADMAP: beyond the
-   exponential model). Inversion keeps them reproducible under
-   Rng.for_trial exactly like Rng.exponential: one uniform draw per
-   sample. Rng.uniform is open (0, 1), so the logs/powers are safe. *)
-
-let weibull_sample rng ~shape ~scale =
-  if shape <= 0. then invalid_arg "Dist.weibull_sample: shape must be positive";
-  if scale <= 0. then invalid_arg "Dist.weibull_sample: scale must be positive";
-  scale *. ((-.log (Rng.uniform rng)) ** (1. /. shape))
-
-let weibull_cdf ~shape ~scale x =
-  if shape <= 0. then invalid_arg "Dist.weibull_cdf: shape must be positive";
-  if scale <= 0. then invalid_arg "Dist.weibull_cdf: scale must be positive";
-  if x <= 0. then 0. else -.Float.expm1 (-.((x /. scale) ** shape))
-
-let weibull_mean ~shape ~scale =
-  if shape <= 0. then invalid_arg "Dist.weibull_mean: shape must be positive";
-  if scale <= 0. then invalid_arg "Dist.weibull_mean: scale must be positive";
-  scale *. gamma (1. +. (1. /. shape))
-
-let pareto_sample rng ~alpha ~xmin =
-  if alpha <= 0. then invalid_arg "Dist.pareto_sample: alpha must be positive";
-  if xmin <= 0. then invalid_arg "Dist.pareto_sample: xmin must be positive";
-  xmin *. (Rng.uniform rng ** (-1. /. alpha))
-
-let pareto_cdf ~alpha ~xmin x =
-  if alpha <= 0. then invalid_arg "Dist.pareto_cdf: alpha must be positive";
-  if xmin <= 0. then invalid_arg "Dist.pareto_cdf: xmin must be positive";
-  if x < xmin then 0. else 1. -. ((xmin /. x) ** alpha)
-
-let pareto_mean ~alpha ~xmin =
-  if alpha <= 0. then invalid_arg "Dist.pareto_mean: alpha must be positive";
-  if xmin <= 0. then invalid_arg "Dist.pareto_mean: xmin must be positive";
-  if alpha <= 1. then infinity else alpha *. xmin /. (alpha -. 1.)
-
 let equal ?(eps = 1e-9) a b =
   Array.length a.pts = Array.length b.pts
   && Array.for_all2
        (fun (va, pa) (vb, pb) -> abs_float (va -. vb) <= eps && abs_float (pa -. pb) <= eps)
        a.pts b.pts
-
-let pp fmt t =
-  Format.fprintf fmt "@[<hov 1>{";
-  Array.iteri
-    (fun i (v, p) ->
-      if i > 0 then Format.fprintf fmt ";@ ";
-      Format.fprintf fmt "%g:%.4f" v p)
-    t.pts;
-  Format.fprintf fmt "}@]"

@@ -67,37 +67,5 @@ val compact : ?max_size:int -> t -> t
 val sample : t -> Rng.t -> float
 (** Draw from the distribution by inversion. *)
 
-(** {2 Heavy-tailed failure samplers}
-
-    Continuous inter-arrival laws beyond the exponential model
-    (ROADMAP: heavy-tailed failures). Each draws by inversion — one
-    {!Rng.uniform} per sample — so a generator obtained from
-    {!Rng.for_trial} reproduces the same trace bitwise, exactly like
-    {!Rng.exponential}. All parameters must be positive. *)
-
-val weibull_sample : Rng.t -> shape:float -> scale:float -> float
-(** Weibull(k = [shape], λ = [scale]): [scale · (−ln U)^(1/shape)].
-    [shape = 1] degenerates to Exp(1/scale); [shape < 1] gives the
-    decreasing hazard rate typical of infant-mortality failures. *)
-
-val weibull_cdf : shape:float -> scale:float -> float -> float
-(** [1 − exp(−(x/scale)^shape)] for [x > 0], [0.] otherwise. *)
-
-val weibull_mean : shape:float -> scale:float -> float
-(** [scale · Γ(1 + 1/shape)] (Lanczos-approximated Γ). *)
-
-val pareto_sample : Rng.t -> alpha:float -> xmin:float -> float
-(** Pareto(α = [alpha], scale [xmin]): [xmin · U^(−1/alpha)], always
-    at least [xmin]. *)
-
-val pareto_cdf : alpha:float -> xmin:float -> float -> float
-(** [1 − (xmin/x)^alpha] for [x ≥ xmin], [0.] below. *)
-
-val pareto_mean : alpha:float -> xmin:float -> float
-(** [α·xmin / (α − 1)] for [alpha > 1]; [infinity] at [alpha <= 1]
-    (the heavy-tail regime has no finite mean). *)
-
 val equal : ?eps:float -> t -> t -> bool
 (** Structural equality up to [eps] on both values and probabilities. *)
-
-val pp : Format.formatter -> t -> unit

@@ -42,5 +42,3 @@ let exit_code = function
   | Parse _ | Invalid_dag _ | Io _ | Journal_corrupt _ -> 2
   | Journal_version _ | Store_fingerprint _ | Deadline_exceeded _ | Retries_exhausted _ ->
       3
-
-let pp fmt e = Format.pp_print_string fmt (to_string e)

@@ -48,5 +48,3 @@ val exit_code : t -> int
     (parse / invalid DAG / I/O / journal corruption), [3] for runtime
     refusal (retries, deadline, journal format-version or checkpoint
     store fingerprint mismatch). *)
-
-val pp : Format.formatter -> t -> unit

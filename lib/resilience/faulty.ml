@@ -38,7 +38,6 @@ let inject t label =
   end
 
 let guard t label () = inject t label
-let wrap t label f = inject t label; f ()
 let disarm t = t.mode <- Never
 let calls t = t.n_calls
 let injections t = t.n_injected

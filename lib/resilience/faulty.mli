@@ -32,9 +32,6 @@ val guard : t -> string -> unit -> unit
 (** [guard t label] is the thunk form of {!inject}, shaped for
     {!Journal.open_}'s [?inject] hook. *)
 
-val wrap : t -> string -> (unit -> 'a) -> 'a
-(** [wrap t label f] injects, then runs [f ()]. *)
-
 val disarm : t -> unit
 (** Turns further injections off (lets a "resumed" run proceed). *)
 

@@ -36,7 +36,6 @@ type t = {
 let path t = t.jpath
 let length t = List.length t.rev_entries
 let recovered_tail t = t.tail_dropped
-let mem t key = Hashtbl.mem t.index key
 let find t key = Hashtbl.find_opt t.index key
 let entries t = List.rev t.rev_entries
 
@@ -226,7 +225,3 @@ let append_incr t ~key ~value =
     with Unix.Unix_error (err, _, _) ->
       Error.raise_ (Error.Io { path = t.jpath; message = Unix.error_message err })
   end
-
-let sync t =
-  persist t;
-  t.repair_pending <- false

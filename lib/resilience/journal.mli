@@ -51,8 +51,6 @@ val length : t -> int
 val recovered_tail : t -> bool
 (** [true] when a torn trailing line was dropped during load. *)
 
-val mem : t -> string -> bool
-
 val find : t -> string -> string option
 (** First value journaled under the key, if any. *)
 
@@ -79,10 +77,6 @@ val append_incr : t -> key:string -> value:string -> unit
     when the file does not exist yet, and on the first append after a
     torn-tail recovery — the surviving partial line must be truncated
     away, not appended after. *)
-
-val sync : t -> unit
-(** Rewrites the journal from memory (normally unnecessary — [append]
-    already persisted). @raise Error.E ([Io]) on failure. *)
 
 val crc32 : string -> int32
 (** The IEEE 802.3 CRC-32 used to guard entries (exposed for tests). *)

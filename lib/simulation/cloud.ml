@@ -11,8 +11,6 @@ module Store = Ckpt_storage.Store
 
 type mode = Checkpoint | Replicate
 
-let mode_name = function Checkpoint -> "ckpt" | Replicate -> "replicate"
-
 type config = {
   lambda_revoke : float;
   grace : float;
@@ -199,9 +197,6 @@ let run_trial ~mode config prepared rng =
 
 let sample_prepared ?trials ?seed ?jobs ~mode config prepared =
   Replan.sample ~name:"Cloud" ?trials ?seed ?jobs (run_trial ~mode config prepared)
-
-let sample ?trials ?seed ?jobs ~mode config plan =
-  sample_prepared ?trials ?seed ?jobs ~mode config (prepare plan)
 
 type summary = {
   trials : int;

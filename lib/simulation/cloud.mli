@@ -41,8 +41,6 @@ type mode =
   | Checkpoint  (** checkpointing + eviction-aware replanning *)
   | Replicate  (** two half-platform replicas, restart-only *)
 
-val mode_name : mode -> string
-
 type config = {
   lambda_revoke : float;
       (** base revocation rate — the rate an on-demand (full-price)
@@ -86,17 +84,6 @@ val run_trial : mode:mode -> config -> prepared -> Ckpt_prob.Rng.t -> trial
 
 val sample_prepared :
   ?trials:int -> ?seed:int -> ?jobs:int -> mode:mode -> config -> prepared -> trial array
-
-val sample :
-  ?trials:int ->
-  ?seed:int ->
-  ?jobs:int ->
-  mode:mode ->
-  config ->
-  Strategy.plan ->
-  trial array
-(** [trials] (default 200) Monte-Carlo trials at [seed] (default 11),
-    fanned over [jobs] domains; bitwise identical for any [jobs]. *)
 
 type summary = {
   trials : int;

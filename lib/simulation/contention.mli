@@ -54,12 +54,6 @@ val makespan :
     @raise Invalid_argument on a bad ordering or non-positive
     bandwidth. *)
 
-val segs_of_plan : Ckpt_core.Strategy.plan -> seg array
-(** Rebuild byte quantities from the plan's segments and its
-    platform's nominal bandwidth.
-
-    @raise Invalid_argument on a CKPTNONE plan. *)
-
 val simulate :
   ?trials:int ->
   ?seed:int ->

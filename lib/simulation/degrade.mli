@@ -101,9 +101,6 @@ val prepare : ?cache:bool -> Strategy.plan -> prepared
 val cache_stats : prepared -> int * int
 (** [(hits, misses)] of the replan cache so far (0, 0 when disabled). *)
 
-val run_trial : mode:mode -> config -> prepared -> Ckpt_prob.Rng.t -> trial
-(** One degraded-mode execution against fresh randomness. *)
-
 val sample :
   ?trials:int ->
   ?seed:int ->

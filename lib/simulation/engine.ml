@@ -338,7 +338,3 @@ let restart_rate_makespan ~wpar ~rate rng =
     in
     go 0.
   end
-
-let restart_makespan ~wpar ~processors ~lambda rng =
-  if processors < 1 then invalid_arg "Engine.restart_makespan: processors < 1";
-  restart_rate_makespan ~wpar ~rate:(float_of_int processors *. lambda) rng

@@ -183,12 +183,8 @@ val makespan : seg array -> (int -> Ckpt_platform.Failure.t) -> float
     @raise Invalid_argument on a non-topological order or a negative
     processor id. *)
 
-val restart_makespan :
-  wpar:float -> processors:int -> lambda:float -> Ckpt_prob.Rng.t -> float
-(** CKPTNONE realisation: repeat attempts of length [wpar]; an
-    exponential failure at rate [processors * λ] during an attempt
-    aborts it at the failure instant and restarts from scratch. *)
-
 val restart_rate_makespan : wpar:float -> rate:float -> Ckpt_prob.Rng.t -> float
-(** Same, parameterised by the aggregate failure rate directly
-    (heterogeneous platforms). *)
+(** CKPTNONE realisation: repeat attempts of length [wpar]; an
+    exponential failure at the aggregate rate [rate] (Σ λ_p over the
+    processors) during an attempt aborts it at the failure instant and
+    restarts from scratch. *)

@@ -41,10 +41,9 @@ let validate c =
 
 type ckpt = {
   seg : int;
-  committed_at : float;
   corrupt_from : float array;
       (* per replica: the instant from which the copy reads back corrupt
-         ([infinity] = never, committed_at = latent from birth). The
+         ([infinity] = never, the commit instant = latent from birth). The
          empty array means every replica is eternally valid — the
          no-draw fast path of a reliable configuration. *)
 }
@@ -63,7 +62,6 @@ type t = {
   mutable commit_exhausted : int;
   mutable reads : int;
   mutable corrupt_reads : int;
-  mutable rev_failed_reads : int list;
 }
 
 let create ?(inject = fun _ -> ()) config rng =
@@ -83,7 +81,6 @@ let create ?(inject = fun _ -> ()) config rng =
     commit_exhausted = 0;
     reads = 0;
     corrupt_reads = 0;
-    rev_failed_reads = [];
   }
 
 let config t = t.config
@@ -116,7 +113,7 @@ let available t at =
 let fresh_ckpt t ~seg ~at =
   let c = t.config in
   if c.corrupt_prob <= 0. && c.storage_lambda <= 0. then
-    { seg; committed_at = at; corrupt_from = [||] }
+    { seg; corrupt_from = [||] }
   else begin
     let corrupt_from = Array.make c.replicas infinity in
     for r = 0 to c.replicas - 1 do
@@ -125,7 +122,7 @@ let fresh_ckpt t ~seg ~at =
       else if c.storage_lambda > 0. then
         corrupt_from.(r) <- at +. Rng.exponential t.rng ~rate:c.storage_lambda
     done;
-    { seg; committed_at = at; corrupt_from }
+    { seg; corrupt_from }
   end
 
 let commit_attempt_fails t =
@@ -171,7 +168,6 @@ let commit t ~seg ~write ~at =
   end
 
 let seg_of ck = ck.seg
-let committed_at ck = ck.committed_at
 
 let valid_at ck ~at =
   ck.corrupt_from = [||] || Array.exists (fun c -> c > at) ck.corrupt_from
@@ -182,11 +178,8 @@ let read t ck ~at =
   if valid_at ck ~at then true
   else begin
     t.corrupt_reads <- t.corrupt_reads + 1;
-    t.rev_failed_reads <- ck.seg :: t.rev_failed_reads;
     false
   end
-
-let failed_reads t = List.rev t.rev_failed_reads
 
 type stats = {
   commits : int;

@@ -116,7 +116,6 @@ val fresh_ckpt : t -> seg:int -> at:float -> ckpt
     with {!commit_step}. *)
 
 val seg_of : ckpt -> int
-val committed_at : ckpt -> float
 
 val valid_at : ckpt -> at:float -> bool
 (** [true] iff some replica is uncorrupted at instant [at]. Pure — no
@@ -125,14 +124,7 @@ val valid_at : ckpt -> at:float -> bool
 
 val read : t -> ckpt -> at:float -> bool
 (** A recovery read at instant [at]: {!valid_at} plus operation
-    accounting — a [false] result counts a corrupt read and logs the
-    producing segment in {!failed_reads}. *)
-
-val failed_reads : t -> int list
-(** Producing-segment ids of every failed {!read}, in chronological
-    order — the recovery lines that were invalidated. The engine's
-    cascading-rollback log must match this exactly (QCheck property in
-    [test/test_storage.ml]). *)
+    accounting — a [false] result counts a corrupt read. *)
 
 type stats = {
   commits : int;  (** {!commit} calls *)

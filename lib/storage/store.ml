@@ -458,5 +458,3 @@ let stats t =
     resumed = t.resumed;
     evictions = t.evictions;
   }
-
-let fault_stats t = Storage.stats t.st

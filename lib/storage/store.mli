@@ -47,9 +47,6 @@
 module Rng = Ckpt_prob.Rng
 module Error = Ckpt_resilience.Error
 
-val schema_version : int
-(** Version stamped into every disk-store header and record. *)
-
 (** {1 Configuration} *)
 
 type policy =
@@ -115,7 +112,7 @@ val open_persist :
   unit ->
   (persist, Error.t) result
 (** Opens (or creates) the store file at [path] and validates its
-    header against [fingerprint] and {!schema_version}. Errors:
+    header against [fingerprint] and the store's schema version. Errors:
     [Store_fingerprint] on a header mismatch, [Journal_corrupt] /
     [Journal_version] / [Io] as {!Ckpt_resilience.Journal.open_}.
     [inject] fires before every physical write (store-level fault
@@ -278,6 +275,3 @@ val add : stats -> stats -> stats
 (** Field-wise sum — aggregation across trials. *)
 
 val stats : t -> stats
-
-val fault_stats : t -> Storage.stats
-(** The underlying fault-layer counters (subset of {!stats}). *)

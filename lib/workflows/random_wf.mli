@@ -5,9 +5,6 @@
     random positive weights and file sizes. By construction the result
     is always a strict M-SPG. *)
 
-val blueprint : Ckpt_prob.Rng.t -> max_tasks:int -> Ckpt_mspg.Mspg.blueprint
-(** Random blueprint with at most [max_tasks] atomic tasks (at least 1). *)
-
 val generate : ?seed:int -> max_tasks:int -> unit -> Ckpt_mspg.Mspg.t
 (** Materialised random M-SPG (weights in [0.5, 50], sizes in
     [1e5, 1e8]). *)

@@ -291,7 +291,9 @@ let test_cloud_degenerates_to_degrade () =
   in
   let cconfig = { (cloud_config plan) with Cloud.lambda_revoke = lambda } in
   let d = Degrade.sample ~trials:40 ~seed:3 ~mode:Degrade.Repair dconfig plan in
-  let c = Cloud.sample ~trials:40 ~seed:3 ~mode:Cloud.Checkpoint cconfig plan in
+  let c =
+    Cloud.sample_prepared ~trials:40 ~seed:3 ~mode:Cloud.Checkpoint cconfig (Cloud.prepare plan)
+  in
   Array.iteri
     (fun i (t : Degrade.trial) ->
       Alcotest.(check bool)
@@ -306,8 +308,12 @@ let test_cloud_degenerates_to_degrade () =
 let test_cloud_jobs_invariant () =
   let plan = genome_plan () in
   let config = cloud_config ~grace:5. ~lambda_scale:1.5 plan in
-  let seq = Cloud.sample ~trials:40 ~seed:9 ~jobs:1 ~mode:Cloud.Checkpoint config plan in
-  let par = Cloud.sample ~trials:40 ~seed:9 ~jobs:4 ~mode:Cloud.Checkpoint config plan in
+  let sample jobs =
+    Cloud.sample_prepared ~trials:40 ~seed:9 ~jobs ~mode:Cloud.Checkpoint config
+      (Cloud.prepare plan)
+  in
+  let seq = sample 1 in
+  let par = sample 4 in
   Alcotest.(check bool) "bitwise identical at any --jobs" true (seq = par)
 
 let test_cloud_modes_share_worlds () =
@@ -315,8 +321,11 @@ let test_cloud_modes_share_worlds () =
      each trial index sees the same revocation instants *)
   let plan = genome_plan () in
   let config = cloud_config ~grace:2. ~lambda_scale:2. plan in
-  let a = Cloud.sample ~trials:30 ~seed:4 ~mode:Cloud.Replicate config plan in
-  let b = Cloud.sample ~trials:30 ~seed:4 ~mode:Cloud.Replicate config plan in
+  let sample () =
+    Cloud.sample_prepared ~trials:30 ~seed:4 ~mode:Cloud.Replicate config (Cloud.prepare plan)
+  in
+  let a = sample () in
+  let b = sample () in
   Alcotest.(check bool) "replicate mode reproducible" true (a = b);
   Array.iter
     (fun (t : Cloud.trial) ->
@@ -352,7 +361,9 @@ let test_cloud_spot_risk_scales_revocations () =
     let config =
       { (cloud_config plan) with Cloud.lambda_revoke = 0.5 /. plan.Strategy.wpar }
     in
-    (Cloud.summarize (Cloud.sample ~trials:80 ~seed:6 ~mode:Cloud.Checkpoint config plan))
+    (Cloud.summarize
+       (Cloud.sample_prepared ~trials:80 ~seed:6 ~mode:Cloud.Checkpoint config
+          (Cloud.prepare plan)))
       .Cloud.mean_revocations
   in
   let cheap = sample 0.2 and dear = sample 1.0 in
@@ -368,7 +379,8 @@ let test_cloud_grace_cuts_work_lost () =
   let lost grace =
     let config = cloud_config ~grace ~lambda_scale plan in
     (Cloud.summarize
-       (Cloud.sample ~trials:150 ~seed:13 ~mode:Cloud.Checkpoint config plan))
+       (Cloud.sample_prepared ~trials:150 ~seed:13 ~mode:Cloud.Checkpoint config
+          (Cloud.prepare plan)))
       .Cloud.mean_work_lost
   in
   let unwarned = lost 0. and warned = lost 30. in

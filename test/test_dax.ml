@@ -235,7 +235,11 @@ let test_dax_load_save () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Dax.save path dag;
-      let rebuilt = Dax.load path in
+      let rebuilt =
+        match Dax.of_file path with
+        | Ok d -> d
+        | Error e -> Alcotest.failf "reload rejected: %s" (Ckpt_resilience.Error.to_string e)
+      in
       Alcotest.(check bool) "load(save(x)) = x" true (dags_equivalent dag rebuilt))
 
 let suite =

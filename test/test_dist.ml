@@ -137,97 +137,6 @@ let prop_max_commutative =
   QCheck.Test.make ~name:"max2 commutes" ~count:200 (QCheck.pair arb_dist arb_dist)
     (fun (a, b) -> Dist.equal ~eps:1e-7 (Dist.max2 a b) (Dist.max2 b a))
 
-(* --- heavy-tailed samplers ------------------------------------------- *)
-
-let sample_mean n f =
-  let s = ref 0. in
-  for _ = 1 to n do
-    s := !s +. f ()
-  done;
-  !s /. float_of_int n
-
-let test_weibull_moments () =
-  (* k=2, λ=3: mean = 3·Γ(3/2) = 3·√π/2 *)
-  check_close "closed-form mean" (Dist.weibull_mean ~shape:2. ~scale:3.)
-    (3. *. sqrt Float.pi /. 2.);
-  let rng = Rng.for_trial ~seed:11 0 in
-  let m = sample_mean 60_000 (fun () -> Dist.weibull_sample rng ~shape:2. ~scale:3.) in
-  check_close ~eps:0.02 "sample mean" m (Dist.weibull_mean ~shape:2. ~scale:3.);
-  (* decreasing-hazard shape < 1 must not NaN (exercises the fractional
-     power of -ln U) *)
-  let m =
-    sample_mean 60_000 (fun () -> Dist.weibull_sample rng ~shape:0.5 ~scale:1.)
-  in
-  check_close ~eps:0.1 "shape<1 sample mean" m (Dist.weibull_mean ~shape:0.5 ~scale:1.)
-
-let test_weibull_cdf () =
-  (* F(scale) = 1 - 1/e for every shape *)
-  check_close "F(λ) k=2" (Dist.weibull_cdf ~shape:2. ~scale:3. 3.) (-.Float.expm1 (-1.));
-  check_close "F(λ) k=0.7" (Dist.weibull_cdf ~shape:0.7 ~scale:5. 5.) (-.Float.expm1 (-1.));
-  check_close "F(0)" (Dist.weibull_cdf ~shape:2. ~scale:3. 0.) 0.;
-  check_close "F(-1)" (Dist.weibull_cdf ~shape:2. ~scale:3. (-1.)) 0.;
-  (* empirical CDF matches at a couple of probes *)
-  let rng = Rng.for_trial ~seed:12 0 in
-  let n = 60_000 in
-  let hits = ref 0 in
-  for _ = 1 to n do
-    if Dist.weibull_sample rng ~shape:2. ~scale:3. <= 2.5 then incr hits
-  done;
-  check_close ~eps:0.02 "empirical CDF"
-    (float_of_int !hits /. float_of_int n)
-    (Dist.weibull_cdf ~shape:2. ~scale:3. 2.5)
-
-let test_weibull_shape1_is_exponential () =
-  (* k=1 degenerates to Exp(1/scale): same inversion, same trace *)
-  let a = Rng.for_trial ~seed:13 0 and b = Rng.for_trial ~seed:13 0 in
-  for _ = 1 to 100 do
-    let w = Dist.weibull_sample a ~shape:1. ~scale:4. in
-    let e = Rng.exponential b ~rate:0.25 in
-    check_close ~eps:1e-12 "trace-identical to Exp" w e
-  done
-
-let test_pareto_moments () =
-  check_close "closed-form mean" (Dist.pareto_mean ~alpha:3. ~xmin:2.) 3.;
-  let rng = Rng.for_trial ~seed:14 0 in
-  let m = sample_mean 60_000 (fun () -> Dist.pareto_sample rng ~alpha:3. ~xmin:2.) in
-  check_close ~eps:0.02 "sample mean" m 3.;
-  Alcotest.(check bool)
-    "alpha<=1 mean infinite" true
-    (Dist.pareto_mean ~alpha:1. ~xmin:2. = infinity
-    && Dist.pareto_mean ~alpha:0.5 ~xmin:2. = infinity)
-
-let test_pareto_cdf_and_support () =
-  check_close "F(xmin)" (Dist.pareto_cdf ~alpha:3. ~xmin:2. 2.) 0.;
-  check_close "F(4)" (Dist.pareto_cdf ~alpha:3. ~xmin:2. 4.) (1. -. 0.125);
-  check_close "F below xmin" (Dist.pareto_cdf ~alpha:3. ~xmin:2. 1.) 0.;
-  let rng = Rng.for_trial ~seed:15 0 in
-  for _ = 1 to 1000 do
-    if Dist.pareto_sample rng ~alpha:1.5 ~xmin:2. < 2. then
-      Alcotest.fail "sample below xmin"
-  done
-
-let test_heavy_tail_seeded_determinism () =
-  (* Rng.for_trial contract: same (seed, trial) -> bitwise same trace *)
-  let draw () =
-    let rng = Rng.for_trial ~seed:16 7 in
-    List.init 50 (fun _ ->
-        (Dist.weibull_sample rng ~shape:1.5 ~scale:2., Dist.pareto_sample rng ~alpha:2.5 ~xmin:1.))
-  in
-  Alcotest.(check bool) "replayed trace bitwise equal" true (draw () = draw ())
-
-let test_heavy_tail_rejects_bad_params () =
-  let rng = Rng.for_trial ~seed:17 0 in
-  let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
-  Alcotest.(check bool)
-    "invalid parameters rejected" true
-    (raises (fun () -> Dist.weibull_sample rng ~shape:0. ~scale:1.)
-    && raises (fun () -> Dist.weibull_sample rng ~shape:1. ~scale:(-1.))
-    && raises (fun () -> Dist.weibull_mean ~shape:(-2.) ~scale:1.)
-    && raises (fun () -> Dist.weibull_cdf ~shape:0. ~scale:1. 1.)
-    && raises (fun () -> Dist.pareto_sample rng ~alpha:0. ~xmin:1.)
-    && raises (fun () -> Dist.pareto_cdf ~alpha:1. ~xmin:0. 1.)
-    && raises (fun () -> Dist.pareto_mean ~alpha:1. ~xmin:(-1.)))
-
 let suite =
   [
     Alcotest.test_case "constant" `Quick test_constant;
@@ -244,16 +153,6 @@ let suite =
     Alcotest.test_case "compact preserves mean" `Quick test_compact_preserves_mean;
     Alcotest.test_case "compact no-op when small" `Quick test_compact_noop_small;
     Alcotest.test_case "sampling matches" `Quick test_sample_matches_distribution;
-    Alcotest.test_case "weibull moments" `Quick test_weibull_moments;
-    Alcotest.test_case "weibull cdf" `Quick test_weibull_cdf;
-    Alcotest.test_case "weibull shape=1 is exponential" `Quick
-      test_weibull_shape1_is_exponential;
-    Alcotest.test_case "pareto moments" `Quick test_pareto_moments;
-    Alcotest.test_case "pareto cdf and support" `Quick test_pareto_cdf_and_support;
-    Alcotest.test_case "heavy-tail seeded determinism" `Quick
-      test_heavy_tail_seeded_determinism;
-    Alcotest.test_case "heavy-tail rejects bad params" `Quick
-      test_heavy_tail_rejects_bad_params;
     QCheck_alcotest.to_alcotest prop_add_mean_linear;
     QCheck_alcotest.to_alcotest prop_add_variance_additive;
     QCheck_alcotest.to_alcotest prop_max_ge_means;

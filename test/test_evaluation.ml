@@ -156,13 +156,13 @@ let test_exact_sp_chain () =
   in
   check_close "exact chain"
     (chain_mean [ (10., 15., 0.3); (5., 8., 0.1) ])
-    (Exact_sp.estimate tree ~node_dist)
+    (Dist.mean (Exact_sp.distribution tree ~node_dist))
 
 let test_exact_sp_parallel () =
   (* max of two fair coins over {0,1}: mean 0.75 *)
   let tree = Mspg.parallel [ Mspg.leaf 0; Mspg.leaf 1 ] in
   let node_dist _ = Dist.two_state ~p:0.5 0. 1. in
-  check_close "exact max" 0.75 (Exact_sp.estimate tree ~node_dist)
+  check_close "exact max" 0.75 (Dist.mean (Exact_sp.distribution tree ~node_dist))
 
 let test_exact_sp_matches_mc_forkjoin () =
   let tree =
@@ -185,7 +185,8 @@ let test_exact_sp_matches_mc_forkjoin () =
   List.iter (fun (u, v) -> Prob_dag.add_edge pd u v)
     [ (0, 1); (0, 3); (1, 2); (3, 4); (2, 5); (4, 5) ];
   let mc = Montecarlo.estimate ~trials:400_000 pd in
-  check_close ~eps:0.01 "exact SP vs MC" mc (Exact_sp.estimate tree ~node_dist)
+  check_close ~eps:0.01 "exact SP vs MC" mc
+    (Dist.mean (Exact_sp.distribution tree ~node_dist))
 
 let test_dodin_matches_exact_sp () =
   (* Dodin's forward pass is exact on in-trees: two disjoint chains
@@ -208,7 +209,7 @@ let test_dodin_matches_exact_sp () =
   Array.iter (fun (b, d, p) -> ignore (Prob_dag.add_node pd ~base:b ~degraded:d ~pfail:p)) params;
   List.iter (fun (u, v) -> Prob_dag.add_edge pd u v) [ (0, 1); (2, 3); (1, 4); (3, 4) ];
   check_close ~eps:1e-9 "dodin = exact on in-tree"
-    (Exact_sp.estimate ~max_support:max_int tree ~node_dist)
+    (Dist.mean (Exact_sp.distribution ~max_support:max_int tree ~node_dist))
     (Dodin.estimate ~max_support:max_int pd);
   (* and on a fork (shared ancestor) Dodin is an upper-biased
      approximation: verify the direction of the bias *)
@@ -225,7 +226,9 @@ let test_dodin_matches_exact_sp () =
     let b, d, p = fork_params.(i) in
     Dist.two_state ~p b d
   in
-  let exact = Exact_sp.estimate ~max_support:max_int fork_tree ~node_dist:fork_dist in
+  let exact =
+    Dist.mean (Exact_sp.distribution ~max_support:max_int fork_tree ~node_dist:fork_dist)
+  in
   let dodin = Dodin.estimate ~max_support:max_int fork_pd in
   Alcotest.(check bool) "fork bias is upward" true (dodin >= exact -. 1e-9)
 
@@ -235,8 +238,8 @@ let test_ckptnone_formula () =
   let x = float_of_int processors *. lambda *. wpar in
   check_close "Theorem 1"
     (((1. -. x) *. wpar) +. (x *. 1.5 *. wpar))
-    (Ckptnone.expected_makespan ~wpar ~processors ~lambda);
-  check_close "failure-free" 100. (Ckptnone.expected_makespan ~wpar:100. ~processors:4 ~lambda:0.)
+    (Ckptnone.expected_makespan_rate ~wpar ~rate:(float_of_int processors *. lambda));
+  check_close "failure-free" 100. (Ckptnone.expected_makespan_rate ~wpar:100. ~rate:0.)
 
 let test_evaluator_dispatch () =
   let pd = chain [ (10., 15., 0.01) ] in

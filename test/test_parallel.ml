@@ -11,20 +11,15 @@ module Pool = Ckpt_parallel.Pool
 
 (* --- Pool --- *)
 
-(* a private resident pool wider than most test machines: batches clamp
-   to effective_jobs, the helpers beyond it must sit out *)
-let with_pool f =
-  let pool = Pool.create ~jobs:4 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+(* every batch runs on the process-wide pool; [~jobs:4] is wider than
+   most test machines, so batches clamp to effective_jobs *)
 
 let test_pool_map_identity () =
-  with_pool @@ fun pool ->
-  let r = Pool.map_in pool ~jobs:4 100 (fun i -> i * i) in
+  let r = Pool.map_shared ~jobs:4 100 (fun i -> i * i) in
   Alcotest.(check (array int)) "map" (Array.init 100 (fun i -> i * i)) r
 
 let test_pool_map_propagates_exception () =
-  with_pool @@ fun pool ->
-  match Pool.map_in pool ~jobs:3 50 (fun i -> if i = 17 then failwith "boom" else i) with
+  match Pool.map_shared ~jobs:3 50 (fun i -> if i = 17 then failwith "boom" else i) with
   | exception Failure m -> Alcotest.(check string) "message" "boom" m
   | _ -> Alcotest.fail "expected Failure"
 
@@ -34,13 +29,12 @@ exception Boom of int
    exception reaches the caller, preserve the first exception together
    with its backtrace, and leave the pool immediately reusable. *)
 let test_pool_map_exception_joins_and_reuse () =
-  with_pool @@ fun pool ->
   Printexc.record_backtrace true;
   let running = Atomic.make 0 in
   let raised =
     try
       ignore
-        (Pool.map_in pool ~jobs:4 64 (fun i ->
+        (Pool.map_shared ~jobs:4 64 (fun i ->
              Atomic.incr running;
              Fun.protect
                ~finally:(fun () -> Atomic.decr running)
@@ -56,19 +50,11 @@ let test_pool_map_exception_joins_and_reuse () =
   Alcotest.(check bool) "the one raised exception propagated" true raised;
   (* a finished batch cannot still have a worker inside its body *)
   Alcotest.(check int) "all workers quiesced" 0 (Atomic.get running);
-  let r = Pool.map_in pool ~jobs:4 32 (fun i -> i + 1) in
+  let r = Pool.map_shared ~jobs:4 32 (fun i -> i + 1) in
   Alcotest.(check (array int)) "pool reusable after failure" (Array.init 32 (fun i -> i + 1)) r;
   Alcotest.(check int) "sequential path too" 0
-    (try Pool.map_in pool ~jobs:1 4 (fun i -> if i = 2 then raise (Boom i) else i) |> Array.length
+    (try Pool.map_shared ~jobs:1 4 (fun i -> if i = 2 then raise (Boom i) else i) |> Array.length
      with Boom 2 -> 0)
-
-let test_pool_run_workers_distinct () =
-  with_pool @@ fun pool ->
-  let width = min (Pool.effective_jobs 4) (Pool.size pool) in
-  let seen = Array.make 4 false in
-  Pool.run_in pool ~jobs:4 (fun ~worker -> seen.(worker) <- true);
-  Alcotest.(check (array bool)) "workers 0 .. effective_jobs - 1 ran, no others"
-    (Array.init 4 (fun w -> w < width)) seen
 
 (* a batch body that submits again must not wait on a pool whose
    workers are all busy running batch bodies: the nested call runs
@@ -76,20 +62,20 @@ let test_pool_run_workers_distinct () =
    that a nested call that did reach a pool would hand items to its
    woken helpers. *)
 let test_pool_nested_runs_inline () =
-  with_pool @@ fun pool ->
   let inline = Atomic.make true in
-  Pool.run_in pool ~jobs:4 (fun ~worker:_ ->
-      let me = Domain.self () in
-      let order = ref [] in
-      let r =
-        Pool.map_shared ~jobs:4 8 (fun i ->
-            Unix.sleepf 0.002;
-            if Domain.self () <> me then Atomic.set inline false;
-            order := i :: !order;
-            i)
-      in
-      if r <> Array.init 8 Fun.id || List.rev !order <> List.init 8 Fun.id then
-        Atomic.set inline false);
+  ignore
+    (Pool.map_shared ~jobs:4 4 (fun _ ->
+         let me = Domain.self () in
+         let order = ref [] in
+         let r =
+           Pool.map_shared ~jobs:4 8 (fun i ->
+               Unix.sleepf 0.002;
+               if Domain.self () <> me then Atomic.set inline false;
+               order := i :: !order;
+               i)
+         in
+         if r <> Array.init 8 Fun.id || List.rev !order <> List.init 8 Fun.id then
+           Atomic.set inline false));
   Alcotest.(check bool) "nested map_shared ran inline, in order" true (Atomic.get inline)
 
 (* --- reference prob-DAG: adjacency lists, no CSR, no scratch --- *)
@@ -257,7 +243,6 @@ let suite =
     Alcotest.test_case "pool map propagates exception" `Quick test_pool_map_propagates_exception;
     Alcotest.test_case "pool map exception joins + reuse" `Quick
       test_pool_map_exception_joins_and_reuse;
-    Alcotest.test_case "pool run workers distinct" `Quick test_pool_run_workers_distinct;
     Alcotest.test_case "pool nested map_shared runs inline" `Quick test_pool_nested_runs_inline;
     QCheck_alcotest.to_alcotest prop_csr_matches_reference;
     Alcotest.test_case "duplicate edges deduplicated" `Quick test_duplicate_edges_deduplicated;

@@ -180,7 +180,8 @@ let test_gspg_equals_strict_on_mspg () =
 
 let test_gspg_rejects_incomplete_bipartite () =
   (* reduction does not help an incomplete bipartite block *)
-  Alcotest.(check bool) "still rejected" false (Recognize.is_gspg (incomplete_bipartite ()))
+  Alcotest.(check bool) "still rejected" true
+    (Result.is_error (Recognize.of_dag_gspg (incomplete_bipartite ())))
 
 let test_gspg_pipeline_end_to_end () =
   (* the pipeline accepts a GSPG and checkpoints cover the transitive

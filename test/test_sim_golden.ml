@@ -167,7 +167,9 @@ let cloud_digests mode =
           store;
         }
       in
-      (name, digest render_cloud (Cloud.sample ~trials:60 ~seed:5 ~mode config plan)))
+      ( name,
+        digest render_cloud
+          (Cloud.sample_prepared ~trials:60 ~seed:5 ~mode config (Cloud.prepare plan)) ))
     cases
 
 let test_cloud_checkpoint () =
@@ -206,8 +208,9 @@ let test_cloud_checkpoint_completed () =
     [ ("on-interrupt", "6b04a477bd5ab28d4a1c59aa011a86b4") ]
     [
       ( "on-interrupt",
-        digest render_cloud (Cloud.sample ~trials:60 ~seed:5 ~mode:Cloud.Checkpoint config plan)
-      );
+        digest render_cloud
+          (Cloud.sample_prepared ~trials:60 ~seed:5 ~mode:Cloud.Checkpoint config
+             (Cloud.prepare plan)) );
     ]
 
 let test_cloud_replicate () =

@@ -165,17 +165,17 @@ let test_forced_first_attempt_failure () =
 let test_restart_semantics_failure_free () =
   let rng = Rng.create 5 in
   check_close "wpar when no failures" 123.
-    (Engine.restart_makespan ~wpar:123. ~processors:4 ~lambda:0. rng)
+    (Engine.restart_rate_makespan ~wpar:123. ~rate:0. rng)
 
 let test_restart_statistics () =
   (* restart process: E[T] = (e^{rW} - 1)/r with r = p λ *)
   let lambda = 0.0005 and wpar = 100. and processors = 4 in
+  let r = float_of_int processors *. lambda in
   let rng = Rng.create 6 in
   let stats = Stats.create () in
   for _ = 1 to 20000 do
-    Stats.add stats (Engine.restart_makespan ~wpar ~processors ~lambda (Rng.split rng))
+    Stats.add stats (Engine.restart_rate_makespan ~wpar ~rate:r (Rng.split rng))
   done;
-  let r = float_of_int processors *. lambda in
   let expected = (exp (r *. wpar) -. 1.) /. r in
   let err = abs_float (Stats.mean stats -. expected) /. expected in
   if err > 0.02 then Alcotest.failf "restart mean %f vs %f" (Stats.mean stats) expected

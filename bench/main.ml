@@ -179,31 +179,11 @@ let figure_series ?journal ?(jobs = 1) fig kind =
   let journal_mutex = Mutex.create () in
   List.iter
     (fun (tasks, procs) ->
-      (* the workflow and its M-SPG are rebuilt only when some cell of
-         this size group actually needs computing (resume skips them) *)
-      let prepared =
-        lazy
-          (let dag = Spec.generate kind ~seed:1 ~tasks () in
-           let n = Dag.n_tasks dag in
-           let mean_weight = Dag.total_weight dag /. float_of_int n in
-           let mspg =
-             match Recognize.of_dag dag with
-             | Ok m -> m
-             | Error _ -> (
-                 match Recognize.of_dag_completed dag with
-                 | Ok (m, _) -> m
-                 | Error e -> failwith e)
-           in
-           (dag, n, mean_weight, mspg))
-      in
+      (* the workflow is generated only when some cell of this size
+         group actually needs computing (resume skips it) *)
+      let dag = lazy (Spec.generate kind ~seed:1 ~tasks ()) in
       List.iter
         (fun p ->
-          (* the schedule does not depend on pfail or CCR: build once *)
-          let schedule =
-            lazy
-              (let _, _, _, mspg = Lazy.force prepared in
-               Allocate.run mspg ~processors:p)
-          in
           (* one (pfail, ccr) grid cell per array slot, journal looked
              up sequentially; only the missing cells are computed, fanned
              over [jobs] domains, and rows print in grid order at the
@@ -213,6 +193,13 @@ let figure_series ?journal ?(jobs = 1) fig kind =
               (List.concat_map
                  (fun pfail -> List.map (fun ccr -> (pfail, ccr)) (ccrs_for kind))
                  pfails)
+          in
+          (* recognition and the schedule depend on neither pfail nor
+             CCR: prepare once, reprice every cell *)
+          let setup =
+            lazy
+              (let pfail, ccr = cells.(0) in
+               Pipeline.prepare ~dag:(Lazy.force dag) ~processors:p ~pfail ~ccr ())
           in
           let key_of (pfail, ccr) =
             Printf.sprintf "bench|fig=%s|wf=%s|tasks=%d|p=%d|pfail=%g|ccr=%.17g" fig
@@ -224,29 +211,18 @@ let figure_series ?journal ?(jobs = 1) fig kind =
               cells
           in
           let compute (pfail, ccr) =
-            let dag, n, mean_weight, _ = Lazy.force prepared in
-            let total_data = Dag.total_data dag in
-            let total_weight = Dag.total_weight dag in
-            let lambda = Platform.lambda_of_pfail ~pfail ~mean_weight in
-            let bandwidth = Platform.bandwidth_for_ccr ~ccr ~total_data ~total_weight in
-            let platform = Platform.make ~processors:p ~lambda ~bandwidth in
-            let schedule = Lazy.force schedule in
-            let plan k = Strategy.plan k ~raw:dag ~schedule ~platform in
-            let some = plan Strategy.Ckpt_some in
-            let em_some = Strategy.expected_makespan some in
-            let em_all = Strategy.expected_makespan (plan Strategy.Ckpt_all) in
-            let em_none = Strategy.expected_makespan (plan Strategy.Ckpt_none) in
-            Printf.sprintf "%-8s %5d %4d %7g %8.5f | %8.4f %9.4f %6d" (Spec.name kind) n
-              p pfail ccr (em_all /. em_some) (em_none /. em_some)
-              some.Strategy.checkpoint_count
+            let setup = Pipeline.reprice (Lazy.force setup) ~pfail ~ccr in
+            let cmp = Pipeline.compare_strategies setup in
+            Printf.sprintf "%-8s %5d %4d %7g %8.5f | %8.4f %9.4f %6d" (Spec.name kind)
+              (Dag.n_tasks setup.Pipeline.raw) p pfail ccr cmp.Pipeline.rel_all
+              cmp.Pipeline.rel_none cmp.Pipeline.ckpts_some
           in
           let rows =
             if Array.for_all Option.is_some stored then Array.map Option.get stored
             else begin
-              (* force the shared lazies before entering the parallel
+              (* force the shared lazy before entering the parallel
                  region: concurrent Lazy.force is not domain-safe *)
-              ignore (Lazy.force prepared);
-              ignore (Lazy.force schedule);
+              ignore (Lazy.force setup);
               Pool.map_shared ~jobs (Array.length cells) (fun i ->
                   match stored.(i) with
                   | Some line -> line

@@ -525,6 +525,32 @@ if [ "$status" -ne 2 ] || [ "$(wc -l < "$TMP/serve_eval.err")" -ne 1 ] \
     exit 1
 fi
 
+echo "== serve daemon: batch planning independent of --jobs =="
+# a batch's missing plans fan out over the domain pool
+# (Pipeline.plan_many); the answers must not depend on its width.
+# stats and degrade stay out: stats echoes effective_jobs, and at
+# --jobs > 1 concurrent degrade trials can both miss one replan-cache
+# key, so its cache counters vary
+printf '%s\n' \
+    '{"id": 1, "op": "plan", "workflow": "genome", "tasks": 300, "strategy": "some"}' \
+    '{"id": 2, "op": "plan", "workflow": "montage", "tasks": 300, "strategy": "some"}' \
+    '{"id": 3, "op": "plan", "workflow": "ligo", "tasks": 300, "strategy": "all"}' \
+    '{"id": 4, "op": "evaluate", "workflow": "genome", "tasks": 300}' \
+    '{"id": 5, "op": "evaluate", "workflow": "montage", "tasks": 300}' \
+    '{"id": 6, "op": "evaluate", "workflow": "ligo", "tasks": 300}' \
+    '{"id": 7, "op": "plan", "workflow": "montage", "tasks": 300, "strategy": "budget-2", "replicas": 2}' \
+    '{"id": 8, "op": "plan", "workflow": "genome", "tasks": 300, "strategy": "some"}' \
+    > "$TMP/serve_jobs_reqs.ndjson"
+$CKPTWF serve --once --jobs 1 < "$TMP/serve_jobs_reqs.ndjson" > "$TMP/serve_jobs1.ndjson" 2> /dev/null
+$CKPTWF serve --once --jobs 4 < "$TMP/serve_jobs_reqs.ndjson" > "$TMP/serve_jobs4.ndjson" 2> /dev/null
+if [ "$(grep -c '"ok":true' "$TMP/serve_jobs1.ndjson")" -ne 8 ]; then
+    echo "FAIL: serve --jobs 1 batch did not answer all 8 requests:" >&2
+    cat "$TMP/serve_jobs1.ndjson" >&2
+    exit 1
+fi
+strip_elapsed "$TMP/serve_jobs4.ndjson" > "$TMP/serve_jobs4.norm"
+strip_elapsed "$TMP/serve_jobs1.ndjson" | diff -u - "$TMP/serve_jobs4.norm"
+
 echo "== serve daemon robustness: fault-injection harness =="
 # concurrent clients, hung client, malformed flood, shedding, SIGTERM
 # drain, stale-socket restart, TCP — scripts/serve_fault.sh asserts

@@ -4,11 +4,12 @@
 # Drives the daemon through the fail-stop events its serving layer must
 # survive — concurrent clients, a hung (slowloris) client, a malformed
 # flood, over-capacity shedding, SIGTERM mid-traffic, kill -9 leaving a
-# stale socket — and asserts that well-formed clients keep getting
-# answers identical (modulo timing fields) to the one-shot CLI, that
-# the bad clients get structured NDJSON errors, and that the lifecycle
-# contract holds (drain exits 0, socket file removed, stale socket
-# reclaimed on restart).
+# stale socket, a heavy batch beside a cheap connection, SIGTERM after
+# a burst, a long run of sequential connections — and asserts that
+# well-formed clients keep getting answers identical (modulo timing
+# fields) to the one-shot CLI, that the bad clients get structured
+# NDJSON errors, and that the lifecycle contract holds (drain exits 0,
+# socket file removed, stale socket reclaimed on restart).
 #
 #   usage: serve_fault.sh [LOGFILE]
 #
@@ -288,6 +289,107 @@ EOF
         && fail "the connection handler died on the out-of-range request"
     stop_daemon
     echo "scenario 9 ok"
+
+    echo "== scenario 10: a cheap connection is answered while a heavy batch computes =="
+    # 60 distinct GENOME n=1000 p=2 plans keep one handler busy for
+    # seconds; a second connection must not queue behind it. The check
+    # is on the order of events, not on a time bound: once the daemon
+    # has started the heavy batch (its first setup miss shows in
+    # stats), the cheap answers must arrive while the heavy client is
+    # still waiting for its own
+    start_daemon --max-clients 8
+    for s in $(seq 60); do
+        printf '{"id": %d, "op": "plan", "workflow": "genome", "tasks": 1000, "seed": %d, "processors": 2, "strategy": "some"}\n' "$s" "$s"
+    done > "$TMP/heavy.ndjson"
+    "$PROBE" --unix "$SOCK" --send "$TMP/heavy.ndjson" > "$TMP/heavy.out" &
+    HV=$!
+    i=0
+    until "$PROBE" --unix "$SOCK" --send "$TMP/stats_req.ndjson" \
+        | grep -q '"setup_misses":[1-9]'; do
+        i=$((i + 1))
+        [ "$i" -gt 100 ] && fail "the heavy batch never started"
+        sleep 0.05
+    done
+    "$PROBE" --unix "$SOCK" --send "$TMP/reqs.ndjson" > "$TMP/cheap.ndjson"
+    kill -0 "$HV" 2> /dev/null \
+        || fail "the heavy batch was answered before the cheap connection: it waited behind it"
+    normalize "$TMP/cheap.ndjson" | diff -u "$TMP/baseline.norm" - \
+        || fail "cheap answers during the heavy batch differ from one-shot CLI"
+    wait "$HV" || fail "heavy client failed"
+    [ "$(grep -c '"ok":true' "$TMP/heavy.out")" -eq 60 ] \
+        || fail "heavy client: want 60 answers, got $(grep -c '"ok":true' "$TMP/heavy.out" || true)"
+    stop_daemon
+    echo "scenario 10 ok"
+
+    echo "== scenario 11: SIGTERM drains a daemon whose handlers are all idle =="
+    # a burst of concurrent clients leaves handlers behind with no
+    # connection to serve; the drain must still end within 5 s
+    start_daemon --max-clients 8
+    pids=""
+    for c in 1 2 3 4 5 6; do
+        "$PROBE" --unix "$SOCK" --send "$TMP/reqs.ndjson" > "$TMP/burst$c.ndjson" &
+        pids="$pids $!"
+    done
+    for p in $pids; do
+        wait "$p" || fail "burst client failed"
+    done
+    for c in 1 2 3 4 5 6; do
+        normalize "$TMP/burst$c.ndjson" | diff -u "$TMP/baseline.norm" - \
+            || fail "burst client $c answers differ from one-shot CLI"
+    done
+    kill -TERM "$DPID"
+    i=0
+    while kill -0 "$DPID" 2> /dev/null; do
+        i=$((i + 1))
+        [ "$i" -gt 50 ] && fail "SIGTERM did not drain the idle daemon within 5 s"
+        sleep 0.1
+    done
+    status=0
+    wait "$DPID" || status=$?
+    DPID=""
+    [ "$status" -eq 0 ] || fail "SIGTERM drain after the burst exited $status, want 0"
+    [ -e "$SOCK" ] && fail "drained daemon left its socket file behind"
+    echo "scenario 11 ok"
+
+    echo "== scenario 12: 100 sequential connections answer as one --once batch =="
+    # one request per connection, cycling through plan, evaluate,
+    # degrade and a malformed line: whichever handler serves a
+    # connection, no state of an earlier one may leak into its answer.
+    # The reference is a --once daemon answering the four as one batch;
+    # the degrade answer's replan-cache counters are cumulative, so
+    # they are masked with the timing fields
+    cat > "$TMP/cycle.ndjson" <<'EOF'
+{"id": 1, "op": "plan", "workflow": "genome", "tasks": 40, "seed": 3, "processors": 4, "strategy": "some"}
+{"id": 2, "op": "evaluate", "workflow": "montage", "tasks": 40, "seed": 3, "processors": 4}
+{"id": 3, "op": "degrade", "workflow": "genome", "tasks": 40, "seed": 3, "processors": 4, "strategy": "some", "pdeath": 0.3, "trials": 30}
+{"id": 4, "op": "plan", "workflow": [
+EOF
+    without_counters() {
+        normalize "$1" | sed -e 's/"replan_cache_\(hits\|misses\)":[0-9]*/"replan_cache_\1":_/g'
+    }
+    start_daemon --once
+    "$PROBE" --unix "$SOCK" --send "$TMP/cycle.ndjson" > "$TMP/cycle_once.ndjson"
+    status=0
+    wait "$DPID" || status=$?
+    DPID=""
+    [ "$status" -eq 0 ] || fail "--once daemon exited $status, want 0"
+    [ "$(wc -l < "$TMP/cycle_once.ndjson")" -eq 4 ] \
+        || fail "--once daemon: want 4 answers, got $(wc -l < "$TMP/cycle_once.ndjson")"
+    start_daemon --max-clients 8
+    : > "$TMP/cycle_want.ndjson"
+    : > "$TMP/cycle_seq.ndjson"
+    for i in $(seq 0 99); do
+        k=$((i % 4 + 1))
+        sed -n "${k}p" "$TMP/cycle.ndjson" > "$TMP/cycle_one.ndjson"
+        sed -n "${k}p" "$TMP/cycle_once.ndjson" >> "$TMP/cycle_want.ndjson"
+        "$PROBE" --unix "$SOCK" --send "$TMP/cycle_one.ndjson" >> "$TMP/cycle_seq.ndjson" \
+            || fail "sequential connection $i failed"
+    done
+    without_counters "$TMP/cycle_want.ndjson" > "$TMP/cycle_want.norm"
+    without_counters "$TMP/cycle_seq.ndjson" | diff -u "$TMP/cycle_want.norm" - \
+        || fail "sequential connections differ from the --once batch"
+    stop_daemon
+    echo "scenario 12 ok"
 
     echo "# all serve fault scenarios passed"
 }

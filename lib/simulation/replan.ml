@@ -28,6 +28,10 @@ type epoch = {
   rescue : Engine.rescue_info array option;
 }
 
+(* a cache slot: the replan, or a marker that one trial is computing
+   it while others wait *)
+type slot = Ready of (epoch, string) result | Pending
+
 type prepared = {
   name : string;
   plan : Strategy.plan;
@@ -37,11 +41,13 @@ type prepared = {
      (kind, survivor set, committed-checkpoint frontier) for a fixed
      plan, so its physically-mapped result is memoised under that key.
      Values are shared read-only across worker domains (the engine
-     never mutates segments); the table is mutex-protected, and a
-     racing recomputation of the same key is harmless because both
-     domains produce the identical value. *)
-  cache : (string, (epoch, string) result) Hashtbl.t;
+     never mutates segments). The first trial to miss a key marks it
+     [Pending] and computes it; a concurrent lookup of that key waits
+     on [filled] and counts as a hit, so each key is computed once and
+     the counters do not depend on [jobs]. *)
+  cache : (string, slot) Hashtbl.t;
   lock : Mutex.t;
+  filled : Condition.t;  (* a [Pending] slot was settled *)
   hits : int Atomic.t;
   misses : int Atomic.t;
   use_cache : bool;
@@ -63,6 +69,7 @@ let prepare ~name ?(cache = true) ?rescue_of (plan : Strategy.plan) =
       };
     cache = Hashtbl.create 64;
     lock = Mutex.create ();
+    filled = Condition.create ();
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     use_cache = cache;
@@ -124,19 +131,40 @@ let replan_cached prepared ~kind ~survivors ~done_ =
   if not prepared.use_cache then compute_replan prepared ~kind ~survivors ~done_
   else begin
     let key = replan_key ~kind ~survivors ~done_ in
-    let cached =
-      Mutex.protect prepared.lock (fun () -> Hashtbl.find_opt prepared.cache key)
+    (* under the lock: the cached value, or [None] after claiming the
+       key for this trial *)
+    let rec claim () =
+      match Hashtbl.find_opt prepared.cache key with
+      | Some (Ready v) -> Some v
+      | Some Pending ->
+          Condition.wait prepared.filled prepared.lock;
+          claim ()
+      | None ->
+          Hashtbl.replace prepared.cache key Pending;
+          None
     in
-    match cached with
+    let settle slot =
+      Mutex.protect prepared.lock (fun () ->
+          (match slot with
+          | Some v -> Hashtbl.replace prepared.cache key (Ready v)
+          | None -> Hashtbl.remove prepared.cache key);
+          Condition.broadcast prepared.filled)
+    in
+    match Mutex.protect prepared.lock claim with
     | Some v ->
         Atomic.incr prepared.hits;
         v
-    | None ->
+    | None -> (
         Atomic.incr prepared.misses;
-        let v = compute_replan prepared ~kind ~survivors ~done_ in
-        Mutex.protect prepared.lock (fun () ->
-            if not (Hashtbl.mem prepared.cache key) then Hashtbl.add prepared.cache key v);
-        v
+        match compute_replan prepared ~kind ~survivors ~done_ with
+        | v ->
+            settle (Some v);
+            v
+        | exception e ->
+            (* free the key: a waiter wakes, claims it and computes *)
+            let bt = Printexc.get_raw_backtrace () in
+            settle None;
+            Printexc.raise_with_backtrace e bt)
   end
 
 let traces rng (platform : Platform.t) =

@@ -87,6 +87,15 @@ let test_cached_jobs_invariant () =
   let seq = Degrade.sample_prepared ~trials:40 ~seed:13 ~jobs:1 ~mode:Degrade.Repair config prepared in
   let par = Degrade.sample_prepared ~trials:40 ~seed:13 ~jobs:4 ~mode:Degrade.Repair config prepared in
   Alcotest.(check bool) "jobs=1 = jobs=4 on a shared cache, bitwise" true (seq = par);
+  (* each key is computed once, so a fresh cache counts the same hits
+     and misses however many domains share it *)
+  let stats jobs =
+    let prepared = Degrade.prepare plan in
+    ignore (Degrade.sample_prepared ~trials:60 ~seed:13 ~jobs ~mode:Degrade.Repair config prepared);
+    Degrade.cache_stats prepared
+  in
+  Alcotest.(check (pair int int)) "fresh cache: jobs=1 and jobs=4 count alike" (stats 1)
+    (stats 4);
   let config = revoking_config plan in
   let prepared = Cloud.prepare plan in
   let sample jobs =
@@ -95,7 +104,14 @@ let test_cached_jobs_invariant () =
   let seq = sample 1 in
   let par = sample 4 in
   Alcotest.(check bool) "cloud ckpt: jobs=1 = jobs=4 on a shared cache, bitwise" true
-    (seq = par)
+    (seq = par);
+  let stats jobs =
+    let prepared = Cloud.prepare plan in
+    ignore (Cloud.sample_prepared ~trials:60 ~seed:13 ~jobs ~mode:Cloud.Checkpoint config prepared);
+    Cloud.cache_stats prepared
+  in
+  Alcotest.(check (pair int int)) "cloud ckpt, fresh cache: jobs=1 and jobs=4 count alike"
+    (stats 1) (stats 4)
 
 let test_restart_reuses_single_entry () =
   (* Restart always replans from an empty frontier: for a fixed

@@ -201,9 +201,13 @@ diff -u "$TMP/sim1.txt" "$TMP/sim4.txt"
 
 echo "== degraded mode: output independent of --jobs, crash/resume, repair wins =="
 DEGRADE="--workflow genome --tasks 50 --seed 7 --processors 5 --strategy some --trials 60 --csv"
-$CKPTWF degrade $DEGRADE --jobs 1 > "$TMP/deg1.csv"
-$CKPTWF degrade $DEGRADE --jobs 4 > "$TMP/deg4.csv"
+$CKPTWF degrade $DEGRADE --jobs 1 > "$TMP/deg1.csv" 2> "$TMP/deg1.err"
+$CKPTWF degrade $DEGRADE --jobs 4 > "$TMP/deg4.csv" 2> "$TMP/deg4.err"
 diff -u "$TMP/deg1.csv" "$TMP/deg4.csv"
+# each replan-cache key is computed once, so the stderr notice's hit
+# and miss counts do not depend on --jobs either
+grep "replan cache" "$TMP/deg1.err" > "$TMP/deg1.notice"
+grep "replan cache" "$TMP/deg4.err" | diff -u "$TMP/deg1.notice" -
 # crash after 2 cells (simulated fail-stop, exit 1), then resume: the
 # resumed run must reproduce the uninterrupted output bytes exactly
 status=0
@@ -527,10 +531,9 @@ fi
 
 echo "== serve daemon: batch planning independent of --jobs =="
 # a batch's missing plans fan out over the domain pool
-# (Pipeline.plan_many); the answers must not depend on its width.
-# stats and degrade stay out: stats echoes effective_jobs, and at
-# --jobs > 1 concurrent degrade trials can both miss one replan-cache
-# key, so its cache counters vary
+# (Pipeline.plan_many), and degrade trials over the same pool; the
+# answers, replan-cache counters included, must not depend on its
+# width. stats stays out: it echoes effective_jobs
 printf '%s\n' \
     '{"id": 1, "op": "plan", "workflow": "genome", "tasks": 300, "strategy": "some"}' \
     '{"id": 2, "op": "plan", "workflow": "montage", "tasks": 300, "strategy": "some"}' \
@@ -540,11 +543,12 @@ printf '%s\n' \
     '{"id": 6, "op": "evaluate", "workflow": "ligo", "tasks": 300}' \
     '{"id": 7, "op": "plan", "workflow": "montage", "tasks": 300, "strategy": "budget-2", "replicas": 2}' \
     '{"id": 8, "op": "plan", "workflow": "genome", "tasks": 300, "strategy": "some"}' \
+    '{"id": 9, "op": "degrade", "workflow": "genome", "tasks": 50, "seed": 7, "processors": 5, "strategy": "some", "pdeath": 0.2, "trials": 60}' \
     > "$TMP/serve_jobs_reqs.ndjson"
 $CKPTWF serve --once --jobs 1 < "$TMP/serve_jobs_reqs.ndjson" > "$TMP/serve_jobs1.ndjson" 2> /dev/null
 $CKPTWF serve --once --jobs 4 < "$TMP/serve_jobs_reqs.ndjson" > "$TMP/serve_jobs4.ndjson" 2> /dev/null
-if [ "$(grep -c '"ok":true' "$TMP/serve_jobs1.ndjson")" -ne 8 ]; then
-    echo "FAIL: serve --jobs 1 batch did not answer all 8 requests:" >&2
+if [ "$(grep -c '"ok":true' "$TMP/serve_jobs1.ndjson")" -ne 9 ]; then
+    echo "FAIL: serve --jobs 1 batch did not answer all 9 requests:" >&2
     cat "$TMP/serve_jobs1.ndjson" >&2
     exit 1
 fi

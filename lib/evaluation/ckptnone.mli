@@ -15,4 +15,6 @@
 val expected_makespan_rate : wpar:float -> rate:float -> float
 (** The estimate at the aggregate failure rate [rate = Σ λ_p] ([p λ]
     on a homogeneous platform) — the natural form for heterogeneous
-    platforms. *)
+    platforms.
+
+    @raise Invalid_argument on a negative [wpar] or [rate]. *)

@@ -328,8 +328,8 @@ let summarize records =
   { failures = !failures; wasted_time = !wasted; useful_time = !useful }
 
 let restart_rate_makespan ~wpar ~rate rng =
-  if wpar < 0. then invalid_arg "Engine.restart_makespan: negative Wpar";
-  if rate < 0. then invalid_arg "Engine.restart_makespan: negative rate";
+  if wpar < 0. then invalid_arg "Engine.restart_rate_makespan: negative Wpar";
+  if rate < 0. then invalid_arg "Engine.restart_rate_makespan: negative rate";
   if rate <= 0. || wpar = 0. then wpar
   else begin
     let rec go elapsed =

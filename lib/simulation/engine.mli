@@ -187,4 +187,6 @@ val restart_rate_makespan : wpar:float -> rate:float -> Ckpt_prob.Rng.t -> float
 (** CKPTNONE realisation: repeat attempts of length [wpar]; an
     exponential failure at the aggregate rate [rate] (Σ λ_p over the
     processors) during an attempt aborts it at the failure instant and
-    restarts from scratch. *)
+    restarts from scratch.
+
+    @raise Invalid_argument on a negative [wpar] or [rate]. *)

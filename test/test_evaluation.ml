@@ -239,7 +239,13 @@ let test_ckptnone_formula () =
   check_close "Theorem 1"
     (((1. -. x) *. wpar) +. (x *. 1.5 *. wpar))
     (Ckptnone.expected_makespan_rate ~wpar ~rate:(float_of_int processors *. lambda));
-  check_close "failure-free" 100. (Ckptnone.expected_makespan_rate ~wpar:100. ~rate:0.)
+  check_close "failure-free" 100. (Ckptnone.expected_makespan_rate ~wpar:100. ~rate:0.);
+  Alcotest.check_raises "negative Wpar"
+    (Invalid_argument "Ckptnone.expected_makespan_rate: negative Wpar") (fun () ->
+      ignore (Ckptnone.expected_makespan_rate ~wpar:(-1.) ~rate:0.));
+  Alcotest.check_raises "negative rate"
+    (Invalid_argument "Ckptnone.expected_makespan_rate: negative rate") (fun () ->
+      ignore (Ckptnone.expected_makespan_rate ~wpar:100. ~rate:(-1.)))
 
 let test_evaluator_dispatch () =
   let pd = chain [ (10., 15., 0.01) ] in

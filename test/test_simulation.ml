@@ -165,7 +165,13 @@ let test_forced_first_attempt_failure () =
 let test_restart_semantics_failure_free () =
   let rng = Rng.create 5 in
   check_close "wpar when no failures" 123.
-    (Engine.restart_rate_makespan ~wpar:123. ~rate:0. rng)
+    (Engine.restart_rate_makespan ~wpar:123. ~rate:0. rng);
+  Alcotest.check_raises "negative Wpar"
+    (Invalid_argument "Engine.restart_rate_makespan: negative Wpar") (fun () ->
+      ignore (Engine.restart_rate_makespan ~wpar:(-1.) ~rate:0. rng));
+  Alcotest.check_raises "negative rate"
+    (Invalid_argument "Engine.restart_rate_makespan: negative rate") (fun () ->
+      ignore (Engine.restart_rate_makespan ~wpar:123. ~rate:(-1.) rng))
 
 let test_restart_statistics () =
   (* restart process: E[T] = (e^{rW} - 1)/r with r = p λ *)

@@ -2191,16 +2191,116 @@ let handle_connection server fd =
   Option.iter (fun budget -> output_line fd (deadline_line budget)) !timed_out
 
 (* catch-everything wrapper: a vanished client (EPIPE/ECONNRESET) or a
-   handler bug must cost one connection, never the daemon *)
+   handler bug must cost one connection, never the daemon. The
+   connection stops counting against --max-clients once its batch is
+   answered; [hang_up] then closes it *)
 let run_connection server fd =
   (try handle_connection server fd with
   | Unix.Unix_error _ | Sys_error _ | Read_timeout -> ()
   | e ->
       Printf.eprintf "ckptwf: connection handler failed: %s\n%!"
         (Printexc.to_string e));
-  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  (try Unix.close fd with Unix.Unix_error _ -> ());
   Atomic.decr server.active
+
+let hang_up fd =
+  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* --- resident connection handlers ---------------------------------
+
+   A handler domain serves one connection at a time, then parks on its
+   own condition variable until the accept loop hands it the next one,
+   so sequential traffic reuses one domain instead of paying a
+   Domain.spawn + join per connection. The accept loop spawns a new
+   handler only when every existing one is busy: concurrent
+   connections still compute in parallel, and a heavy batch on one
+   delays no other. At most [Pool.available_jobs ()] handlers stay
+   parked; a handler that finishes while that many are idle exits,
+   since every parked domain still joins each minor collection. *)
+
+type handler = {
+  mutable next : Unix.file_descr option;  (* a connection handed over, not yet served *)
+  wake : Condition.t;  (* [next] was set, or the drain began *)
+}
+
+type handlers = {
+  lock : Mutex.t;  (* guards every field below and every handler's [next] *)
+  mutable idle : handler list;  (* parked, most recently used first *)
+  max_idle : int;
+  mutable live : int;  (* handler domains that have not returned *)
+  gone : Condition.t;  (* [live] reached 0 *)
+  mutable draining : bool;
+}
+
+let make_handlers () =
+  {
+    lock = Mutex.create ();
+    idle = [];
+    max_idle = Pool.available_jobs ();
+    live = 0;
+    gone = Condition.create ();
+    draining = false;
+  }
+
+let rec handler_loop server hs h =
+  Mutex.lock hs.lock;
+  while h.next = None && not hs.draining do
+    Condition.wait h.wake hs.lock
+  done;
+  let next = h.next in
+  h.next <- None;
+  Mutex.unlock hs.lock;
+  match next with
+  | Some fd ->
+      run_connection server fd;
+      (* rejoin the idle set before the hang-up, so a client that
+         reconnects as soon as it reads EOF finds this handler idle *)
+      let stays =
+        Mutex.protect hs.lock (fun () ->
+            let stays = (not hs.draining) && List.length hs.idle < hs.max_idle in
+            if stays then hs.idle <- h :: hs.idle;
+            stays)
+      in
+      hang_up fd;
+      if stays then handler_loop server hs h else retire hs
+  | None -> retire hs
+
+and retire hs =
+  Mutex.protect hs.lock (fun () ->
+      hs.live <- hs.live - 1;
+      if hs.live = 0 then Condition.broadcast hs.gone)
+
+(* hand [fd] to an idle handler, or spawn one; [false] when no domain
+   can be spawned *)
+let dispatch server hs fd =
+  Mutex.lock hs.lock;
+  match hs.idle with
+  | h :: rest ->
+      hs.idle <- rest;
+      h.next <- Some fd;
+      Condition.signal h.wake;
+      Mutex.unlock hs.lock;
+      true
+  | [] -> (
+      hs.live <- hs.live + 1;
+      Mutex.unlock hs.lock;
+      let h = { next = Some fd; wake = Condition.create () } in
+      match Domain.spawn (fun () -> handler_loop server hs h) with
+      | _ -> true
+      | exception _ ->
+          retire hs;
+          false)
+
+(* wake the parked handlers, let the busy ones finish their batches,
+   and wait until every handler has returned *)
+let drain hs =
+  Mutex.lock hs.lock;
+  hs.draining <- true;
+  List.iter (fun h -> Condition.signal h.wake) hs.idle;
+  while hs.live > 0 do
+    Condition.wait hs.gone hs.lock
+  done;
+  Mutex.unlock hs.lock
 
 (* a Unix-socket path may be left behind by a daemon that was killed
    mid-request; claim it only after probing that nobody answers it *)
@@ -2236,29 +2336,13 @@ let listen_tcp port =
   sock
 
 (* accept loop: EINTR-safe, sheds over-cap connections with one busy
-   line, spawns a domain per accepted client, drains on SIGINT/SIGTERM
-   (stop accepting, finish in-flight batches, remove the socket file,
-   exit 0). The listen sockets are polled with a short select timeout
-   so a signal is noticed within a quarter second even when no
-   connection ever arrives. *)
+   line, hands each accepted client to a resident handler, drains on
+   SIGINT/SIGTERM (stop accepting, finish in-flight batches, remove
+   the socket file, exit 0). The listen sockets are polled with a
+   short select timeout so a signal is noticed within a quarter second
+   even when no connection ever arrives. *)
 let daemon_loop server listeners ~once =
-  let spawned = ref [] in
-  let reap ~all =
-    if all then begin
-      List.iter (fun (d, _) -> Domain.join d) !spawned;
-      spawned := []
-    end
-    else
-      spawned :=
-        List.filter
-          (fun (d, finished) ->
-            if Atomic.get finished then begin
-              Domain.join d;
-              false
-            end
-            else true)
-          !spawned
-  in
+  let hs = make_handlers () in
   let served_once = ref false in
   let accept_ready listen_fd =
     match Unix.accept listen_fd with
@@ -2278,21 +2362,16 @@ let daemon_loop server listeners ~once =
         else begin
           Atomic.incr server.active;
           served_once := true;
-          if once then run_connection server client
-          else begin
-            let finished = Atomic.make false in
-            match
-              Domain.spawn (fun () ->
-                  run_connection server client;
-                  Atomic.set finished true)
-            with
-            | d -> spawned := (d, finished) :: !spawned
-            | exception _ ->
-                (* out of domains: shed exactly like over-cap *)
-                Atomic.decr server.active;
-                (try output_line client (busy_line server.max_clients)
-                 with Unix.Unix_error _ -> ());
-                (try Unix.close client with Unix.Unix_error _ -> ())
+          if once then begin
+            run_connection server client;
+            hang_up client
+          end
+          else if not (dispatch server hs client) then begin
+            (* out of domains: shed exactly like over-cap *)
+            Atomic.decr server.active;
+            (try output_line client (busy_line server.max_clients)
+             with Unix.Unix_error _ -> ());
+            try Unix.close client with Unix.Unix_error _ -> ()
           end
         end
   in
@@ -2302,14 +2381,13 @@ let daemon_loop server listeners ~once =
       (match Unix.select listeners [] [] 0.25 with
       | ready, _, _ -> List.iter accept_ready ready
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      reap ~all:false;
       loop ()
     end
   in
   loop ();
   (* drain: stop accepting, let in-flight batches finish *)
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) listeners;
-  reap ~all:true
+  drain hs
 
 let serve_daemon state ~jobs ~request_timeout ~max_clients socket tcp ~once =
   let server =

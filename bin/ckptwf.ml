@@ -2216,7 +2216,8 @@ let hang_up fd =
    connections still compute in parallel, and a heavy batch on one
    delays no other. At most [Pool.available_jobs ()] handlers stay
    parked; a handler that finishes while that many are idle exits,
-   since every parked domain still joins each minor collection. *)
+   since every parked domain still takes part in each minor
+   collection. *)
 
 type handler = {
   mutable next : Unix.file_descr option;  (* a connection handed over, not yet served *)
@@ -2226,21 +2227,16 @@ type handler = {
 type handlers = {
   lock : Mutex.t;  (* guards every field below and every handler's [next] *)
   mutable idle : handler list;  (* parked, most recently used first *)
-  max_idle : int;
   mutable live : int;  (* handler domains that have not returned *)
   gone : Condition.t;  (* [live] reached 0 *)
   mutable draining : bool;
 }
 
-let make_handlers () =
-  {
-    lock = Mutex.create ();
-    idle = [];
-    max_idle = Pool.available_jobs ();
-    live = 0;
-    gone = Condition.create ();
-    draining = false;
-  }
+(* a handler domain returns; the last one wakes the drain *)
+let retire hs =
+  Mutex.protect hs.lock (fun () ->
+      hs.live <- hs.live - 1;
+      if hs.live = 0 then Condition.broadcast hs.gone)
 
 let rec handler_loop server hs h =
   Mutex.lock hs.lock;
@@ -2257,18 +2253,15 @@ let rec handler_loop server hs h =
          reconnects as soon as it reads EOF finds this handler idle *)
       let stays =
         Mutex.protect hs.lock (fun () ->
-            let stays = (not hs.draining) && List.length hs.idle < hs.max_idle in
+            let stays =
+              (not hs.draining) && List.length hs.idle < Pool.available_jobs ()
+            in
             if stays then hs.idle <- h :: hs.idle;
             stays)
       in
       hang_up fd;
       if stays then handler_loop server hs h else retire hs
   | None -> retire hs
-
-and retire hs =
-  Mutex.protect hs.lock (fun () ->
-      hs.live <- hs.live - 1;
-      if hs.live = 0 then Condition.broadcast hs.gone)
 
 (* hand [fd] to an idle handler, or spawn one; [false] when no domain
    can be spawned *)
@@ -2342,7 +2335,9 @@ let listen_tcp port =
    short select timeout so a signal is noticed within a quarter second
    even when no connection ever arrives. *)
 let daemon_loop server listeners ~once =
-  let hs = make_handlers () in
+  let hs =
+    { lock = Mutex.create (); idle = []; live = 0; gone = Condition.create (); draining = false }
+  in
   let served_once = ref false in
   let accept_ready listen_fd =
     match Unix.accept listen_fd with

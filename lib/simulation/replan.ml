@@ -143,9 +143,9 @@ let replan_cached prepared ~kind ~survivors ~done_ =
           Hashtbl.replace prepared.cache key Pending;
           None
     in
-    let settle slot =
+    let settle value =
       Mutex.protect prepared.lock (fun () ->
-          (match slot with
+          (match value with
           | Some v -> Hashtbl.replace prepared.cache key (Ready v)
           | None -> Hashtbl.remove prepared.cache key);
           Condition.broadcast prepared.filled)

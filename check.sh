@@ -529,6 +529,36 @@ if [ "$status" -ne 2 ] || [ "$(wc -l < "$TMP/serve_eval.err")" -ne 1 ] \
     exit 1
 fi
 
+echo "== serve daemon: batch answers and cache counters match the golden =="
+# two --once batches. The first repeats a plan, degrades and evaluates
+# on its setup, plans a second workflow at replicas 2 and reads the
+# stats; the second sends three degrades through cap-1 caches, then
+# stats. test/serve_golden.txt pins each request and every answer byte
+# but the timing and the machine's core count
+serve_golden_batch() {
+    echo "\$ ckptwf serve --once${1:+ $1}"
+    sed 's/^/> /' "$2"
+    $CKPTWF serve --once $1 < "$2" 2> /dev/null \
+        | sed -e 's/,"elapsed_ms":[0-9.e+-]*//' -e 's/,"cores":[0-9]*//'
+}
+printf '%s\n' \
+    '{"id": 1, "op": "plan", "workflow": "genome", "tasks": 50, "seed": 7, "processors": 5, "strategy": "some"}' \
+    '{"id": 2, "op": "plan", "workflow": "genome", "tasks": 50, "seed": 7, "processors": 5, "strategy": "some"}' \
+    '{"id": 3, "op": "degrade", "workflow": "genome", "tasks": 50, "seed": 7, "processors": 5, "strategy": "some", "pdeath": 0.2, "trials": 40}' \
+    '{"id": 4, "op": "evaluate", "workflow": "genome", "tasks": 50, "seed": 7, "processors": 5}' \
+    '{"id": 5, "op": "plan", "workflow": "montage", "tasks": 40, "seed": 3, "processors": 4, "strategy": "some", "replicas": 2}' \
+    '{"id": 6, "op": "stats"}' \
+    > "$TMP/serve_golden1.ndjson"
+for seed in 1 2 3; do
+    printf '{"id": %d, "op": "degrade", "workflow": "genome", "tasks": 40, "seed": %d, "processors": 4, "strategy": "some", "pdeath": 0.2, "trials": 30}\n' "$seed" "$seed"
+done > "$TMP/serve_golden2.ndjson"
+printf '{"id": 4, "op": "stats"}\n' >> "$TMP/serve_golden2.ndjson"
+{
+    serve_golden_batch "" "$TMP/serve_golden1.ndjson"
+    serve_golden_batch "--cache-cap 1" "$TMP/serve_golden2.ndjson"
+} > "$TMP/serve_golden.txt"
+diff -u test/serve_golden.txt "$TMP/serve_golden.txt"
+
 echo "== serve daemon: batch planning independent of --jobs =="
 # a batch's missing plans fan out over the domain pool
 # (Pipeline.plan_many), and degrade trials over the same pool; the

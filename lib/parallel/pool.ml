@@ -12,14 +12,9 @@ let available_jobs () = max 1 (Domain.recommended_domain_count ())
 
 let effective_jobs jobs = max 1 (min jobs (available_jobs ()))
 
-(* True while the current domain is executing a pool batch body: a
-   nested [map_shared] from inside a worker runs inline instead of
-   deadlocking on (or oversubscribing) the pool. *)
-let inside_batch = Domain.DLS.new_key (fun () -> false)
-
 type t = {
   size : int;  (* workers per batch at most, the caller included *)
-  submit : Mutex.t;  (* serialises whole batches: held for a batch's full extent *)
+  submit : Mutex.t;  (* held by the batch that owns the pool, for its full extent *)
   m : Mutex.t;
   work : Condition.t;  (* a new batch was published *)
   finished : Condition.t;  (* a helper finished its share of the batch *)
@@ -31,12 +26,10 @@ type t = {
 }
 
 let guarded t body =
-  Domain.DLS.set inside_batch true;
-  (try body ()
-   with e ->
-     let bt = Printexc.get_raw_backtrace () in
-     ignore (Atomic.compare_and_set t.failed None (Some (e, bt))));
-  Domain.DLS.set inside_batch false
+  try body ()
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    ignore (Atomic.compare_and_set t.failed None (Some (e, bt)))
 
 let rec helper t i seen =
   Mutex.lock t.m;
@@ -76,13 +69,9 @@ let create () =
   t
 
 (* runs [body] on [jobs] domains of [t], the caller included, and
-   returns once all are done, re-raising the first exception *)
+   returns once all are done, re-raising the first exception. The
+   caller holds [submit]; it is released before the re-raise *)
 let run t ~jobs body =
-  (* one batch at a time: [submit] is held for the batch's whole
-     extent, so several domains (daemon connection handlers, the
-     orchestrating CLI) can share one pool — late submitters queue
-     here instead of corrupting the published batch *)
-  Mutex.lock t.submit;
   Atomic.set t.failed None;
   Mutex.lock t.m;
   t.body <- Some body;
@@ -125,22 +114,26 @@ let map_shared ~jobs n f =
   if jobs < 1 then invalid_arg "Pool.map_shared: jobs < 1";
   if n < 0 then invalid_arg "Pool.map_shared: negative length";
   let jobs = min (effective_jobs jobs) n in
-  if jobs <= 1 || Domain.DLS.get inside_batch then Array.init n f
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let stop = Atomic.make false in
-    run (shared ()) ~jobs (fun () ->
-        let rec loop () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n && not (Atomic.get stop) then begin
-            (try results.(i) <- Some (f i)
-             with e ->
-               Atomic.set stop true;
-               raise e);
-            loop ()
-          end
-        in
-        loop ());
-    Array.map (function Some v -> v | None -> assert false) results
-  end
+  let pool = if jobs <= 1 then None else Some (shared ()) in
+  (* a pool held by another batch — the one this call is nested in, or
+     one from another domain, such as a second serve connection — is
+     busy: compute on the caller rather than wait for it *)
+  match pool with
+  | Some pool when Mutex.try_lock pool.submit ->
+      let results = Array.make n None in
+      let next = Atomic.make 0 in
+      let stop = Atomic.make false in
+      run pool ~jobs (fun () ->
+          let rec loop () =
+            let i = Atomic.fetch_and_add next 1 in
+            if i < n && not (Atomic.get stop) then begin
+              (try results.(i) <- Some (f i)
+               with e ->
+                 Atomic.set stop true;
+                 raise e);
+              loop ()
+            end
+          in
+          loop ());
+      Array.map (function Some v -> v | None -> assert false) results
+  | _ -> Array.init n f

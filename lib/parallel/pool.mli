@@ -7,10 +7,11 @@
     spawn cost once instead of per call. Batches clamp their width to
     {!available_jobs}, so an oversubscribed [--jobs] degrades to the
     sequential inline path instead of thrashing one core with many
-    domains. A batch submitted from inside a batch body runs inline
-    sequentially rather than deadlocking, and batches submitted from
-    different domains ([ckptwf serve] connection handlers) queue for
-    the pool one at a time.
+    domains. One batch owns the pool at a time. A batch submitted while
+    another owns it — from inside that batch's body, or from another
+    domain such as a second [ckptwf serve] connection handler — runs
+    inline on its caller instead of waiting for the pool, so a cheap
+    batch never queues behind a heavy one.
 
     The pool makes no determinism promises by itself: workers race for
     work. Determinism is the {e caller's} job and is achieved in this
@@ -34,8 +35,8 @@ val map_shared : jobs:int -> int -> (int -> 'a) -> 'a array
     in index order regardless of scheduling. When some call to [f]
     raises, workers stop claiming new indices, the batch finishes, and
     the first exception is re-raised with its backtrace; the pool stays
-    usable. When the width is 1, [n <= 1], or the call comes from
-    inside a batch body, it is [Array.init n f] on the caller and the
-    pool is not even created.
+    usable. When the width is 1 or [n <= 1] it is [Array.init n f] on
+    the caller and the pool is not even created; when another batch
+    owns the pool it is [Array.init n f] on the caller too.
 
     @raise Invalid_argument when [jobs < 1] or [n < 0]. *)

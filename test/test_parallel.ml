@@ -78,6 +78,33 @@ let test_pool_nested_runs_inline () =
            Atomic.set inline false));
   Alcotest.(check bool) "nested map_shared ran inline, in order" true (Atomic.get inline)
 
+(* a batch from another domain must not queue behind a batch that
+   owns the pool: domain A's batch body waits (at most 5 s) for the
+   test domain's own map_shared to return, which computes inline
+   instead of waiting for A's batch to finish. On a 1-core machine
+   both batches run inline and the case holds trivially *)
+let test_pool_busy_runs_inline () =
+  let started = Atomic.make false and b_done = Atomic.make false in
+  let a =
+    Domain.spawn (fun () ->
+        Pool.map_shared ~jobs:2 2 (fun _ ->
+            Atomic.set started true;
+            let t0 = Unix.gettimeofday () in
+            while (not (Atomic.get b_done)) && Unix.gettimeofday () -. t0 < 5. do
+              Unix.sleepf 0.001
+            done;
+            Atomic.get b_done))
+  in
+  while not (Atomic.get started) do
+    Unix.sleepf 0.001
+  done;
+  let r = Pool.map_shared ~jobs:2 8 (fun i -> i * i) in
+  Atomic.set b_done true;
+  let waited = Domain.join a in
+  Alcotest.(check (array int)) "B's results" (Array.init 8 (fun i -> i * i)) r;
+  Alcotest.(check (array bool)) "A's batch saw B finish while it held the pool" [| true; true |]
+    waited
+
 (* --- reference prob-DAG: adjacency lists, no CSR, no scratch --- *)
 
 type ref_node = { base : float; degraded : float; pfail : float }
@@ -251,4 +278,6 @@ let suite =
     Alcotest.test_case "runner jobs-invariant" `Quick test_runner_jobs_invariant;
     Alcotest.test_case "for_trial is pure" `Quick test_for_trial_pure;
     Alcotest.test_case "stream threshold equivalence" `Quick test_stream_threshold_equivalence;
+    Alcotest.test_case "pool busy: another domain's batch runs inline" `Quick
+      test_pool_busy_runs_inline;
   ]

@@ -145,27 +145,19 @@ let commit_step t ~attempt =
 
 let commit t ~seg ~write ~at =
   t.inject "storage commit";
-  t.commits <- t.commits + 1;
-  if t.config.commit_fail_prob <= 0. then Ok (at, fresh_ckpt t ~seg ~at)
-  else begin
-    (* the first write span is already part of the caller's segment
-       duration; only retried writes charge [write] again, after their
-       backoff delay (and any storage outage) has passed *)
-    let delays = lazy (Retry.schedule t.config.backoff) in
-    let rec go attempt at =
-      if not (commit_attempt_fails t) then Ok (at, fresh_ckpt t ~seg ~at)
-      else if attempt >= t.config.backoff.Retry.max_attempts then begin
-        t.commit_exhausted <- t.commit_exhausted + 1;
-        Error at
-      end
-      else begin
-        t.commit_retries <- t.commit_retries + 1;
+  (* the first write span is already part of the caller's segment
+     duration; only retried writes charge [write] again, after their
+     backoff delay (and any storage outage) has passed *)
+  let delays = lazy (Retry.schedule t.config.backoff) in
+  let rec go attempt at =
+    match commit_step t ~attempt with
+    | Committed -> Ok (at, fresh_ckpt t ~seg ~at)
+    | Exhausted -> Error at
+    | Rewrite ->
         let resume = available t (at +. (Lazy.force delays).(attempt - 1)) in
         go (attempt + 1) (resume +. write)
-      end
-    in
-    go 1 at
-  end
+  in
+  go 1 at
 
 let seg_of ck = ck.seg
 

@@ -99,12 +99,12 @@ type commit_step =
   | Exhausted  (** backoff policy exhausted; escalate to re-execution *)
 
 val commit_step : t -> attempt:int -> commit_step
-(** One commit attempt's outcome, for event-driven simulators that
-    charge the rewrite spans themselves (e.g. under bandwidth
-    contention) instead of using the wall-clock accounting of
-    {!commit}. [attempt] is 1-based; counters are updated exactly as
-    {!commit}'s. Draws nothing when [commit_fail_prob = 0] (the result
-    is then always [Committed]).
+(** One commit attempt's outcome. {!commit} loops over it, charging
+    the backoff and outage delays between rewrites; event-driven
+    simulators call it directly and charge the rewrite spans themselves
+    (e.g. under bandwidth contention). [attempt] is 1-based; the first
+    attempt counts the commit. Draws nothing when
+    [commit_fail_prob = 0] (the result is then always [Committed]).
 
     @raise Invalid_argument when [attempt < 1]. *)
 

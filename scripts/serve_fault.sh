@@ -60,14 +60,33 @@ start_daemon() {
     done
 }
 
-stop_daemon() {
-    # graceful stop; asserts the drain contract every time
-    kill -TERM "$DPID"
+wait_daemon() {
+    # wait_daemon SCENARIO [SECONDS]: reap the daemon, leaving it at
+    # most SECONDS (default 10) to exit; one still running then is
+    # killed and fails SCENARIO, so a drain that hangs fails the
+    # harness instead of hanging it. Sets $status
+    i=0
+    while kill -0 "$DPID" 2> /dev/null; do
+        i=$((i + 1))
+        if [ "$i" -gt "$((${2:-10} * 10))" ]; then
+            kill -9 "$DPID" 2> /dev/null || true
+            DPID=""
+            fail "$1: the daemon did not exit within ${2:-10} s"
+        fi
+        sleep 0.1
+    done
     status=0
     wait "$DPID" || status=$?
     DPID=""
-    [ "$status" -eq 0 ] || fail "SIGTERM drain exited $status, want 0"
-    [ -e "$SOCK" ] && fail "drained daemon left its socket file behind"
+}
+
+stop_daemon() {
+    # stop_daemon SCENARIO: graceful stop; asserts the drain contract
+    # every time
+    kill -TERM "$DPID"
+    wait_daemon "$1"
+    [ "$status" -eq 0 ] || fail "$1: SIGTERM drain exited $status, want 0"
+    [ -e "$SOCK" ] && fail "$1: drained daemon left its socket file behind"
     return 0
 }
 
@@ -118,7 +137,7 @@ EOF
     "$PROBE" --unix "$SOCK" --send "$TMP/reqs.ndjson" > "$TMP/after.ndjson"
     normalize "$TMP/after.ndjson" | diff -u "$TMP/baseline.norm" - \
         || fail "post-fault client answers differ from one-shot CLI"
-    stop_daemon
+    stop_daemon "scenario 1"
     echo "scenario 1 ok"
 
     echo "== scenario 2: --max-clients sheds with a one-line busy answer =="
@@ -138,7 +157,7 @@ EOF
     "$PROBE" --unix "$SOCK" --send "$TMP/reqs.ndjson" > "$TMP/unshed.ndjson"
     normalize "$TMP/unshed.ndjson" | diff -u "$TMP/baseline.norm" - \
         || fail "client after shed window differs from one-shot CLI"
-    stop_daemon
+    stop_daemon "scenario 2"
     echo "scenario 2 ok"
 
     echo "== scenario 3: SIGTERM drains the in-flight connection, exits 0, removes socket =="
@@ -147,9 +166,7 @@ EOF
     DR=$!
     sleep 0.5
     kill -TERM "$DPID"
-    status=0
-    wait "$DPID" || status=$?
-    DPID=""
+    wait_daemon "scenario 3"
     [ "$status" -eq 0 ] || fail "SIGTERM with in-flight connection exited $status, want 0"
     [ -e "$SOCK" ] && fail "SIGTERM drain left the socket file behind"
     wait "$DR" || fail "in-flight client failed during drain"
@@ -173,7 +190,7 @@ EOF
     "$PROBE" --unix "$SOCK" --send "$TMP/reqs.ndjson" > "$TMP/reclaim.ndjson"
     normalize "$TMP/reclaim.ndjson" | diff -u "$TMP/baseline.norm" - \
         || fail "restarted daemon answers differ from one-shot CLI"
-    stop_daemon
+    stop_daemon "scenario 4"
     echo "scenario 4 ok"
 
     echo "== scenario 5: a second daemon refuses a live socket =="
@@ -186,7 +203,7 @@ EOF
     kill -0 "$DPID" 2> /dev/null || fail "incumbent daemon died"
     "$PROBE" --unix "$SOCK" --send "$TMP/reqs.ndjson" > /dev/null \
         || fail "incumbent daemon stopped serving"
-    stop_daemon
+    stop_daemon "scenario 5"
     echo "scenario 5 ok"
 
     echo "== scenario 6: TCP listener speaks the same protocol =="
@@ -194,7 +211,7 @@ EOF
     "$PROBE" --tcp "$PORT" --send "$TMP/reqs.ndjson" > "$TMP/tcp.ndjson"
     normalize "$TMP/tcp.ndjson" | diff -u "$TMP/baseline.norm" - \
         || fail "TCP answers differ from one-shot CLI"
-    stop_daemon
+    stop_daemon "scenario 6"
     echo "scenario 6 ok"
 
     echo "== scenario 7: --cache-cap bounds the resident caches (evictions in stats) =="
@@ -215,7 +232,7 @@ EOF
         || fail "want nonzero setup_evictions in stats: $stats_line"
     echo "$stats_line" | grep -q '"plan_evictions":[1-9]' \
         || fail "want nonzero plan_evictions in stats: $stats_line"
-    stop_daemon
+    stop_daemon "scenario 7"
     echo "scenario 7 ok"
 
     echo "== scenario 8: store counters survive concurrent handler domains =="
@@ -265,7 +282,7 @@ EOF
     total_corrupt=$(echo "$stats_line" | sed -n 's/.*"store_corrupt_reads":\([0-9][0-9]*\).*/\1/p')
     [ "$total_corrupt" = "$((3 * corrupt))" ] \
         || fail "aggregate store_corrupt_reads $total_corrupt != 3 x $corrupt"
-    stop_daemon
+    stop_daemon "scenario 8"
     echo "scenario 8 ok"
 
     echo "== scenario 9: an out-of-range request gets a structured error, the batch goes on =="
@@ -287,7 +304,7 @@ EOF
         || fail "the request after the out-of-range one was not answered"
     grep -q "connection handler failed" "$TMP/daemon.err" \
         && fail "the connection handler died on the out-of-range request"
-    stop_daemon
+    stop_daemon "scenario 9"
     echo "scenario 9 ok"
 
     echo "== scenario 10: a cheap connection is answered while a heavy batch computes =="
@@ -318,7 +335,7 @@ EOF
     wait "$HV" || fail "heavy client failed"
     [ "$(grep -c '"ok":true' "$TMP/heavy.out")" -eq 60 ] \
         || fail "heavy client: want 60 answers, got $(grep -c '"ok":true' "$TMP/heavy.out" || true)"
-    stop_daemon
+    stop_daemon "scenario 10"
     echo "scenario 10 ok"
 
     echo "== scenario 11: SIGTERM drains a daemon whose handlers are all idle =="
@@ -338,15 +355,7 @@ EOF
             || fail "burst client $c answers differ from one-shot CLI"
     done
     kill -TERM "$DPID"
-    i=0
-    while kill -0 "$DPID" 2> /dev/null; do
-        i=$((i + 1))
-        [ "$i" -gt 50 ] && fail "SIGTERM did not drain the idle daemon within 5 s"
-        sleep 0.1
-    done
-    status=0
-    wait "$DPID" || status=$?
-    DPID=""
+    wait_daemon "scenario 11" 5
     [ "$status" -eq 0 ] || fail "SIGTERM drain after the burst exited $status, want 0"
     [ -e "$SOCK" ] && fail "drained daemon left its socket file behind"
     echo "scenario 11 ok"
@@ -369,9 +378,7 @@ EOF
     }
     start_daemon --once
     "$PROBE" --unix "$SOCK" --send "$TMP/cycle.ndjson" > "$TMP/cycle_once.ndjson"
-    status=0
-    wait "$DPID" || status=$?
-    DPID=""
+    wait_daemon "scenario 12"
     [ "$status" -eq 0 ] || fail "--once daemon exited $status, want 0"
     [ "$(wc -l < "$TMP/cycle_once.ndjson")" -eq 4 ] \
         || fail "--once daemon: want 4 answers, got $(wc -l < "$TMP/cycle_once.ndjson")"
@@ -388,7 +395,7 @@ EOF
     without_counters "$TMP/cycle_want.ndjson" > "$TMP/cycle_want.norm"
     without_counters "$TMP/cycle_seq.ndjson" | diff -u "$TMP/cycle_want.norm" - \
         || fail "sequential connections differ from the --once batch"
-    stop_daemon
+    stop_daemon "scenario 12"
     echo "scenario 12 ok"
 
     echo "# all serve fault scenarios passed"

@@ -444,14 +444,9 @@ let storage_crossover_table ?journal ?(jobs = 1) () =
   let dag = Spec.generate Spec.Genome ~seed:1 ~tasks:50 () in
   let setup = Pipeline.prepare ~dag ~processors:5 ~pfail:0.001 ~ccr:0.1 () in
   let trials = 200 in
-  let plan_k = Hashtbl.create 2 in
+  let plan_k = Ckpt_parallel.Memo.create () in
   let plan_for k =
-    match Hashtbl.find_opt plan_k k with
-    | Some p -> p
-    | None ->
-        let p = Pipeline.plan ~replicas:k setup Strategy.Ckpt_some in
-        Hashtbl.add plan_k k p;
-        p
+    Ckpt_parallel.Memo.get plan_k k (fun () -> Pipeline.plan ~replicas:k setup Strategy.Ckpt_some)
   in
   let em ~replicas ~corrupt_prob =
     let store =

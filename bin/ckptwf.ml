@@ -21,6 +21,7 @@ module Retry = Ckpt_resilience.Retry
 module Deadline = Ckpt_resilience.Deadline
 module Faulty = Ckpt_resilience.Faulty
 module Pool = Ckpt_parallel.Pool
+module Memo = Ckpt_parallel.Memo
 module Storage = Ckpt_storage.Storage
 module Store = Ckpt_storage.Store
 
@@ -865,12 +866,11 @@ let sweep_run dax workflow tasks seed processors pfail method_ csv journal resum
   let ccrs = Array.of_list (default_ccrs workflow) in
   (* recognition, completion and ALLOCATE depend on neither pfail nor
      CCR: run them once, on the first cell that is computed (a fully
-     journaled resume never does), and force them under a lock — two
-     domains forcing one suspension raise Lazy.Undefined *)
+     journaled resume never does), while the other cell domains wait *)
   let structure =
-    let setup = lazy (Pipeline.prepare ~dag ~processors ~pfail ~ccr:ccrs.(0) ()) in
-    let lock = Mutex.create () in
-    fun () -> Mutex.protect lock (fun () -> Lazy.force setup)
+    let setup = Memo.create () in
+    fun () ->
+      Memo.get setup () (fun () -> Pipeline.prepare ~dag ~processors ~pfail ~ccr:ccrs.(0) ())
   in
   (* the cells themselves fan out over --jobs here; degrade, storm and
      cloud spend theirs inside each cell's trial sampler instead *)
@@ -1275,15 +1275,8 @@ let storm_run dax workflow tasks seed processors pfail ccr strategy trials corru
   let setup = Pipeline.prepare ~dag ~processors ~pfail ~ccr () in
   (* one plan per replication factor: k enters the placement DP as a
      k*C commit cost, so the checkpoint positions themselves shift *)
-  let plans = Hashtbl.create 4 in
-  let plan_for k =
-    match Hashtbl.find_opt plans k with
-    | Some p -> p
-    | None ->
-        let p = Pipeline.plan ~replicas:k setup strategy in
-        Hashtbl.add plans k p;
-        p
-  in
+  let plans = Memo.create () in
+  let plan_for k = Memo.get plans k (fun () -> Pipeline.plan ~replicas:k setup strategy) in
   let cells =
     Array.of_list
       (List.concat_map (fun k -> List.map (fun cp -> (k, cp)) corrupt_probs) replicas_list)
@@ -1473,18 +1466,14 @@ let cloud_run dax workflow tasks seed processors pfail ccr strategy trials prevo
   in
   (* one plan + engine preparation per price mix (spot speeds shift the
      placement DP's costs); cells sharing a mix share the replan cache *)
-  let prepared_for = Hashtbl.create 4 in
+  let prepared_for = Memo.create () in
   let prepared sf =
-    match Hashtbl.find_opt prepared_for sf with
-    | Some v -> v
-    | None ->
+    Memo.get prepared_for sf (fun () ->
         let setup =
           Pipeline.prepare ~platform:(platform_for sf) ~dag ~processors ~pfail ~ccr ()
         in
         let plan = Pipeline.plan ~replicas:(Store.plan_replicas store_cfg) setup strategy in
-        let v = (plan, Cloud.prepare plan) in
-        Hashtbl.add prepared_for sf v;
-        v
+        (plan, Cloud.prepare plan))
   in
   let cells =
     Array.of_list
@@ -1562,8 +1551,8 @@ let cloud_run dax workflow tasks seed processors pfail ccr strategy trials prevo
               spot_fractions)
         prevokes;
     replan_cache_notice
-      (Hashtbl.fold
-         (fun _ (_, prep) (h, m) ->
+      (Memo.fold
+         (fun (_, prep) (h, m) ->
            let hits, misses = Cloud.cache_stats prep in
            (h + hits, m + misses))
          prepared_for (0, 0))
@@ -1683,11 +1672,9 @@ type serve_state = {
   service : Service.t;
   (* one degraded-mode replan cache per plan, shared across requests:
      repeated degrade traffic against the same plan hits the
-     structural replan cache instead of replanning. [dlock] guards the
-     table itself — concurrent connection handlers share it (each
-     [Degrade.prepared] is internally domain-safe already). *)
-  dlock : Mutex.t;
-  degraded : (string, Degrade.prepared) Hashtbl.t;
+     structural replan cache instead of replanning. Outside
+     --cache-cap: the stats op sums every handle's replan counters *)
+  degraded : (string, Degrade.prepared) Memo.t;
   (* daemon-lifetime checkpoint-store counters, accumulated from every
      degrade request's summary under [slock] — concurrent handler
      domains land their totals here, and the stats op reports them.
@@ -1746,28 +1733,6 @@ let plan_request state req =
     preq_replicas = replicas;
   }
 
-(* plan a request through the service cache; [prefetched] marks keys
-   the batch front-loaded via Pipeline.plan_many — each counts as the
-   one miss its computation was *)
-let serve_plan state ~prefetched pr =
-  match Service.find_plan state.service ~key:pr.preq_key with
-  | Some plan ->
-      if Hashtbl.mem prefetched pr.preq_key then begin
-        Hashtbl.remove prefetched pr.preq_key;
-        Service.note_plan_miss state.service;
-        (plan, "miss")
-      end
-      else begin
-        Service.note_plan_hit state.service;
-        (plan, "hit")
-      end
-  | None ->
-      Service.note_plan_miss state.service;
-      let plan =
-        Pipeline.plan ~replicas:pr.preq_replicas pr.preq_setup pr.preq_kind
-      in
-      (Service.store_plan state.service ~key:pr.preq_key plan, "miss")
-
 (* the optional checkpoint-store fields of a degrade request: backend
    ("store": memory|replicated|remote — the disk journal is a one-shot
    CLI affair), policy ("store_policy"), and the PR-5 fault channels;
@@ -1820,15 +1785,20 @@ let store_stats_fields (s : Store.stats) =
     ("store_evictions", Json.Num (float_of_int s.Store.evictions)) ]
 
 let replan_cache_totals state =
-  Mutex.protect state.dlock (fun () ->
-      Hashtbl.fold
-        (fun _ prepared (h, m) ->
-          let hits, misses = Degrade.cache_stats prepared in
-          (h + hits, m + misses))
-        state.degraded (0, 0))
+  Memo.fold
+    (fun prepared (h, m) ->
+      let hits, misses = Degrade.cache_stats prepared in
+      (h + hits, m + misses))
+    state.degraded (0, 0)
 
-let handle_request state ~jobs ~prefetched req =
-  let t0 = Unix.gettimeofday () in
+(* [planned] is what the batch's pre-pass resolved for a plan or
+   degrade request: the decoded request, its plan and its cache
+   marker, or the error its decoding raised. Each answer is timed from
+   [t0], the start of its batch *)
+let handle_request state ~jobs ~t0 ~planned req =
+  let planned () =
+    match planned with Some (Ok p) -> p | Some (Error e) -> raise e | None -> assert false
+  in
   let op =
     match Json.member "op" req with
     | Some (Json.Str s) -> s
@@ -1846,8 +1816,7 @@ let handle_request state ~jobs ~prefetched req =
   in
   match op with
   | "plan" ->
-      let pr = plan_request state req in
-      let plan, cache = serve_plan state ~prefetched pr in
+      let pr, plan, cache = planned () in
       let em = Strategy.expected_makespan plan in
       finish
         [ ("strategy", Json.Str (Strategy.kind_name pr.preq_kind));
@@ -1881,7 +1850,7 @@ let handle_request state ~jobs ~prefetched req =
           ("em_none", Json.Str (Printf.sprintf "%.2f" cmp.Pipeline.em_none));
           ("rel_none", Json.Str (Printf.sprintf "%.4f" cmp.Pipeline.rel_none)) ]
   | "degrade" ->
-      let pr = plan_request state req in
+      let pr, plan, cache = planned () in
       if pr.preq_kind = Strategy.Ckpt_none then
         malformed "degrade: CKPTNONE saves nothing a survivor could reuse";
       let pdeath =
@@ -1893,16 +1862,7 @@ let handle_request state ~jobs ~prefetched req =
       let max_losses = req_int req "losses" ~default:1 in
       let trials = req_int req "trials" ~default:200 in
       let seed = req_int req "seed" ~default:1 in
-      let plan, cache = serve_plan state ~prefetched pr in
-      let prepared =
-        Mutex.protect state.dlock (fun () ->
-            match Hashtbl.find_opt state.degraded pr.preq_key with
-            | Some p -> p
-            | None ->
-                let p = Degrade.prepare plan in
-                Hashtbl.add state.degraded pr.preq_key p;
-                p)
-      in
+      let prepared = Memo.get state.degraded pr.preq_key (fun () -> Degrade.prepare plan) in
       let store_cfg = store_of_req req in
       let repair, restart =
         degrade_pair ~kind:pr.preq_kind ~max_losses ~trials ~seed ~jobs ~store:store_cfg plan
@@ -1990,13 +1950,15 @@ let error_answer ?req e =
         ("error", Json.Str (error_kind e));
         ("message", Json.Str (Rerror.to_string e)) ])
 
-(* answer one batch of already-read request lines: parse, front-load
-   the distinct missing plans as one Pipeline.plan_many batch over the
-   resident pool, then answer in order — the amortisation the daemon
+(* answer one batch of already-read request lines: parse, then decode
+   each plan and degrade request once and plan the batch's keys as one
+   fan-out over the resident pool (Service.plans), then answer in
+   order from what the batch resolved — the amortisation the daemon
    exists for. Each line carries the Deadline started when it was
    received; a request still unanswered when its deadline lapses gets
    a structured "deadline" answer instead of a stale result. *)
 let answer_batch state ~jobs ~mode ~output lines =
+  let t0 = Unix.gettimeofday () in
   let parsed =
     Array.map
       (fun (line, deadline) ->
@@ -2005,44 +1967,43 @@ let answer_batch state ~jobs ~mode ~output lines =
         | exception Rerror.E e when mode = Structured -> Error e)
       lines
   in
-  let prefetched = Hashtbl.create 16 in
-  let missing = Hashtbl.create 16 in
-  Array.iter
-    (fun entry ->
+  let planned = Array.make (Array.length parsed) None in
+  let decoded = ref [] in
+  Array.iteri
+    (fun i entry ->
       match entry with
       | Error _ -> ()
       | Ok (req, _) -> (
           match req_str req "op" ~default:"" with
           | "plan" | "degrade" -> (
-              (* a malformed plan/degrade request surfaces at answer
-                 time; the prefetch just skips it *)
+              (* a malformed request keeps its error for its answer *)
               match plan_request state req with
-              | pr ->
-                  if
-                    (not (Hashtbl.mem missing pr.preq_key))
-                    && Service.find_plan state.service ~key:pr.preq_key = None
-                  then Hashtbl.add missing pr.preq_key pr
-              | exception (Rerror.E _ | Invalid_argument _) when mode = Structured -> ())
+              | pr -> decoded := (i, pr) :: !decoded
+              | exception ((Rerror.E _ | Invalid_argument _) as e) when mode = Structured ->
+                  planned.(i) <- Some (Error e))
           | _ -> ()))
     parsed;
-  let batch = Array.of_list (Hashtbl.fold (fun _ pr acc -> pr :: acc) missing []) in
+  let decoded = Array.of_list (List.rev !decoded) in
   let plans =
-    Pipeline.plan_many ~jobs
-      (Array.map (fun pr -> (pr.preq_setup, pr.preq_kind, pr.preq_replicas)) batch)
+    Service.plans state.service ~jobs
+      (Array.map (fun (_, pr) -> pr.preq_key) decoded)
+      (fun j ->
+        let pr = snd decoded.(j) in
+        Pipeline.plan ~replicas:pr.preq_replicas pr.preq_setup pr.preq_kind)
   in
   Array.iteri
-    (fun i pr ->
-      ignore (Service.store_plan state.service ~key:pr.preq_key plans.(i));
-      Hashtbl.replace prefetched pr.preq_key ())
-    batch;
-  Array.iter
-    (fun entry ->
+    (fun j (i, pr) ->
+      let plan, hit = plans.(j) in
+      planned.(i) <- Some (Ok (pr, plan, if hit then "hit" else "miss")))
+    decoded;
+  Array.iteri
+    (fun i entry ->
       match entry with
       | Error e -> output (Json.to_string (error_answer e))
       | Ok (req, deadline) -> (
           match
             Deadline.check deadline ~completed:0;
-            handle_request state ~jobs ~prefetched req
+            handle_request state ~jobs ~t0 ~planned:planned.(i) req
           with
           | answer -> output (Json.to_string answer)
           | exception Rerror.E e when mode = Structured ->
@@ -2426,9 +2387,8 @@ let serve_run socket tcp once jobs request_timeout max_clients cache_cap =
   protect @@ fun () ->
   let state =
     {
-      service = Service.create ?max_setups:cache_cap ?max_plans:cache_cap ();
-      dlock = Mutex.create ();
-      degraded = Hashtbl.create 16;
+      service = Service.create ?cap:cache_cap ();
+      degraded = Memo.create ();
       slock = Mutex.create ();
       store_totals = Store.zero;
       store_ops = 0;

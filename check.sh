@@ -560,10 +560,10 @@ printf '{"id": 4, "op": "stats"}\n' >> "$TMP/serve_golden2.ndjson"
 diff -u test/serve_golden.txt "$TMP/serve_golden.txt"
 
 echo "== serve daemon: batch planning independent of --jobs =="
-# a batch's missing plans fan out over the domain pool
-# (Pipeline.plan_many), and degrade trials over the same pool; the
-# answers, replan-cache counters included, must not depend on its
-# width. stats stays out: it echoes effective_jobs
+# a batch's plan keys fan out over the domain pool in one
+# Service.plans call, and degrade trials over the same pool; the
+# answers, cache markers and replan-cache counters included, must not
+# depend on its width. stats stays out: it echoes effective_jobs
 printf '%s\n' \
     '{"id": 1, "op": "plan", "workflow": "genome", "tasks": 300, "strategy": "some"}' \
     '{"id": 2, "op": "plan", "workflow": "montage", "tasks": 300, "strategy": "some"}' \

@@ -63,15 +63,6 @@ let plan ?replicas setup kind =
   Strategy.plan ?replicas kind ~raw:setup.raw ~schedule:setup.schedule
     ~platform:setup.platform
 
-let plan_many ?(jobs = 1) requests =
-  (* batch parallelism across whole plan requests: each request plans
-     sequentially on one arena while the resident pool runs up to
-     [jobs] requests at once — the amortisation the serve daemon
-     relies on *)
-  Ckpt_parallel.Pool.map_shared ~jobs (Array.length requests) (fun i ->
-      let setup, kind, replicas = requests.(i) in
-      plan ~replicas setup kind)
-
 type comparison = {
   em_some : float;
   em_all : float;

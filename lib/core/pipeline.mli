@@ -63,15 +63,6 @@ val plan : ?replicas:int -> setup -> Strategy.kind -> Strategy.plan
 (** [replicas] (default 1) prices checkpoint commits at [k·C] — the replication
     knob of the storage-fault extension ({!Strategy.plan}). *)
 
-val plan_many :
-  ?jobs:int -> (setup * Strategy.kind * int) array -> Strategy.plan array
-(** [plan_many ~jobs requests] plans a batch of
-    [(setup, kind, replicas)] requests over the process-wide domain
-    pool ({!Ckpt_parallel.Pool.map_shared}), parallelising {e across}
-    requests (each request plans sequentially on its own arena).
-    Results are in request order and identical to mapping {!plan} —
-    the batch planner of the serve daemon. *)
-
 type comparison = {
   em_some : float;
   em_all : float;

@@ -3,18 +3,10 @@
    batch bench), and most traffic repeats a bounded set of workflow
    configurations. Prepared setups (recognition + schedule, with their
    compiled CSR views) and finished plans are memoised under
-   caller-chosen string keys, with double-checked locking: the mutex
-   guards only table lookups/inserts, the expensive compute runs
-   outside it, and a racing duplicate compute is benign because both
-   sides produce identical values (planning is deterministic).
+   caller-chosen string keys, each table a compute-once
+   [Ckpt_parallel.Memo] under the one optional LRU cap. *)
 
-   A long-lived daemon must not grow without bound, so each table can
-   carry an LRU capacity ([?max_setups] / [?max_plans]): every hit and
-   insert stamps the entry with a logical clock tick, and an insert
-   that pushes the table over its cap evicts the least recently used
-   entry (an O(size) scan — caps are request-cache sized, not
-   database sized). Unbounded by default, so existing call sites are
-   bitwise unchanged. *)
+module Memo = Ckpt_parallel.Memo
 
 type stats = {
   setup_hits : int;
@@ -26,129 +18,24 @@ type stats = {
   plan_races : int;
 }
 
-(* one cached value and the logical time it was last touched *)
-type 'a entry = { value : 'a; mutable tick : int }
-
 type t = {
-  lock : Mutex.t;
-  max_setups : int option;
-  max_plans : int option;
-  setups : (string, Pipeline.setup entry) Hashtbl.t;
-  plans : (string, Strategy.plan entry) Hashtbl.t;
-  mutable clock : int;
-  setup_hits : int Atomic.t;
-  setup_misses : int Atomic.t;
-  setup_evictions : int Atomic.t;
-  plan_hits : int Atomic.t;
-  plan_misses : int Atomic.t;
-  plan_evictions : int Atomic.t;
+  setups : (string, Pipeline.setup) Memo.t;
+  plans : (string, Strategy.plan) Memo.t;
   plan_races : int Atomic.t;
 }
 
-let check_cap what = function
-  | Some c when c < 1 -> invalid_arg (Printf.sprintf "Service.create: %s < 1" what)
-  | c -> c
+let create ?cap () =
+  { setups = Memo.create ?cap (); plans = Memo.create ?cap (); plan_races = Atomic.make 0 }
 
-let create ?max_setups ?max_plans () =
-  {
-    lock = Mutex.create ();
-    max_setups = check_cap "max_setups" max_setups;
-    max_plans = check_cap "max_plans" max_plans;
-    setups = Hashtbl.create 64;
-    plans = Hashtbl.create 64;
-    clock = 0;
-    setup_hits = Atomic.make 0;
-    setup_misses = Atomic.make 0;
-    setup_evictions = Atomic.make 0;
-    plan_hits = Atomic.make 0;
-    plan_misses = Atomic.make 0;
-    plan_evictions = Atomic.make 0;
-    plan_races = Atomic.make 0;
-  }
+let setup t ~key f = Memo.get t.setups key f
+let plan t ~key f = Memo.get t.plans key f
+let plans t ~jobs keys f = Memo.get_many t.plans ~jobs keys f
+let find_plan t ~key = Memo.find t.plans key
 
-(* all three below run with [t.lock] held *)
-
-let tick t =
-  t.clock <- t.clock + 1;
-  t.clock
-
-let touch t e = e.tick <- tick t
-
-(* evict least-recently-used entries until [table] fits [cap] again;
-   the scan is O(size) but only runs on an over-cap insert *)
-let enforce_cap table cap evictions =
-  match cap with
-  | None -> ()
-  | Some cap ->
-      while Hashtbl.length table > cap do
-        let victim =
-          Hashtbl.fold
-            (fun key e acc ->
-              match acc with
-              | Some (_, best) when best <= e.tick -> acc
-              | _ -> Some (key, e.tick))
-            table None
-        in
-        match victim with
-        | None -> ()
-        | Some (key, _) ->
-            Hashtbl.remove table key;
-            Atomic.incr evictions
-      done
-
-let insert t table cap evictions ~key value =
-  Hashtbl.replace table key { value; tick = tick t };
-  enforce_cap table cap evictions
-
-let memo t table cap hits misses evictions ~key f =
-  Mutex.lock t.lock;
-  match Hashtbl.find_opt table key with
-  | Some e ->
-      touch t e;
-      Mutex.unlock t.lock;
-      Atomic.incr hits;
-      e.value
-  | None ->
-      Mutex.unlock t.lock;
-      Atomic.incr misses;
-      let v = f () in
-      Mutex.lock t.lock;
-      let v =
-        (* a racing compute may have landed first: keep the incumbent
-           so every caller sees one physical value per key *)
-        match Hashtbl.find_opt table key with
-        | Some e ->
-            touch t e;
-            e.value
-        | None ->
-            insert t table cap evictions ~key v;
-            v
-      in
-      Mutex.unlock t.lock;
-      v
-
-let setup t ~key f =
-  memo t t.setups t.max_setups t.setup_hits t.setup_misses t.setup_evictions ~key f
-
-let plan t ~key f =
-  memo t t.plans t.max_plans t.plan_hits t.plan_misses t.plan_evictions ~key f
-
-let find_plan t ~key =
-  Mutex.lock t.lock;
-  let v =
-    match Hashtbl.find_opt t.plans key with
-    | Some e ->
-        touch t e;
-        Some e.value
-    | None -> None
-  in
-  Mutex.unlock t.lock;
-  v
-
-(* planning is deterministic, so a racing insert under the same key
-   must have produced a structurally identical plan; the assert guards
-   exactly that invariant in debug builds (dev profile keeps asserts,
-   release drops them) *)
+(* planning is deterministic, so an incumbent under the same key must
+   be a structurally identical plan; the assert guards exactly that
+   invariant in debug builds (dev profile keeps asserts, release drops
+   them) *)
 let same_plan (a : Strategy.plan) (b : Strategy.plan) =
   a.Strategy.kind = b.Strategy.kind
   && a.Strategy.checkpoint_count = b.Strategy.checkpoint_count
@@ -156,33 +43,21 @@ let same_plan (a : Strategy.plan) (b : Strategy.plan) =
   && Strategy.checkpoint_positions a = Strategy.checkpoint_positions b
 
 let store_plan t ~key plan =
-  Mutex.lock t.lock;
-  let v =
-    match Hashtbl.find_opt t.plans key with
-    | Some e ->
-        (* the racing insert won: count the duplicate compute once
-           instead of silently discarding it *)
-        Atomic.incr t.plan_races;
-        assert (same_plan e.value plan);
-        touch t e;
-        e.value
-    | None ->
-        insert t t.plans t.max_plans t.plan_evictions ~key plan;
-        plan
-  in
-  Mutex.unlock t.lock;
+  let v = Memo.get t.plans key (fun () -> plan) in
+  if v != plan then begin
+    Atomic.incr t.plan_races;
+    assert (same_plan v plan)
+  end;
   v
 
 let stats t =
+  let s = Memo.stats t.setups and p = Memo.stats t.plans in
   {
-    setup_hits = Atomic.get t.setup_hits;
-    setup_misses = Atomic.get t.setup_misses;
-    setup_evictions = Atomic.get t.setup_evictions;
-    plan_hits = Atomic.get t.plan_hits;
-    plan_misses = Atomic.get t.plan_misses;
-    plan_evictions = Atomic.get t.plan_evictions;
+    setup_hits = s.Memo.hits;
+    setup_misses = s.Memo.misses;
+    setup_evictions = s.Memo.evictions;
+    plan_hits = p.Memo.hits;
+    plan_misses = p.Memo.misses;
+    plan_evictions = p.Memo.evictions;
     plan_races = Atomic.get t.plan_races;
   }
-
-let note_plan_hit t = Atomic.incr t.plan_hits
-let note_plan_miss t = Atomic.incr t.plan_misses

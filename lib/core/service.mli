@@ -8,18 +8,15 @@
     caller-chosen string keys, so repeated requests pay a hash lookup
     instead of an O(n²) plan.
 
-    Thread-safety: safe to call from multiple domains. Lookups/inserts
-    are mutex-guarded; the compute callback runs outside the lock, and
-    when two domains race on the same missing key both compute but
-    only the first insert wins — benign because planning is
-    deterministic, so the values are identical (the loser is counted
-    in [plan_races] rather than silently discarded).
+    Each table is a {!Ckpt_parallel.Memo}: safe to share between
+    domains, and each key is computed once — a domain that looks up a
+    key another domain is computing waits for that value and counts a
+    hit.
 
-    Capacity: a daemon that must not grow without bound passes
-    [?max_setups] / [?max_plans] to {!create}; each table then evicts
-    its least-recently-used entry on an over-cap insert (hits and
-    inserts both refresh recency). Unbounded by default, so existing
-    call sites are bitwise unchanged. *)
+    Capacity: a daemon that must not grow without bound passes [?cap]
+    to {!create}; each table then keeps at most [cap] entries and
+    evicts its least recently used one beyond that. Unbounded by
+    default. *)
 
 type t
 
@@ -31,14 +28,14 @@ type stats = {
   plan_misses : int;
   plan_evictions : int;  (** LRU evictions from the plan table *)
   plan_races : int;
-      (** racing duplicate computes whose insert lost to an incumbent *)
+      (** {!store_plan} calls whose offered plan lost to an incumbent *)
 }
 
-val create : ?max_setups:int -> ?max_plans:int -> unit -> t
-(** [create ?max_setups ?max_plans ()] — each cap bounds its table's
-    entry count with LRU eviction; omitted means unbounded.
+val create : ?cap:int -> unit -> t
+(** [create ?cap ()] — [cap] bounds each table's entry count with LRU
+    eviction; omitted means unbounded.
 
-    @raise Invalid_argument when a cap is [< 1]. *)
+    @raise Invalid_argument when [cap < 1]. *)
 
 val setup : t -> key:string -> (unit -> Pipeline.setup) -> Pipeline.setup
 (** [setup t ~key f] returns the cached setup for [key], computing and
@@ -47,21 +44,23 @@ val setup : t -> key:string -> (unit -> Pipeline.setup) -> Pipeline.setup
 val plan : t -> key:string -> (unit -> Strategy.plan) -> Strategy.plan
 (** [plan t ~key f] likewise for finished plans. *)
 
+val plans :
+  t -> jobs:int -> string array -> (int -> Strategy.plan) -> (Strategy.plan * bool) array
+(** [plans t ~jobs keys f] is one {!plan} lookup of each [keys.(i)],
+    computed by [f i] and paired with whether it hit, with the missing
+    plans computed over at most [jobs] domains
+    ({!Ckpt_parallel.Memo.get_many}): a serve batch plans its distinct
+    keys in one fan-out, and its counters do not depend on [jobs]. *)
+
 val find_plan : t -> key:string -> Strategy.plan option
-(** Lookup without computing — lets a batch caller collect the missing
-    keys first and plan them together ({!Pipeline.plan_many}), then
-    {!store_plan} the results. Refreshes LRU recency on a hit but does
-    not touch the hit/miss counters; pair with {!note_plan_hit} /
-    {!note_plan_miss}. *)
+(** Lookup without computing: refreshes LRU recency on a hit but does
+    not touch the hit/miss counters. *)
 
 val store_plan : t -> key:string -> Strategy.plan -> Strategy.plan
-(** Insert a plan computed out-of-band; returns the incumbent if a
-    racing insert got there first (counted in [plan_races], and
-    asserted structurally equal to the offered plan in debug builds —
-    planning is deterministic, so a mismatch is a keying bug). *)
-
-val note_plan_hit : t -> unit
-
-val note_plan_miss : t -> unit
+(** A {!plan} lookup whose compute is the plan given: returns the
+    incumbent if the key is already cached (counted in [plan_races],
+    and asserted structurally equal to the offered plan in debug
+    builds — planning is deterministic, so a mismatch is a keying
+    bug). *)
 
 val stats : t -> stats

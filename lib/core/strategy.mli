@@ -85,7 +85,7 @@ val plan :
     (paper footnote 2) and change no cost, while CKPTSOME-family plans
     still synchronise on them in the 2-state DAG. The per-superchain
     placement DPs run one after another on the calling domain; batches
-    of plans run in parallel through {!Pipeline.plan_many}. [replicas]
+    of plans run in parallel through {!Service.plans}. [replicas]
     (default 1) prices every checkpoint commit at [k·C]
     ({!Placement}); the optimal positions are re-derived under that
     cost, so a replicated CKPTSOME plan may checkpoint less often.

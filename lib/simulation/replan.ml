@@ -7,6 +7,7 @@ module Failure = Ckpt_platform.Failure
 module Rng = Ckpt_prob.Rng
 module Repair = Ckpt_recovery.Repair
 module Pool = Ckpt_parallel.Pool
+module Memo = Ckpt_parallel.Memo
 module Dag = Ckpt_dag.Dag
 module Store = Ckpt_storage.Store
 
@@ -28,10 +29,6 @@ type epoch = {
   rescue : Engine.rescue_info array option;
 }
 
-(* a cache slot: the replan, or a marker that one trial is computing
-   it while others wait *)
-type slot = Ready of (epoch, string) result | Pending
-
 type prepared = {
   name : string;
   plan : Strategy.plan;
@@ -41,16 +38,9 @@ type prepared = {
      (kind, survivor set, committed-checkpoint frontier) for a fixed
      plan, so its physically-mapped result is memoised under that key.
      Values are shared read-only across worker domains (the engine
-     never mutates segments). The first trial to miss a key marks it
-     [Pending] and computes it; a concurrent lookup of that key waits
-     on [filled] and counts as a hit, so each key is computed once and
-     the counters do not depend on [jobs]. *)
-  cache : (string, slot) Hashtbl.t;
-  lock : Mutex.t;
-  filled : Condition.t;  (* a [Pending] slot was settled *)
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  use_cache : bool;
+     never mutates segments). The memo computes each key once, so the
+     counters do not depend on [jobs]; [None] when disabled. *)
+  cache : (string, (epoch, string) result) Memo.t option;
 }
 
 let prepare ~name ?(cache = true) ?rescue_of (plan : Strategy.plan) =
@@ -67,16 +57,17 @@ let prepare ~name ?(cache = true) ?rescue_of (plan : Strategy.plan) =
         seg_tasks = seg_tasks_of plan;
         rescue = Option.map (fun f -> f plan) rescue_of;
       };
-    cache = Hashtbl.create 64;
-    lock = Mutex.create ();
-    filled = Condition.create ();
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
-    use_cache = cache;
+    cache = (if cache then Some (Memo.create ()) else None);
   }
 
 let plan prepared = prepared.plan
-let cache_stats prepared = (Atomic.get prepared.hits, Atomic.get prepared.misses)
+
+let cache_stats prepared =
+  match prepared.cache with
+  | Some memo ->
+      let s = Memo.stats memo in
+      (s.Memo.hits, s.Memo.misses)
+  | None -> (0, 0)
 
 (* kind + survivor list + done_ bitset, packed into a flat string *)
 let replan_key ~kind ~survivors ~done_ =
@@ -128,44 +119,11 @@ let compute_replan prepared ~kind ~survivors ~done_ =
         }
 
 let replan_cached prepared ~kind ~survivors ~done_ =
-  if not prepared.use_cache then compute_replan prepared ~kind ~survivors ~done_
-  else begin
-    let key = replan_key ~kind ~survivors ~done_ in
-    (* under the lock: the cached value, or [None] after claiming the
-       key for this trial *)
-    let rec claim () =
-      match Hashtbl.find_opt prepared.cache key with
-      | Some (Ready v) -> Some v
-      | Some Pending ->
-          Condition.wait prepared.filled prepared.lock;
-          claim ()
-      | None ->
-          Hashtbl.replace prepared.cache key Pending;
-          None
-    in
-    let settle value =
-      Mutex.protect prepared.lock (fun () ->
-          (match value with
-          | Some v -> Hashtbl.replace prepared.cache key (Ready v)
-          | None -> Hashtbl.remove prepared.cache key);
-          Condition.broadcast prepared.filled)
-    in
-    match Mutex.protect prepared.lock claim with
-    | Some v ->
-        Atomic.incr prepared.hits;
-        v
-    | None -> (
-        Atomic.incr prepared.misses;
-        match compute_replan prepared ~kind ~survivors ~done_ with
-        | v ->
-            settle (Some v);
-            v
-        | exception e ->
-            (* free the key: a waiter wakes, claims it and computes *)
-            let bt = Printexc.get_raw_backtrace () in
-            settle None;
-            Printexc.raise_with_backtrace e bt)
-  end
+  match prepared.cache with
+  | None -> compute_replan prepared ~kind ~survivors ~done_
+  | Some memo ->
+      Memo.get memo (replan_key ~kind ~survivors ~done_) (fun () ->
+          compute_replan prepared ~kind ~survivors ~done_)
 
 let traces rng (platform : Platform.t) =
   let nprocs = platform.Platform.processors in

@@ -28,8 +28,8 @@ type prepared
     {!Ckpt_recovery.Repair.replan} is a pure function of that triple
     for a fixed plan, so trials hitting the same degradation state
     reuse the physically-mapped plan instead of re-running
-    recognition, ALLOCATE and the placement DP. The table is
-    mutex-protected, and each key is computed once: a trial that
+    recognition, ALLOCATE and the placement DP. The table is a
+    {!Ckpt_parallel.Memo}, so each key is computed once: a trial that
     looks up a key another trial is computing waits for that value
     and counts as a hit. Results are bitwise identical with the cache
     on or off, and the hit and miss counts are the same at any
@@ -54,8 +54,8 @@ val physical_segs : Ckpt_recovery.Repair.t -> Engine.seg array
 
 val plan : prepared -> Strategy.plan
 val cache_stats : prepared -> int * int
-(** [(hits, misses)] of the replan cache so far (0, 0 when disabled).
-    Each distinct key counts one miss, unless its replan raised. *)
+(** [(hits, misses)] of the replan cache so far (0, 0 when disabled),
+    read from its memo: one miss per replan computed. *)
 
 val traces :
   Ckpt_prob.Rng.t -> Ckpt_platform.Platform.t -> int -> Ckpt_platform.Failure.t

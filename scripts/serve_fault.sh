@@ -5,7 +5,8 @@
 # survive — concurrent clients, a hung (slowloris) client, a malformed
 # flood, over-capacity shedding, SIGTERM mid-traffic, kill -9 leaving a
 # stale socket, a heavy batch beside a cheap connection, SIGTERM after
-# a burst, a long run of sequential connections — and asserts that
+# a burst, a long run of sequential connections, concurrent and capped
+# cold misses — and asserts that
 # well-formed clients keep getting answers identical (modulo timing
 # fields) to the one-shot CLI, that the bad clients get structured
 # NDJSON errors, and that the lifecycle contract holds (drain exits 0,
@@ -225,13 +226,13 @@ EOF
     "$PROBE" --unix "$SOCK" --send "$TMP/cap.ndjson" > "$TMP/cap.out"
     stats_line=$(grep '"op":"stats"' "$TMP/cap.out")
     echo "$stats_line"
-    # 4 distinct configurations through cap-2 caches must evict (the
-    # exact count depends on the prefetch/answer interleaving), and the
-    # counters must be visible in the stats answer
-    echo "$stats_line" | grep -q '"setup_evictions":[1-9]' \
-        || fail "want nonzero setup_evictions in stats: $stats_line"
-    echo "$stats_line" | grep -q '"plan_evictions":[1-9]' \
-        || fail "want nonzero plan_evictions in stats: $stats_line"
+    # 4 distinct configurations through cap-2 caches: the batch builds
+    # each setup and plan once and evicts two of each, and the counters
+    # must be visible in the stats answer
+    echo "$stats_line" | grep -q '"setup_misses":4,"setup_evictions":2,' \
+        || fail "want 4 setup misses and 2 evictions in stats: $stats_line"
+    echo "$stats_line" | grep -q '"plan_misses":4,"plan_evictions":2,' \
+        || fail "want 4 plan misses and 2 evictions in stats: $stats_line"
     stop_daemon "scenario 7"
     echo "scenario 7 ok"
 
@@ -311,31 +312,37 @@ EOF
     # 60 distinct GENOME n=1000 p=2 plans keep one handler busy for
     # seconds; a second connection must not queue behind it. The check
     # is on the order of events, not on a time bound: once the daemon
-    # has started the heavy batch (its first setup miss shows in
-    # stats), the cheap answers must arrive while the heavy client is
-    # still waiting for its own
-    start_daemon --max-clients 8
+    # has started the heavy batch, the cheap answers must arrive while
+    # the heavy client is still waiting for its own. At --jobs 1 the
+    # cheap batch is sent at the heavy batch's first setup miss; at
+    # --jobs 2 at its first plan miss, once its plan fan-out owns the
+    # domain pool, which the cheap batch must not wait for
     for s in $(seq 60); do
         printf '{"id": %d, "op": "plan", "workflow": "genome", "tasks": 1000, "seed": %d, "processors": 2, "strategy": "some"}\n' "$s" "$s"
     done > "$TMP/heavy.ndjson"
-    "$PROBE" --unix "$SOCK" --send "$TMP/heavy.ndjson" > "$TMP/heavy.out" &
-    HV=$!
-    i=0
-    until "$PROBE" --unix "$SOCK" --send "$TMP/stats_req.ndjson" \
-        | grep -q '"setup_misses":[1-9]'; do
-        i=$((i + 1))
-        [ "$i" -gt 100 ] && fail "the heavy batch never started"
-        sleep 0.05
+    for run in "1 setup" "2 plan"; do
+        jobs=${run% *}
+        started=${run#* }
+        start_daemon --max-clients 8 --jobs "$jobs"
+        "$PROBE" --unix "$SOCK" --send "$TMP/heavy.ndjson" > "$TMP/heavy.out" &
+        HV=$!
+        i=0
+        until "$PROBE" --unix "$SOCK" --send "$TMP/stats_req.ndjson" \
+            | grep -q "\"${started}_misses\":[1-9]"; do
+            i=$((i + 1))
+            [ "$i" -gt 100 ] && fail "scenario 10 (--jobs $jobs): the heavy batch never started"
+            sleep 0.05
+        done
+        "$PROBE" --unix "$SOCK" --send "$TMP/reqs.ndjson" > "$TMP/cheap.ndjson"
+        kill -0 "$HV" 2> /dev/null \
+            || fail "scenario 10 (--jobs $jobs): the heavy batch was answered before the cheap connection: it waited behind it"
+        normalize "$TMP/cheap.ndjson" | diff -u "$TMP/baseline.norm" - \
+            || fail "cheap answers during the heavy batch differ from one-shot CLI"
+        wait "$HV" || fail "heavy client failed"
+        [ "$(grep -c '"ok":true' "$TMP/heavy.out")" -eq 60 ] \
+            || fail "heavy client: want 60 answers, got $(grep -c '"ok":true' "$TMP/heavy.out" || true)"
+        stop_daemon "scenario 10 (--jobs $jobs)"
     done
-    "$PROBE" --unix "$SOCK" --send "$TMP/reqs.ndjson" > "$TMP/cheap.ndjson"
-    kill -0 "$HV" 2> /dev/null \
-        || fail "the heavy batch was answered before the cheap connection: it waited behind it"
-    normalize "$TMP/cheap.ndjson" | diff -u "$TMP/baseline.norm" - \
-        || fail "cheap answers during the heavy batch differ from one-shot CLI"
-    wait "$HV" || fail "heavy client failed"
-    [ "$(grep -c '"ok":true' "$TMP/heavy.out")" -eq 60 ] \
-        || fail "heavy client: want 60 answers, got $(grep -c '"ok":true' "$TMP/heavy.out" || true)"
-    stop_daemon "scenario 10"
     echo "scenario 10 ok"
 
     echo "== scenario 11: SIGTERM drains a daemon whose handlers are all idle =="
@@ -397,6 +404,58 @@ EOF
         || fail "sequential connections differ from the --once batch"
     stop_daemon "scenario 12"
     echo "scenario 12 ok"
+
+    echo "== scenario 13: 4 connections that miss one cold plan build it once =="
+    # four clients send the same cold GENOME n=1000 p=2 plan at once:
+    # the first to look the setup and the plan up builds them, and the
+    # other three wait for those values, count hits and answer "hit"
+    start_daemon --max-clients 8
+    printf '{"op": "plan", "workflow": "genome", "tasks": 1000, "seed": 61, "processors": 2, "strategy": "some"}\n' \
+        > "$TMP/cold.ndjson"
+    pids=""
+    for c in 1 2 3 4; do
+        "$PROBE" --unix "$SOCK" --send "$TMP/cold.ndjson" > "$TMP/cold$c.ndjson" &
+        pids="$pids $!"
+    done
+    for p in $pids; do
+        wait "$p" || fail "cold client failed"
+    done
+    normalize "$TMP/cold1.ndjson" > "$TMP/cold1.norm"
+    for c in 2 3 4; do
+        normalize "$TMP/cold$c.ndjson" | diff -u "$TMP/cold1.norm" - \
+            || fail "scenario 13: cold client $c answered differently"
+    done
+    misses=$(cat "$TMP"/cold[1-4].ndjson | grep -c '"cache":"miss"' || true)
+    [ "$misses" -eq 1 ] || fail "scenario 13: want one \"cache\":\"miss\" among 4 answers, got $misses"
+    stats_line=$("$PROBE" --unix "$SOCK" --send "$TMP/stats_req.ndjson")
+    echo "$stats_line"
+    echo "$stats_line" | grep -q '"setup_hits":3,"setup_misses":1,' \
+        || fail "scenario 13: want the setup built once: $stats_line"
+    echo "$stats_line" | grep -q '"plan_hits":3,"plan_misses":1,.*"plan_races":0,' \
+        || fail "scenario 13: want the plan built once: $stats_line"
+    stop_daemon "scenario 13"
+    echo "scenario 13 ok"
+
+    echo "== scenario 14: a batch through cap-1 caches builds each setup and plan once =="
+    # three degrades on distinct setups: each setup and plan is built
+    # once, for its request, and the caps evict the two older ones;
+    # the answers read the plans the batch holds, never a rebuild
+    start_daemon --cache-cap 1
+    {
+        for seed in 1 2 3; do
+            printf '{"id": %d, "op": "degrade", "workflow": "genome", "tasks": 40, "seed": %d, "processors": 4, "strategy": "some", "pdeath": 0.2, "trials": 30}\n' "$seed" "$seed"
+        done
+        printf '{"op": "stats"}\n'
+    } > "$TMP/cap1.ndjson"
+    "$PROBE" --unix "$SOCK" --send "$TMP/cap1.ndjson" > "$TMP/cap1.out"
+    stats_line=$(grep '"op":"stats"' "$TMP/cap1.out")
+    echo "$stats_line"
+    echo "$stats_line" | grep -q '"setup_misses":3,"setup_evictions":2,' \
+        || fail "scenario 14: want 3 setup misses and 2 evictions: $stats_line"
+    echo "$stats_line" | grep -q '"plan_misses":3,"plan_evictions":2,' \
+        || fail "scenario 14: want 3 plan misses and 2 evictions: $stats_line"
+    stop_daemon "scenario 14"
+    echo "scenario 14 ok"
 
     echo "# all serve fault scenarios passed"
 }

@@ -29,6 +29,7 @@ let () =
       ("recovery", Test_recovery.suite);
       ("plan-equiv", Test_plan_equiv.suite);
       ("service", Test_service.suite);
+      ("memo", Test_memo.suite);
       ("degrade-cache", Test_degrade_cache.suite);
       ("storage", Test_storage.suite);
       ("store", Test_store.suite);

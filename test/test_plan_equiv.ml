@@ -2,8 +2,9 @@
    arena paths must return exactly — bitwise — what the pinned
    list/Hashtbl references of [Dp_oracle] return, on random superchains,
    random M-SPGs and long superchains of the generated families, and a
-   batch of plans must equal planning each request alone. An oracle that re-derives
-   segment costs from the DAG alone checks the cost model itself. *)
+   batch of plans must equal planning each request alone. An oracle
+   that re-derives segment costs from the DAG alone checks the cost
+   model itself. *)
 
 module Dag = Ckpt_dag.Dag
 module Mspg = Ckpt_mspg.Mspg
@@ -13,6 +14,7 @@ module Toueg = Ckpt_core.Toueg
 module Superchain = Ckpt_core.Superchain
 module Placement = Ckpt_core.Placement
 module Pipeline = Ckpt_core.Pipeline
+module Service = Ckpt_core.Service
 module Strategy = Ckpt_core.Strategy
 module Schedule = Ckpt_core.Schedule
 module Prob_dag = Ckpt_eval.Prob_dag
@@ -237,28 +239,42 @@ let plans_equal (a : Strategy.plan) (b : Strategy.plan) =
   && a.Strategy.checkpoint_count = b.Strategy.checkpoint_count
 
 (* serve's batch planner: a batch over two setups, three kinds and two
-   replica counts must return, in request order, what planning each
-   request alone returns, whatever the batch width *)
-let prop_plan_many_matches_plan =
-  QCheck.Test.make ~count:50 ~name:"plan_many = Pipeline.plan at jobs=1 and jobs=4"
+   replica counts, each request sent twice, must return in request
+   order what planning each request alone returns, whatever the
+   fan-out width; the second copy of a key hits the first's plan *)
+let prop_service_plans_match_plan =
+  QCheck.Test.make ~count:50 ~name:"Service.plans = Pipeline.plan at jobs=1 and jobs=4"
     QCheck.small_nat (fun seed ->
-      let setups = [ random_setup (seed + 900); random_setup (seed + 1900) ] in
+      let setups = [| random_setup (seed + 900); random_setup (seed + 1900) |] in
       let requests =
         Array.of_list
           (List.concat_map
-             (fun setup ->
+             (fun s ->
                List.concat_map
-                 (fun kind -> List.map (fun replicas -> (setup, kind, replicas)) [ 1; 2 ])
+                 (fun kind -> List.map (fun replicas -> (s, kind, replicas)) [ 1; 2 ])
                  [ Strategy.Ckpt_some; Strategy.Ckpt_all; Strategy.Ckpt_budget 2 ])
-             setups)
+             [ 0; 1 ])
       in
+      let n = Array.length requests in
       let expected =
-        Array.map (fun (setup, kind, replicas) -> Pipeline.plan ~replicas setup kind) requests
+        Array.map (fun (s, kind, replicas) -> Pipeline.plan ~replicas setups.(s) kind) requests
+      in
+      let keys =
+        Array.init (2 * n) (fun i ->
+            let s, kind, replicas = requests.(i mod n) in
+            Printf.sprintf "%d|%s|%d" s (Strategy.kind_name kind) replicas)
       in
       List.for_all
         (fun jobs ->
-          let got = Pipeline.plan_many ~jobs requests in
-          Array.length got = Array.length expected && Array.for_all2 plans_equal got expected)
+          let got =
+            Service.plans (Service.create ()) ~jobs keys (fun i ->
+                let s, kind, replicas = requests.(i mod n) in
+                Pipeline.plan ~replicas setups.(s) kind)
+          in
+          Array.for_all Fun.id
+            (Array.mapi
+               (fun i (plan, hit) -> plans_equal plan expected.(i mod n) && hit = (i >= n))
+               got))
         [ 1; 4 ])
 
 (* --- completed workflows: plans against the scheduled DAG ---------- *)
@@ -713,7 +729,7 @@ let suite =
       test_figure4_oracle;
     QCheck_alcotest.to_alcotest prop_optimal_positions_match;
     QCheck_alcotest.to_alcotest prop_optimal_positions_budget_match;
-    QCheck_alcotest.to_alcotest prop_plan_many_matches_plan;
+    QCheck_alcotest.to_alcotest prop_service_plans_match_plan;
     Alcotest.test_case "completed MONTAGE/LIGO plans = references over the scheduled DAG"
       `Quick test_completed_plans;
     Alcotest.test_case "completed plans on a heterogeneous-speed platform" `Quick

@@ -1,6 +1,7 @@
 (* Ckpt_core.Service under daemon conditions: LRU capacity bounds,
-   eviction/race counters, and multi-domain hammering — the properties
-   the hardened [ckptwf serve] relies on to stay resident for days. *)
+   eviction/race counters, compute-once lookups and multi-domain
+   hammering — the properties the hardened [ckptwf serve] relies on to
+   stay resident for days. *)
 
 module Spec = Ckpt_workflows.Spec
 module Pipeline = Ckpt_core.Pipeline
@@ -36,7 +37,7 @@ let test_unbounded_by_default () =
   done
 
 let test_lru_evicts_least_recently_used () =
-  let t = Service.create ~max_plans:2 () in
+  let t = Service.create ~cap:2 () in
   let p1 = plan_for 1 and p2 = plan_for 2 and p3 = plan_for 3 in
   ignore (Service.store_plan t ~key:"a" p1);
   ignore (Service.store_plan t ~key:"b" p2);
@@ -52,7 +53,7 @@ let test_lru_evicts_least_recently_used () =
   Alcotest.(check bool) "c present" true (Service.find_plan t ~key:"c" <> None)
 
 let test_plan_memo_respects_cap () =
-  let t = Service.create ~max_plans:3 () in
+  let t = Service.create ~cap:3 () in
   let computes = ref 0 in
   for round = 1 to 3 do
     ignore round;
@@ -71,22 +72,7 @@ let test_plan_memo_respects_cap () =
   for i = 1 to 10 do
     if Service.find_plan t ~key:(key i) <> None then incr live
   done;
-  Alcotest.(check bool) "at most max_plans live" true (!live <= 3)
-
-let test_setup_cache_capped_independently () =
-  let t = Service.create ~max_setups:2 () in
-  for i = 1 to 5 do
-    ignore (Service.setup t ~key:(key i) (fun () -> setup_for i))
-  done;
-  let s = Service.stats t in
-  Alcotest.(check int) "five setup misses" 5 s.Service.setup_misses;
-  Alcotest.(check int) "three setup evictions" 3 s.Service.setup_evictions;
-  Alcotest.(check int) "plan table untouched" 0 s.Service.plan_evictions;
-  (* a re-request of an evicted key recomputes: miss, not hit *)
-  ignore (Service.setup t ~key:(key 1) (fun () -> setup_for 1));
-  let s = Service.stats t in
-  Alcotest.(check int) "evicted key misses again" 6 s.Service.setup_misses;
-  Alcotest.(check int) "no hits so far" 0 s.Service.setup_hits
+  Alcotest.(check bool) "at most cap live" true (!live <= 3)
 
 let test_store_plan_race_counted_once () =
   let t = Service.create () in
@@ -111,19 +97,14 @@ let test_hit_and_miss_counters () =
   ignore (Service.plan t ~key:"k" (fun () -> plan_for 1));
   let s = Service.stats t in
   Alcotest.(check int) "one miss" 1 s.Service.plan_misses;
-  Alcotest.(check int) "two hits" 2 s.Service.plan_hits;
-  Service.note_plan_hit t;
-  Service.note_plan_miss t;
-  let s = Service.stats t in
-  Alcotest.(check (pair int int)) "note_* feed the same counters" (3, 2)
-    (s.Service.plan_hits, s.Service.plan_misses)
+  Alcotest.(check int) "two hits" 2 s.Service.plan_hits
 
 (* the daemon's actual concurrency shape: several connection-handler
    domains hammering one bounded service on overlapping keys. The cap
    must hold and the counters must reconcile, whatever the schedule. *)
 let test_concurrent_domains_bounded () =
   let cap = 4 in
-  let t = Service.create ~max_plans:cap () in
+  let t = Service.create ~cap () in
   let domains = 4 and rounds = 25 in
   let plans = Array.init 8 (fun i -> plan_for (i + 1)) in
   let worker d () =
@@ -148,9 +129,37 @@ let test_concurrent_domains_bounded () =
   done;
   Alcotest.(check bool) "cap held under concurrency" true (!live <= cap);
   let s = Service.stats t in
-  Alcotest.(check int) "every lookup accounted" (domains * rounds)
+  (* [plan] and [store_plan] each look their key up once a round *)
+  Alcotest.(check int) "every lookup accounted" (2 * domains * rounds)
     (s.Service.plan_hits + s.Service.plan_misses);
   Alcotest.(check bool) "evictions happened" true (s.Service.plan_evictions > 0)
+
+(* four connection handlers that miss one cold setup key together:
+   the first computes it, the others wait for that value and count
+   hits, so the setup is built once *)
+let test_cold_setup_computed_once () =
+  let t = Service.create () in
+  let computes = Atomic.make 0 and go = Atomic.make false in
+  let lookup () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    Service.setup t ~key:"cold" (fun () ->
+        Atomic.incr computes;
+        (* long enough for every domain to look the key up while it is
+           in flight *)
+        Unix.sleepf 0.05;
+        setup_for 1)
+  in
+  let spawned = List.init 3 (fun _ -> Domain.spawn lookup) in
+  Atomic.set go true;
+  let mine = lookup () in
+  let others = List.map Domain.join spawned in
+  Alcotest.(check int) "one compute" 1 (Atomic.get computes);
+  Alcotest.(check bool) "one physical setup" true (List.for_all (fun s -> s == mine) others);
+  let s = Service.stats t in
+  Alcotest.(check (pair int int)) "one miss, three hits" (1, 3)
+    (s.Service.setup_misses, s.Service.setup_hits)
 
 let suite =
   [
@@ -158,8 +167,8 @@ let suite =
     Alcotest.test_case "LRU evicts least recently used" `Quick
       test_lru_evicts_least_recently_used;
     Alcotest.test_case "memoised plan respects cap" `Quick test_plan_memo_respects_cap;
-    Alcotest.test_case "setup cache capped independently" `Quick
-      test_setup_cache_capped_independently;
+    Alcotest.test_case "cold setup computed once by 4 domains" `Quick
+      test_cold_setup_computed_once;
     Alcotest.test_case "store_plan race counted once" `Quick
       test_store_plan_race_counted_once;
     Alcotest.test_case "hit/miss counters" `Quick test_hit_and_miss_counters;

@@ -127,6 +127,8 @@ let rec get t key f =
       fill t key e f
 
 let get_many t ~jobs keys f =
+  (* checked before any claim: a claim left unsettled hangs its waiters *)
+  if jobs < 1 then invalid_arg "Memo.get_many: jobs < 1";
   (* look every key up first, in order: the found entries, and the
      ones this call claimed *)
   let looked =

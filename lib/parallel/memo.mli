@@ -44,7 +44,9 @@ val get_many : ('k, 'v) t -> jobs:int -> 'k array -> (int -> 'v) -> ('v * bool) 
     count as hits. The missing keys are then computed over at most
     [jobs] domains of the shared pool ({!Pool.map_shared}). When some
     compute raises, every other claimed key is still settled, and the
-    exception of the lowest such index is re-raised. *)
+    exception of the lowest such index is re-raised.
+
+    @raise Invalid_argument when [jobs < 1]. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option
 (** The settled value under a key, refreshing its recency; [None] when
@@ -55,3 +57,4 @@ val fold : ('v -> 'a -> 'a) -> ('k, 'v) t -> 'a -> 'a
     table's lock: the function must not use the table. *)
 
 val stats : ('k, 'v) t -> stats
+(** The counters so far. *)

@@ -148,14 +148,13 @@ let commit t ~seg ~write ~at =
   (* the first write span is already part of the caller's segment
      duration; only retried writes charge [write] again, after their
      backoff delay (and any storage outage) has passed *)
-  let delays = lazy (Retry.schedule t.config.backoff) in
   let rec go attempt at =
     match commit_step t ~attempt with
     | Committed -> Ok (at, fresh_ckpt t ~seg ~at)
     | Exhausted -> Error at
     | Rewrite ->
-        let resume = available t (at +. (Lazy.force delays).(attempt - 1)) in
-        go (attempt + 1) (resume +. write)
+        let delay = (Retry.schedule t.config.backoff).(attempt - 1) in
+        go (attempt + 1) (available t (at +. delay) +. write)
   in
   go 1 at
 

@@ -57,7 +57,7 @@ let claim t key =
 
 (* drop the settled entry of oldest lookup until the cap holds; the
    scan is O(size) but runs only on an over-cap settle *)
-let enforce_cap t =
+let evict_to_cap t =
   while t.ready > t.cap do
     let oldest =
       Hashtbl.fold
@@ -91,7 +91,7 @@ let settle t key e state =
   (match state with
   | Ready _ ->
       t.ready <- t.ready + 1;
-      enforce_cap t
+      evict_to_cap t
   | Pending | Failed -> Hashtbl.remove t.table key);
   Condition.broadcast t.settled;
   Mutex.unlock t.lock

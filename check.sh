@@ -52,7 +52,9 @@ grep -q "3 cell(s) reused, 7 computed" "$TMP/montageres.err" || {
 echo "== completed workflows: printed output matches the golden =="
 # MONTAGE needs bipartite completion at every size (LIGO completes one
 # small cut): the stdout of every subcommand that reads a completed
-# workflow is pinned byte for byte in test/completed_golden.txt
+# workflow is pinned byte for byte in test/completed_golden.txt, with
+# sweeps under DODIN and NORMAL (which read the 2-state DAG's expanded
+# view, MONTAGE's joins included) and MONTECARLO (its sampler)
 while read -r args; do
     echo "\$ ckptwf $args"
     $CKPTWF $args 2> /dev/null
@@ -60,6 +62,9 @@ done > "$TMP/completed_golden.txt" <<'EOF'
 generate -w montage -n 1000
 schedule -v -w montage -n 50 -p 2
 sweep --csv -w montage -n 50 -p 1
+sweep --csv -w montage -n 50 -p 4 --method dodin
+sweep --csv -w montage -n 300 -p 18 --method normal
+sweep --csv -w montage -n 50 -p 4 --method montecarlo
 evaluate -w montage -n 300 -p 18 --method dodin
 evaluate -w montage -n 300 -p 18 --method normal
 evaluate -w montage -n 300 -p 18 --method montecarlo
@@ -114,6 +119,20 @@ quantiles -w ligo -n 300 -p 35 --strategy budget-3 --trials 200
 quantiles -w ligo -n 300 -p 35 --strategy hybrid-4 --trials 200
 EOF
 diff -u test/strict_golden.txt "$TMP/strict_golden.txt"
+
+echo "== strict workflows: a sweep's cells over four domains match the golden =="
+# the LIGO n=1000 p=61 sweep has 134 superchains: at --jobs 4 its cells
+# plan through the one structure the sweep builds, from several domains
+# at once, and must print the strict golden's rows
+LIGO_SWEEP="sweep --csv -w ligo -n 1000 -p 61 --pfail 0.01"
+awk -v cmd="\$ ckptwf $LIGO_SWEEP" '$0 == cmd { f = 1; next } /^\$ / { f = 0 } f' \
+    test/strict_golden.txt > "$TMP/ligo_golden.csv"
+if [ ! -s "$TMP/ligo_golden.csv" ]; then
+    echo "FAIL: test/strict_golden.txt has no rows for: $LIGO_SWEEP" >&2
+    exit 1
+fi
+$CKPTWF $LIGO_SWEEP --jobs 4 > "$TMP/ligo_jobs4.csv"
+diff -u "$TMP/ligo_golden.csv" "$TMP/ligo_jobs4.csv"
 
 echo "== journal keys tell apart knob values that agree to six digits =="
 # a resume at a nearby pfail (sweep) or ccr (degrade) must recompute,

@@ -721,6 +721,101 @@ let test_assembly_references () =
       | exception Invalid_argument _ -> ())
     assembly_kinds
 
+(* --- one shared structure across a sweep grid ---------------------- *)
+
+(* A sweep plans every cell of its (pfail, CCR) grid through one
+   structure built once from the raw DAG and its schedule. Every kind,
+   at replicas 1 and 2, planned that way over a grid visited in
+   shuffled order — so that consecutive cells of one kind both keep
+   and change their checkpoint positions — must be bit for bit the
+   plan a fresh [prepare] of the cell gives: positions, segment
+   prices, W_par, and the estimates of PATHAPPROX, NORMAL, DODIN and
+   a 200-trial MONTECARLO (DODIN at a support cap of 16, which keeps
+   the case quick and reads the same expanded view as any cap). Planning
+   the grid over four domains through one shared structure must return
+   the sequential plans *)
+let shared_kinds =
+  Strategy.
+    [
+      Ckpt_all; Ckpt_some; Ckpt_none; Ckpt_every 3; Ckpt_budget 2; Ckpt_restart; Ckpt_hybrid 4;
+    ]
+
+let shared_methods =
+  Ckpt_eval.Evaluator.
+    [ Pathapprox; Normal; Dodin { max_support = 16 }; Montecarlo { trials = 200; seed = 3 } ]
+
+let plan_bits (p : Strategy.plan) =
+  ( Array.map
+      (fun (s : Placement.segment) ->
+        Placement.(s.chain, s.first, s.last, bits s.read, bits s.work, bits s.write))
+      p.Strategy.segments,
+    p.Strategy.segment_of_task,
+    (p.Strategy.checkpoint_count, bits p.Strategy.wpar),
+    List.map (fun m -> bits (Strategy.expected_makespan ~method_:m p)) shared_methods )
+
+(* the structure a sweep builds once and plans every cell through *)
+let shared_planner (base : Pipeline.setup) ~pfail ~ccr ~replicas kind =
+  Pipeline.plan ~replicas (Pipeline.reprice base ~pfail ~ccr) kind
+
+let shared_grid ~ccrs seed =
+  let cells =
+    Array.of_list
+      (List.concat_map (fun pfail -> List.map (fun ccr -> (pfail, ccr)) ccrs) [ 1e-2; 1e-3 ])
+  in
+  Rng.shuffle (Rng.create seed) cells;
+  cells
+
+let check_shared_structure label ~dag ~processors ~ccrs ~seed =
+  let cells = shared_grid ~ccrs seed in
+  let pfail0, ccr0 = cells.(0) in
+  let requests =
+    List.concat_map (fun kind -> List.map (fun replicas -> (kind, replicas)) [ 1; 2 ]) shared_kinds
+  in
+  let plan_cell planner (pfail, ccr) =
+    List.map (fun (kind, replicas) -> plan_bits (planner ~pfail ~ccr ~replicas kind)) requests
+  in
+  let planner = shared_planner (Pipeline.prepare ~dag ~processors ~pfail:pfail0 ~ccr:ccr0 ()) in
+  let sequential = Array.map (plan_cell planner) cells in
+  Array.iteri
+    (fun i (pfail, ccr) ->
+      let fresh = Pipeline.prepare ~dag ~processors ~pfail ~ccr () in
+      List.iter2
+        (fun (kind, replicas) got ->
+          if got <> plan_bits (Pipeline.plan ~replicas fresh kind) then
+            Alcotest.failf "%s pfail=%g ccr=%g %s replicas=%d: shared plan <> fresh plan" label
+              pfail ccr (Strategy.kind_name kind) replicas)
+        requests sequential.(i))
+    cells;
+  let planner = shared_planner (Pipeline.prepare ~dag ~processors ~pfail:pfail0 ~ccr:ccr0 ()) in
+  let parallel =
+    Ckpt_parallel.Pool.map_shared ~jobs:4 (Array.length cells) (fun i -> plan_cell planner cells.(i))
+  in
+  Array.iteri
+    (fun i (pfail, ccr) ->
+      if parallel.(i) <> sequential.(i) then
+        Alcotest.failf "%s pfail=%g ccr=%g: plans over 4 domains <> sequential plans" label pfail
+          ccr)
+    cells
+
+let test_shared_structure () =
+  let wide = [ 1e-3; 1e-2; 0.1; 0.5; 1. ] and narrow = [ 1e-3; 0.05; 1. ] in
+  List.iter
+    (fun (wf, tasks, processors, ccrs) ->
+      check_shared_structure
+        (Printf.sprintf "%s n=%d p=%d" (Spec.name wf) tasks processors)
+        ~dag:(Spec.generate wf ~seed:1 ~tasks ()) ~processors ~ccrs ~seed:tasks)
+    [
+      (Spec.Genome, 50, 4, wide); (Spec.Ligo, 50, 4, wide); (Spec.Montage, 50, 4, wide);
+      (Spec.Genome, 300, 18, narrow); (Spec.Ligo, 300, 18, narrow);
+      (Spec.Montage, 300, 18, narrow);
+    ];
+  for seed = 0 to 4 do
+    let m = Random_wf.generate ~seed:(seed + 2400) ~max_tasks:35 () in
+    check_shared_structure
+      (Printf.sprintf "random M-SPG seed %d" (seed + 2400))
+      ~dag:m.Mspg.dag ~processors:(1 + (seed mod 7)) ~ccrs:wide ~seed
+  done
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_solve_packed_matches_reference;
@@ -746,4 +841,6 @@ let suite =
       test_long_monge_chains;
     Alcotest.test_case "W_par and segment costs = Prob_dag/Hashtbl references" `Quick
       test_assembly_references;
+    Alcotest.test_case "sweep grid through one shared structure = fresh plans" `Quick
+      test_shared_structure;
   ]

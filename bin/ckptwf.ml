@@ -822,11 +822,13 @@ let default_ccrs workflow =
 
 (* One sweep cell, rendered to the exact output line. The line is what
    gets journaled, so a resumed sweep replays it verbatim. [structure]
-   yields the sweep's one recognised and scheduled setup: the cells
-   differ only in CCR, so each just reprices it. *)
+   yields the sweep's one recognised and scheduled setup and its
+   planning frame: the cells differ only in CCR, so each reprices the
+   setup and plans through the frame. *)
 let sweep_row ~csv ~dag ~processors ~pfail ~method_ ~structure ccr =
-  let setup = Pipeline.reprice (structure ()) ~pfail ~ccr in
-  let cmp = Pipeline.compare_strategies ~method_ setup in
+  let base, frame = structure () in
+  let setup = Pipeline.reprice base ~pfail ~ccr in
+  let cmp = Pipeline.compare_strategies ~method_ ~frame setup in
   if csv then
     Printf.sprintf "%s,%d,%d,%g,%g,%.4f,%.4f,%.4f,%.4f,%.4f,%d" (Dag.name dag)
       (Dag.n_tasks dag) processors pfail ccr cmp.Pipeline.em_some cmp.Pipeline.em_all
@@ -864,13 +866,16 @@ let sweep_run dax workflow tasks seed processors pfail method_ csv journal resum
     Format.printf "%-8s %6s %10s %10s %10s %8s %8s %6s@." "wf" "ccr" "EM(some)" "EM(all)"
       "EM(none)" "relALL" "relNONE" "ckpts";
   let ccrs = Array.of_list (default_ccrs workflow) in
-  (* recognition, completion and ALLOCATE depend on neither pfail nor
-     CCR: run them once, on the first cell that is computed (a fully
-     journaled resume never does), while the other cell domains wait *)
+  (* recognition, completion, ALLOCATE and the superchains'
+     flattening depend on neither pfail nor CCR: run them once, on the
+     first cell that is computed (a fully journaled resume never does),
+     while the other cell domains wait *)
   let structure =
-    let setup = Memo.create () in
+    let memo = Memo.create () in
     fun () ->
-      Memo.get setup () (fun () -> Pipeline.prepare ~dag ~processors ~pfail ~ccr:ccrs.(0) ())
+      Memo.get memo () (fun () ->
+          let setup = Pipeline.prepare ~dag ~processors ~pfail ~ccr:ccrs.(0) () in
+          (setup, Strategy.frame ~raw:setup.Pipeline.raw ~schedule:setup.Pipeline.schedule))
   in
   (* the cells themselves fan out over --jobs here; degrade, storm and
      cloud spend theirs inside each cell's trial sampler instead *)

@@ -59,8 +59,8 @@ let reprice setup ~pfail ~ccr =
   let processors = setup.schedule.Schedule.processors in
   { setup with platform = derive_platform setup.raw ~processors ~pfail ~ccr; pfail; ccr }
 
-let plan ?replicas setup kind =
-  Strategy.plan ?replicas kind ~raw:setup.raw ~schedule:setup.schedule
+let plan ?replicas ?frame setup kind =
+  Strategy.plan ?replicas ?frame kind ~raw:setup.raw ~schedule:setup.schedule
     ~platform:setup.platform
 
 type comparison = {
@@ -73,10 +73,15 @@ type comparison = {
   ckpts_all : int;
 }
 
-let compare_strategies ?method_ setup =
-  let some = plan setup Strategy.Ckpt_some in
-  let all = plan setup Strategy.Ckpt_all in
-  let none = plan setup Strategy.Ckpt_none in
+let compare_strategies ?method_ ?frame setup =
+  let frame =
+    match frame with
+    | Some f -> f
+    | None -> Strategy.frame ~raw:setup.raw ~schedule:setup.schedule
+  in
+  let some = plan ~frame setup Strategy.Ckpt_some in
+  let all = plan ~frame setup Strategy.Ckpt_all in
+  let none = plan ~frame setup Strategy.Ckpt_none in
   let em_some = Strategy.expected_makespan ?method_ some in
   let em_all = Strategy.expected_makespan ?method_ all in
   let em_none = Strategy.expected_makespan ?method_ none in

@@ -55,13 +55,18 @@ val reprice : setup -> pfail:float -> ccr:float -> setup
     completion and ALLOCATE depend on neither knob, so the result
     equals [prepare ~dag:s.raw ~pfail ~ccr] at [s]'s processor count
     and linearisation policy, and a CCR sweep recognises and schedules
-    once. The platform is always the derived homogeneous one, even
-    when [s] was prepared with a caller-built [?platform].
+    once. A repriced setup keeps [s]'s raw DAG and schedule, so one
+    {!Strategy.frame} of [s] plans every cell: a sweep keeps [s] and
+    its frame, and flattens each superchain once. The platform is
+    always the derived homogeneous one, even when [s] was prepared
+    with a caller-built [?platform].
     @raise Invalid_argument if the knobs are out of range. *)
 
-val plan : ?replicas:int -> setup -> Strategy.kind -> Strategy.plan
+val plan : ?replicas:int -> ?frame:Strategy.frame -> setup -> Strategy.kind -> Strategy.plan
 (** [replicas] (default 1) prices checkpoint commits at [k·C] — the replication
-    knob of the storage-fault extension ({!Strategy.plan}). *)
+    knob of the storage-fault extension ({!Strategy.plan}). [frame] must
+    be built from the setup's raw DAG and schedule ({!Strategy.plan});
+    a throwaway one by default. *)
 
 type comparison = {
   em_some : float;
@@ -74,7 +79,8 @@ type comparison = {
 }
 
 val compare_strategies :
-  ?method_:Ckpt_eval.Evaluator.method_ -> setup -> comparison
+  ?method_:Ckpt_eval.Evaluator.method_ -> ?frame:Strategy.frame -> setup -> comparison
 (** The paper's headline measurement: both baselines' expected
     makespans relative to CKPTSOME's, all under the same estimator
-    (default PATHAPPROX). *)
+    (default PATHAPPROX). The three plans share [frame] (a throwaway
+    one by default). *)

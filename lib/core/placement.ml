@@ -35,24 +35,36 @@ let expected_time ~lambda seg = first_order ~lambda (seg.read +. seg.work +. seg
 let consumer_outside sc ~last m =
   (not (Superchain.mem sc m)) || Superchain.position sc m > last
 
-(* One side of a flattened superchain's edges: position [k]'s edges sit
-   at [off.(k) .. off.(k+1) - 1], in Dag order, each as its file, the
-   file's size and the position of the edge's other end *)
-type edges = {
-  mutable off : int array;
-  mutable file : int array;
-  mutable size : float array;
-  mutable other : int array;
+(* A superchain flattened position by position: every task's weight
+   and initial inputs, and its out- and in-edges as the file, the
+   file's size and the position of the edge's other end. Position
+   [k]'s inputs sit at [inp_off.(k) .. inp_off.(k+1) - 1], its
+   out-edges at [out_off.(k) .. out_off.(k+1) - 1] and its in-edges at
+   [in_off.(k) .. in_off.(k+1) - 1], each in Dag order. Immutable once
+   built, so one flattening serves any number of cells and domains *)
+type flat = {
+  dag : Dag.t;
+  sc : Superchain.t;
+  weight : float array;
+  inp_off : int array;
+  inp_size : float array;
+  out_off : int array;
+  out_file : int array;
+  out_size : float array;
+  consumer : int array;  (* the consumer's position, [max_int] off the superchain *)
+  in_off : int array;
+  in_file : int array;
+  in_size : float array;
+  producer : int array;  (* the producer's position, [-1] off the superchain *)
 }
 
 (* Preallocated planning scratch, reused across the superchains of one
-   DAG. Each superchain is flattened once, position by position, into
-   the arrays below; the Algorithm-2 table and the segment pricer then
-   read nothing else. The per-row Hashtbls of the reference
-   [cost_matrix] become epoch-stamped per-file int arrays, the cost
-   matrix a packed lower-triangular float array, and the DP runs over
-   caller scratch. Every float operation happens in the same order as
-   the references, so the costs — and hence the checkpoint sets — are
+   DAG: the Algorithm-2 table and the segment pricer read a [flat] and
+   nothing else. The per-row Hashtbls of the reference [cost_matrix]
+   become epoch-stamped per-file int arrays, the cost matrix a packed
+   lower-triangular float array, and the DP runs over caller scratch.
+   Every float operation happens in the same order as the references,
+   so the costs — and hence the checkpoint sets — are
    bitwise-identical. Not shareable across domains: parallel callers
    use one arena each. *)
 type arena = {
@@ -64,20 +76,13 @@ type arena = {
   write_stamp : int array;  (* per-(j,i) escaping-file dedup *)
   mutable write_epoch : int;
   pos_stamp : int array;  (* per task: the flatten that set [pos] *)
-  pos : int array;  (* per task: its position in the flattened superchain *)
+  pos : int array;  (* per task: its position in the superchain being flattened *)
   mutable pos_epoch : int;
-  mutable flat : (Dag.t * Superchain.t) option;  (* what the arrays below hold *)
-  mutable weight : float array;  (* per position *)
-  mutable inp_off : int array;  (* position [k]'s initial inputs, in Dag order, *)
-  mutable inp_size : float array;  (* at [inp_off.(k) .. inp_off.(k+1) - 1] *)
-  outs : edges;  (* [other]: the consumer's position, [max_int] off the superchain *)
-  ins : edges;  (* [other]: the producer's position, [-1] off the superchain *)
+  mutable last : flat option;  (* the last superchain flattened through this arena *)
   mutable tri : float array;
   mutable etime : float array;
   mutable last_ckpt : int array;
 }
-
-let no_edges () = { off = [||]; file = [||]; size = [||]; other = [||] }
 
 let arena dag =
   let nf = Dag.n_files dag in
@@ -90,130 +95,142 @@ let arena dag =
     pos_stamp = Array.make (Dag.n_tasks dag) 0;
     pos = Array.make (Dag.n_tasks dag) 0;
     pos_epoch = 0;
-    flat = None;
-    weight = [||];
-    inp_off = [||];
-    inp_size = [||];
-    outs = no_edges ();
-    ins = no_edges ();
+    last = None;
     tri = [||];
     etime = [||];
     last_ckpt = [||];
   }
 
-let grow a need fill =
-  if Array.length a >= need then a
-  else begin
-    let b = Array.make (max need (2 * Array.length a)) fill in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
+let check_arena a dag =
+  if a.n_files <> Dag.n_files dag || Array.length a.pos <> Dag.n_tasks dag then
+    invalid_arg "Placement: arena built for another DAG"
 
-(* Store position [k]'s [edges] from index [first] on, the other end of
-   each at [other_of] its task; the next free index *)
-let push_edges e k first edges other_of =
-  e.off.(k) <- first;
-  let need = first + List.length edges in
-  e.file <- grow e.file need 0;
-  e.size <- grow e.size need 0.;
-  e.other <- grow e.other need 0;
-  List.fold_left
-    (fun x (t, (f : Dag.file)) ->
-      e.file.(x) <- f.Dag.file_id;
-      e.size.(x) <- f.Dag.size;
-      e.other.(x) <- other_of t;
-      x + 1)
-    first edges
-
-(* Flatten [sc] into [a], unless it already holds [sc] of [dag]. One
-   pass over the superchain's edges, O(n·d) *)
+(* One pass over the superchain's edges, O(n·d): the edge lists of
+   position [k] land at [off.(k)] on, the other end of each at
+   [other_of] its task *)
 let flatten a dag sc =
-  match a.flat with
-  | Some (d, s) when d == dag && s == sc -> ()
-  | _ ->
-      if a.n_files <> Dag.n_files dag || Array.length a.pos <> Dag.n_tasks dag then
-        invalid_arg "Placement: arena built for another DAG";
-      a.flat <- None;
-      let n = Superchain.n_tasks sc in
-      a.pos_epoch <- a.pos_epoch + 1;
-      let e = a.pos_epoch in
-      Array.iteri
-        (fun k t ->
-          a.pos_stamp.(t) <- e;
-          a.pos.(t) <- k)
-        sc.Superchain.order;
-      let producer t = if a.pos_stamp.(t) = e then a.pos.(t) else -1 in
-      let consumer t = if a.pos_stamp.(t) = e then a.pos.(t) else max_int in
-      a.weight <- grow a.weight n 0.;
-      a.inp_off <- grow a.inp_off (n + 1) 0;
-      a.outs.off <- grow a.outs.off (n + 1) 0;
-      a.ins.off <- grow a.ins.off (n + 1) 0;
-      let ni = ref 0 and no = ref 0 and nx = ref 0 in
-      for k = 0 to n - 1 do
-        let t = Superchain.task_at sc k in
-        a.weight.(k) <- Dag.weight dag t;
-        let inputs = Dag.inputs dag t in
-        a.inp_off.(k) <- !ni;
-        a.inp_size <- grow a.inp_size (!ni + List.length inputs) 0.;
-        List.iter
-          (fun size ->
-            a.inp_size.(!ni) <- size;
-            incr ni)
-          inputs;
-        no := push_edges a.outs k !no (Dag.succs dag t) consumer;
-        nx := push_edges a.ins k !nx (Dag.preds dag t) producer
-      done;
-      a.inp_off.(n) <- !ni;
-      a.outs.off.(n) <- !no;
-      a.ins.off.(n) <- !nx;
-      a.flat <- Some (dag, sc)
+  check_arena a dag;
+  let n = Superchain.n_tasks sc in
+  a.pos_epoch <- a.pos_epoch + 1;
+  let e = a.pos_epoch in
+  Array.iteri
+    (fun k t ->
+      a.pos_stamp.(t) <- e;
+      a.pos.(t) <- k)
+    sc.Superchain.order;
+  let producer t = if a.pos_stamp.(t) = e then a.pos.(t) else -1 in
+  let consumer t = if a.pos_stamp.(t) = e then a.pos.(t) else max_int in
+  let inputs = Array.init n (fun k -> Dag.inputs dag (Superchain.task_at sc k)) in
+  let outs = Array.init n (fun k -> Dag.succs dag (Superchain.task_at sc k)) in
+  let ins = Array.init n (fun k -> Dag.preds dag (Superchain.task_at sc k)) in
+  let offsets lists =
+    let off = Array.make (n + 1) 0 in
+    Array.iteri (fun k l -> off.(k + 1) <- off.(k) + List.length l) lists;
+    off
+  in
+  let inp_off = offsets inputs and out_off = offsets outs and in_off = offsets ins in
+  let inp_size = Array.make inp_off.(n) 0. in
+  Array.iteri (fun k l -> List.iteri (fun x size -> inp_size.(inp_off.(k) + x) <- size) l) inputs;
+  let side off lists other_of =
+    let file = Array.make off.(n) 0
+    and size = Array.make off.(n) 0.
+    and other = Array.make off.(n) 0 in
+    Array.iteri
+      (fun k l ->
+        List.iteri
+          (fun x (t, (f : Dag.file)) ->
+            file.(off.(k) + x) <- f.Dag.file_id;
+            size.(off.(k) + x) <- f.Dag.size;
+            other.(off.(k) + x) <- other_of t)
+          l)
+      lists;
+    (file, size, other)
+  in
+  let out_file, out_size, consumer = side out_off outs consumer in
+  let in_file, in_size, producer = side in_off ins producer in
+  {
+    dag;
+    sc;
+    weight = Array.init n (fun k -> Dag.weight dag (Superchain.task_at sc k));
+    inp_off;
+    inp_size;
+    out_off;
+    out_file;
+    out_size;
+    consumer;
+    in_off;
+    in_file;
+    in_size;
+    producer;
+  }
 
-(* The one segment pricer: per position in ascending order, its work,
-   its initial inputs, every distinct file it reads from before
-   [first] (or another superchain), then every distinct file it writes
-   for a consumer after [last] (or on another superchain) *)
-let segment_of ?arena:a ?(replicas = 1) platform dag sc ~first ~last =
-  if first < 0 || last >= Superchain.n_tasks sc || first > last then
+(* [sc] of [dag] as flattened in [a]: the arena's last flattening when
+   it holds [sc], else a fresh one *)
+let flat_of a dag sc =
+  match a.last with
+  | Some f when f.dag == dag && f.sc == sc -> f
+  | _ ->
+      let f = flatten a dag sc in
+      a.last <- Some f;
+      f
+
+(* The byte sums of segment [first..last]: per position in ascending
+   order, its work, its initial inputs, every distinct file it reads
+   from before [first] (or another superchain), then every distinct
+   file it writes for a consumer after [last] (or on another
+   superchain). R, W and C land at [out.(at)], [out.(at+1)] and
+   [out.(at+2)] *)
+let segment_bytes a f ~first ~last out at =
+  if first < 0 || last >= Array.length f.weight || first > last then
     invalid_arg "Placement.segment_of: bad range";
-  let a = match a with Some a -> a | None -> arena dag in
-  flatten a dag sc;
-  (* heterogeneous speeds: compute time is weight / speed of the
-     superchain's own processor (speed 1 is bitwise the identity) *)
-  let speed = chain_speed platform sc.Superchain.processor in
+  check_arena a f.dag;
   let read_bytes = ref 0. and write_bytes = ref 0. and work = ref 0. in
   a.read_epoch <- a.read_epoch + 1;
   let re = 2 * a.read_epoch in
   a.write_epoch <- a.write_epoch + 1;
   let we = a.write_epoch in
-  let outs = a.outs and ins = a.ins in
   for k = first to last do
-    work := !work +. a.weight.(k);
-    for x = a.inp_off.(k) to a.inp_off.(k + 1) - 1 do
-      read_bytes := !read_bytes +. a.inp_size.(x)
+    work := !work +. f.weight.(k);
+    for x = f.inp_off.(k) to f.inp_off.(k + 1) - 1 do
+      read_bytes := !read_bytes +. f.inp_size.(x)
     done;
-    for x = ins.off.(k) to ins.off.(k + 1) - 1 do
-      let f = ins.file.(x) in
-      if ins.other.(x) < first && a.read_stamp.(f) <> re then begin
-        a.read_stamp.(f) <- re;
-        read_bytes := !read_bytes +. ins.size.(x)
+    for x = f.in_off.(k) to f.in_off.(k + 1) - 1 do
+      let file = f.in_file.(x) in
+      if f.producer.(x) < first && a.read_stamp.(file) <> re then begin
+        a.read_stamp.(file) <- re;
+        read_bytes := !read_bytes +. f.in_size.(x)
       end
     done;
-    for x = outs.off.(k) to outs.off.(k + 1) - 1 do
-      let f = outs.file.(x) in
-      if outs.other.(x) > last && a.write_stamp.(f) <> we then begin
-        a.write_stamp.(f) <- we;
-        write_bytes := !write_bytes +. outs.size.(x)
+    for x = f.out_off.(k) to f.out_off.(k + 1) - 1 do
+      let file = f.out_file.(x) in
+      if f.consumer.(x) > last && a.write_stamp.(file) <> we then begin
+        a.write_stamp.(file) <- we;
+        write_bytes := !write_bytes +. f.out_size.(x)
       end
     done
   done;
+  out.(at) <- !read_bytes;
+  out.(at + 1) <- !work;
+  out.(at + 2) <- !write_bytes
+
+let price ?(replicas = 1) platform (sc : Superchain.t) ~first ~last bytes at =
+  (* heterogeneous speeds: compute time is weight / speed of the
+     superchain's own processor (speed 1 is bitwise the identity) *)
+  let speed = chain_speed platform sc.Superchain.processor in
   {
     chain = sc.Superchain.id;
     first;
     last;
-    read = Platform.io_time platform !read_bytes;
-    work = !work /. speed;
-    write = Platform.io_time platform (scale_replicas replicas !write_bytes);
+    read = Platform.io_time platform bytes.(at);
+    work = bytes.(at + 1) /. speed;
+    write = Platform.io_time platform (scale_replicas replicas bytes.(at + 2));
   }
+
+let segment_of ?arena:a ?replicas platform dag sc ~first ~last =
+  let a = match a with Some a -> a | None -> arena dag in
+  let bytes = Array.make 3 0. in
+  segment_bytes a (flat_of a dag sc) ~first ~last bytes 0;
+  price ?replicas platform sc ~first ~last bytes 0
 
 let ensure_capacity a n =
   let need = Toueg.tri_size n in
@@ -223,21 +240,22 @@ let ensure_capacity a n =
     a.last_ckpt <- Array.make n (-1)
   end
 
-(* Fill [a.tri] with the packed cost table of [sc] (cost of segment
-   [i..j] at [j*(j+1)/2 + i]); the descending-[i] sweep per [j] and
-   its in/out file bookkeeping mirror [cost_matrix] line for line,
-   over the flattened superchain *)
-let fill_cost_tri ?(replicas = 1) a platform dag sc =
-  flatten a dag sc;
+(* Fill [a.tri] with the packed cost table of the flattened superchain
+   [f] (cost of segment [i..j] at [j*(j+1)/2 + i]); the descending-[i]
+   sweep per [j] and its in/out file bookkeeping mirror [cost_matrix]
+   line for line *)
+let fill_cost_tri ?(replicas = 1) a platform f =
+  check_arena a f.dag;
+  let sc = f.sc in
   let n = Superchain.n_tasks sc in
   ensure_capacity a n;
   let lambda = Platform.rate_of platform sc.Superchain.processor in
   let speed = chain_speed platform sc.Superchain.processor in
   let tri = a.tri and read_stamp = a.read_stamp and write_stamp = a.write_stamp in
-  let weight = a.weight and inp_off = a.inp_off and inp_size = a.inp_size in
-  let out_off = a.outs.off and out_file = a.outs.file and out_size = a.outs.size in
-  let consumer = a.outs.other in
-  let in_off = a.ins.off and in_file = a.ins.file and in_size = a.ins.size in
+  let weight = f.weight and inp_off = f.inp_off and inp_size = f.inp_size in
+  let out_off = f.out_off and out_file = f.out_file and out_size = f.out_size in
+  let consumer = f.consumer in
+  let in_off = f.in_off and in_file = f.in_file and in_size = f.in_size in
   for j = 0 to n - 1 do
     let row = j * (j + 1) / 2 in
     let read_bytes = ref 0. and write_bytes = ref 0. and work = ref 0. in
@@ -338,15 +356,23 @@ let cost_matrix ?(replicas = 1) platform dag sc =
       done;
       row)
 
+let optimal_positions_flat ?arena:a ?replicas platform f =
+  let a = match a with Some a -> a | None -> arena f.dag in
+  let n = fill_cost_tri ?replicas a platform f in
+  Toueg.solve_packed ~n ~tri:a.tri ~etime:a.etime ~last_ckpt:a.last_ckpt
+
+let optimal_positions_budget_flat ?arena:a ?replicas platform f ~budget =
+  let a = match a with Some a -> a | None -> arena f.dag in
+  let n = fill_cost_tri ?replicas a platform f in
+  Toueg.solve_budget_packed ~n ~tri:a.tri ~budget
+
 let optimal_positions ?arena:a ?replicas platform dag sc =
   let a = match a with Some a -> a | None -> arena dag in
-  let n = fill_cost_tri ?replicas a platform dag sc in
-  Toueg.solve_packed ~n ~tri:a.tri ~etime:a.etime ~last_ckpt:a.last_ckpt
+  optimal_positions_flat ~arena:a ?replicas platform (flat_of a dag sc)
 
 let optimal_positions_budget ?arena:a ?replicas platform dag sc ~budget =
   let a = match a with Some a -> a | None -> arena dag in
-  let n = fill_cost_tri ?replicas a platform dag sc in
-  Toueg.solve_budget_packed ~n ~tri:a.tri ~budget
+  optimal_positions_budget_flat ~arena:a ?replicas platform (flat_of a dag sc) ~budget
 
 let periodic_positions sc ~period =
   if period < 1 then invalid_arg "Placement.periodic_positions: period < 1";
@@ -355,21 +381,28 @@ let periodic_positions sc ~period =
   let regular = collect (period - 1) [] in
   List.sort_uniq compare ((n - 1) :: regular)
 
-let segments_of_positions ?arena:a ?replicas platform dag sc ~positions =
+let check_positions sc positions =
   let n = Superchain.n_tasks sc in
   (match List.rev positions with
   | [] -> invalid_arg "Placement.segments_of_positions: no positions"
   | last :: _ ->
       if last <> n - 1 then
         invalid_arg "Placement.segments_of_positions: final position must be checkpointed");
+  ignore
+    (List.fold_left
+       (fun start p ->
+         if p < start then invalid_arg "Placement.segments_of_positions: unsorted positions"
+         else p + 1)
+       0 positions)
+
+let segments_of_positions ?arena:a ?replicas platform dag sc ~positions =
+  check_positions sc positions;
   let a = match a with Some a -> a | None -> arena dag in
   let rec cut start = function
     | [] -> []
     | p :: rest ->
-        if p < start then invalid_arg "Placement.segments_of_positions: unsorted positions"
-        else
-          segment_of ~arena:a ?replicas platform dag sc ~first:start ~last:p
-          :: cut (p + 1) rest
+        let seg = segment_of ~arena:a ?replicas platform dag sc ~first:start ~last:p in
+        seg :: cut (p + 1) rest
   in
   cut 0 positions
 

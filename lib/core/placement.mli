@@ -25,14 +25,18 @@
     The final position is always checkpointed, which removes
     crossover dependencies.
 
-    Planning runs over an {!arena}, which flattens each superchain
-    once into position-indexed arrays: every task's weight and initial
-    inputs, and its out- and in-edges as (file, size, position of the
-    other end). The Algorithm-2 table and {!segment_of}, the one
-    segment pricer, read only those arrays, with epoch-stamped
-    per-file arrays for the distinct-file rule. {!cost_matrix} and the
-    test suite's Hashtbl pricer are their references, with the same
-    float operations in the same order.
+    Planning reads each superchain {!flatten}ed into position-indexed
+    arrays: every task's weight and initial inputs, and its out- and
+    in-edges as (file, size, position of the other end). A flattening
+    holds no platform quantity, so it serves every CCR, pfail and
+    strategy: a sweep flattens each superchain once
+    ({!Strategy.frame}). The Algorithm-2 table and the one segment
+    pricer read only those arrays, with an {!arena}'s epoch-stamped
+    per-file arrays for the distinct-file rule. The pricer sums a
+    segment's bytes ({!segment_bytes}) and divides them by the
+    bandwidth ({!price}); {!cost_matrix} and the test suite's Hashtbl
+    pricer are their references, with the same float operations in the
+    same order.
 
     Every cost entry point takes [?replicas] (default 1), the k-way
     checkpoint replication factor of the storage-fault extension: a
@@ -71,17 +75,48 @@ val cost_matrix : ?replicas:int -> Platform.t -> Dag.t -> Superchain.t -> float 
     operations in the same order. *)
 
 type arena
-(** Preallocated planning scratch (the flattened superchain, packed
-    cost table, DP arrays, per-file stamp arrays), reused across the
-    superchains of one DAG. It keeps the last superchain it flattened,
-    so the DAG must not change while the arena is in use. Sharing an
-    arena across domains is a race — parallel planners use one arena
-    each. *)
+(** Preallocated planning scratch (packed cost table, DP arrays,
+    per-file and per-task stamp arrays), reused across the superchains
+    of one DAG. The entry points that take a superchain rather than a
+    {!flat} keep the last one they flattened through the arena, so the
+    DAG must not change while the arena is in use. Sharing an arena
+    across domains is a race — parallel planners use one arena each. *)
 
 val arena : Dag.t -> arena
-(** Fresh scratch sized for [dag]'s tasks and files; the flattened
-    superchain and the cost table grow on demand to the longest
-    superchain planned through it. *)
+(** Fresh scratch sized for [dag]'s tasks and files; the cost table
+    grows on demand to the longest superchain planned through it. *)
+
+type flat
+(** One superchain of one DAG, flattened. Immutable, so it can be
+    shared across cells and domains. *)
+
+val flatten : arena -> Dag.t -> Superchain.t -> flat
+(** One pass over the superchain's edges, O(n·d), with [arena]'s
+    per-task stamps as scratch.
+
+    @raise Invalid_argument if [arena] was built for another DAG. *)
+
+val segment_bytes : arena -> flat -> first:int -> last:int -> float array -> int -> unit
+(** [segment_bytes a f ~first ~last out at] stores segment
+    [first..last]'s read bytes, summed task weight and written bytes
+    at [out.(at)], [out.(at+1)] and [out.(at+2)] — the bandwidth-free
+    sums that {!segment_of} divides by the bandwidth.
+
+    @raise Invalid_argument on a bad range. *)
+
+val price :
+  ?replicas:int ->
+  Platform.t ->
+  Superchain.t ->
+  first:int ->
+  last:int ->
+  float array ->
+  int ->
+  segment
+(** [price platform sc ~first ~last bytes at]: the segment whose sums
+    {!segment_bytes} stored at [bytes.(at)] on, priced on [platform]
+    (R and [k·C] over the bandwidth, W over the superchain processor's
+    speed) — bitwise {!segment_of}. *)
 
 val segment_of :
   ?arena:arena ->
@@ -92,9 +127,10 @@ val segment_of :
   first:int ->
   last:int ->
   segment
-(** R, W and C of segment [first..last], from the superchain as
-    flattened in [arena] (a fresh one by default). Pricing many
-    segments of one superchain through one arena flattens it once. *)
+(** R, W and C of segment [first..last]: {!segment_bytes} over the
+    superchain as flattened in [arena] (a fresh one by default), then
+    {!price}. Pricing many segments of one superchain through one
+    arena flattens it once. *)
 
 val optimal_positions :
   ?arena:arena -> ?replicas:int -> Platform.t -> Dag.t -> Superchain.t -> float * int list
@@ -104,6 +140,10 @@ val optimal_positions :
     every input the result is bit for bit the one the test suite's
     reference gets from {!cost_matrix} and a closure-cost DP. Passing
     [?arena] (built from the same DAG) reuses scratch across calls. *)
+
+val optimal_positions_flat :
+  ?arena:arena -> ?replicas:int -> Platform.t -> flat -> float * int list
+(** {!optimal_positions} over a superchain already flattened. *)
 
 val optimal_positions_budget :
   ?arena:arena ->
@@ -117,6 +157,10 @@ val optimal_positions_budget :
     checkpoints in this superchain, the forced final one included.
     Runs {!Toueg.solve_budget_packed}; bit for bit the test suite's
     reference, like {!optimal_positions}. *)
+
+val optimal_positions_budget_flat :
+  ?arena:arena -> ?replicas:int -> Platform.t -> flat -> budget:int -> float * int list
+(** {!optimal_positions_budget} over a superchain already flattened. *)
 
 val periodic_positions : Superchain.t -> period:int -> int list
 (** Checkpoint after every [period]-th task plus the mandatory final
@@ -135,6 +179,12 @@ val segments_of_positions :
   segment list
 (** Cut the superchain at the given sorted positions (which must end
     at the last position) and price each segment with {!segment_of}. *)
+
+val check_positions : Superchain.t -> int list -> unit
+(** The check {!segments_of_positions} makes of its positions.
+
+    @raise Invalid_argument unless they are strictly increasing from
+    position 0 on and end at the last position. *)
 
 val every_position : Superchain.t -> int list
 (** All positions — the CKPTALL policy on this superchain. *)

@@ -15,8 +15,8 @@ let positions_of_plan (plan : Strategy.plan) =
     Superchain_map.empty
     (Strategy.checkpoint_positions plan)
 
-let rebuild (plan : Strategy.plan) positions =
-  Strategy.plan_of_positions ~replicas:plan.Strategy.replicas ~kind:plan.Strategy.kind
+let rebuild ~frame (plan : Strategy.plan) positions =
+  Strategy.plan_of_positions ~replicas:plan.Strategy.replicas ~frame ~kind:plan.Strategy.kind
     ~raw:plan.Strategy.raw_dag ~schedule:plan.Strategy.schedule
     ~platform:plan.Strategy.platform
     ~positions:(fun (sc : Superchain.t) -> Superchain_map.find sc.Superchain.id positions)
@@ -33,6 +33,9 @@ let hill_climb ?(max_rounds = 10) ?method_ (plan : Strategy.plan) =
   let current = ref plan and current_em = ref initial_em in
   let current_positions = ref (positions_of_plan plan) in
   let schedule = plan.Strategy.schedule in
+  (* every candidate differs from [plan] in its positions only: one
+     frame flattens each superchain once for the whole climb *)
+  let frame = Strategy.frame ~raw:plan.Strategy.raw_dag ~schedule in
   let rec round k =
     if k = 0 then ()
     else begin
@@ -49,7 +52,7 @@ let hill_climb ?(max_rounds = 10) ?method_ (plan : Strategy.plan) =
               Superchain_map.add id (toggle (Superchain_map.find id !current_positions) p)
                 !current_positions
             in
-            let candidate_plan = rebuild plan candidate in
+            let candidate_plan = rebuild ~frame plan candidate in
             incr evaluations;
             let candidate_em = em candidate_plan in
             match !best with

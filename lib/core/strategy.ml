@@ -21,6 +21,33 @@ let kind_name = function
   | Ckpt_restart -> "ckpt-restart"
   | Ckpt_hybrid t -> Printf.sprintf "ckpt-hybrid-%d" t
 
+(* The CCR-free part of a plan with one set of checkpoint positions,
+   for one synchronisation class: each segment's checkpoint position
+   (the key), superchain and first position, its R/W/C byte sums at
+   [bytes.(3i)], [.(3i+1)] and [.(3i+2)], the task -> segment map, and
+   the 2-state DAG's weight-free topology. Immutable *)
+type skeleton = {
+  last : int array;
+  chain : int array;
+  first : int array;
+  bytes : float array;
+  segment_of_task : int array;
+  topology : Prob_dag.topology;
+}
+
+(* What planning reads that no knob changes: every superchain
+   flattened once, and the last skeleton of each synchronisation
+   class. A slot holds an immutable skeleton and is swapped whole, so
+   domains planning through one frame at once at worst each build a
+   skeleton the other also built *)
+type frame = {
+  raw : Dag.t;
+  schedule : Schedule.t;
+  flats : Placement.flat array;  (* indexed by superchain id *)
+  completed : skeleton option Atomic.t;  (* superchain strategies: the completed graph *)
+  baseline : skeleton option Atomic.t;  (* CKPTALL: the raw workflow *)
+}
+
 type plan = {
   kind : kind;
   schedule : Schedule.t;
@@ -96,7 +123,27 @@ let parallel_time ~raw ~schedule ~platform =
     invalid_arg "Strategy.plan: a superchain order contradicts a dependency";
   !best
 
-(* Coalesce checkpointed segments into a 2-state DAG. The
+let check_tasks ~raw ~schedule =
+  if Dag.n_tasks raw <> Dag.n_tasks schedule.Schedule.dag then
+    invalid_arg "Strategy.plan: raw and scheduled DAGs disagree on tasks"
+
+let fresh_frame ~raw ~schedule =
+  check_tasks ~raw ~schedule;
+  (* like the Algorithm-2 tables, segments are priced over [raw]: the
+     completion adds only zero-size synchronisations, which change no
+     cost *)
+  let arena = Placement.arena raw in
+  {
+    raw;
+    schedule;
+    flats = Array.map (Placement.flatten arena raw) schedule.Schedule.superchains;
+    completed = Atomic.make None;
+    baseline = Atomic.make None;
+  }
+
+let frame = fresh_frame
+
+(* Coalesce the segments into a 2-state DAG's topology. The
    cross-superchain synchronisations are [raw]'s edges plus the pairs
    of [cuts]: the schedule's completed cuts give the completed graph,
    which CKPTSOME synchronises on, where the baselines pass none and
@@ -105,21 +152,13 @@ let parallel_time ~raw ~schedule ~platform =
    instead of |X|·|Y| edges; the expanded graph is the same either
    way. A cut inside a superchain never gets a join: its segment would
    reach itself through the join. *)
-let build_prob_dag ~raw ~cuts ~schedule ~platform ~segments ~segment_of_task =
+let build_topology ~raw ~cuts ~schedule ~chain ~segment_of_task =
   let pd = Prob_dag.create () in
-  Array.iter
-    (fun (seg : Placement.segment) ->
-      let sc = schedule.Schedule.superchains.(seg.Placement.chain) in
-      let lambda = Platform.rate_of platform sc.Superchain.processor in
-      let s = seg.Placement.read +. seg.Placement.work +. seg.Placement.write in
-      let pfail = Float.min 1. (lambda *. s) in
-      ignore (Prob_dag.add_node pd ~base:s ~degraded:(1.5 *. s) ~pfail))
-    segments;
+  Array.iter (fun _ -> ignore (Prob_dag.add_node pd ~base:0. ~degraded:0. ~pfail:0.)) chain;
   (* serialisation: the segments come chain by chain in position
      order, so each follows the one before it on its chain *)
-  for idx = 1 to Array.length segments - 1 do
-    if segments.(idx).Placement.chain = segments.(idx - 1).Placement.chain then
-      Prob_dag.add_edge pd (idx - 1) idx
+  for idx = 1 to Array.length chain - 1 do
+    if chain.(idx) = chain.(idx - 1) then Prob_dag.add_edge pd (idx - 1) idx
   done;
   let chain_of = schedule.Schedule.chain_of_task in
   let seg u = segment_of_task.(u) in
@@ -148,70 +187,141 @@ let build_prob_dag ~raw ~cuts ~schedule ~platform ~segments ~segment_of_task =
       (fun v -> if not (sink_join.(u) >= 0 && sink_join.(u) = source_join.(v)) then cross u v)
       (Dag.succ_ids raw u)
   done;
-  pd
+  Prob_dag.topology pd
 
-(* [positions arena sc]: the checkpoint positions of superchain [sc],
-   found through [arena] *)
-let assemble ~replicas ~kind ~raw ~schedule ~platform ~positions =
+(* The skeleton of the segments ending at [last], chain by chain *)
+let skeleton (frame : frame) scratch ~cuts last =
+  let superchains = frame.schedule.Schedule.superchains in
+  let nseg = Array.length last in
+  let chain = Array.make nseg 0 and first = Array.make nseg 0 in
+  let c = ref 0 and start = ref 0 in
+  for idx = 0 to nseg - 1 do
+    chain.(idx) <- !c;
+    first.(idx) <- !start;
+    if last.(idx) = Superchain.n_tasks superchains.(!c) - 1 then begin
+      incr c;
+      start := 0
+    end
+    else start := last.(idx) + 1
+  done;
+  let bytes = Array.make (3 * nseg) 0. in
+  let segment_of_task = Array.make (Dag.n_tasks frame.raw) (-1) in
+  for idx = 0 to nseg - 1 do
+    Placement.segment_bytes scratch frame.flats.(chain.(idx)) ~first:first.(idx)
+      ~last:last.(idx) bytes (3 * idx);
+    for k = first.(idx) to last.(idx) do
+      segment_of_task.(Superchain.task_at superchains.(chain.(idx)) k) <- idx
+    done
+  done;
+  {
+    last;
+    chain;
+    first;
+    bytes;
+    segment_of_task;
+    topology =
+      build_topology ~raw:frame.raw ~cuts ~schedule:frame.schedule ~chain ~segment_of_task;
+  }
+
+(* [positions scratch flat sc]: the checkpoint positions of superchain
+   [sc], flattened as [flat], found with [scratch ()] if need be *)
+let assemble ~replicas ~kind ~(frame : frame) ~platform ~positions =
   if replicas < 1 then invalid_arg "Strategy.plan: replicas < 1";
-  let dag = schedule.Schedule.dag in
-  if Dag.n_tasks raw <> Dag.n_tasks dag then
-    invalid_arg "Strategy.plan: raw and scheduled DAGs disagree on tasks";
+  let raw = frame.raw and schedule = frame.schedule in
   let wpar = parallel_time ~raw ~schedule ~platform in
-  (* independent per-superchain solves in superchain order, all through
-     one arena. Each superchain's positions and segment prices read one
-     flattening of it. Like the Algorithm-2 tables, segments are priced
-     over [raw]: the completion adds only zero-size synchronisations,
-     which change no cost *)
-  let arena = Placement.arena raw in
-  let per_chain =
-    Array.map
-      (fun sc ->
-        Placement.segments_of_positions ~arena ~replicas platform raw sc
-          ~positions:(positions arena sc))
-      schedule.Schedule.superchains
+  let superchains = schedule.Schedule.superchains in
+  let scratch =
+    let a = ref None in
+    fun () ->
+      match !a with
+      | Some a -> a
+      | None ->
+          let fresh = Placement.arena raw in
+          a := Some fresh;
+          fresh
   in
-  let segments = Array.of_list (List.concat (Array.to_list per_chain)) in
-  let segment_of_task = Array.make (Dag.n_tasks dag) (-1) in
-  Array.iteri
-    (fun idx (seg : Placement.segment) ->
-      let sc = schedule.Schedule.superchains.(seg.Placement.chain) in
-      for k = seg.Placement.first to seg.Placement.last do
-        segment_of_task.(Superchain.task_at sc k) <- idx
-      done)
-    segments;
-  let cuts =
+  (* independent per-superchain solves in superchain order, their
+     positions concatenated: the skeleton's key *)
+  let per_chain =
+    Array.mapi
+      (fun c sc ->
+        let p = positions scratch frame.flats.(c) sc in
+        Placement.check_positions sc p;
+        p)
+      superchains
+  in
+  let last = Array.of_list (List.concat (Array.to_list per_chain)) in
+  let slot, cuts =
     (* superchain-structured strategies rely on the completed graph's
        synchronisations; CKPTALL is a baseline on the raw workflow *)
     match kind with
     | Ckpt_some | Ckpt_every _ | Ckpt_budget _ | Ckpt_restart | Ckpt_hybrid _ ->
-        schedule.Schedule.completion
-    | Ckpt_all | Ckpt_none -> []
+        (frame.completed, schedule.Schedule.completion)
+    | Ckpt_all | Ckpt_none -> (frame.baseline, [])
   in
-  let pd = build_prob_dag ~raw ~cuts ~schedule ~platform ~segments ~segment_of_task in
+  let sk =
+    match Atomic.get slot with
+    | Some sk when sk.last = last -> sk
+    | _ ->
+        let sk = skeleton frame (scratch ()) ~cuts last in
+        Atomic.set slot (Some sk);
+        sk
+  in
+  (* the platform's part: each segment priced from its byte sums, and
+     Eq. 2's node weights at its processor's rate *)
+  let segments =
+    Array.mapi
+      (fun idx c ->
+        Placement.price ~replicas platform superchains.(c) ~first:sk.first.(idx)
+          ~last:sk.last.(idx) sk.bytes (3 * idx))
+      sk.chain
+  in
+  let nseg = Array.length segments in
+  let base = Array.make nseg 0. and degraded = Array.make nseg 0. and pfail = Array.make nseg 0. in
+  Array.iteri
+    (fun idx (seg : Placement.segment) ->
+      let sc = superchains.(seg.Placement.chain) in
+      let lambda = Platform.rate_of platform sc.Superchain.processor in
+      let s = seg.Placement.read +. seg.Placement.work +. seg.Placement.write in
+      base.(idx) <- s;
+      degraded.(idx) <- 1.5 *. s;
+      pfail.(idx) <- Float.min 1. (lambda *. s))
+    segments;
   {
     kind;
     schedule;
     raw_dag = raw;
     platform;
     segments;
-    segment_of_task;
-    prob_dag = Some pd;
+    segment_of_task = sk.segment_of_task;
+    prob_dag = Some (Prob_dag.reweight sk.topology ~base ~degraded ~pfail);
     wpar;
-    checkpoint_count = Array.length segments;
+    checkpoint_count = nseg;
     replicas;
   }
 
-let plan_of_positions ?(replicas = 1) ~kind ~raw ~schedule ~platform ~positions () =
-  assemble ~replicas ~kind ~raw ~schedule ~platform ~positions:(fun _ sc -> positions sc)
+let check_frame f ~raw ~schedule =
+  if f.raw != raw || f.schedule != schedule then
+    invalid_arg "Strategy.plan: frame built for another workflow or schedule"
 
-let plan ?(replicas = 1) kind ~raw ~schedule ~platform =
+(* the caller's frame, or a throwaway one *)
+let frame_for ?frame ~raw ~schedule () =
+  match frame with
+  | None -> fresh_frame ~raw ~schedule
+  | Some f ->
+      check_frame f ~raw ~schedule;
+      f
+
+let plan_of_positions ?(replicas = 1) ?frame ~kind ~raw ~schedule ~platform ~positions () =
+  let frame = frame_for ?frame ~raw ~schedule () in
+  assemble ~replicas ~kind ~frame ~platform ~positions:(fun _ _ sc -> positions sc)
+
+let plan ?(replicas = 1) ?frame kind ~raw ~schedule ~platform =
   if replicas < 1 then invalid_arg "Strategy.plan: replicas < 1";
-  let dag = schedule.Schedule.dag in
   match kind with
   | Ckpt_none ->
-      if Dag.n_tasks raw <> Dag.n_tasks dag then
-        invalid_arg "Strategy.plan: raw and scheduled DAGs disagree on tasks";
+      Option.iter (fun f -> check_frame f ~raw ~schedule) frame;
+      check_tasks ~raw ~schedule;
       let wpar = parallel_time ~raw ~schedule ~platform in
       {
         kind;
@@ -219,19 +329,25 @@ let plan ?(replicas = 1) kind ~raw ~schedule ~platform =
         raw_dag = raw;
         platform;
         segments = [||];
-        segment_of_task = Array.make (Dag.n_tasks dag) (-1);
+        segment_of_task = Array.make (Dag.n_tasks schedule.Schedule.dag) (-1);
         prob_dag = None;
         wpar;
         checkpoint_count = 0;
         replicas;
       }
   | Ckpt_all | Ckpt_some | Ckpt_every _ | Ckpt_budget _ | Ckpt_restart | Ckpt_hybrid _ ->
-      let positions arena (sc : Superchain.t) =
+      let frame = frame_for ?frame ~raw ~schedule () in
+      let positions scratch flat (sc : Superchain.t) =
+        let optimal () =
+          snd (Placement.optimal_positions_flat ~arena:(scratch ()) ~replicas platform flat)
+        in
         match kind with
         | Ckpt_all -> Placement.every_position sc
         | Ckpt_every period -> Placement.periodic_positions sc ~period
         | Ckpt_budget budget ->
-            snd (Placement.optimal_positions_budget ~arena ~replicas platform raw sc ~budget)
+            snd
+              (Placement.optimal_positions_budget_flat ~arena:(scratch ()) ~replicas platform
+                 flat ~budget)
         (* RESTART: no checkpoint inside the superchain — a failure
            re-executes from the last natural boundary (the previous
            superchain's forced final checkpoint), i.e. one segment
@@ -242,12 +358,10 @@ let plan ?(replicas = 1) kind ~raw ~schedule ~platform =
            pay checkpoint I/O only where a restart would forfeit a lot
            of work *)
         | Ckpt_hybrid threshold ->
-            if Superchain.n_tasks sc <= threshold then [ Superchain.n_tasks sc - 1 ]
-            else snd (Placement.optimal_positions ~arena ~replicas platform raw sc)
-        | Ckpt_some | Ckpt_none ->
-            snd (Placement.optimal_positions ~arena ~replicas platform raw sc)
+            if Superchain.n_tasks sc <= threshold then [ Superchain.n_tasks sc - 1 ] else optimal ()
+        | Ckpt_some | Ckpt_none -> optimal ()
       in
-      assemble ~replicas ~kind ~raw ~schedule ~platform ~positions
+      assemble ~replicas ~kind ~frame ~platform ~positions
 
 let restart_rate plan =
   let used = Hashtbl.create 16 in

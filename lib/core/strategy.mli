@@ -21,13 +21,23 @@
     superchain synchronises through one join node
     ({!Ckpt_eval.Prob_dag.add_join}) instead of a pair per dummy.
 
-    Assembly runs over flat arrays. W_par is one Kahn sweep over the
-    schedule's CSR view of the raw edges ({!Schedule.t.csr}) plus each
-    superchain's serialisation, relaxing max-plus distances as it
-    pops. Each superchain is flattened once into a {!Placement.arena},
-    and its Algorithm-2 table and segment prices read only that. The
-    test suite keeps a [Prob_dag]-built W_par and a Hashtbl segment
-    pricer as bit-for-bit references. *)
+    Assembly runs over flat arrays and splits a plan in two. What no
+    knob changes lives in a {!frame}: every superchain flattened once
+    ({!Placement.flatten}), and for each synchronisation class
+    (superchain strategies, CKPTALL) the last plan {e skeleton}, keyed
+    by its checkpoint positions — each segment's R/W/C byte sums, the
+    task→segment map and the 2-state DAG's topology. A plan computes
+    only what the platform changes: its positions (Algorithm 2 reads
+    the flattening), the segment prices and node weights on the
+    skeleton's topology ({!Ckpt_eval.Prob_dag.reweight}), and W_par —
+    one Kahn sweep over the schedule's CSR view of the raw edges
+    ({!Schedule.t.csr}) plus each superchain's serialisation, relaxing
+    max-plus distances as it pops. A CCR sweep plans every cell
+    through one frame, so it flattens each superchain once and
+    rebuilds a skeleton only when the positions change; every other
+    plan builds a throwaway frame, through the same code. The test
+    suite keeps a [Prob_dag]-built W_par and a Hashtbl segment pricer
+    as bit-for-bit references. *)
 
 module Dag = Ckpt_dag.Dag
 module Platform = Ckpt_platform.Platform
@@ -70,8 +80,24 @@ type plan = private {
   replicas : int;  (** k-way checkpoint replication the plan was priced with *)
 }
 
+type frame
+(** The planning structure of one raw DAG and its schedule that no
+    knob changes: the flattened superchains and the last skeleton of
+    each synchronisation class. Safe to share across domains: the
+    flattenings are immutable, and each skeleton slot is swapped
+    atomically, so domains that miss one at once each build it. *)
+
+val frame : raw:Dag.t -> schedule:Schedule.t -> frame
+(** Flatten every superchain of [schedule] over [raw]'s files. Keep a
+    frame for as long as plans of that pair are made — a sweep's cells
+    — and no longer: caches that outlive a request (serve's) hold
+    setups and plans, never frames.
+
+    @raise Invalid_argument if the two DAGs disagree on tasks. *)
+
 val plan :
   ?replicas:int ->
+  ?frame:frame ->
   kind ->
   raw:Dag.t ->
   schedule:Schedule.t ->
@@ -89,12 +115,16 @@ val plan :
     (default 1) prices every checkpoint commit at [k·C]
     ({!Placement}); the optimal positions are re-derived under that
     cost, so a replicated CKPTSOME plan may checkpoint less often.
+    [frame] (a throwaway one by default) must be built from [raw] and
+    [schedule]; the plan is bitwise the same with or without it.
 
     @raise Invalid_argument if a superchain order runs a task before
-    one of its dependencies. *)
+    one of its dependencies, or [frame] was built from another DAG or
+    schedule. *)
 
 val plan_of_positions :
   ?replicas:int ->
+  ?frame:frame ->
   kind:kind ->
   raw:Dag.t ->
   schedule:Schedule.t ->
@@ -107,7 +137,7 @@ val plan_of_positions :
     over [raw] as in {!plan}. [kind] labels the plan and selects the
     dependency graph (superchain strategies synchronise on the
     completed graph). Used by {!Refine} for position-set local
-    search. *)
+    search, through one frame. *)
 
 val expected_makespan : ?method_:Ckpt_eval.Evaluator.method_ -> plan -> float
 (** Default estimator: PATHAPPROX (the paper's choice). A CKPTNONE

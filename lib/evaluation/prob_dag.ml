@@ -3,68 +3,107 @@ module Dist = Ckpt_prob.Dist
 
 type node = { base : float; degraded : float; pfail : float }
 
-(* The frozen form: flat CSR adjacency, node fields in unboxed float
-   arrays, and the topological order computed once. Immutable after
-   construction, so one compiled graph can be shared read-only by any
-   number of worker domains. Join nodes (see [add_join]) take the ids
-   [nodes .. cn - 1], after every real node, with zero durations and
-   pfail 0. *)
-type compiled = {
+(* The frozen structure: flat CSR adjacency and the topological order
+   computed once, with no node weights. Join nodes (see [add_join])
+   take the ids [nodes .. cn - 1], after every real node. *)
+type graph = {
   cn : int;
   nodes : int;  (* real nodes; [cn - nodes] joins follow *)
-  base : float array;
-  degraded : float array;
-  pfail : float array;
   succ_off : int array;  (* length cn + 1 *)
   succ_tgt : int array;
   pred_off : int array;  (* length cn + 1 *)
   pred_tgt : int array;
+  topo : int array;  (* [||] when the graph is cyclic *)
+  acyclic : bool;
+}
+
+(* The joined graph and its expanded view (every join replaced by the
+   direct edges it stands for), which is derived from the joined graph
+   on first use. Shared by every graph reweighted onto it, from any
+   domain: two domains that derive the view at once store equal
+   graphs, so a race only repeats the work. *)
+type topology = { joined : graph; expanded : graph option Atomic.t }
+
+(* The frozen form: a topology plus the node fields in unboxed float
+   arrays of length [cn], joins at 0. Immutable after construction, so
+   one compiled graph can be shared read-only by any number of worker
+   domains. *)
+type compiled = {
+  top : topology;
+  base : float array;
+  degraded : float array;
+  pfail : float array;
   (* ceil (pfail * 2^53): [Rng.stream_bits53 < pthresh.(i)] is exactly
      [Rng.stream_uniform < pfail.(i)], as an immediate-int compare *)
   pthresh : int array;
-  topo : int array;  (* [||] when the graph is cyclic *)
-  acyclic : bool;
 }
 
 (* Per-domain scratch: one duration and one longest-path buffer, reused
    across samples so steady-state sampling allocates nothing. *)
 type sampler = { graph : compiled; dur : float array; dist : float array }
 
-type entry = { nd : node; mutable out_ : int list }
-
+(* A builder holds its nodes in [base]/[degraded]/[pfail] (capacity
+   grows by doubling) and its edges as successor lists; a reweighted
+   graph ([frozen]) holds its compiled form and no edge list. *)
 type t = {
-  mutable entries : entry array;
   mutable n : int;
+  mutable base : float array;
+  mutable degraded : float array;
+  mutable pfail : float array;
+  mutable out_ : int list array;
   mutable joins : (int list * int list) list;  (* newest first *)
   mutable n_joins : int;
   mutable cache : compiled option;  (* the graph with its join nodes *)
-  mutable view : compiled option;  (* real nodes only, joins expanded *)
   mutable own : sampler option;  (* lazy scratch backing the legacy [sample] *)
+  frozen : bool;
 }
 
 let create () =
-  { entries = [||]; n = 0; joins = []; n_joins = 0; cache = None; view = None; own = None }
+  {
+    n = 0;
+    base = [||];
+    degraded = [||];
+    pfail = [||];
+    out_ = [||];
+    joins = [];
+    n_joins = 0;
+    cache = None;
+    own = None;
+    frozen = false;
+  }
 
-let invalidate t =
+let mutate t fn =
+  if t.frozen then invalid_arg (Printf.sprintf "Prob_dag.%s: a reweighted graph is frozen" fn);
   t.cache <- None;
-  t.view <- None;
   t.own <- None
 
+let check_node fn ~base ~degraded ~pfail =
+  if base < 0. || degraded < base then
+    invalid_arg (Printf.sprintf "Prob_dag.%s: need 0 <= base <= degraded" fn);
+  if pfail < 0. || pfail > 1. then invalid_arg (Printf.sprintf "Prob_dag.%s: pfail not in [0,1]" fn)
+
+let grow a cap fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let add_node t ~base ~degraded ~pfail =
-  if base < 0. || degraded < base then invalid_arg "Prob_dag.add_node: need 0 <= base <= degraded";
-  if pfail < 0. || pfail > 1. then invalid_arg "Prob_dag.add_node: pfail not in [0,1]";
-  let cap = Array.length t.entries in
+  check_node "add_node" ~base ~degraded ~pfail;
+  mutate t "add_node";
+  let cap = Array.length t.base in
   if t.n = cap then begin
-    let fresh =
-      Array.make (max 8 (2 * cap)) { nd = { base = 0.; degraded = 0.; pfail = 0. }; out_ = [] }
-    in
-    Array.blit t.entries 0 fresh 0 t.n;
-    t.entries <- fresh
+    let cap = max 8 (2 * cap) in
+    t.base <- grow t.base cap 0.;
+    t.degraded <- grow t.degraded cap 0.;
+    t.pfail <- grow t.pfail cap 0.;
+    t.out_ <- grow t.out_ cap []
   end;
   let id = t.n in
-  t.entries.(id) <- { nd = { base; degraded; pfail }; out_ = [] };
+  t.base.(id) <- base;
+  t.degraded.(id) <- degraded;
+  t.pfail.(id) <- pfail;
+  t.out_.(id) <- [];
   t.n <- t.n + 1;
-  invalidate t;
   id
 
 let check t i fn =
@@ -74,26 +113,26 @@ let add_edge t u v =
   check t u "add_edge";
   check t v "add_edge";
   if u = v then invalid_arg "Prob_dag.add_edge: self-loop";
+  mutate t "add_edge";
   (* duplicates are accepted in O(1) here and removed once at compile
      time (sort + unique on the CSR rows), instead of a List.mem scan
      that made bulk edge insertion quadratic in the degree *)
-  t.entries.(u).out_ <- v :: t.entries.(u).out_;
-  invalidate t
+  t.out_.(u) <- v :: t.out_.(u)
 
 let add_join t preds succs =
   List.iter (fun u -> check t u "add_join") preds;
   List.iter (fun v -> check t v "add_join") succs;
   if preds = [] || succs = [] then invalid_arg "Prob_dag.add_join: empty side";
+  mutate t "add_join";
   t.joins <- (preds, succs) :: t.joins;
-  t.n_joins <- t.n_joins + 1;
-  invalidate t
+  t.n_joins <- t.n_joins + 1
 
 let n_nodes t = t.n
 let n_joins t = t.n_joins
 
 let node t i =
   check t i "node";
-  t.entries.(i).nd
+  { base = t.base.(i); degraded = t.degraded.(i); pfail = t.pfail.(i) }
 
 (* sort the int subarray [a.(lo) .. a.(hi-1)] ascending (compile-time
    only; allocation here is irrelevant). [Int.compare], not the
@@ -109,16 +148,9 @@ let sort_range a lo hi =
 
 (* CSR form of the [cn]-node graph with successor lists [out]: rows
    sorted and deduplicated, predecessors derived, Kahn order cached.
-   Nodes [nodes .. cn - 1] are joins, with zero durations and pfail 0. *)
-let freeze t ~cn out =
+   Nodes [nodes .. cn - 1] are joins. *)
+let freeze ~cn ~nodes out =
   let n = cn in
-  let base = Array.make n 0. and degraded = Array.make n 0. and pfail = Array.make n 0. in
-  for i = 0 to t.n - 1 do
-    let nd = t.entries.(i).nd in
-    base.(i) <- nd.base;
-    degraded.(i) <- nd.degraded;
-    pfail.(i) <- nd.pfail
-  done;
   (* raw CSR, duplicates still present *)
   let raw_off = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
@@ -199,14 +231,9 @@ let freeze t ~cn out =
   in
   drain ();
   let acyclic = !k = n in
-  let pthresh = Array.init n (fun i -> int_of_float (Float.ceil (pfail.(i) *. 0x1p53))) in
   {
     cn = n;
-    nodes = t.n;
-    base;
-    degraded;
-    pfail;
-    pthresh;
+    nodes;
     succ_off;
     succ_tgt;
     pred_off;
@@ -215,6 +242,15 @@ let freeze t ~cn out =
     acyclic;
   }
 
+let topology_of joined = { joined; expanded = Atomic.make None }
+
+(* The node fields at [cn] entries, joins at 0 *)
+let weigh top ~base ~degraded ~pfail =
+  let pthresh =
+    Array.init top.joined.cn (fun i -> int_of_float (Float.ceil (pfail.(i) *. 0x1p53)))
+  in
+  { top; base; degraded; pfail; pthresh }
+
 let compile t =
   match t.cache with
   | Some c -> c
@@ -222,39 +258,77 @@ let compile t =
       (* join [k] (in insertion order) is node [t.n + k] *)
       let cn = t.n + t.n_joins in
       let out = Array.make cn [] in
-      for i = 0 to t.n - 1 do
-        out.(i) <- t.entries.(i).out_
-      done;
+      Array.blit t.out_ 0 out 0 t.n;
       List.iteri
         (fun r (preds, succs) ->
           let j = cn - 1 - r in
           List.iter (fun u -> out.(u) <- j :: out.(u)) preds;
           out.(j) <- succs)
         t.joins;
-      let c = freeze t ~cn out in
+      let sized a = Array.init cn (fun i -> if i < t.n then a.(i) else 0.) in
+      let c =
+        weigh
+          (topology_of (freeze ~cn ~nodes:t.n out))
+          ~base:(sized t.base) ~degraded:(sized t.degraded) ~pfail:(sized t.pfail)
+      in
       t.cache <- Some c;
       c
 
 (* The real nodes with every join expanded into direct edges from its
    predecessors to its successors: the graph the node-level API
-   ([succs], [preds], [topological_order]) describes. *)
-let expanded t =
-  match t.view with
-  | Some c -> c
-  | None ->
-      let c =
-        if t.n_joins = 0 then compile t
-        else begin
-          let out = Array.init t.n (fun i -> t.entries.(i).out_) in
-          List.iter
-            (fun (preds, succs) ->
-              List.iter (fun u -> out.(u) <- List.rev_append succs out.(u)) preds)
-            t.joins;
-          freeze t ~cn:t.n out
-        end
-      in
-      t.view <- Some c;
-      c
+   ([succs], [preds], [topological_order]) describes. Derived from the
+   joined graph alone, whose rows hold the same edge sets as the
+   builder's lists once sorted and deduplicated, so it is the same
+   graph whether the joined one was built or reweighted. *)
+let expanded_graph top =
+  let g = top.joined in
+  if g.cn = g.nodes then g
+  else
+    match Atomic.get top.expanded with
+    | Some e -> e
+    | None ->
+        let out =
+          Array.init g.nodes (fun u ->
+              let acc = ref [] in
+              for x = g.succ_off.(u) to g.succ_off.(u + 1) - 1 do
+                let v = g.succ_tgt.(x) in
+                if v < g.nodes then acc := v :: !acc
+                else
+                  for y = g.succ_off.(v) to g.succ_off.(v + 1) - 1 do
+                    acc := g.succ_tgt.(y) :: !acc
+                  done
+              done;
+              !acc)
+        in
+        let e = freeze ~cn:g.nodes ~nodes:g.nodes out in
+        Atomic.set top.expanded (Some e);
+        e
+
+let expanded t = expanded_graph (compile t).top
+
+let topology t = (compile t).top
+
+let reweight top ~base ~degraded ~pfail =
+  let n = top.joined.nodes and cn = top.joined.cn in
+  if Array.length base <> n || Array.length degraded <> n || Array.length pfail <> n then
+    invalid_arg "Prob_dag.reweight: one weight per real node";
+  for i = 0 to n - 1 do
+    check_node "reweight" ~base:base.(i) ~degraded:degraded.(i) ~pfail:pfail.(i)
+  done;
+  let sized a = if cn = n then a else Array.init cn (fun i -> if i < n then a.(i) else 0.) in
+  let base = sized base and degraded = sized degraded and pfail = sized pfail in
+  {
+    n;
+    base;
+    degraded;
+    pfail;
+    out_ = [||];
+    joins = [];
+    n_joins = cn - n;
+    cache = Some (weigh top ~base ~degraded ~pfail);
+    own = None;
+    frozen = true;
+  }
 
 let row_to_list off tgt i =
   let acc = ref [] in
@@ -265,37 +339,37 @@ let row_to_list off tgt i =
 
 let succs t i =
   check t i "succs";
-  let c = expanded t in
-  row_to_list c.succ_off c.succ_tgt i
+  let g = expanded t in
+  row_to_list g.succ_off g.succ_tgt i
 
 let preds t i =
   check t i "preds";
-  let c = expanded t in
-  row_to_list c.pred_off c.pred_tgt i
+  let g = expanded t in
+  row_to_list g.pred_off g.pred_tgt i
 
-let require_acyclic c fn =
-  if not c.acyclic then invalid_arg (Printf.sprintf "Prob_dag.%s: cycle" fn)
+let require_acyclic g fn =
+  if not g.acyclic then invalid_arg (Printf.sprintf "Prob_dag.%s: cycle" fn)
 
 let topological_order t =
-  let c = expanded t in
-  require_acyclic c "topological_order";
-  Array.copy c.topo
+  let g = expanded t in
+  require_acyclic g "topological_order";
+  Array.copy g.topo
 
 let expected_work t =
   let acc = ref 0. in
   for i = 0 to t.n - 1 do
-    let nd = t.entries.(i).nd in
-    acc := !acc +. ((1. -. nd.pfail) *. nd.base) +. (nd.pfail *. nd.degraded)
+    let pfail = t.pfail.(i) in
+    acc := !acc +. ((1. -. pfail) *. t.base.(i)) +. (pfail *. t.degraded.(i))
   done;
   !acc
 
-(* longest path over the compiled form with per-node durations in
-   [dur]; [dist] is caller-provided scratch and is overwritten *)
-let longest_path_dur c ~dist ~dur =
-  let n = c.cn in
+(* longest path over the graph [g] with per-node durations in [dur];
+   [dist] is caller-provided scratch and is overwritten *)
+let longest_path_dur g ~dist ~dur =
+  let n = g.cn in
   Array.fill dist 0 n 0.;
   let best = ref 0. in
-  let topo = c.topo and off = c.succ_off and tgt = c.succ_tgt in
+  let topo = g.topo and off = g.succ_off and tgt = g.succ_tgt in
   for k = 0 to n - 1 do
     let u = Array.unsafe_get topo k in
     let d = Array.unsafe_get dist u +. Array.unsafe_get dur u in
@@ -308,12 +382,12 @@ let longest_path_dur c ~dist ~dur =
   !best
 
 let longest_path_with t f =
-  let c = compile t in
-  require_acyclic c "longest_path_with";
-  let n = c.cn and nodes = c.nodes in
+  let g = (compile t).top.joined in
+  require_acyclic g "longest_path_with";
+  let n = g.cn and nodes = g.nodes in
   let dist = Array.make (max 1 n) 0. in
   let best = ref 0. in
-  let topo = c.topo and off = c.succ_off and tgt = c.succ_tgt in
+  let topo = g.topo and off = g.succ_off and tgt = g.succ_tgt in
   for k = 0 to n - 1 do
     let u = Array.unsafe_get topo k in
     (* a join lasts 0, and [d +. 0.] is [d] for every [d >= +0.] *)
@@ -328,10 +402,11 @@ let longest_path_with t f =
 
 let base_paths t =
   let c = compile t in
-  require_acyclic c "base_paths";
-  let n = c.cn in
+  let g = c.top.joined in
+  require_acyclic g "base_paths";
+  let n = g.cn in
   let top = Array.make n 0. and bottom = Array.make n 0. in
-  let topo = c.topo and off = c.succ_off and tgt = c.succ_tgt and base = c.base in
+  let topo = g.topo and off = g.succ_off and tgt = g.succ_tgt and base = c.base in
   for k = 0 to n - 1 do
     let u = topo.(k) in
     let d = top.(u) +. base.(u) in
@@ -348,20 +423,22 @@ let base_paths t =
       if d > bottom.(u) then bottom.(u) <- d
     done
   done;
-  (Array.sub top 0 c.nodes, Array.sub bottom 0 c.nodes)
+  (Array.sub top 0 g.nodes, Array.sub bottom 0 g.nodes)
 
 let deterministic_makespan t =
   let c = compile t in
-  require_acyclic c "deterministic_makespan";
-  longest_path_dur c ~dist:(Array.make (max 1 c.cn) 0.) ~dur:c.base
+  let g = c.top.joined in
+  require_acyclic g "deterministic_makespan";
+  longest_path_dur g ~dist:(Array.make (max 1 g.cn) 0.) ~dur:c.base
 
 let sampler c =
-  require_acyclic c "sampler";
-  { graph = c; dur = Array.make (max 1 c.cn) 0.; dist = Array.make (max 1 c.cn) 0. }
+  let g = c.top.joined in
+  require_acyclic g "sampler";
+  { graph = c; dur = Array.make (max 1 g.cn) 0.; dist = Array.make (max 1 g.cn) 0. }
 
 let sample_with s rng =
   let c = s.graph in
-  let n = c.cn in
+  let n = c.top.joined.cn in
   let dur = s.dur and pthresh = c.pthresh and base = c.base and degraded = c.degraded in
   (* node states come from a native-int bulk stream ([rng] only seeds
      it), drawn in node-id order — one draw per node with pfail > 0 —
@@ -376,7 +453,7 @@ let sample_with s rng =
       (if th > 0 && Rng.stream_bits53 st < th then Array.unsafe_get degraded i
        else Array.unsafe_get base i)
   done;
-  longest_path_dur c ~dist:s.dist ~dur
+  longest_path_dur c.top.joined ~dist:s.dist ~dur
 
 let sample t rng =
   let s =

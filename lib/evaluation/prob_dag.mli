@@ -17,6 +17,9 @@
     {!sample}, ...) goes through; it is (re)built lazily after
     mutations. Compiling also deduplicates parallel edges, so
     {!add_edge} is O(1) instead of scanning the successor list.
+    The weight-free part of the compiled form is a {!topology}, which
+    {!reweight} turns back into a graph at other node weights without
+    rebuilding anything.
 
     {b Join nodes.} {!add_join} synchronises a set of nodes on another
     through one zero-duration node instead of every pair: a bipartite
@@ -33,8 +36,10 @@
       {!topological_order}, {!dist_of_node} — has the real nodes only,
       each join replaced by the direct edges it stands for. Estimators
       whose arithmetic is not max-exact (DODIN's compaction, NORMAL's
-      Clark fold) and per-node consumers read this view. It is built
-      on first use and cached. *)
+      Clark fold) and per-node consumers read this view. It is
+      derived from the joined graph on first use and cached in its
+      {!topology}, so every graph reweighted onto one topology shares
+      it. *)
 
 type node = { base : float; degraded : float; pfail : float }
 
@@ -44,18 +49,19 @@ val create : unit -> t
 
 val add_node : t -> base:float -> degraded:float -> pfail:float -> int
 (** @raise Invalid_argument unless [0 <= base <= degraded] and
-    [0 <= pfail <= 1]. *)
+    [0 <= pfail <= 1], or on a reweighted graph. *)
 
 val add_edge : t -> int -> int -> unit
 (** O(1); duplicate edges are removed at compile time (they are
     semantically idempotent for longest paths). @raise Invalid_argument
-    on unknown endpoints or self-loops. *)
+    on unknown endpoints, self-loops or a reweighted graph. *)
 
 val add_join : t -> int list -> int list -> unit
 (** [add_join t preds succs]: every node of [succs] waits for every
     node of [preds], through one join node. The expanded view gets the
     edges [u -> v] for [u] in [preds] and [v] in [succs].
-    @raise Invalid_argument on unknown nodes or an empty side. *)
+    @raise Invalid_argument on unknown nodes, an empty side or a
+    reweighted graph. *)
 
 val n_nodes : t -> int
 (** Real nodes; joins are not counted. *)
@@ -128,3 +134,27 @@ val sampler : compiled -> sampler
 
 val sample_with : sampler -> Ckpt_prob.Rng.t -> float
 (** Same draw semantics as {!sample} (node-id order), zero allocation. *)
+
+(** {2 Reweighting} *)
+
+type topology
+(** The weight-free structure of a compiled graph: the joined graph's
+    CSR arrays and topological order, and the expanded view, derived
+    on first use and published atomically. Safe to share across
+    domains. *)
+
+val topology : t -> topology
+(** [t]'s structure (compiling it if needed). *)
+
+val reweight : topology -> base:float array -> degraded:float array -> pfail:float array -> t
+(** [reweight top ~base ~degraded ~pfail]: the graph of [top] with
+    real node [i] at [base.(i)], [degraded.(i)] and [pfail.(i)] —
+    bitwise the graph that the same nodes, edges and joins would
+    build at those weights, sampler thresholds included, without
+    sorting or ordering anything again. Every node is checked as
+    {!add_node} checks it. The result is frozen: {!add_node},
+    {!add_edge} and {!add_join} refuse it. When [top] has no join the
+    arrays become the graph's own, so the caller must not change them
+    afterwards.
+    @raise Invalid_argument unless each array holds one entry per real
+    node, or on a node {!add_node} would refuse. *)

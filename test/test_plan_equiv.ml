@@ -754,8 +754,10 @@ let plan_bits (p : Strategy.plan) =
     List.map (fun m -> bits (Strategy.expected_makespan ~method_:m p)) shared_methods )
 
 (* the structure a sweep builds once and plans every cell through *)
-let shared_planner (base : Pipeline.setup) ~pfail ~ccr ~replicas kind =
-  Pipeline.plan ~replicas (Pipeline.reprice base ~pfail ~ccr) kind
+let shared_planner (base : Pipeline.setup) =
+  let frame = Strategy.frame ~raw:base.Pipeline.raw ~schedule:base.Pipeline.schedule in
+  fun ~pfail ~ccr ~replicas kind ->
+    Pipeline.plan ~replicas ~frame (Pipeline.reprice base ~pfail ~ccr) kind
 
 let shared_grid ~ccrs seed =
   let cells =

@@ -1986,7 +1986,9 @@ let answer_batch state ~jobs ~mode ~output lines =
               | pr -> decoded := (i, pr) :: !decoded
               | exception ((Rerror.E _ | Invalid_argument _) as e) when mode = Structured ->
                   planned.(i) <- Some (Error e))
-          | _ -> ()))
+          | _ -> ()
+          (* an "op" that is not a string: the answer pass answers it *)
+          | exception Rerror.E _ when mode = Structured -> ()))
     parsed;
   let decoded = Array.of_list (List.rev !decoded) in
   let plans =
@@ -2164,8 +2166,8 @@ let run_connection server fd =
   (try handle_connection server fd with
   | Unix.Unix_error _ | Sys_error _ | Read_timeout -> ()
   | e ->
-      Printf.eprintf "ckptwf: connection handler failed: %s\n%!"
-        (Printexc.to_string e));
+      let what = match e with Rerror.E e -> Rerror.to_string e | e -> Printexc.to_string e in
+      Printf.eprintf "ckptwf: connection handler failed: %s\n%!" what);
   Atomic.decr server.active
 
 let hang_up fd =

@@ -6,7 +6,7 @@
 # flood, over-capacity shedding, SIGTERM mid-traffic, kill -9 leaving a
 # stale socket, a heavy batch beside a cheap connection, SIGTERM after
 # a burst, a long run of sequential connections, concurrent and capped
-# cold misses — and asserts that
+# cold misses, a request whose "op" is not a string — and asserts that
 # well-formed clients keep getting answers identical (modulo timing
 # fields) to the one-shot CLI, that the bad clients get structured
 # NDJSON errors, and that the lifecycle contract holds (drain exits 0,
@@ -456,6 +456,30 @@ EOF
         || fail "scenario 14: want 3 plan misses and 2 evictions: $stats_line"
     stop_daemon "scenario 14"
     echo "scenario 14 ok"
+
+    echo "== scenario 15: a request whose \"op\" is not a string gets a parse answer, the batch goes on =="
+    # the batch's decoding pass must leave such a request to its answer,
+    # not lose the whole connection's answers
+    start_daemon
+    cat > "$TMP/op_num.ndjson" <<'EOF'
+{"id": 1, "op": "stats"}
+{"id": 2, "op": 5}
+{"id": 3, "op": "plan", "workflow": "genome", "tasks": 40, "seed": 3, "processors": 4, "strategy": "some"}
+EOF
+    "$PROBE" --unix "$SOCK" --send "$TMP/op_num.ndjson" > "$TMP/op_num.out"
+    cat "$TMP/op_num.out"
+    [ "$(wc -l < "$TMP/op_num.out")" -eq 3 ] \
+        || fail "scenario 15: want 3 answers to the 3-request batch, got $(wc -l < "$TMP/op_num.out")"
+    sed -n 1p "$TMP/op_num.out" | grep -q '"id":1,"op":"stats","ok":true' \
+        || fail "scenario 15: the request before the bad one was not answered"
+    sed -n 2p "$TMP/op_num.out" | grep -q '"id":2,"op":5,"ok":false,"error":"parse"' \
+        || fail "scenario 15: the non-string op was not answered with a parse error"
+    sed -n 3p "$TMP/op_num.out" | grep -q '"id":3,"op":"plan","ok":true' \
+        || fail "scenario 15: the request after the bad one was not answered"
+    grep -q "connection handler failed" "$TMP/daemon.err" \
+        && fail "scenario 15: the connection handler died on the non-string op"
+    stop_daemon "scenario 15"
+    echo "scenario 15 ok"
 
     echo "# all serve fault scenarios passed"
 }

@@ -194,12 +194,15 @@ let figure_series ?journal ?(jobs = 1) fig kind =
                  (fun pfail -> List.map (fun ccr -> (pfail, ccr)) (ccrs_for kind))
                  pfails)
           in
-          (* recognition and the schedule depend on neither pfail nor
-             CCR: prepare once, reprice every cell *)
-          let setup =
+          (* recognition, the schedule and the superchains' flattening
+             depend on neither pfail nor CCR: prepare once and build
+             one planning frame, then reprice every cell and plan it
+             through the frame *)
+          let structure =
             lazy
               (let pfail, ccr = cells.(0) in
-               Pipeline.prepare ~dag:(Lazy.force dag) ~processors:p ~pfail ~ccr ())
+               let setup = Pipeline.prepare ~dag:(Lazy.force dag) ~processors:p ~pfail ~ccr () in
+               (setup, Strategy.frame ~raw:setup.Pipeline.raw ~schedule:setup.Pipeline.schedule))
           in
           let key_of (pfail, ccr) =
             Printf.sprintf "bench|fig=%s|wf=%s|tasks=%d|p=%d|pfail=%g|ccr=%.17g" fig
@@ -211,8 +214,9 @@ let figure_series ?journal ?(jobs = 1) fig kind =
               cells
           in
           let compute (pfail, ccr) =
-            let setup = Pipeline.reprice (Lazy.force setup) ~pfail ~ccr in
-            let cmp = Pipeline.compare_strategies setup in
+            let base, frame = Lazy.force structure in
+            let setup = Pipeline.reprice base ~pfail ~ccr in
+            let cmp = Pipeline.compare_strategies ~frame setup in
             Printf.sprintf "%-8s %5d %4d %7g %8.5f | %8.4f %9.4f %6d" (Spec.name kind)
               (Dag.n_tasks setup.Pipeline.raw) p pfail ccr cmp.Pipeline.rel_all
               cmp.Pipeline.rel_none cmp.Pipeline.ckpts_some
@@ -222,7 +226,7 @@ let figure_series ?journal ?(jobs = 1) fig kind =
             else begin
               (* force the shared lazy before entering the parallel
                  region: concurrent Lazy.force is not domain-safe *)
-              ignore (Lazy.force setup);
+              ignore (Lazy.force structure);
               Pool.map_shared ~jobs (Array.length cells) (fun i ->
                   match stored.(i) with
                   | Some line -> line

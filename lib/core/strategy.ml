@@ -127,12 +127,12 @@ let check_tasks ~raw ~schedule =
   if Dag.n_tasks raw <> Dag.n_tasks schedule.Schedule.dag then
     invalid_arg "Strategy.plan: raw and scheduled DAGs disagree on tasks"
 
-let fresh_frame ~raw ~schedule =
+(* flattened with [arena]'s per-task stamps as scratch *)
+let fresh_frame ~raw ~schedule arena =
   check_tasks ~raw ~schedule;
   (* like the Algorithm-2 tables, segments are priced over [raw]: the
      completion adds only zero-size synchronisations, which change no
      cost *)
-  let arena = Placement.arena raw in
   {
     raw;
     schedule;
@@ -141,7 +141,7 @@ let fresh_frame ~raw ~schedule =
     baseline = Atomic.make None;
   }
 
-let frame = fresh_frame
+let frame ~raw ~schedule = fresh_frame ~raw ~schedule (Placement.arena raw)
 
 (* Coalesce the segments into a 2-state DAG's topology. The
    cross-superchain synchronisations are [raw]'s edges plus the pairs
@@ -224,14 +224,15 @@ let skeleton (frame : frame) scratch ~cuts last =
   }
 
 (* [positions scratch flat sc]: the checkpoint positions of superchain
-   [sc], flattened as [flat], found with [scratch ()] if need be *)
-let assemble ~replicas ~kind ~(frame : frame) ~platform ~positions =
-  if replicas < 1 then invalid_arg "Strategy.plan: replicas < 1";
+   [sc], flattened as [flat], found with [scratch ()] if need be.
+   [arena], when given, is scratch of [frame.raw] that this plan may
+   use, which saves a throwaway frame's plan a second arena *)
+let assemble ?arena ~replicas ~kind ~(frame : frame) ~platform ~positions () =
   let raw = frame.raw and schedule = frame.schedule in
   let wpar = parallel_time ~raw ~schedule ~platform in
   let superchains = schedule.Schedule.superchains in
   let scratch =
-    let a = ref None in
+    let a = ref arena in
     fun () ->
       match !a with
       | Some a -> a
@@ -304,17 +305,23 @@ let check_frame f ~raw ~schedule =
   if f.raw != raw || f.schedule != schedule then
     invalid_arg "Strategy.plan: frame built for another workflow or schedule"
 
-(* the caller's frame, or a throwaway one *)
-let frame_for ?frame ~raw ~schedule () =
+(* [assemble] through the caller's frame, or through a throwaway one
+   whose flattening scratch the plan then reuses *)
+let assemble_for ?frame ~raw ~schedule ~replicas ~kind ~platform ~positions () =
+  if replicas < 1 then invalid_arg "Strategy.plan: replicas < 1";
   match frame with
-  | None -> fresh_frame ~raw ~schedule
-  | Some f ->
-      check_frame f ~raw ~schedule;
-      f
+  | Some frame ->
+      check_frame frame ~raw ~schedule;
+      assemble ~replicas ~kind ~frame ~platform ~positions ()
+  | None ->
+      let arena = Placement.arena raw in
+      let frame = fresh_frame ~raw ~schedule arena in
+      assemble ~arena ~replicas ~kind ~frame ~platform ~positions ()
 
 let plan_of_positions ?(replicas = 1) ?frame ~kind ~raw ~schedule ~platform ~positions () =
-  let frame = frame_for ?frame ~raw ~schedule () in
-  assemble ~replicas ~kind ~frame ~platform ~positions:(fun _ _ sc -> positions sc)
+  assemble_for ?frame ~raw ~schedule ~replicas ~kind ~platform
+    ~positions:(fun _ _ sc -> positions sc)
+    ()
 
 let plan ?(replicas = 1) ?frame kind ~raw ~schedule ~platform =
   if replicas < 1 then invalid_arg "Strategy.plan: replicas < 1";
@@ -336,7 +343,6 @@ let plan ?(replicas = 1) ?frame kind ~raw ~schedule ~platform =
         replicas;
       }
   | Ckpt_all | Ckpt_some | Ckpt_every _ | Ckpt_budget _ | Ckpt_restart | Ckpt_hybrid _ ->
-      let frame = frame_for ?frame ~raw ~schedule () in
       let positions scratch flat (sc : Superchain.t) =
         let optimal () =
           snd (Placement.optimal_positions_flat ~arena:(scratch ()) ~replicas platform flat)
@@ -361,7 +367,7 @@ let plan ?(replicas = 1) ?frame kind ~raw ~schedule ~platform =
             if Superchain.n_tasks sc <= threshold then [ Superchain.n_tasks sc - 1 ] else optimal ()
         | Ckpt_some | Ckpt_none -> optimal ()
       in
-      assemble ~replicas ~kind ~frame ~platform ~positions
+      assemble_for ?frame ~raw ~schedule ~replicas ~kind ~platform ~positions ()
 
 let restart_rate plan =
   let used = Hashtbl.create 16 in

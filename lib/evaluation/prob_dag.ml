@@ -242,7 +242,11 @@ let freeze ~cn ~nodes out =
     acyclic;
   }
 
-let topology_of joined = { joined; expanded = Atomic.make None }
+(* [a]'s first [n] entries at length [cn], zeros after *)
+let padded a ~n ~cn =
+  let b = Array.make cn 0. in
+  Array.blit a 0 b 0 n;
+  b
 
 (* The node fields at [cn] entries, joins at 0 *)
 let weigh top ~base ~degraded ~pfail =
@@ -251,25 +255,29 @@ let weigh top ~base ~degraded ~pfail =
   in
   { top; base; degraded; pfail; pthresh }
 
+(* the builder's joined graph, frozen: join [k] (in insertion order) is
+   node [t.n + k] *)
+let freeze_joined t =
+  let cn = t.n + t.n_joins in
+  let out = Array.make cn [] in
+  Array.blit t.out_ 0 out 0 t.n;
+  List.iteri
+    (fun r (preds, succs) ->
+      let j = cn - 1 - r in
+      List.iter (fun u -> out.(u) <- j :: out.(u)) preds;
+      out.(j) <- succs)
+    t.joins;
+  { joined = freeze ~cn ~nodes:t.n out; expanded = Atomic.make None }
+
 let compile t =
   match t.cache with
   | Some c -> c
   | None ->
-      (* join [k] (in insertion order) is node [t.n + k] *)
-      let cn = t.n + t.n_joins in
-      let out = Array.make cn [] in
-      Array.blit t.out_ 0 out 0 t.n;
-      List.iteri
-        (fun r (preds, succs) ->
-          let j = cn - 1 - r in
-          List.iter (fun u -> out.(u) <- j :: out.(u)) preds;
-          out.(j) <- succs)
-        t.joins;
-      let sized a = Array.init cn (fun i -> if i < t.n then a.(i) else 0.) in
+      let top = freeze_joined t in
+      let n = t.n and cn = top.joined.cn in
       let c =
-        weigh
-          (topology_of (freeze ~cn ~nodes:t.n out))
-          ~base:(sized t.base) ~degraded:(sized t.degraded) ~pfail:(sized t.pfail)
+        weigh top ~base:(padded t.base ~n ~cn) ~degraded:(padded t.degraded ~n ~cn)
+          ~pfail:(padded t.pfail ~n ~cn)
       in
       t.cache <- Some c;
       c
@@ -306,7 +314,7 @@ let expanded_graph top =
 
 let expanded t = expanded_graph (compile t).top
 
-let topology t = (compile t).top
+let topology t = match t.cache with Some c -> c.top | None -> freeze_joined t
 
 let reweight top ~base ~degraded ~pfail =
   let n = top.joined.nodes and cn = top.joined.cn in
@@ -315,7 +323,7 @@ let reweight top ~base ~degraded ~pfail =
   for i = 0 to n - 1 do
     check_node "reweight" ~base:base.(i) ~degraded:degraded.(i) ~pfail:pfail.(i)
   done;
-  let sized a = if cn = n then a else Array.init cn (fun i -> if i < n then a.(i) else 0.) in
+  let sized a = if cn = n then a else padded a ~n ~cn in
   let base = sized base and degraded = sized degraded and pfail = sized pfail in
   {
     n;

@@ -144,7 +144,8 @@ type topology
     domains. *)
 
 val topology : t -> topology
-(** [t]'s structure (compiling it if needed). *)
+(** [t]'s structure: its compiled form's, or its graph frozen without
+    the node weights when it is not compiled. *)
 
 val reweight : topology -> base:float array -> degraded:float array -> pfail:float array -> t
 (** [reweight top ~base ~degraded ~pfail]: the graph of [top] with

@@ -325,6 +325,72 @@ let test_estimators_agree_with_mc () =
       Evaluator.all_fast
   done
 
+(* six nodes, two plain edges, one join, an edge the join repeats *)
+let joined_graph weights =
+  let pd = Prob_dag.create () in
+  Array.iter
+    (fun (base, degraded, pfail) -> ignore (Prob_dag.add_node pd ~base ~degraded ~pfail))
+    weights;
+  Prob_dag.add_edge pd 0 1;
+  Prob_dag.add_edge pd 0 2;
+  Prob_dag.add_join pd [ 1; 2 ] [ 3; 4; 5 ];
+  Prob_dag.add_edge pd 1 3;
+  Prob_dag.add_edge pd 3 5;
+  pd
+
+(* Reweighting one graph's topology at another graph's weights gives
+   the graph built at those weights, bit for bit: estimates, samples,
+   the node-level (expanded) view. A reweighted graph refuses
+   mutation, and nodes that [add_node] refuses *)
+let test_reweight () =
+  let rng = Rng.create 5 in
+  let weights () =
+    Array.init 6 (fun _ ->
+        let base = Rng.float rng 10. in
+        (base, 1.5 *. base, Rng.float rng 0.3))
+  in
+  let w1 = weights () and w2 = weights () in
+  let built = joined_graph w2 in
+  let field f = Array.map f w2 in
+  let reweight = Prob_dag.reweight (Prob_dag.topology (joined_graph w1)) in
+  let re =
+    reweight
+      ~base:(field (fun (b, _, _) -> b))
+      ~degraded:(field (fun (_, d, _) -> d))
+      ~pfail:(field (fun (_, _, p) -> p))
+  in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun m ->
+      Alcotest.(check int64) (Evaluator.name m)
+        (bits (Evaluator.estimate m built))
+        (bits (Evaluator.estimate m re)))
+    Evaluator.[ Pathapprox; Normal; Dodin { max_support = 64 }; Montecarlo { trials = 500; seed = 2 } ];
+  Alcotest.(check int64) "expected work" (bits (Prob_dag.expected_work built))
+    (bits (Prob_dag.expected_work re));
+  Alcotest.(check (array int)) "topological order" (Prob_dag.topological_order built)
+    (Prob_dag.topological_order re);
+  for i = 0 to 5 do
+    Alcotest.(check (list int)) "succs" (Prob_dag.succs built i) (Prob_dag.succs re i);
+    Alcotest.(check (list int)) "preds" (Prob_dag.preds built i) (Prob_dag.preds re i);
+    Alcotest.(check bool) "node" true (Prob_dag.node built i = Prob_dag.node re i)
+  done;
+  Alcotest.(check int) "joins" 1 (Prob_dag.n_joins re);
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  refused "add_edge on a reweighted graph" (fun () -> Prob_dag.add_edge re 0 5);
+  refused "add_node on a reweighted graph" (fun () ->
+      ignore (Prob_dag.add_node re ~base:1. ~degraded:1. ~pfail:0.));
+  refused "add_join on a reweighted graph" (fun () -> Prob_dag.add_join re [ 0 ] [ 5 ]);
+  let ones = Array.make 6 1. and zeros = Array.make 6 0. in
+  refused "degraded < base" (fun () -> reweight ~base:ones ~degraded:zeros ~pfail:zeros);
+  refused "pfail > 1" (fun () -> reweight ~base:ones ~degraded:ones ~pfail:(Array.make 6 1.5));
+  refused "one weight short" (fun () ->
+      reweight ~base:(Array.make 5 1.) ~degraded:ones ~pfail:zeros)
+
 let suite =
   [
     Alcotest.test_case "prob_dag validation" `Quick test_prob_dag_validation;
@@ -353,4 +419,5 @@ let suite =
     Alcotest.test_case "evaluator dispatch" `Quick test_evaluator_dispatch;
     Alcotest.test_case "evaluator of_name" `Quick test_evaluator_of_name;
     Alcotest.test_case "estimators vs MC (VI-B)" `Slow test_estimators_agree_with_mc;
+    Alcotest.test_case "reweight = rebuild at the new weights" `Quick test_reweight;
   ]

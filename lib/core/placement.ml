@@ -105,9 +105,25 @@ let check_arena a dag =
   if a.n_files <> Dag.n_files dag || Array.length a.pos <> Dag.n_tasks dag then
     invalid_arg "Placement: arena built for another DAG"
 
-(* One pass over the superchain's edges, O(n·d): the edge lists of
-   position [k] land at [off.(k)] on, the other end of each at
-   [other_of] its task *)
+(* Store [edges] from index [x] on, the other end of each at its
+   task's position when [stamp.(t) = e], else at [off_chain]; the next
+   free index *)
+let rec store_edges ~file ~size ~other ~stamp ~pos ~e ~off_chain x = function
+  | [] -> x
+  | (t, (f : Dag.file)) :: rest ->
+      file.(x) <- f.Dag.file_id;
+      size.(x) <- f.Dag.size;
+      other.(x) <- (if stamp.(t) = e then pos.(t) else off_chain);
+      store_edges ~file ~size ~other ~stamp ~pos ~e ~off_chain (x + 1) rest
+
+let rec store_sizes a x = function
+  | [] -> ()
+  | size :: rest ->
+      a.(x) <- size;
+      store_sizes a (x + 1) rest
+
+(* One pass over the superchain's edges, O(n·d), then one over the
+   lists it read to fill exactly sized arrays *)
 let flatten a dag sc =
   check_arena a dag;
   let n = Superchain.n_tasks sc in
@@ -118,40 +134,40 @@ let flatten a dag sc =
       a.pos_stamp.(t) <- e;
       a.pos.(t) <- k)
     sc.Superchain.order;
-  let producer t = if a.pos_stamp.(t) = e then a.pos.(t) else -1 in
-  let consumer t = if a.pos_stamp.(t) = e then a.pos.(t) else max_int in
-  let inputs = Array.init n (fun k -> Dag.inputs dag (Superchain.task_at sc k)) in
-  let outs = Array.init n (fun k -> Dag.succs dag (Superchain.task_at sc k)) in
-  let ins = Array.init n (fun k -> Dag.preds dag (Superchain.task_at sc k)) in
-  let offsets lists =
-    let off = Array.make (n + 1) 0 in
-    Array.iteri (fun k l -> off.(k + 1) <- off.(k) + List.length l) lists;
-    off
-  in
-  let inp_off = offsets inputs and out_off = offsets outs and in_off = offsets ins in
+  let weight = Array.make n 0. and outs = Array.make n [] and ins = Array.make n [] in
+  let inp_off = Array.make (n + 1) 0
+  and out_off = Array.make (n + 1) 0
+  and in_off = Array.make (n + 1) 0 in
+  for k = 0 to n - 1 do
+    let t = Superchain.task_at sc k in
+    weight.(k) <- Dag.weight dag t;
+    outs.(k) <- Dag.succs dag t;
+    ins.(k) <- Dag.preds dag t;
+    inp_off.(k + 1) <- inp_off.(k) + List.length (Dag.inputs dag t);
+    out_off.(k + 1) <- out_off.(k) + List.length outs.(k);
+    in_off.(k + 1) <- in_off.(k) + List.length ins.(k)
+  done;
   let inp_size = Array.make inp_off.(n) 0. in
-  Array.iteri (fun k l -> List.iteri (fun x size -> inp_size.(inp_off.(k) + x) <- size) l) inputs;
-  let side off lists other_of =
-    let file = Array.make off.(n) 0
-    and size = Array.make off.(n) 0.
-    and other = Array.make off.(n) 0 in
-    Array.iteri
-      (fun k l ->
-        List.iteri
-          (fun x (t, (f : Dag.file)) ->
-            file.(off.(k) + x) <- f.Dag.file_id;
-            size.(off.(k) + x) <- f.Dag.size;
-            other.(off.(k) + x) <- other_of t)
-          l)
-      lists;
-    (file, size, other)
-  in
-  let out_file, out_size, consumer = side out_off outs consumer in
-  let in_file, in_size, producer = side in_off ins producer in
+  let out_file = Array.make out_off.(n) 0
+  and out_size = Array.make out_off.(n) 0.
+  and consumer = Array.make out_off.(n) 0 in
+  let in_file = Array.make in_off.(n) 0
+  and in_size = Array.make in_off.(n) 0.
+  and producer = Array.make in_off.(n) 0 in
+  let stamp = a.pos_stamp and pos = a.pos in
+  for k = 0 to n - 1 do
+    store_sizes inp_size inp_off.(k) (Dag.inputs dag (Superchain.task_at sc k));
+    ignore
+      (store_edges ~file:out_file ~size:out_size ~other:consumer ~stamp ~pos ~e
+         ~off_chain:max_int out_off.(k) outs.(k));
+    ignore
+      (store_edges ~file:in_file ~size:in_size ~other:producer ~stamp ~pos ~e ~off_chain:(-1)
+         in_off.(k) ins.(k))
+  done;
   {
     dag;
     sc;
-    weight = Array.init n (fun k -> Dag.weight dag (Superchain.task_at sc k));
+    weight;
     inp_off;
     inp_size;
     out_off;
@@ -381,13 +397,14 @@ let periodic_positions sc ~period =
   let regular = collect (period - 1) [] in
   List.sort_uniq compare ((n - 1) :: regular)
 
-let check_positions sc positions =
-  let n = Superchain.n_tasks sc in
-  (match List.rev positions with
+let rec final_position = function
   | [] -> invalid_arg "Placement.segments_of_positions: no positions"
-  | last :: _ ->
-      if last <> n - 1 then
-        invalid_arg "Placement.segments_of_positions: final position must be checkpointed");
+  | [ p ] -> p
+  | _ :: rest -> final_position rest
+
+let check_positions sc positions =
+  if final_position positions <> Superchain.n_tasks sc - 1 then
+    invalid_arg "Placement.segments_of_positions: final position must be checkpointed";
   ignore
     (List.fold_left
        (fun start p ->

@@ -251,7 +251,16 @@ let assemble ?arena ~replicas ~kind ~(frame : frame) ~platform ~positions () =
         p)
       superchains
   in
-  let last = Array.of_list (List.concat (Array.to_list per_chain)) in
+  let last = Array.make (Array.fold_left (fun k p -> k + List.length p) 0 per_chain) 0 in
+  ignore
+    (Array.fold_left
+       (fun k p ->
+         List.fold_left
+           (fun k q ->
+             last.(k) <- q;
+             k + 1)
+           k p)
+       0 per_chain);
   let slot, cuts =
     (* superchain-structured strategies rely on the completed graph's
        synchronisations; CKPTALL is a baseline on the raw workflow *)

@@ -3,10 +3,11 @@
     A long-lived planning process ([ckptwf serve], the daemon-batch
     bench) sees many requests over a bounded set of workflow
     configurations. This module caches {!Pipeline.setup}s (recognition
-    + Algorithm-1 schedule, including the compiled CSR views and
-    placement arenas they carry) and finished {!Strategy.plan}s under
-    caller-chosen string keys, so repeated requests pay a hash lookup
-    instead of an O(n²) plan.
+    + Algorithm-1 schedule, including the compiled CSR view they carry)
+    and finished {!Strategy.plan}s under caller-chosen string keys, so
+    repeated requests pay a hash lookup instead of an O(n²) plan. A
+    cold plan builds a throwaway {!Strategy.frame}: the caches hold no
+    frame, so a resident setup costs no more than its schedule.
 
     Each table is a {!Ckpt_parallel.Memo}: safe to share between
     domains, and each key is computed once — a domain that looks up a

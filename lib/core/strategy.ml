@@ -227,7 +227,7 @@ let skeleton (frame : frame) scratch ~cuts last =
    [sc], flattened as [flat], found with [scratch ()] if need be.
    [arena], when given, is scratch of [frame.raw] that this plan may
    use, which saves a throwaway frame's plan a second arena *)
-let assemble ?arena ~replicas ~kind ~(frame : frame) ~platform ~positions () =
+let plan_in_frame ?arena ~replicas ~kind ~(frame : frame) ~platform ~positions () =
   let raw = frame.raw and schedule = frame.schedule in
   let wpar = parallel_time ~raw ~schedule ~platform in
   let superchains = schedule.Schedule.superchains in
@@ -314,21 +314,21 @@ let check_frame f ~raw ~schedule =
   if f.raw != raw || f.schedule != schedule then
     invalid_arg "Strategy.plan: frame built for another workflow or schedule"
 
-(* [assemble] through the caller's frame, or through a throwaway one
-   whose flattening scratch the plan then reuses *)
-let assemble_for ?frame ~raw ~schedule ~replicas ~kind ~platform ~positions () =
+(* [plan_in_frame] through the caller's frame, or through a throwaway
+   one whose flattening scratch the plan then reuses *)
+let plan_through ?frame ~raw ~schedule ~replicas ~kind ~platform ~positions () =
   if replicas < 1 then invalid_arg "Strategy.plan: replicas < 1";
   match frame with
   | Some frame ->
       check_frame frame ~raw ~schedule;
-      assemble ~replicas ~kind ~frame ~platform ~positions ()
+      plan_in_frame ~replicas ~kind ~frame ~platform ~positions ()
   | None ->
       let arena = Placement.arena raw in
       let frame = fresh_frame ~raw ~schedule arena in
-      assemble ~arena ~replicas ~kind ~frame ~platform ~positions ()
+      plan_in_frame ~arena ~replicas ~kind ~frame ~platform ~positions ()
 
 let plan_of_positions ?(replicas = 1) ?frame ~kind ~raw ~schedule ~platform ~positions () =
-  assemble_for ?frame ~raw ~schedule ~replicas ~kind ~platform
+  plan_through ?frame ~raw ~schedule ~replicas ~kind ~platform
     ~positions:(fun _ _ sc -> positions sc)
     ()
 
@@ -376,7 +376,7 @@ let plan ?(replicas = 1) ?frame kind ~raw ~schedule ~platform =
             if Superchain.n_tasks sc <= threshold then [ Superchain.n_tasks sc - 1 ] else optimal ()
         | Ckpt_some | Ckpt_none -> optimal ()
       in
-      assemble_for ?frame ~raw ~schedule ~replicas ~kind ~platform ~positions ()
+      plan_through ?frame ~raw ~schedule ~replicas ~kind ~platform ~positions ()
 
 let restart_rate plan =
   let used = Hashtbl.create 16 in

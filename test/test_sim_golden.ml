@@ -9,7 +9,10 @@
    case by running this file against that earlier tree), and pin that
    the merge changed nothing. The ckpt-all makespan digest (about 300
    segments on 35 processors) was recorded before [Engine.makespan]
-   got its own record-free loop. *)
+   got its own record-free loop. The contention simulator's and the
+   Monte-Carlo estimator's digests were recorded before the contention
+   simulator lost its checkpoint-store path and the trial samplers
+   moved onto one chunk driver. *)
 
 module Spec = Ckpt_workflows.Spec
 module Pipeline = Ckpt_core.Pipeline
@@ -17,14 +20,24 @@ module Strategy = Ckpt_core.Strategy
 module Runner = Ckpt_sim.Runner
 module Degrade = Ckpt_sim.Degrade
 module Cloud = Ckpt_sim.Cloud
+module Contention = Ckpt_sim.Contention
+module Montecarlo = Ckpt_eval.Montecarlo
+module Stats = Ckpt_prob.Stats
 module Store = Ckpt_storage.Store
 module Storage = Ckpt_storage.Storage
 
-let plan =
+let genome_setup =
   lazy
     (let dag = Spec.generate Spec.Genome ~seed:3 ~tasks:40 () in
-     let setup = Pipeline.prepare ~dag ~processors:4 ~pfail:0.01 ~ccr:0.5 () in
-     Pipeline.plan setup Strategy.Ckpt_some)
+     Pipeline.prepare ~dag ~processors:4 ~pfail:0.01 ~ccr:0.5 ())
+
+let plan = lazy (Pipeline.plan (Lazy.force genome_setup) Strategy.Ckpt_some)
+
+(* MONTAGE needs bipartite completion, so its CKPTSOME plan has joins *)
+let montage_setup =
+  lazy
+    (let dag = Spec.generate Spec.Montage ~seed:3 ~tasks:50 () in
+     Pipeline.prepare ~dag ~processors:4 ~pfail:0.01 ~ccr:0.5 ())
 
 (* the store configurations every sampler is pinned under *)
 let stores =
@@ -190,8 +203,7 @@ let test_cloud_checkpoint () =
    priced over; MONTAGE needs bipartite completion, so this one can *)
 let test_cloud_checkpoint_completed () =
   let plan =
-    let dag = Spec.generate Spec.Montage ~seed:3 ~tasks:50 () in
-    let setup = Pipeline.prepare ~dag ~processors:4 ~pfail:0.01 ~ccr:0.5 () in
+    let setup = Lazy.force montage_setup in
     Alcotest.(check bool) "completion edges" true (setup.Pipeline.dummy_edges > 0);
     Pipeline.plan setup Strategy.Ckpt_some
   in
@@ -226,6 +238,62 @@ let test_cloud_replicate () =
     ]
     (cloud_digests Cloud.Replicate)
 
+let render_stats_moments s =
+  Printf.sprintf "%d,%h,%h,%h,%h" (Stats.count s) (Stats.mean s) (Stats.variance s)
+    (Stats.min s) (Stats.max s)
+
+(* the contention simulator without a store, under both checkpointing
+   strategies, on the GENOME plan and on the completed MONTAGE one *)
+let test_contention () =
+  let cases =
+    List.concat_map
+      (fun (wf, setup) ->
+        List.map
+          (fun kind -> (wf ^ " " ^ Strategy.kind_name kind, setup, kind))
+          [ Strategy.Ckpt_some; Strategy.Ckpt_all ])
+      [ ("genome", genome_setup); ("montage", montage_setup) ]
+  in
+  check_digests "Contention.simulate"
+    [
+      ("genome ckpt-some", "fdf83fa1bc5f553e83087d3ba74dbcb3");
+      ("genome ckpt-all", "9b592e0066cb1b82b77b4f477d3be649");
+      ("montage ckpt-some", "64c0e88a13221dad9e7a6d60d7056d1d");
+      ("montage ckpt-all", "d7fd91f23c754c609d3f9df181009f9e");
+    ]
+    (List.map
+       (fun (name, setup, kind) ->
+         let plan = Pipeline.plan (Lazy.force setup) kind in
+         let stats = Contention.simulate ~trials:60 ~seed:5 plan in
+         (name, digest render_stats_moments [| stats |]))
+       cases)
+
+(* the Monte-Carlo estimator's count, mean and variance on both
+   workflows' 2-state DAGs, over one domain and over four *)
+let test_montecarlo () =
+  let cases =
+    List.concat_map
+      (fun (wf, setup) ->
+        let plan = Pipeline.plan (Lazy.force setup) Strategy.Ckpt_some in
+        let pd = Option.get plan.Strategy.prob_dag in
+        List.map (fun jobs -> (Printf.sprintf "%s jobs=%d" wf jobs, pd, jobs)) [ 1; 4 ])
+      [ ("genome", genome_setup); ("montage", montage_setup) ]
+  in
+  check_digests "Montecarlo.estimate_with_stats"
+    [
+      ("genome jobs=1", "f435e96d1f15571b11a6dfe1ce3e3290");
+      ("genome jobs=4", "f435e96d1f15571b11a6dfe1ce3e3290");
+      ("montage jobs=1", "f5eed7dda574a348279fc51645d0b99c");
+      ("montage jobs=4", "f5eed7dda574a348279fc51645d0b99c");
+    ]
+    (List.map
+       (fun (name, pd, jobs) ->
+         let s = Montecarlo.estimate_with_stats ~trials:1000 ~seed:5 ~jobs pd in
+         ( name,
+           digest
+             (fun s -> Printf.sprintf "%d,%h,%h" (Stats.count s) (Stats.mean s) (Stats.variance s))
+             [| s |] ))
+       cases)
+
 let suite =
   [
     Alcotest.test_case "Runner.sample_makespans" `Quick test_sample_makespans;
@@ -236,4 +304,6 @@ let suite =
     Alcotest.test_case "Cloud.sample Replicate" `Quick test_cloud_replicate;
     Alcotest.test_case "Cloud.sample Checkpoint on a completed MONTAGE" `Quick
       test_cloud_checkpoint_completed;
+    Alcotest.test_case "Contention.simulate" `Quick test_contention;
+    Alcotest.test_case "Montecarlo.estimate_with_stats" `Quick test_montecarlo;
   ]

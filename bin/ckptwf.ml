@@ -1746,7 +1746,6 @@ let plan_request state req =
 let store_of_req req =
   let faults =
     {
-      Storage.default with
       Storage.commit_fail_prob = req_float req "commit_fail_prob" ~default:0.;
       corrupt_prob = req_float req "corrupt_prob" ~default:0.;
       storage_lambda = req_float req "storage_lambda" ~default:0.;

@@ -24,10 +24,10 @@ let rebuild ~frame (plan : Strategy.plan) positions =
 
 let toggle l p = if List.mem p l then List.filter (fun x -> x <> p) l else List.sort compare (p :: l)
 
-let hill_climb ?(max_rounds = 10) ?method_ (plan : Strategy.plan) =
+let hill_climb ?(max_rounds = 10) (plan : Strategy.plan) =
   if plan.Strategy.prob_dag = None then
     invalid_arg "Refine.hill_climb: CKPTNONE has no positions to refine";
-  let em p = Strategy.expected_makespan ?method_ p in
+  let em p = Strategy.expected_makespan p in
   let evaluations = ref 0 and moves = ref 0 in
   let initial_em = em plan in
   let current = ref plan and current_em = ref initial_em in

@@ -22,13 +22,9 @@ type result = {
   evaluations : int;  (** candidate plans priced *)
 }
 
-val hill_climb :
-  ?max_rounds:int ->
-  ?method_:Ckpt_eval.Evaluator.method_ ->
-  Strategy.plan ->
-  result
+val hill_climb : ?max_rounds:int -> Strategy.plan -> result
 (** [hill_climb plan] runs best-improvement rounds until a round finds
-    no improving toggle or [max_rounds] (default 10) is reached.
-    [method_] defaults to PATHAPPROX.
+    no improving toggle or [max_rounds] (default 10) is reached. Every
+    candidate is priced by PATHAPPROX.
 
     @raise Invalid_argument on a CKPTNONE plan. *)

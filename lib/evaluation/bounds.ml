@@ -4,6 +4,6 @@ let lower dag =
       ((1. -. nd.Prob_dag.pfail) *. nd.Prob_dag.base)
       +. (nd.Prob_dag.pfail *. nd.Prob_dag.degraded))
 
-let upper ?(max_support = 2048) dag = Dodin.estimate ~max_support dag
+let upper dag = Dodin.estimate ~max_support:2048 dag
 
-let bracket ?max_support dag = (lower dag, upper ?max_support dag)
+let bracket dag = (lower dag, upper dag)

@@ -16,5 +16,5 @@
       the bucketing of values inside maxima (negligible at the default
       support). *)
 
-val bracket : ?max_support:int -> Prob_dag.t -> float * float
-(** [(lower, upper)]. *)
+val bracket : Prob_dag.t -> float * float
+(** [(lower, upper)], the upper bound swept at a support of 2048. *)

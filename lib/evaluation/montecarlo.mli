@@ -20,16 +20,9 @@
     one) instead of hanging — the resulting statistics report the
     achieved count via [Stats.count]. *)
 
-val estimate :
-  ?trials:int ->
-  ?seed:int ->
-  ?deadline:Ckpt_resilience.Deadline.t ->
-  ?jobs:int ->
-  Prob_dag.t ->
-  float
-(** Mean over [trials] (default 10_000) independent realisations, or
-    over however many completed before [deadline] expired. [jobs]
-    (default 1) worker domains; the result does not depend on it. *)
+val estimate : ?trials:int -> ?seed:int -> Prob_dag.t -> float
+(** Mean over [trials] (default 10_000) independent realisations,
+    sampled sequentially. *)
 
 val estimate_with_stats :
   ?trials:int ->
@@ -38,4 +31,7 @@ val estimate_with_stats :
   ?jobs:int ->
   Prob_dag.t ->
   Ckpt_prob.Stats.t
-(** Full sample statistics (mean, variance, extremes, CI). *)
+(** Full sample statistics (mean, variance, extremes, CI) over
+    [trials] (default 10_000) realisations, or over however many
+    completed before [deadline] expired, on [jobs] (default 1) worker
+    domains; the result does not depend on [jobs]. *)

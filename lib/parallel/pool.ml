@@ -137,3 +137,19 @@ let map_shared ~jobs n f =
           loop ());
       Array.map (function Some v -> v | None -> assert false) results
   | _ -> Array.init n f
+
+let map_chunks ~jobs ~chunk ~stop n f =
+  if chunk < 1 then invalid_arg "Pool.map_chunks: chunk < 1";
+  if n < 0 then invalid_arg "Pool.map_chunks: negative length";
+  let nchunks = (n + chunk - 1) / chunk in
+  let results =
+    map_shared ~jobs nchunks (fun c ->
+        (* the first chunk always runs, so a caller stopped at once
+           still gets a well-defined result *)
+        if c > 0 && stop () then None
+        else Some (f ~lo:(c * chunk) ~hi:(min n ((c + 1) * chunk))))
+  in
+  (* the completed prefix, in chunk order: deterministic for any [jobs]
+     (chunks finished beyond a stopped one are discarded) *)
+  let rec prefix i = if i < nchunks && Option.is_some results.(i) then prefix (i + 1) else i in
+  Array.init (prefix 0) (fun i -> Option.get results.(i))

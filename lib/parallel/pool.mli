@@ -7,7 +7,8 @@
     spawn cost once instead of per call. Batches clamp their width to
     {!available_jobs}, so an oversubscribed [--jobs] degrades to the
     sequential inline path instead of thrashing one core with many
-    domains. One batch owns the pool at a time. A batch submitted while
+    domains. {!map_chunks} is the Monte-Carlo samplers' one trial loop
+    on top of it. One batch owns the pool at a time. A batch submitted while
     another owns it — from inside that batch's body, or from another
     domain such as a second [ckptwf serve] connection handler — runs
     inline on its caller instead of waiting for the pool, so a cheap
@@ -40,3 +41,22 @@ val map_shared : jobs:int -> int -> (int -> 'a) -> 'a array
     owns the pool it is [Array.init n f] on the caller too.
 
     @raise Invalid_argument when [jobs < 1] or [n < 0]. *)
+
+val map_chunks :
+  jobs:int ->
+  chunk:int ->
+  stop:(unit -> bool) ->
+  int ->
+  (lo:int -> hi:int -> 'a) ->
+  'a array
+(** [map_chunks ~jobs ~chunk ~stop n f] cuts [\[0, n)] into consecutive
+    [chunk]-sized pieces (the last one shorter), runs [f ~lo ~hi] on
+    each piece [\[lo, hi)] through {!map_shared}, and returns the
+    results in chunk order. [stop ()] is tested before every chunk but
+    the first — a deadline check, say — and a chunk it stops yields
+    nothing. The result is the completed prefix, up to the first
+    stopped chunk, so it is never empty when [n > 0]; when [stop] never
+    fires and [f] draws its randomness from the indices alone, it is
+    the same for any [jobs].
+
+    @raise Invalid_argument when [chunk < 1], [n < 0] or [jobs < 1]. *)

@@ -11,12 +11,12 @@ type t = {
   dummy_edges : int;
 }
 
-let replan ?readable ?replicas ~kind ~dag ~done_ ~survivors ~platform () =
+let replan ?replicas ~kind ~dag ~done_ ~survivors ~platform () =
   match survivors with
   | [] -> Error "no surviving processors"
   | _ -> (
       try
-        let residual, task_of = Residual.build ?readable ~dag ~done_ () in
+        let residual, task_of = Residual.build ~dag ~done_ in
         let mspg, dummy_edges =
           match Recognize.of_dag_completed residual with
           | Ok r -> r

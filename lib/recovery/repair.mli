@@ -26,7 +26,6 @@ type t = {
 }
 
 val replan :
-  ?readable:(int -> bool) ->
   ?replicas:int ->
   kind:Strategy.kind ->
   dag:Dag.t ->
@@ -43,8 +42,6 @@ val replan :
     processor indices back to physical ids. [kind] is the checkpoint
     policy the replan applies (CKPTSOME re-runs the optimal DP).
 
-    [readable] ({!Residual.build}) stops a corrupt-committed checkpoint
-    from being treated as done — its producers are re-scheduled;
     [replicas] prices the repaired plan's commits at [k·C]
     ({!Strategy.plan}). Never raises on unplannable input — returns
     [Error] instead. *)

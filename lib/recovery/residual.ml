@@ -1,16 +1,11 @@
 module Dag = Ckpt_dag.Dag
 
-let build ?(readable = fun _ -> true) ~dag ~done_ () =
+let build ~dag ~done_ =
   let n = Dag.n_tasks dag in
   if Array.length done_ <> n then invalid_arg "Residual.build: done_ size mismatch";
-  (* a committed checkpoint only counts as progress while it still
-     reads back valid: an unreadable (corrupt) done task rejoins the
-     residual, and its consumers read from its re-execution instead of
-     from stable storage *)
-  let saved t = done_.(t) && readable t in
   let remaining = ref [] in
   for t = n - 1 downto 0 do
-    if not (saved t) then remaining := t :: !remaining
+    if not done_.(t) then remaining := t :: !remaining
   done;
   if !remaining = [] then invalid_arg "Residual.build: every task is done";
   let sub, task_of = Dag.induced dag !remaining in
@@ -22,7 +17,7 @@ let build ?(readable = fun _ -> true) ~dag ~done_ () =
       List.iter (fun size -> Dag.add_input sub nid size) (Dag.inputs dag oid);
       List.iter
         (fun (src, (file : Dag.file)) ->
-          if saved src then Dag.add_input sub nid file.Dag.size)
+          if done_.(src) then Dag.add_input sub nid file.Dag.size)
         (Dag.preds dag oid))
     task_of;
   (sub, task_of)

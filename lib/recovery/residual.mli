@@ -18,23 +18,16 @@
 
 module Dag = Ckpt_dag.Dag
 
-val build :
-  ?readable:(int -> bool) -> dag:Dag.t -> done_:bool array -> unit -> Dag.t * int array
+val build : dag:Dag.t -> done_:bool array -> Dag.t * int array
 (** [build ~dag ~done_] is the residual workflow over the tasks [t]
     with [done_.(t) = false], plus the mapping from residual task ids
     back to original ones. Internal edges keep their files (sharing
     preserved); original initial inputs are kept; edges from done
     producers become initial inputs of their consumers (the migration
-    re-reads).
-
-    [readable] (default: everything) is the unreliable-storage hook: a
-    done task whose checkpoint no longer reads back valid
-    ([readable t = false]) is {e not} treated as done — it rejoins the
-    residual, its consumers take ordinary edges from its re-execution
-    instead of stable-storage re-reads, and the cascade is transitive
-    through {!Ckpt_dag.Dag.induced} (its own saved inputs are still
-    re-read from storage). [readable] is only consulted on tasks with
-    [done_.(t) = true].
+    re-reads). A done task whose checkpoint no longer reads back is
+    the caller's to clear from [done_] first: the replan loop
+    ({!Ckpt_sim.Replan}) revalidates the committed frontier before
+    every replan.
 
     @raise Invalid_argument if [done_] does not match the DAG's task
     count or if every task is done (nothing left to plan). *)

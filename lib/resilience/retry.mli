@@ -24,13 +24,8 @@ val schedule : ?rng:Ckpt_prob.Rng.t -> policy -> float array
     Deterministic: equal seeds give equal schedules. Without [rng] the
     jitter factor is 1 (pure exponential).
 
-    @raise Invalid_argument on a non-positive [max_attempts] or a
-    negative delay parameter. *)
-
-val check_policy : policy -> unit
-(** Validates a policy's fields.
-    @raise Invalid_argument on a non-positive [max_attempts], negative
-    delay, [multiplier < 1] or jitter outside [0, 1]. *)
+    @raise Invalid_argument on a non-positive [max_attempts], a
+    negative delay, [multiplier < 1] or jitter outside [\[0, 1\]]. *)
 
 val with_retries :
   ?policy:policy ->

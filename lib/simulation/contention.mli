@@ -13,20 +13,10 @@
     every level) produce I/O bursts, so contention widens the gap the
     paper measures at nominal bandwidth.
 
-    An optional {!Ckpt_storage.Store} composes with contention: the
-    store's policy decides durability at the first write attempt of
-    each commit cycle (a policy-skipped commit is volatile — readable
-    in-run but not a recovery line), a detected commit failure rewrites
-    the replica set at the shared bandwidth (the rewrite {e is} the
-    backoff — no wall-clock sleep is charged, since the stream already
-    competes for bandwidth), an exhausted commit cycle re-executes its
-    segment, and a failed recovery read discovered at dispatch time
-    (corrupt replicas or an invalidated handle) sends the producing
-    segment back to the head of its processor's queue (cascading
-    transitively) while the consumer waits. Storage outage intervals
-    and remote commit/read latency are {e not} modelled here —
-    contention's fluid bandwidth sharing is itself the
-    storage-availability model of this simulator. *)
+    Checkpoints are perfectly reliable here: the checkpoint store and
+    its fault model ({!Ckpt_storage.Store}) compose with the
+    contention-free engine only, since contention's fluid bandwidth
+    sharing is itself this simulator's storage model. *)
 
 type seg = {
   processor : int;
@@ -36,33 +26,20 @@ type seg = {
   preds : int list;
 }
 
-val makespan :
-  ?store:Ckpt_storage.Store.t ->
-  bandwidth:float ->
-  seg array ->
-  (int -> Ckpt_platform.Failure.t) ->
-  float
+val makespan : bandwidth:float -> seg array -> (int -> Ckpt_platform.Failure.t) -> float
 (** Execute under fair-shared bandwidth. Preconditions as
     {!Engine.makespan}: topologically ordered, per-processor order
     respected. Like it, this calls the trace function at most once
     per processor, which may therefore create a fresh trace on each
-    call. [store] attaches a per-trial checkpoint store (commit
-    failures, latent corruption, policy-volatile commits, cascading
-    rollback as described above); omitted, checkpoints are perfectly
-    reliable.
+    call.
 
     @raise Invalid_argument on a bad ordering or non-positive
     bandwidth. *)
 
-val simulate :
-  ?trials:int ->
-  ?seed:int ->
-  ?store:Ckpt_storage.Store.config ->
-  Ckpt_core.Strategy.plan ->
-  Ckpt_prob.Stats.t
-(** Monte-Carlo driver under contention, mirroring {!Runner.simulate}.
-    [store] attaches the checkpoint store; each trial gets its own
-    state on a substream split after the trial generator, and a
-    {!Ckpt_storage.Store.passthrough} config draws nothing — the
-    returned statistics are then bitwise those of the fault-free
-    driver. *)
+val simulate : ?trials:int -> ?seed:int -> Ckpt_core.Strategy.plan -> Ckpt_prob.Stats.t
+(** Monte-Carlo driver under contention, mirroring {!Runner.simulate}
+    on {!Runner.segs_of_plan}'s segment DAG: [trials] (default 1000)
+    sequential trials, each on a generator split from one master
+    seeded with [seed] (default 7).
+
+    @raise Invalid_argument on [trials < 1] or a CKPTNONE plan. *)

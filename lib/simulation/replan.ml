@@ -283,11 +283,8 @@ let chunk_trials = 16
 let sample ~name ?(trials = 200) ?(seed = 11) ?(jobs = 1) run_trial =
   if trials < 1 then invalid_arg (name ^ ".sample: trials < 1");
   if jobs < 1 then invalid_arg (name ^ ".sample: jobs < 1");
-  let nchunks = (trials + chunk_trials - 1) / chunk_trials in
-  let chunks =
-    Pool.map_shared ~jobs nchunks (fun c ->
-        let lo = c * chunk_trials in
-        let hi = min trials (lo + chunk_trials) in
-        Array.init (hi - lo) (fun k -> run_trial (Rng.for_trial ~seed (lo + k))))
-  in
-  Array.concat (Array.to_list chunks)
+  Array.concat
+    (Array.to_list
+       (Pool.map_chunks ~jobs ~chunk:chunk_trials ~stop:(fun () -> false) trials
+          (fun ~lo ~hi ->
+            Array.init (hi - lo) (fun k -> run_trial (Rng.for_trial ~seed (lo + k))))))

@@ -11,7 +11,6 @@ module Deadline = Ckpt_resilience.Deadline
 module Retry = Ckpt_resilience.Retry
 module Error = Ckpt_resilience.Error
 module Pool = Ckpt_parallel.Pool
-module Storage = Ckpt_storage.Storage
 module Store = Ckpt_storage.Store
 
 let segs_of_plan (plan : Strategy.plan) =
@@ -67,51 +66,31 @@ let sample_makespans ?(trials = 1000) ?(seed = 7) ?(deadline = Deadline.never)
         in
         Engine.restart_rate_makespan ~wpar ~rate
   in
-  let nchunks = (trials + chunk_trials - 1) / chunk_trials in
-  let results =
-    Pool.map_shared ~jobs nchunks (fun c ->
-        (* deadline cut-off between chunks, always keeping at least one
-           completed chunk so statistics stay well-defined *)
-        if c > 0 && Deadline.expired deadline then None
-        else begin
-          let lo = c * chunk_trials in
-          let hi = min trials (lo + chunk_trials) in
-          let out = Array.make (hi - lo) 0. in
-          for k = lo to hi - 1 do
-            (* the trial's randomness is a pure function of (seed, k),
-               fixed before any attempt: a retried (fault-injected)
-               trial reproduces the exact makespan an undisturbed run
-               would have drawn, and so does any worker that ends up
-               computing trial k *)
-            let base = Rng.for_trial ~seed k in
-            let attempt ~attempt:_ =
-              inject ~trial:k;
-              one_trial (Rng.copy base)
-            in
-            let v =
-              match retry with
-              | None -> attempt ~attempt:1
-              | Some policy -> (
-                  match
-                    Retry.with_retries ~policy ~rng:(Rng.create (seed + k)) ~deadline
-                      attempt
-                  with
-                  | Ok v -> v
-                  | Result.Error e -> Error.raise_ e)
-            in
-            out.(k - lo) <- v
-          done;
-          Some out
-        end)
+  (* the trial's randomness is a pure function of (seed, k), fixed
+     before any attempt: a retried (fault-injected) trial reproduces
+     the exact makespan an undisturbed run would have drawn, and so
+     does any worker that ends up computing trial k *)
+  let trial k =
+    let base = Rng.for_trial ~seed k in
+    let attempt ~attempt:_ =
+      inject ~trial:k;
+      one_trial (Rng.copy base)
+    in
+    match retry with
+    | None -> attempt ~attempt:1
+    | Some policy -> (
+        match
+          Retry.with_retries ~policy ~rng:(Rng.create (seed + k)) ~deadline attempt
+        with
+        | Ok v -> v
+        | Result.Error e -> Error.raise_ e)
   in
-  (* the completed prefix, in trial order: deterministic for any [jobs]
-     (chunks finished beyond a deadline-induced gap are discarded) *)
-  let rec prefix i acc =
-    if i < nchunks then
-      match results.(i) with Some a -> prefix (i + 1) (a :: acc) | None -> acc
-    else acc
-  in
-  Array.concat (List.rev (prefix 0 []))
+  Array.concat
+    (Array.to_list
+       (Pool.map_chunks ~jobs ~chunk:chunk_trials
+          ~stop:(fun () -> Deadline.expired deadline)
+          trials
+          (fun ~lo ~hi -> Array.init (hi - lo) (fun i -> trial (lo + i)))))
 
 (* ---------- Monte-Carlo over unreliable stable storage ---------- *)
 
@@ -161,35 +140,30 @@ let sample_storage ?(trials = 1000) ?(seed = 7) ?(jobs = 1) ?inject ?persist ?sc
   let platform = plan.Strategy.platform in
   let segs = segs_of_plan plan in
   let writes = writes_of_plan plan in
-  let nchunks = (trials + chunk_trials - 1) / chunk_trials in
-  let chunks =
-    Pool.map_shared ~jobs nchunks (fun c ->
-        let one_trial k =
-          let trial_rng = Rng.for_trial ~seed k in
-          let trace_of p = Failure.create trial_rng ~lambda:(Platform.rate_of platform p) in
-          let st =
-            Store.create ?inject ?persist ?scope ~trial:k store
-              (Rng.for_trial ~seed:(storage_seed seed) k)
-          in
-          let run = Engine.run ~store:st ~write:writes segs trace_of in
-          let stats = Store.stats st in
-          {
-            makespan = run.Engine.finish;
-            commit_retries = stats.Store.commit_retries;
-            commit_exhausted = stats.Store.commit_exhausted;
-            corrupt_reads = stats.Store.corrupt_reads;
-            rollbacks = List.length run.Engine.rollbacks;
-            store = stats;
-          }
-        in
-        let lo = c * chunk_trials in
-        let hi = min trials (lo + chunk_trials) in
-        Array.init (hi - lo) (fun k -> one_trial (lo + k)))
+  let trial k =
+    let trial_rng = Rng.for_trial ~seed k in
+    let trace_of p = Failure.create trial_rng ~lambda:(Platform.rate_of platform p) in
+    let st =
+      Store.create ?inject ?persist ?scope ~trial:k store
+        (Rng.for_trial ~seed:(storage_seed seed) k)
+    in
+    let run = Engine.run ~store:st ~write:writes segs trace_of in
+    let stats = Store.stats st in
+    {
+      makespan = run.Engine.finish;
+      commit_retries = stats.Store.commit_retries;
+      commit_exhausted = stats.Store.commit_exhausted;
+      corrupt_reads = stats.Store.corrupt_reads;
+      rollbacks = List.length run.Engine.rollbacks;
+      store = stats;
+    }
   in
-  Array.concat (Array.to_list chunks)
+  Array.concat
+    (Array.to_list
+       (Pool.map_chunks ~jobs ~chunk:chunk_trials ~stop:(fun () -> false) trials
+          (fun ~lo ~hi -> Array.init (hi - lo) (fun i -> trial (lo + i)))))
 
 let simulate ?trials ?seed ?deadline ?inject ?retry ?jobs plan =
   Stats.of_array (sample_makespans ?trials ?seed ?deadline ?inject ?retry ?jobs plan)
 
-let simulated_expected_makespan ?trials ?seed ?jobs plan =
-  Stats.mean (simulate ?trials ?seed ?jobs plan)
+let simulated_expected_makespan ?trials ?seed plan = Stats.mean (simulate ?trials ?seed plan)

@@ -84,8 +84,8 @@ val simulate :
     semantics on its failure-free parallel time. See
     {!sample_makespans} for [deadline] / [inject] / [retry] / [jobs]. *)
 
-val simulated_expected_makespan :
-  ?trials:int -> ?seed:int -> ?jobs:int -> Ckpt_core.Strategy.plan -> float
+val simulated_expected_makespan : ?trials:int -> ?seed:int -> Ckpt_core.Strategy.plan -> float
+(** The mean of {!simulate}, sequentially. *)
 
 val sample_makespans :
   ?trials:int ->

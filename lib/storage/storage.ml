@@ -8,7 +8,6 @@ type config = {
   outage_rate : float;
   outage_mean : float;
   replicas : int;
-  backoff : Retry.policy;
 }
 
 let default =
@@ -19,7 +18,6 @@ let default =
     outage_rate = 0.;
     outage_mean = 0.;
     replicas = 1;
-    backoff = Retry.default;
   }
 
 let reliable c =
@@ -36,8 +34,7 @@ let validate c =
   if not (c.outage_rate >= 0.) then invalid_arg "Storage: negative outage_rate";
   if c.outage_rate > 0. && not (c.outage_mean > 0.) then
     invalid_arg "Storage: outage_rate > 0 needs a positive outage_mean";
-  if c.replicas < 1 then invalid_arg "Storage: replicas < 1";
-  Retry.check_policy c.backoff
+  if c.replicas < 1 then invalid_arg "Storage: replicas < 1"
 
 type ckpt = {
   seg : int;
@@ -128,33 +125,29 @@ let fresh_ckpt t ~seg ~at =
 let commit_attempt_fails t =
   t.config.commit_fail_prob > 0. && Rng.uniform t.rng < t.config.commit_fail_prob
 
-type commit_step = Committed | Rewrite | Exhausted
-
-let commit_step t ~attempt =
-  if attempt < 1 then invalid_arg "Storage.commit_step: attempt < 1";
-  if attempt = 1 then t.commits <- t.commits + 1;
-  if not (commit_attempt_fails t) then Committed
-  else if attempt >= t.config.backoff.Retry.max_attempts then begin
-    t.commit_exhausted <- t.commit_exhausted + 1;
-    Exhausted
-  end
-  else begin
-    t.commit_retries <- t.commit_retries + 1;
-    Rewrite
-  end
+(* the backoff between detected-commit-failure retries: {!Retry.default}'s
+   delays, without jitter *)
+let max_attempts = Retry.default.Retry.max_attempts
+let backoff = Retry.schedule Retry.default
 
 let commit t ~seg ~write ~at =
   t.inject "storage commit";
-  (* the first write span is already part of the caller's segment
-     duration; only retried writes charge [write] again, after their
-     backoff delay (and any storage outage) has passed *)
+  t.commits <- t.commits + 1;
+  (* each attempt either commits, or fails detectably and rewrites the
+     replica set, or exhausts the policy. The first write span is
+     already part of the caller's segment duration; only retried
+     writes charge [write] again, after their backoff delay (and any
+     storage outage) has passed *)
   let rec go attempt at =
-    match commit_step t ~attempt with
-    | Committed -> Ok (at, fresh_ckpt t ~seg ~at)
-    | Exhausted -> Error at
-    | Rewrite ->
-        let delay = (Retry.schedule t.config.backoff).(attempt - 1) in
-        go (attempt + 1) (available t (at +. delay) +. write)
+    if not (commit_attempt_fails t) then Ok (at, fresh_ckpt t ~seg ~at)
+    else if attempt >= max_attempts then begin
+      t.commit_exhausted <- t.commit_exhausted + 1;
+      Error at
+    end
+    else begin
+      t.commit_retries <- t.commit_retries + 1;
+      go (attempt + 1) (available t (at +. backoff.(attempt - 1)) +. write)
+    end
   in
   go 1 at
 

@@ -5,10 +5,11 @@
     and gives the simulators a three-way storage fault taxonomy:
 
     - {e detected commit failures}: a checkpoint write fails visibly
-      with probability [commit_fail_prob]; the writer retries under the
-      existing {!Ckpt_resilience.Retry} backoff policy (each retried
-      write re-pays the full write span after its backoff delay), and a
-      policy exhaustion escalates to re-executing the whole segment;
+      with probability [commit_fail_prob]; the writer retries under
+      {!Ckpt_resilience.Retry.default}'s backoff delays, without jitter
+      (each retried write re-pays the full write span after its delay),
+      and a policy exhaustion escalates to re-executing the whole
+      segment;
     - {e latent corruption}: each replica copy of a committed
       checkpoint is corrupt from birth with probability [corrupt_prob]
       and/or rots at an exponential instant of rate [storage_lambda]
@@ -31,7 +32,6 @@
     ({!Ckpt_resilience.Faulty}). *)
 
 module Rng = Ckpt_prob.Rng
-module Retry = Ckpt_resilience.Retry
 
 type config = {
   commit_fail_prob : float;  (** detected write-failure probability, in [\[0, 1)] *)
@@ -41,11 +41,10 @@ type config = {
   outage_rate : float;  (** storage outage starts per second; 0 = never *)
   outage_mean : float;  (** mean outage duration, seconds *)
   replicas : int;  (** copies per checkpoint commit; >= 1 *)
-  backoff : Retry.policy;  (** backoff between detected-commit-failure retries *)
 }
 
 val default : config
-(** All fault channels off, one replica, {!Retry.default} backoff. *)
+(** All fault channels off, one replica. *)
 
 val reliable : config -> bool
 (** [true] iff every fault channel is off — the configuration under
@@ -56,8 +55,7 @@ val reliable : config -> bool
 val validate : config -> unit
 (** @raise Invalid_argument on probabilities outside [\[0, 1)] (1 would
     make cascading rollback loop forever), negative rates, an outage
-    rate without a positive mean duration, [replicas < 1], or an
-    invalid backoff policy. *)
+    rate without a positive mean duration, or [replicas < 1]. *)
 
 type t
 (** Per-trial storage state: fault randomness, lazily materialised
@@ -92,28 +90,6 @@ val commit : t -> seg:int -> write:float -> at:float -> (float * ckpt, float) re
     give_up_at] when the backoff policy is exhausted; the caller
     escalates (re-executes the producing segment). Draws nothing when
     [commit_fail_prob = 0]. *)
-
-type commit_step =
-  | Committed  (** the attempt succeeded *)
-  | Rewrite  (** detected failure; rewrite the replica set and try again *)
-  | Exhausted  (** backoff policy exhausted; escalate to re-execution *)
-
-val commit_step : t -> attempt:int -> commit_step
-(** One commit attempt's outcome. {!commit} loops over it, charging
-    the backoff and outage delays between rewrites; event-driven
-    simulators call it directly and charge the rewrite spans themselves
-    (e.g. under bandwidth contention). [attempt] is 1-based; the first
-    attempt counts the commit. Draws nothing when
-    [commit_fail_prob = 0] (the result is then always [Committed]).
-
-    @raise Invalid_argument when [attempt < 1]. *)
-
-val fresh_ckpt : t -> seg:int -> at:float -> ckpt
-(** The checkpoint handle of a commit that completed at instant [at],
-    its per-replica corruption layout drawn now ({e one} draw sequence
-    per replica; nothing when both corruption channels are off).
-    {!commit} calls this internally; event-driven simulators pair it
-    with {!commit_step}. *)
 
 val seg_of : ckpt -> int
 

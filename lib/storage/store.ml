@@ -315,7 +315,7 @@ let persist_record t ~seg ~at =
           Hashtbl.replace p.records key payload;
           p.appended <- p.appended + 1)
 
-let begin_commit ?(interrupt = false) t =
+let commit ?(interrupt = false) t ~seg ~write ~at =
   let durable =
     match t.config.policy with
     | Every_segment -> true
@@ -327,36 +327,21 @@ let begin_commit ?(interrupt = false) t =
           t.regular_commits mod k = 0
         end
   in
-  if durable then `Durable
-  else begin
+  if not durable then begin
+    (* policy-skipped: local scratch only — instant, no fault
+       physics, no persistence; readable within the run but not
+       across a recovery line *)
     t.skipped <- t.skipped + 1;
-    `Volatile
+    t.inject "store commit";
+    Ok (at, { hseg = seg; gen = bump_gen t seg; body = Volatile })
   end
-
-let volatile_handle t ~seg = { hseg = seg; gen = bump_gen t seg; body = Volatile }
-
-let fresh_handle t ~seg ~at =
-  let ck = Storage.fresh_ckpt t.st ~seg ~at in
-  persist_record t ~seg ~at;
-  { hseg = seg; gen = bump_gen t seg; body = Durable ck }
-
-let commit ?(interrupt = false) t ~seg ~write ~at =
-  match begin_commit ~interrupt t with
-  | `Volatile ->
-      (* policy-skipped: local scratch only — instant, no fault
-         physics, no persistence; readable within the run but not
-         across a recovery line *)
-      t.inject "store commit";
-      Ok (at, volatile_handle t ~seg)
-  | `Durable -> (
-      match Storage.commit t.st ~seg ~write ~at with
-      | Result.Error _ as e -> e
-      | Ok (done_at, ck) ->
-          let done_at = done_at +. commit_latency t in
-          persist_record t ~seg ~at:done_at;
-          Ok (done_at, { hseg = seg; gen = bump_gen t seg; body = Durable ck }))
-
-let commit_step t ~attempt = Storage.commit_step t.st ~attempt
+  else
+    match Storage.commit t.st ~seg ~write ~at with
+    | Result.Error _ as e -> e
+    | Ok (done_at, ck) ->
+        let done_at = done_at +. commit_latency t in
+        persist_record t ~seg ~at:done_at;
+        Ok (done_at, { hseg = seg; gen = bump_gen t seg; body = Durable ck })
 
 type read_error = Corrupt | Rejected
 

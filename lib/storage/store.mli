@@ -202,30 +202,8 @@ val commit :
     handle is readable within the run but not across a recovery line.
     [Error give_up_at] as {!Storage.commit}. *)
 
-val begin_commit : ?interrupt:bool -> t -> [ `Durable | `Volatile ]
-(** The policy decision for one logical commit, for event-driven
-    simulators that drive the attempt loop themselves: advances the
-    policy position (every-k) and the skip counter. [`Durable] —
-    run {!commit_step} attempts and finish with {!fresh_handle};
-    [`Volatile] — skip the fault physics and take
-    {!volatile_handle}. ({!commit} calls this internally.) *)
-
-val commit_step : t -> attempt:int -> Storage.commit_step
-(** {!Storage.commit_step} for event-driven simulators (contention):
-    counters and draws exactly as the fault layer's. *)
-
-val fresh_handle : t -> seg:int -> at:float -> handle
-(** The durable handle of an event-driven commit that completed at
-    [at] (pairs with {!commit_step}); persists the record like
-    {!commit}. *)
-
-val volatile_handle : t -> seg:int -> handle
-(** The handle of a policy-skipped commit: draws nothing, readable
-    within the run only. *)
-
 val commit_latency : t -> float
-(** The backend's fixed commit latency ([Remote], else 0) — for
-    event-driven simulators that charge spans themselves. *)
+(** The backend's fixed commit latency ([Remote], else 0). *)
 
 type read_error =
   | Corrupt  (** every replica corrupt at read time (fault model) *)

@@ -82,7 +82,7 @@ let render ?(width = 1000) ?(lane_height = 28) ?(title = "execution") ~processor
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
 
-let render_plan ?width ?lane_height ?(seed = 11) (plan : Strategy.plan) =
+let render_plan ?(seed = 11) (plan : Strategy.plan) =
   let segs = Ckpt_sim.Runner.segs_of_plan plan in
   let platform = plan.Strategy.platform in
   let rng = Rng.create seed in
@@ -97,7 +97,7 @@ let render_plan ?width ?lane_height ?(seed = 11) (plan : Strategy.plan) =
   in
   let run = Engine.run segs trace in
   let processors = plan.Strategy.schedule.Ckpt_core.Schedule.processors in
-  render ?width ?lane_height
+  render
     ~title:(Strategy.kind_name plan.Strategy.kind)
     ~processors ~makespan:run.Engine.finish run.Engine.records
 

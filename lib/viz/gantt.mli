@@ -18,14 +18,10 @@ val render :
     [width] is the drawing width in pixels (default 1000),
     [lane_height] the per-processor lane height (default 28). *)
 
-val render_plan :
-  ?width:int ->
-  ?lane_height:int ->
-  ?seed:int ->
-  Ckpt_core.Strategy.plan ->
-  string
+val render_plan : ?seed:int -> Ckpt_core.Strategy.plan -> string
 (** Simulates one execution of the plan (with the plan's own failure
-    rate) and renders it.
+    rate, traces seeded with [seed], default 11) and renders it at
+    {!render}'s default size.
 
     @raise Invalid_argument on a CKPTNONE plan. *)
 

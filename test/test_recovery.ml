@@ -76,7 +76,7 @@ let test_residual_keeps_not_done () =
   let d, a, _, _ = chain_dag () in
   let done_ = Array.make 3 false in
   done_.(a) <- true;
-  let sub, task_of = Residual.build ~dag:d ~done_ () in
+  let sub, task_of = Residual.build ~dag:d ~done_ in
   Alcotest.(check int) "two tasks left" 2 (Dag.n_tasks sub);
   Alcotest.(check (list int)) "mapping" [ 1; 2 ] (Array.to_list task_of);
   (* b now reads a->b's file from stable storage; c reads a->c's *)
@@ -90,33 +90,13 @@ let test_residual_keeps_not_done () =
 
 let test_residual_keeps_initial_inputs () =
   let d, _, _, _ = chain_dag () in
-  let sub, _ = Residual.build ~dag:d ~done_:(Array.make 3 false) () in
+  let sub, _ = Residual.build ~dag:d ~done_:(Array.make 3 false) in
   Alcotest.(check (list (float 1e-9))) "a keeps its initial input" [ 7. ] (Dag.inputs sub 0)
-
-let test_residual_unreadable_rejoins () =
-  (* a and b are done, but a's checkpoint no longer reads back valid:
-     a rejoins the residual, b stays done — b's file into c becomes a
-     stable-storage re-read while a's own re-execution feeds c through
-     an ordinary edge again *)
-  let d, a, b, _ = chain_dag () in
-  let done_ = Array.make 3 false in
-  done_.(a) <- true;
-  done_.(b) <- true;
-  let sub, task_of = Residual.build ~readable:(fun t -> t <> a) ~dag:d ~done_ () in
-  Alcotest.(check (list int)) "a rejoined, c remained" [ 0; 2 ] (Array.to_list task_of);
-  Alcotest.(check bool) "a -> c edge restored" true (Dag.has_edge sub 0 1);
-  Alcotest.(check (list (float 1e-9))) "a keeps its initial input" [ 7. ] (Dag.inputs sub 0);
-  Alcotest.(check (list (float 1e-9))) "c re-reads b's checkpoint" [ 300. ] (Dag.inputs sub 1);
-  (* readable consulted only on done tasks: all-readable equals the
-     plain build *)
-  let plain, _ = Residual.build ~dag:d ~done_ () in
-  let hooked, _ = Residual.build ~readable:(fun _ -> true) ~dag:d ~done_ () in
-  check_close "identity hook changes nothing" (Dag.total_data plain) (Dag.total_data hooked)
 
 let test_residual_rejects_all_done () =
   let d, _, _, _ = chain_dag () in
   Alcotest.(check bool) "rejected" true
-    (match Residual.build ~dag:d ~done_:(Array.make 3 true) () with
+    (match Residual.build ~dag:d ~done_:(Array.make 3 true) with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -385,8 +365,6 @@ let suite =
     Alcotest.test_case "residual keeps not-done" `Quick test_residual_keeps_not_done;
     Alcotest.test_case "residual keeps initial inputs" `Quick test_residual_keeps_initial_inputs;
     Alcotest.test_case "residual rejects all-done" `Quick test_residual_rejects_all_done;
-    Alcotest.test_case "residual: unreadable checkpoint rejoins" `Quick
-      test_residual_unreadable_rejoins;
     Alcotest.test_case "death-free matches execute" `Quick test_death_free_matches_execute;
     Alcotest.test_case "idle death harmless" `Quick test_idle_death_is_harmless;
     Alcotest.test_case "mid-flight death interrupts" `Quick test_midflight_death_interrupts;

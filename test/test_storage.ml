@@ -8,15 +8,12 @@ module Storage = Ckpt_storage.Storage
 module Store = Ckpt_storage.Store
 module Engine = Ckpt_sim.Engine
 module Runner = Ckpt_sim.Runner
-module Contention = Ckpt_sim.Contention
 module Degrade = Ckpt_sim.Degrade
 module Failure = Ckpt_platform.Failure
 module Platform = Ckpt_platform.Platform
 module Rng = Ckpt_prob.Rng
-module Stats = Ckpt_prob.Stats
 module Strategy = Ckpt_core.Strategy
 module Pipeline = Ckpt_core.Pipeline
-module Retry = Ckpt_resilience.Retry
 module Spec = Ckpt_workflows.Spec
 
 let rejects msg config =
@@ -242,29 +239,6 @@ let test_replicas_pricing () =
   Alcotest.(check int) "replicas recorded" 4 p4.Strategy.replicas;
   Alcotest.(check bool) "k=4 planned EM no cheaper" true (em p4 >= em p1)
 
-(* contention simulator: a reliable storage config draws nothing and
-   reproduces the storage-free statistics bitwise *)
-let test_contention_reliable_bitwise () =
-  let plan = plan_of Strategy.Ckpt_all in
-  let plain = Contention.simulate ~trials:60 ~seed:5 plan in
-  let stored = Contention.simulate ~trials:60 ~seed:5 ~store:Store.default plan in
-  Alcotest.(check (float 0.)) "mean" (Stats.mean plain) (Stats.mean stored);
-  Alcotest.(check (float 0.)) "stddev" (Stats.stddev plain) (Stats.stddev stored)
-
-(* contention simulator: faults engage and cost time *)
-let test_contention_faults_cost () =
-  let plan = plan_of Strategy.Ckpt_all in
-  let plain = Contention.simulate ~trials:60 ~seed:5 plan in
-  let stored =
-    Contention.simulate ~trials:60 ~seed:5
-      ~store:
-        (store_of
-           { Storage.default with Storage.corrupt_prob = 0.15; commit_fail_prob = 0.1 })
-      plan
-  in
-  Alcotest.(check bool) "faults cost time under contention" true
-    (Stats.mean stored > Stats.mean plain)
-
 (* degraded mode: the default storage config reproduces the legacy
    sample bitwise (the storage split draws nothing), and corruption
    surfaces in the rollback/invalidated counters *)
@@ -312,15 +286,9 @@ let test_commit_accounting () =
       Alcotest.(check int) "seg recorded" 0 (Storage.seg_of ck);
       Alcotest.(check bool) "valid forever" true (Storage.valid_at ck ~at:1e12)
   | Error _ -> Alcotest.fail "reliable commit failed");
-  (* near-certain failure with a tiny budget: exhaustion is an Error
-     and the counters record the attempts *)
-  let doomed =
-    {
-      Storage.default with
-      Storage.commit_fail_prob = 0.999;
-      backoff = { Retry.default with Retry.max_attempts = 2 };
-    }
-  in
+  (* near-certain failure: exhaustion of the default backoff is an
+     Error and the counters record the attempts *)
+  let doomed = { Storage.default with Storage.commit_fail_prob = 0.999 } in
   let st = Storage.create doomed (Rng.create 3) in
   let exhausted = ref 0 in
   for seg = 0 to 49 do
@@ -346,9 +314,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_rollback_matches_failed_reads;
     Alcotest.test_case "replication crossover" `Quick test_replication_crossover;
     Alcotest.test_case "planner prices replication" `Quick test_replicas_pricing;
-    Alcotest.test_case "contention: reliable is bitwise-free" `Quick
-      test_contention_reliable_bitwise;
-    Alcotest.test_case "contention: faults cost time" `Quick test_contention_faults_cost;
     Alcotest.test_case "degrade: storage composition" `Quick test_degrade_storage;
     Alcotest.test_case "commit accounting" `Quick test_commit_accounting;
     Alcotest.test_case "config: NaN rejected" `Quick test_validate_nan;

@@ -239,8 +239,7 @@ let check_storage cfg =
   with Invalid_argument message -> die (Rerror.Io { path = "--storage flags"; message })
 
 (* --- checkpoint-store flags (the Ckpt_storage.Store layer; shared by
-   simulate / degrade / storm / cloud, accepted-but-planning-only on
-   sweep) --- *)
+   simulate / degrade / storm / cloud) --- *)
 
 type store_flags = {
   sf_backend : [ `Memory | `Disk | `Replicated | `Remote ];
@@ -845,22 +844,10 @@ let sweep_cell_key ~csv ~dag ~seed ~processors ~pfail ~method_ ccr =
     (Evaluator.name method_) csv ccr
 
 let sweep_run dax workflow tasks seed processors pfail method_ csv journal resume
-    fail_after jobs sflags =
+    fail_after jobs =
   protect @@ fun () ->
   let dag = source dax workflow tasks seed in
   let journal = open_journal ~resume journal in
-  (* sweep cells are analytic — nothing commits, so the store flags are
-     accepted (scripts can share one flag set across subcommands) but
-     a non-default choice is called out rather than silently dropped *)
-  if
-    sflags.sf_backend <> `Memory
-    || sflags.sf_policy <> Store.Every_segment
-    || sflags.sf_fail_after <> None
-  then
-    Printf.eprintf
-      "ckptwf: sweep evaluates plans analytically and commits no checkpoints; --store \
-       flags are ignored\n\
-       %!";
   if csv then print_endline "workflow,tasks,processors,pfail,ccr,em_some,em_all,em_none,rel_all,rel_none,ckpts_some"
   else
     Format.printf "%-8s %6s %10s %10s %10s %8s %8s %6s@." "wf" "ccr" "EM(some)" "EM(all)"
@@ -894,7 +881,7 @@ let sweep_cmd =
     Term.(
       const sweep_run $ dax_arg $ workflow_arg $ tasks_arg $ seed_arg $ processors_arg
       $ pfail_arg $ method_arg $ csv $ journal_path_arg "sweep" $ resume_arg
-      $ fail_after_arg "cell" $ jobs_arg $ store_flags_term)
+      $ fail_after_arg "cell" $ jobs_arg)
 
 (* --- accuracy (Section VI-B) --- *)
 

@@ -152,9 +152,12 @@ diff -u "$TMP/neardeg_fresh.csv" "$TMP/neardeg_res.csv"
 
 echo "== CLI surface: every subcommand keeps every flag name =="
 # the sorted --flag names of each subcommand's plain help, against the
-# committed golden: a refactor can neither drop nor rename a flag
+# committed golden: a refactor can neither drop nor rename a flag. The
+# names come from the option header lines (seven spaces, then a dash),
+# never from the help prose, where a flag may name another command's
 for sub in accuracy cloud contention degrade evaluate export gantt generate quantiles schedule serve simulate storm sweep; do
-    $CKPTWF "$sub" --help=plain | grep -oE -- '--[a-z-]+' | LC_ALL=C sort -u | sed "s/^/$sub /"
+    $CKPTWF "$sub" --help=plain | grep -E '^       -' | grep -oE -- '--[a-z-]+' \
+        | LC_ALL=C sort -u | sed "s/^/$sub /"
 done > "$TMP/cli_surface.txt"
 diff -u test/cli_surface.txt "$TMP/cli_surface.txt"
 
@@ -397,12 +400,10 @@ fi
 echo "== checkpoint store: explicit default flags reproduce every subcommand bitwise =="
 # the pluggable store's contract with history: the default in-memory
 # every-segment store spelled out explicitly must change nothing, byte
-# for byte, on any subcommand
+# for byte, on any subcommand that takes it
 STOREDEF="--store memory --store-policy every-segment"
 $CKPTWF simulate $SIM $STOREDEF > "$TMP/sim_store_def.txt" 2> /dev/null
 diff -u "$TMP/sim_plain.txt" "$TMP/sim_store_def.txt"
-$CKPTWF sweep $SWEEP $STOREDEF --jobs 1 > "$TMP/sweep_store_def.csv" 2> /dev/null
-diff -u "$TMP/jobs1.csv" "$TMP/sweep_store_def.csv"
 $CKPTWF degrade $DEGRADE $STOREDEF > "$TMP/deg_store_def.csv" 2> /dev/null
 diff -u "$TMP/deg1.csv" "$TMP/deg_store_def.csv"
 $CKPTWF storm $STORM $STOREDEF > "$TMP/storm_store_def.csv" 2> /dev/null

@@ -1782,7 +1782,7 @@ let replan_cache_totals state =
       (h + hits, m + misses))
     state.degraded (0, 0)
 
-(* [planned] is what the batch's pre-pass resolved for a plan or
+(* [planned] is what its run's pre-pass resolved for a plan or
    degrade request: the decoded request, its plan and its cache
    marker, or the error its decoding raised. Each answer is timed from
    [t0], the start of its batch *)
@@ -1941,13 +1941,15 @@ let error_answer ?req e =
         ("error", Json.Str (error_kind e));
         ("message", Json.Str (Rerror.to_string e)) ])
 
-(* answer one batch of already-read request lines: parse, then decode
-   each plan and degrade request once and plan the batch's keys as one
-   fan-out over the resident pool (Service.plans), then answer in
-   order from what the batch resolved — the amortisation the daemon
-   exists for. Each line carries the Deadline started when it was
-   received; a request still unanswered when its deadline lapses gets
-   a structured "deadline" answer instead of a stale result. *)
+(* answer one batch of already-read request lines: parse them all, then
+   answer runs that each end at a stats request, so a stats answer
+   counts no later request's lookups. A run decodes each plan and
+   degrade request once, plans its keys as one fan-out over the
+   resident pool (Service.plans) — the amortisation the daemon exists
+   for — and answers in order. Answers are timed from the start of the
+   batch. Each line carries the Deadline started when it was received;
+   a request still unanswered when it lapses gets a structured
+   "deadline" answer instead of a stale result. *)
 let answer_batch state ~jobs ~mode ~output lines =
   let t0 = Unix.gettimeofday () in
   let parsed =
@@ -1959,10 +1961,10 @@ let answer_batch state ~jobs ~mode ~output lines =
       lines
   in
   let planned = Array.make (Array.length parsed) None in
-  let decoded = ref [] in
-  Array.iteri
-    (fun i entry ->
-      match entry with
+  let answer_run lo hi =
+    let decoded = ref [] in
+    for i = lo to hi - 1 do
+      match parsed.(i) with
       | Error _ -> ()
       | Ok (req, _) -> (
           match req_str req "op" ~default:"" with
@@ -1970,28 +1972,27 @@ let answer_batch state ~jobs ~mode ~output lines =
               (* a malformed request keeps its error for its answer *)
               match plan_request state req with
               | pr -> decoded := (i, pr) :: !decoded
-              | exception ((Rerror.E _ | Invalid_argument _) as e) when mode = Structured ->
+              | exception (Rerror.E _ | Invalid_argument _ as e) when mode = Structured ->
                   planned.(i) <- Some (Error e))
           | _ -> ()
           (* an "op" that is not a string: the answer pass answers it *)
-          | exception Rerror.E _ when mode = Structured -> ()))
-    parsed;
-  let decoded = Array.of_list (List.rev !decoded) in
-  let plans =
-    Service.plans state.service ~jobs
-      (Array.map (fun (_, pr) -> pr.preq_key) decoded)
-      (fun j ->
-        let pr = snd decoded.(j) in
-        Pipeline.plan ~replicas:pr.preq_replicas pr.preq_setup pr.preq_kind)
-  in
-  Array.iteri
-    (fun j (i, pr) ->
-      let plan, hit = plans.(j) in
-      planned.(i) <- Some (Ok (pr, plan, if hit then "hit" else "miss")))
-    decoded;
-  Array.iteri
-    (fun i entry ->
-      match entry with
+          | exception Rerror.E _ when mode = Structured -> ())
+    done;
+    let decoded = Array.of_list (List.rev !decoded) in
+    let plans =
+      Service.plans state.service ~jobs
+        (Array.map (fun (_, pr) -> pr.preq_key) decoded)
+        (fun j ->
+          let pr = snd decoded.(j) in
+          Pipeline.plan ~replicas:pr.preq_replicas pr.preq_setup pr.preq_kind)
+    in
+    Array.iteri
+      (fun j (i, pr) ->
+        let plan, hit = plans.(j) in
+        planned.(i) <- Some (Ok (pr, plan, if hit then "hit" else "miss")))
+      decoded;
+    for i = lo to hi - 1 do
+      match parsed.(i) with
       | Error e -> output (Json.to_string (error_answer e))
       | Ok (req, deadline) -> (
           match
@@ -2002,8 +2003,20 @@ let answer_batch state ~jobs ~mode ~output lines =
           | exception Rerror.E e when mode = Structured ->
               output (Json.to_string (error_answer ~req e))
           | exception Invalid_argument m when mode = Structured ->
-              output (Json.to_string (error_answer ~req (invalid_input m)))))
-    parsed
+              output (Json.to_string (error_answer ~req (invalid_input m))))
+    done
+  in
+  let n = Array.length parsed in
+  let rec runs lo i =
+    if i = n then (if lo < n then answer_run lo n)
+    else
+      match parsed.(i) with
+      | Ok (req, _) when Json.member "op" req = Some (Json.Str "stats") ->
+          answer_run lo (i + 1);
+          runs (i + 1) (i + 1)
+      | _ -> runs lo (i + 1)
+  in
+  runs 0 0
 
 (* stdin requests: with --once the whole input is one batch; otherwise
    each line is answered as a batch of one before the next is read *)

@@ -459,7 +459,8 @@ EOF
 
     echo "== scenario 15: a request whose \"op\" is not a string gets a parse answer, the batch goes on =="
     # the batch's decoding pass must leave such a request to its answer,
-    # not lose the whole connection's answers
+    # not lose the whole connection's answers; a stats request is
+    # answered before the requests after it are looked up
     start_daemon
     cat > "$TMP/op_num.ndjson" <<'EOF'
 {"id": 1, "op": "stats"}
@@ -472,6 +473,9 @@ EOF
         || fail "scenario 15: want 3 answers to the 3-request batch, got $(wc -l < "$TMP/op_num.out")"
     sed -n 1p "$TMP/op_num.out" | grep -q '"id":1,"op":"stats","ok":true' \
         || fail "scenario 15: the request before the bad one was not answered"
+    # the stats answer comes before the plan: it counts no lookup of it
+    sed -n 1p "$TMP/op_num.out" | grep -q '"setup_misses":0,.*"plan_misses":0,' \
+        || fail "scenario 15: the leading stats answer counts a later request's lookups"
     sed -n 2p "$TMP/op_num.out" | grep -q '"id":2,"op":5,"ok":false,"error":"parse"' \
         || fail "scenario 15: the non-string op was not answered with a parse error"
     sed -n 3p "$TMP/op_num.out" | grep -q '"id":3,"op":"plan","ok":true' \

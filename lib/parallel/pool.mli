@@ -50,8 +50,9 @@ val map_chunks :
   (lo:int -> hi:int -> 'a) ->
   'a array
 (** [map_chunks ~jobs ~chunk ~stop n f] cuts [\[0, n)] into consecutive
-    [chunk]-sized pieces (the last one shorter), runs [f ~lo ~hi] on
-    each piece [\[lo, hi)] through {!map_shared}, and returns the
+    [chunk]-sized pieces (the last one possibly shorter), runs
+    [f ~lo ~hi] on each piece [\[lo, hi)] through {!map_shared}, so [f]
+    and [stop] must be safe to call concurrently, and returns the
     results in chunk order. [stop ()] is tested before every chunk but
     the first — a deadline check, say — and a chunk it stops yields
     nothing. The result is the completed prefix, up to the first

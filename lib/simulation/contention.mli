@@ -37,7 +37,7 @@ val makespan : bandwidth:float -> seg array -> (int -> Ckpt_platform.Failure.t) 
     bandwidth. *)
 
 val simulate : ?trials:int -> ?seed:int -> Ckpt_core.Strategy.plan -> Ckpt_prob.Stats.t
-(** Monte-Carlo driver under contention, mirroring {!Runner.simulate}
+(** Monte-Carlo simulation under contention, mirroring {!Runner.simulate}
     on {!Runner.segs_of_plan}'s segment DAG: [trials] (default 1000)
     sequential trials, each on a generator split from one master
     seeded with [seed] (default 7).

@@ -12,7 +12,7 @@
    got its own record-free loop. The contention simulator's and the
    Monte-Carlo estimator's digests were recorded before the contention
    simulator lost its checkpoint-store path and the trial samplers
-   moved onto one chunk driver. *)
+   moved onto one shared chunk loop. *)
 
 module Spec = Ckpt_workflows.Spec
 module Pipeline = Ckpt_core.Pipeline

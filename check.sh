@@ -120,6 +120,27 @@ quantiles -w ligo -n 300 -p 35 --strategy hybrid-4 --trials 200
 EOF
 diff -u test/strict_golden.txt "$TMP/strict_golden.txt"
 
+echo "== replans: printed output and notices match the golden =="
+# degrade and cloud replan the residual workflow after every loss. On
+# GENOME, CYBERSHAKE and SIPHT the done sets of store-free trials are
+# predecessor-closed; under latent corruption (--storage-lambda) a
+# revalidated frontier leaves some that are not. stdout and stderr
+# (the replan-cache and work-lost notices) are pinned byte for byte in
+# test/replan_golden.txt; the MONTAGE and LIGO goldens above cover
+# completed workflows
+while read -r args; do
+    echo "\$ ckptwf $args"
+    $CKPTWF $args 2> "$TMP/replan.err"
+    echo "\$ (stderr)"
+    cat "$TMP/replan.err"
+done > "$TMP/replan_golden.txt" <<'EOF'
+cloud -w genome -n 300 -p 35 --trials 20
+degrade --csv -w cybershake -n 300 -p 35 --trials 20 --losses 2
+degrade --csv -w sipht -n 300 -p 35 --trials 20 --losses 3
+degrade --csv -w genome -n 300 -p 35 --trials 20 --storage-lambda 0.001
+EOF
+diff -u test/replan_golden.txt "$TMP/replan_golden.txt"
+
 echo "== strict workflows: a sweep's cells over four domains match the golden =="
 # the LIGO n=1000 p=61 sweep has 134 superchains: at --jobs 4 its cells
 # plan through the one structure the sweep builds, from several domains

@@ -254,6 +254,109 @@ let random_dag seed n =
   done;
   d
 
+(* --- induced subgraphs against the edge-by-edge reference --- *)
+
+(* The edge-by-edge builder [Dag.induced] once was: the kept tasks in
+   id order, then every internal edge re-inserted through [add_edge],
+   producers in id order and each producer's out-edges in row order,
+   a file recreated at its first kept edge *)
+let reference_induced d ids =
+  let ids = List.sort_uniq compare ids in
+  let old_of_new = Array.of_list ids in
+  let new_of_old = Array.make (Dag.n_tasks d) (-1) in
+  Array.iteri (fun nid oid -> new_of_old.(oid) <- nid) old_of_new;
+  let sub = Dag.create ~name:(Dag.name d ^ "/induced") () in
+  Array.iter
+    (fun oid ->
+      let info = Dag.task d oid in
+      ignore (Dag.add_task sub ~name:info.Task.name ~weight:info.Task.weight))
+    old_of_new;
+  let file_map = Array.make (Dag.n_files d) (-1) in
+  Array.iter
+    (fun oid ->
+      let nsrc = new_of_old.(oid) in
+      List.iter
+        (fun (odst, (f : Dag.file)) ->
+          let ndst = new_of_old.(odst) in
+          if ndst >= 0 then begin
+            let fid = f.Dag.file_id in
+            if file_map.(fid) < 0 then
+              file_map.(fid) <- Dag.add_file sub ~producer:nsrc ~size:f.Dag.size;
+            Dag.add_edge sub ~file:file_map.(fid) nsrc ndst 0.
+          end)
+        (Dag.succs d oid))
+    old_of_new;
+  (sub, old_of_new)
+
+(* A random DAG whose producers share named files among consumers and
+   send several files to one consumer (parallel edges), with edges
+   added in shuffled order and some files never read *)
+let random_file_dag seed n =
+  let rng = Rng.create seed in
+  let d = Dag.create ~name:"files" () in
+  for i = 0 to n - 1 do
+    ignore (Dag.add_task d ~name:(Printf.sprintf "t%d" i) ~weight:(1. +. Rng.float rng 9.))
+  done;
+  let named =
+    Array.init n (fun u ->
+        Array.init (Rng.int rng 4) (fun _ -> Dag.add_file d ~producer:u ~size:(Rng.float rng 50.)))
+  in
+  let pairs = ref [] in
+  for u = 0 to n - 2 do
+    for v = u + 1 to n - 1 do
+      if Rng.uniform rng < 0.25 then pairs := (u, v) :: !pairs
+    done
+  done;
+  let pairs = Array.of_list !pairs in
+  Rng.shuffle rng pairs;
+  Array.iter
+    (fun (u, v) ->
+      let files = named.(u) in
+      let k = Array.length files in
+      if k = 0 || Rng.bool rng then Dag.add_edge d u v (Rng.float rng 50.)
+      else begin
+        let first = Rng.int rng k in
+        for j = 0 to Rng.int rng k do
+          Dag.add_edge d ~file:files.((first + j) mod k) u v 0.
+        done
+      end)
+    pairs;
+  d
+
+let same_dag a b =
+  let rows d = List.init (Dag.n_tasks d) (fun t -> (Dag.succs d t, Dag.preds d t, Dag.inputs d t)) in
+  Dag.name a = Dag.name b
+  && Dag.n_tasks a = Dag.n_tasks b
+  && Dag.n_edges a = Dag.n_edges b
+  && Dag.tasks a = Dag.tasks b
+  && Dag.files a = Dag.files b
+  && rows a = rows b
+
+let prop_induced_matches_reference =
+  QCheck.Test.make ~name:"induced = edge-by-edge reference (shared files, parallel edges)"
+    ~count:150
+    QCheck.(pair small_nat (int_range 1 30))
+    (fun (seed, n) ->
+      let d = random_file_dag seed n in
+      let rng = Rng.create (seed + 7919) in
+      (* an unsorted id list with a repeat, as callers may pass *)
+      let ids = List.filter (fun _ -> Rng.uniform rng < 0.6) (List.init n Fun.id) in
+      let ids = Array.of_list (match ids with [] -> [] | hd :: _ -> hd :: ids) in
+      Rng.shuffle rng ids;
+      let ids = Array.to_list ids in
+      let sub, map = Dag.induced d ids in
+      let ref_sub, ref_map = reference_induced d ids in
+      (* both stay growable builders *)
+      let grow g =
+        let t = Dag.add_task g ~name:"extra" ~weight:1. in
+        if t > 0 then Dag.add_edge g 0 t 3.;
+        Dag.add_input g t 2.
+      in
+      let same_now = same_dag sub ref_sub in
+      grow sub;
+      grow ref_sub;
+      map = ref_map && same_now && same_dag sub ref_sub)
+
 let prop_topo_valid =
   QCheck.Test.make ~name:"random DAG topological sort is valid" ~count:50
     QCheck.(pair small_nat (int_range 1 30))
@@ -331,4 +434,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_longest_path_bounds;
     QCheck_alcotest.to_alcotest prop_reduction_preserves_reachability;
     QCheck_alcotest.to_alcotest prop_critical_path_sums_to_longest;
+    QCheck_alcotest.to_alcotest prop_induced_matches_reference;
   ]

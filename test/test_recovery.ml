@@ -17,6 +17,9 @@ module Strategy = Ckpt_core.Strategy
 module Storage = Ckpt_storage.Storage
 module Pipeline = Ckpt_core.Pipeline
 module Spec = Ckpt_workflows.Spec
+module Mspg = Ckpt_mspg.Mspg
+module Recognize = Ckpt_mspg.Recognize
+module Random_wf = Ckpt_workflows.Random_wf
 
 let check_close ?(eps = 1e-9) msg expected actual =
   if abs_float (expected -. actual) > eps *. (1. +. abs_float expected) then
@@ -57,6 +60,50 @@ let test_mortality_survivors () =
     (Mortality.survivors deaths ~after:5.);
   Alcotest.(check (list int)) "after 0 (everyone still alive)" [ 0; 1; 2; 3 ]
     (Mortality.survivors deaths ~after:0.)
+
+(* The censoring reference: every (instant, id) pair sorted by
+   polymorphic compare, the first [keep] kept, the rest at infinity *)
+let reference_censor instants keep =
+  let n = Array.length instants in
+  let order = Array.init n (fun p -> (instants.(p), p)) in
+  Array.sort compare order;
+  let out = Array.make n infinity in
+  for k = 0 to min keep n - 1 do
+    let x, p = order.(k) in
+    out.(p) <- x
+  done;
+  out
+
+let test_mortality_censoring_reference () =
+  for seed = 0 to 59 do
+    let processors = 1 + (seed * 7 mod 40) in
+    let uncensored =
+      Mortality.draw (Rng.create seed) ~processors ~lambda_death:0.3 ~max_losses:processors
+    in
+    (* zero-rate processors draw no instant: infinite kills tie *)
+    let rates = Array.init processors (fun p -> if (p + seed) mod 3 = 0 then 0. else 0.3) in
+    let kills revs = Array.map (fun (r : Mortality.revocation) -> r.Mortality.kill) revs in
+    let all_kills =
+      kills
+        (Mortality.draw_revocations (Rng.create seed) ~rates ~grace:1.
+           ~max_revocations:processors)
+    in
+    for keep = 0 to processors do
+      let drawn =
+        Mortality.draw (Rng.create seed) ~processors ~lambda_death:0.3 ~max_losses:keep
+      in
+      if drawn <> reference_censor uncensored keep then
+        Alcotest.failf "draw: seed %d, %d processors, %d losses" seed processors keep;
+      let revoked =
+        kills
+          (Mortality.draw_revocations (Rng.create seed) ~rates ~grace:1.
+             ~max_revocations:keep)
+      in
+      if revoked <> reference_censor all_kills keep then
+        Alcotest.failf "draw_revocations: seed %d, %d processors, %d revocations" seed
+          processors keep
+    done
+  done
 
 (* --- Residual --- *)
 
@@ -99,6 +146,140 @@ let test_residual_rejects_all_done () =
     (match Residual.build ~dag:d ~done_:(Array.make 3 true) with
     | exception Invalid_argument _ -> true
     | _ -> false)
+
+(* --- The pruning law: a strict residual's tree is the setup's, pruned --- *)
+
+let rec least_id = function
+  | Mspg.Leaf t -> t
+  | Mspg.Serial l | Mspg.Parallel l ->
+      List.fold_left (fun acc c -> min acc (least_id c)) max_int l
+
+(* The reference prune: drop the leaves without a new id, rename the
+   rest, collapse singleton compositions, and order every parallel
+   composition's children by least id *)
+let rec reference_prune new_id = function
+  | Mspg.Leaf t -> if new_id.(t) < 0 then None else Some (Mspg.leaf new_id.(t))
+  | Mspg.Serial l -> (
+      match List.filter_map (reference_prune new_id) l with
+      | [] -> None
+      | l -> Some (Mspg.serial l))
+  | Mspg.Parallel l -> (
+      match List.filter_map (reference_prune new_id) l with
+      | [] -> None
+      | l -> (
+          match Mspg.parallel l with
+          | Mspg.Parallel cs ->
+              Some
+                (Mspg.Parallel (List.sort (fun a b -> compare (least_id a) (least_id b)) cs))
+          | t -> Some t))
+
+let recognised dag =
+  match Recognize.of_dag_completed dag with
+  | Ok (m, dummies) -> (m.Mspg.tree, dummies)
+  | Error msg -> Alcotest.failf "%s not recognised: %s" (Dag.name dag) msg
+
+(* Recognising the residual of [done_] gives the setup tree pruned by
+   the reference, with no dummy dependency *)
+let law_holds dag tree done_ =
+  let residual, task_of = Residual.build ~dag ~done_ in
+  let new_id = Array.make (Dag.n_tasks dag) (-1) in
+  Array.iteri (fun nid oid -> new_id.(oid) <- nid) task_of;
+  match (Recognize.of_dag_completed residual, reference_prune new_id tree) with
+  | Ok (m, 0), Some pruned -> m.Mspg.tree = pruned
+  | _ -> false
+
+(* A random predecessor-closed done set: a prefix of a random
+   topological order, never the whole workflow *)
+let closed_done_set rng dag =
+  let n = Dag.n_tasks dag in
+  let order = Dag.topological_sort ~rng dag in
+  let done_ = Array.make n false in
+  for k = 0 to Rng.int rng n - 1 do
+    done_.(order.(k)) <- true
+  done;
+  done_
+
+let test_law_on_strict_workflows () =
+  List.iter
+    (fun (kind, tasks) ->
+      let dag = Spec.generate kind ~seed:3 ~tasks () in
+      let tree, dummies = recognised dag in
+      Alcotest.(check int) (Dag.name dag ^ " is strict") 0 dummies;
+      let rng = Rng.create (17 + tasks) in
+      for i = 1 to 30 do
+        if not (law_holds dag tree (closed_done_set rng dag)) then
+          Alcotest.failf "%s: done set %d breaks the law" (Dag.name dag) i
+      done)
+    [
+      (Spec.Genome, 50); (Spec.Genome, 300); (Spec.Cybershake, 50); (Spec.Cybershake, 300);
+      (Spec.Sipht, 50); (Spec.Sipht, 300);
+    ]
+
+let qcheck_law_on_random_mspgs =
+  QCheck.Test.make ~count:60 ~name:"residual law on random M-SPGs"
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let dag = (Random_wf.generate ~seed ~max_tasks:60 ()).Mspg.dag in
+      let tree, dummies = recognised dag in
+      let rng = Rng.create seed in
+      dummies = 0
+      && List.for_all
+           (fun _ -> law_holds dag tree (closed_done_set rng dag))
+           (List.init 10 Fun.id))
+
+(* s -> (a1 -> a2 || b1 -> b2) -> t, numbered s=0 a1=1 b1=2 b2=3 a2=4
+   t=5: once s and a1 are done, branch a's least id (a2, now 2)
+   follows branch b's (b1, now 0), so the pruned parallel composition
+   must be re-sorted *)
+let resort_dag () =
+  let d = Dag.create ~name:"resort" () in
+  let task name = Dag.add_task d ~name ~weight:1. in
+  let s = task "s" and a1 = task "a1" and b1 = task "b1" in
+  let b2 = task "b2" and a2 = task "a2" and t = task "t" in
+  List.iter
+    (fun (u, v) -> Dag.add_edge d u v 1.)
+    [ (s, a1); (s, b1); (a1, a2); (b1, b2); (a2, t); (b2, t) ];
+  d
+
+let test_law_resorts_branches () =
+  let dag = resort_dag () in
+  let tree, _ = recognised dag in
+  let leaf = Mspg.leaf in
+  Alcotest.(check bool) "setup tree" true
+    (tree
+    = Mspg.Serial
+        [ leaf 0; Mspg.Parallel [ Mspg.Serial [ leaf 1; leaf 4 ]; Mspg.Serial [ leaf 2; leaf 3 ] ];
+          leaf 5 ]);
+  let done_ = [| true; true; false; false; false; false |] in
+  let residual, _ = Residual.build ~dag ~done_ in
+  let rtree, _ = recognised residual in
+  Alcotest.(check bool) "branch b leads the residual" true
+    (rtree = Mspg.Serial [ Mspg.Parallel [ Mspg.Serial [ leaf 0; leaf 1 ]; leaf 2 ]; leaf 3 ]);
+  Alcotest.(check bool) "the law holds" true (law_holds dag tree done_)
+
+let test_law_preconditions () =
+  (* a completed workflow: the residual of a completed cut is completed
+     its own way *)
+  let montage = Spec.generate Spec.Montage ~seed:3 ~tasks:50 () in
+  let tree, dummies = recognised montage in
+  Alcotest.(check bool) "MONTAGE needs completion" true (dummies > 0);
+  let rng = Rng.create 5 in
+  let broken = ref 0 in
+  for _ = 1 to 30 do
+    if not (law_holds montage tree (closed_done_set rng montage)) then incr broken
+  done;
+  Alcotest.(check bool) "a MONTAGE n=50 done set breaks the law" true (!broken > 0);
+  (* a done set that is not predecessor-closed: a middle serial factor
+     done, its neighbours not *)
+  let genome = Spec.generate Spec.Genome ~seed:3 ~tasks:50 () in
+  let tree, _ = recognised genome in
+  let rng = Rng.create 6 in
+  let broken = ref 0 in
+  for _ = 1 to 30 do
+    let done_ = Array.init (Dag.n_tasks genome) (fun _ -> Rng.uniform rng < 0.3) in
+    if Array.exists not done_ && not (law_holds genome tree done_) then incr broken
+  done;
+  Alcotest.(check bool) "an open GENOME done set breaks the law" true (!broken > 0)
 
 (* --- Engine.run under permanent deaths --- *)
 
@@ -362,9 +543,14 @@ let suite =
     Alcotest.test_case "mortality censoring" `Quick test_mortality_censoring;
     Alcotest.test_case "mortality deterministic" `Quick test_mortality_deterministic;
     Alcotest.test_case "mortality survivors" `Quick test_mortality_survivors;
+    Alcotest.test_case "censoring = sorted reference" `Quick test_mortality_censoring_reference;
     Alcotest.test_case "residual keeps not-done" `Quick test_residual_keeps_not_done;
     Alcotest.test_case "residual keeps initial inputs" `Quick test_residual_keeps_initial_inputs;
     Alcotest.test_case "residual rejects all-done" `Quick test_residual_rejects_all_done;
+    Alcotest.test_case "residual law: strict workflows" `Quick test_law_on_strict_workflows;
+    QCheck_alcotest.to_alcotest qcheck_law_on_random_mspgs;
+    Alcotest.test_case "residual law: re-sorted branches" `Quick test_law_resorts_branches;
+    Alcotest.test_case "residual law: preconditions" `Quick test_law_preconditions;
     Alcotest.test_case "death-free matches execute" `Quick test_death_free_matches_execute;
     Alcotest.test_case "idle death harmless" `Quick test_idle_death_is_harmless;
     Alcotest.test_case "mid-flight death interrupts" `Quick test_midflight_death_interrupts;

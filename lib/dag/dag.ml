@@ -432,38 +432,60 @@ let copy t =
   }
 
 let induced t ids =
-  let ids = List.sort_uniq compare ids in
+  let ids = List.sort_uniq Int.compare ids in
   List.iter (fun id -> check_task t id "induced") ids;
   let old_of_new = Array.of_list ids in
   let new_of_old = Array.make (max 1 t.n) (-1) in
   Array.iteri (fun nid oid -> new_of_old.(oid) <- nid) old_of_new;
-  let sub = create ~name:(t.dag_name ^ "/induced") () in
-  Array.iter
-    (fun oid ->
-      let info = task t oid in
-      ignore (add_task sub ~name:info.Task.name ~weight:info.Task.weight))
-    old_of_new;
-  (* recreate files lazily, preserving sharing inside the subgraph *)
+  (* one pass per row: filter out the edges that leave the subset and
+     rename the rest. New ids keep the old order, so every row stays
+     sorted; a file is recreated at its first kept edge, producers in
+     id order and each out-row in order, as edge-by-edge insertion
+     would meet it *)
   let file_map = Array.make (max 1 t.n_files) (-1) in
-  Array.iter
-    (fun oid ->
-      let nsrc = new_of_old.(oid) in
-      List.iter
-        (fun (odst, fid) ->
-          let ndst = new_of_old.(odst) in
-          if ndst >= 0 then begin
-            let nfid =
-              if file_map.(fid) >= 0 then file_map.(fid)
-              else begin
-                let nf = add_file sub ~producer:nsrc ~size:t.file_tbl.(fid).size in
-                file_map.(fid) <- nf;
-                nf
-              end
-            in
-            add_edge sub ~file:nfid nsrc ndst 0.
-          end)
-        t.nodes.(oid).out_edges)
-    old_of_new;
+  let files = ref [] and n_files = ref 0 and n_edges = ref 0 in
+  let rec keep_out nsrc = function
+    | [] -> []
+    | (odst, fid) :: tl ->
+        let ndst = new_of_old.(odst) in
+        if ndst < 0 then keep_out nsrc tl
+        else begin
+          if file_map.(fid) < 0 then begin
+            file_map.(fid) <- !n_files;
+            files := { file_id = !n_files; producer = nsrc; size = t.file_tbl.(fid).size } :: !files;
+            incr n_files
+          end;
+          incr n_edges;
+          let e = (ndst, file_map.(fid)) in
+          e :: keep_out nsrc tl
+        end
+  in
+  let rec keep_in = function
+    | [] -> []
+    | (osrc, fid) :: tl ->
+        let nsrc = new_of_old.(osrc) in
+        if nsrc < 0 then keep_in tl else (nsrc, file_map.(fid)) :: keep_in tl
+  in
+  let nodes =
+    Array.mapi
+      (fun nid oid ->
+        let nd = t.nodes.(oid) in
+        { info = { nd.info with Task.id = nid };
+          out_edges = keep_out nid nd.out_edges;
+          in_edges = [];
+          input_files = [] })
+      old_of_new
+  in
+  (* every kept edge has had its file renamed by now *)
+  Array.iteri (fun nid oid -> nodes.(nid).in_edges <- keep_in t.nodes.(oid).in_edges) old_of_new;
+  let sub =
+    { dag_name = t.dag_name ^ "/induced";
+      nodes;
+      n = Array.length nodes;
+      file_tbl = Array.of_list (List.rev !files);
+      n_files = !n_files;
+      n_edges = !n_edges }
+  in
   (sub, old_of_new)
 
 let to_dot t =

@@ -159,9 +159,20 @@ val copy : t -> t
 
 val induced : t -> Task.id list -> t * Task.id array
 (** [induced d ids] is the sub-DAG induced by [ids] plus the array
-    mapping new ids to original ids. Edges internal to [ids] are kept
-    with their files (file sizes copied; sharing within the subgraph
-    preserved). *)
+    mapping new ids to original ids (ascending: new ids keep the old
+    order). Edges internal to [ids] are kept with their files (file
+    sizes copied; sharing within the subgraph preserved); initial
+    inputs are not copied.
+
+    Built in one pass, O(tasks + edges): each kept task's out- and
+    in-edge rows are filtered to the subset and renamed, so they keep
+    their order (sorted, parallel file edges in insertion order), and
+    a file is recreated at its first kept edge, producers in id order
+    and each out-row in order. The result is the DAG obtained by adding
+    the kept tasks in id order, then each kept edge through
+    {!add_edge} in that same order: same tasks, file table, rows and
+    edge count. The result is an ordinary builder, open to further
+    additions. *)
 
 val to_dot : t -> string
 (** Graphviz rendering for debugging and the examples. *)

@@ -102,6 +102,34 @@ let implied_edges tree =
       List.concat_map (fun s -> List.map (fun d -> (s, d)) sources) sinks)
     (serial_cuts tree)
 
+let implied_count tree =
+  let pairs = ref 0 in
+  (* a subtree's source and sink counts; each serial cut adds their
+     product *)
+  let rec ends = function
+    | Leaf _ -> (1, 1)
+    | Parallel l ->
+        List.fold_left
+          (fun (so, si) c ->
+            let a, b = ends c in
+            (so + a, si + b))
+          (0, 0) l
+    | Serial [] -> (0, 0)
+    | Serial (hd :: tl) ->
+        let so, si = ends hd in
+        let last =
+          List.fold_left
+            (fun si c ->
+              let a, b = ends c in
+              pairs := !pairs + (si * a);
+              b)
+            si tl
+        in
+        (so, last)
+  in
+  ignore (ends tree);
+  !pairs
+
 (* With every task in the tree once, a task is a sink in at most one
    cut and a source in at most one, so a pair (u, v) is implied iff
    its two cut indices agree. [present.(c)] counts the distinct DAG

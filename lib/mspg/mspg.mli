@@ -81,6 +81,10 @@ val implied_edges : tree -> (Task.id * Task.id) list
     once, a task is a sink in at most one cut and a source in at most
     one cut, so each implied pair belongs to exactly one cut. *)
 
+val implied_count : tree -> int
+(** [List.length (implied_edges tree)] for a tree holding each task
+    once, counted in O(tree size) without listing the pairs. *)
+
 val completion : t -> (Task.id list * Task.id list) list
 (** The serial cuts whose pairs the DAG does not all hold as edges:
     empty for a strict M-SPG; after a bipartite completion, the cuts

@@ -473,6 +473,28 @@ let of_dag_completed dag =
 
 let is_mspg dag = match of_dag dag with Ok _ -> true | Error _ -> false
 
+let prune tree ~new_id =
+  (* the kept part of a subtree as the branches of a parallel
+     composition, each with its least new id: [] when nothing is kept,
+     several when the kept part is itself parallel *)
+  let rec branches = function
+    | Mspg.Leaf t -> if new_id.(t) < 0 then [] else [ (Mspg.leaf new_id.(t), new_id.(t)) ]
+    | Mspg.Parallel l -> List.concat_map branches l
+    | Mspg.Serial l -> (
+        match List.filter (fun bs -> bs <> []) (List.map branches l) with
+        | [] -> []
+        | [ bs ] -> bs
+        | factors ->
+            let least bs = List.fold_left (fun acc (_, m) -> min acc m) max_int bs in
+            [ (Mspg.serial (List.map compose factors),
+               List.fold_left (fun acc bs -> min acc (least bs)) max_int factors) ])
+  and compose bs =
+    Mspg.parallel (List.map fst (List.sort (fun (_, a) (_, b) -> Int.compare a b) bs))
+  in
+  match branches tree with
+  | [] -> invalid_arg "Recognize.prune: every task pruned"
+  | bs -> compose bs
+
 let of_dag_gspg dag =
   Dag.check_acyclic dag;
   let reduced_edges = Dag.transitive_reduction_edges dag in

@@ -40,6 +40,34 @@ val of_dag_completed : Dag.t -> (Mspg.t * int, string) result
 
 val is_mspg : Dag.t -> bool
 
+val prune : Mspg.tree -> new_id:int array -> Mspg.tree
+(** [prune tree ~new_id] drops the leaves [t] with [new_id.(t) < 0],
+    renames every other leaf [t] to [new_id.(t)], collapses the
+    compositions left with one child ({!Mspg.serial},
+    {!Mspg.parallel}) and orders every parallel composition's children
+    by least id, the order recognition lists components in. O(tree
+    size), plus the sorts.
+
+    The law. Let [tree] decompose a DAG [d] whose dependencies are
+    exactly the pairs of the tree's serial cuts ({!Mspg.implied_edges}:
+    a strict M-SPG — no completed cut, no transitive edge), let the
+    dropped set be predecessor-closed (every predecessor of a dropped
+    task is dropped), and let [new_id] number the kept tasks in
+    increasing order. Then recognising the sub-DAG of [d] induced by
+    the kept tasks, renumbered by [new_id], gives [prune tree ~new_id]
+    with no dummy dependency. The dropped tasks of a serial
+    composition form a prefix of its factors plus part of the next
+    one, whose kept sinks are sinks of that factor, so every cut stays
+    complete; the components of a parallel composition stay apart.
+
+    Both preconditions matter. On a completed workflow the residual of
+    a completed cut may complete differently or need no completion;
+    a done set that is not predecessor-closed can empty a middle
+    serial factor and disconnect its neighbours. Recognise those
+    residuals instead.
+
+    @raise Invalid_argument if every task is dropped. *)
+
 val of_dag_gspg : Dag.t -> (Mspg.t * int, string) result
 (** General Series-Parallel Graph recognition — the first step of the
     paper's future work (Section VIII): a DAG is a GSPG iff its

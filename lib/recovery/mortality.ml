@@ -1,5 +1,34 @@
 module Rng = Ckpt_prob.Rng
 
+let censor instants ~keep =
+  let n = Array.length instants in
+  if keep <= 0 then Array.fill instants 0 n infinity
+  else if keep < n then begin
+    (* one pass in id order keeps the ids of the [keep] earliest
+       instants so far, sorted by (instant, id): a later id displaces
+       one only when strictly earlier, so ties stay with the lower id *)
+    let earliest = Array.make keep 0 and len = ref 0 in
+    for p = 0 to n - 1 do
+      let x = instants.(p) in
+      if !len < keep || Float.compare x instants.(earliest.(keep - 1)) < 0 then begin
+        let j = ref (min !len (keep - 1)) in
+        while !j > 0 && Float.compare x instants.(earliest.(!j - 1)) < 0 do
+          earliest.(!j) <- earliest.(!j - 1);
+          decr j
+        done;
+        earliest.(!j) <- p;
+        if !len < keep then incr len
+      end
+    done;
+    (* the last kept pair bounds the rest *)
+    let q = earliest.(keep - 1) in
+    let xq = instants.(q) in
+    for p = 0 to n - 1 do
+      let c = Float.compare instants.(p) xq in
+      if c > 0 || (c = 0 && p > q) then instants.(p) <- infinity
+    done
+  end
+
 let draw rng ~processors ~lambda_death ~max_losses =
   if processors < 1 then invalid_arg "Mortality.draw: processors < 1";
   if lambda_death < 0. then invalid_arg "Mortality.draw: negative rate";
@@ -9,18 +38,8 @@ let draw rng ~processors ~lambda_death ~max_losses =
     let deaths =
       Array.init processors (fun _ -> Rng.exponential rng ~rate:lambda_death)
     in
-    if max_losses >= processors then deaths
-    else begin
-      (* censor to the [max_losses] earliest instants, ties by id *)
-      let order = Array.init processors (fun p -> (deaths.(p), p)) in
-      Array.sort compare order;
-      let censored = Array.make processors infinity in
-      for k = 0 to max_losses - 1 do
-        let d, p = order.(k) in
-        censored.(p) <- d
-      done;
-      censored
-    end
+    censor deaths ~keep:max_losses;
+    deaths
   end
 
 type revocation = { warn : float; kill : float }
@@ -49,18 +68,8 @@ let draw_revocations rng ~rates ~grace ~max_revocations =
         Array.init processors (fun p ->
             if rates.(p) = 0. then infinity else Rng.exponential rng ~rate:rates.(p))
       in
-      if max_revocations >= processors then kills
-      else begin
-        (* censor to the [max_revocations] earliest instants, ties by id *)
-        let order = Array.init processors (fun p -> (kills.(p), p)) in
-        Array.sort compare order;
-        let censored = Array.make processors infinity in
-        for k = 0 to max_revocations - 1 do
-          let d, p = order.(k) in
-          censored.(p) <- d
-        done;
-        censored
-      end
+      censor kills ~keep:max_revocations;
+      kills
     end
   in
   Array.map

@@ -12,6 +12,14 @@
     strand with positive probability and the expectation would be
     infinite. *)
 
+val censor : float array -> keep:int -> unit
+(** [censor instants ~keep] pushes every instant but the [keep]
+    earliest to [infinity], in place. Earliest means least by
+    [(instant, id)]: ties go to the lower processor id, and instants
+    compare as [Float.compare] does — the order a sort of
+    [(instant, id)] pairs gives. One pass in id order, O(n·keep) at
+    worst, without polymorphic comparison. *)
+
 val draw :
   Ckpt_prob.Rng.t ->
   processors:int ->

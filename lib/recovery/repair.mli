@@ -1,14 +1,25 @@
 (** Online schedule repair after a permanent processor loss.
 
     At the loss instant the residual workflow ({!Residual}) is replanned
-    from scratch on the surviving processor set: M-SPG recognition
-    (dummy-completing incomplete bipartite blocks if needed), ALLOCATE /
-    PROPMAP list scheduling (Algorithm 1) and the O(n²) checkpoint DP
-    (Algorithm 2) all re-run on the smaller platform. Checkpointed
-    inputs of the residual graph are initial inputs, so their re-reads
-    — the migration cost of moving a dead processor's work elsewhere —
-    flow into the R terms of the DP exactly like any stable-storage
-    read.
+    on the surviving processor set, starting from the plan it repairs:
+    ALLOCATE / PROPMAP list scheduling (Algorithm 1) and the O(n²)
+    checkpoint DP (Algorithm 2) re-run on the smaller platform, over
+    the residual's M-SPG tree. That tree comes one of two ways:
+    - the plan's own tree, pruned to the residual
+      ({!Ckpt_mspg.Recognize.prune}), when the tree implies exactly the
+      raw workflow's dependencies (a strict M-SPG such as GENOME,
+      CYBERSHAKE or SIPHT: no completed cut, no transitive edge) and
+      the done set is predecessor-closed (every predecessor of a done
+      task is done, as in every store-free trial); recognition would
+      return that very tree;
+    - M-SPG recognition of the residual otherwise (dummy-completing
+      incomplete bipartite blocks if needed): on completed workflows
+      such as MONTAGE and LIGO, and on done sets that latent storage
+      corruption left open.
+    Checkpointed inputs of the residual graph are initial inputs, so
+    their re-reads — the migration cost of moving a dead processor's
+    work elsewhere — flow into the R terms of the DP exactly like any
+    stable-storage read.
 
     Replanning can fail (no survivors, residual graph not recognisable
     even with completion); callers then fall back to restarting the
@@ -26,22 +37,20 @@ type t = {
 }
 
 val replan :
-  ?replicas:int ->
   kind:Strategy.kind ->
-  dag:Dag.t ->
   done_:bool array ->
   survivors:int list ->
-  platform:Platform.t ->
-  unit ->
+  Strategy.plan ->
   (t, string) result
-(** [replan ~kind ~dag ~done_ ~survivors ~platform ()] replans the
-    tasks of [dag] not yet checkpointed ([done_]) on the [survivors]
-    (physical processor ids of [platform], ascending). The repaired
-    plan runs on a heterogeneous sub-platform keeping each survivor's
-    own failure rate and the storage bandwidth; [phys] maps its
-    processor indices back to physical ids. [kind] is the checkpoint
-    policy the replan applies (CKPTSOME re-runs the optimal DP).
-
-    [replicas] prices the repaired plan's commits at [k·C]
-    ({!Strategy.plan}). Never raises on unplannable input — returns
-    [Error] instead. *)
+(** [replan ~kind ~done_ ~survivors plan] replans the tasks of
+    [plan]'s raw workflow not yet checkpointed ([done_]) on the
+    [survivors] (physical processor ids of [plan]'s platform,
+    ascending). The repaired plan runs on a heterogeneous sub-platform
+    keeping each survivor's own failure rate and the storage
+    bandwidth; [phys] maps its processor indices back to physical ids.
+    [kind] is the checkpoint policy the replan applies (CKPTSOME
+    re-runs the optimal DP); commits are priced at [plan]'s replica
+    count ({!Strategy.plan}). The path to the residual's tree is chosen
+    from [plan]'s schedule and [done_] alone, and both paths give the
+    same tree. Never raises on unplannable input — returns [Error]
+    instead. *)

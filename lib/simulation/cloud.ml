@@ -82,10 +82,7 @@ let minimal_kind = Strategy.Ckpt_every 1_000_000
 let replica_of_half (plan : Strategy.plan) half =
   let raw = plan.Strategy.raw_dag in
   let done_ = Array.make (Dag.n_tasks raw) false in
-  match
-    Repair.replan ~replicas:plan.Strategy.replicas ~kind:minimal_kind ~dag:raw ~done_
-      ~survivors:half ~platform:plan.Strategy.platform ()
-  with
+  match Repair.replan ~kind:minimal_kind ~done_ ~survivors:half plan with
   | Error msg -> invalid_arg ("Cloud.prepare: replica plan failed: " ^ msg)
   | Ok r ->
       { rsegs = Replan.physical_segs r; rwrites = Runner.writes_of_plan r.Repair.plan }

@@ -101,10 +101,7 @@ let physical_segs (r : Repair.t) =
    processor / original task ids — the value the cache stores. *)
 let compute_replan prepared ~kind ~survivors ~done_ =
   let plan = prepared.plan in
-  match
-    Repair.replan ~replicas:plan.Strategy.replicas ~kind ~dag:plan.Strategy.raw_dag
-      ~done_ ~survivors ~platform:plan.Strategy.platform ()
-  with
+  match Repair.replan ~kind ~done_ ~survivors plan with
   | Error msg -> Error msg
   | Ok r ->
       let seg_tasks =

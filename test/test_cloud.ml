@@ -494,10 +494,7 @@ let rescued_tasks_never_replanned case_seed =
         let survivors = Mortality.eviction_survivors revs ~after:at in
         if survivors = [] then true
         else begin
-          match
-            Repair.replan ~kind:Strategy.Ckpt_some ~dag:raw ~done_ ~survivors ~platform
-              ()
-          with
+          match Repair.replan ~kind:Strategy.Ckpt_some ~done_ ~survivors plan with
           | Error msg -> Alcotest.failf "replan failed: %s" msg
           | Ok r ->
               Array.iter

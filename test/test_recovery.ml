@@ -20,6 +20,8 @@ module Spec = Ckpt_workflows.Spec
 module Mspg = Ckpt_mspg.Mspg
 module Recognize = Ckpt_mspg.Recognize
 module Random_wf = Ckpt_workflows.Random_wf
+module Allocate = Ckpt_core.Allocate
+module Schedule = Ckpt_core.Schedule
 
 let check_close ?(eps = 1e-9) msg expected actual =
   if abs_float (expected -. actual) > eps *. (1. +. abs_float expected) then
@@ -104,6 +106,27 @@ let test_mortality_censoring_reference () =
           processors keep
     done
   done
+
+let test_censor_ties () =
+  let rng = Rng.create 11 in
+  for case = 0 to 199 do
+    let n = 1 + Rng.int rng 40 in
+    (* few distinct values, so ties are common *)
+    let instants =
+      Array.init n (fun _ ->
+          match Rng.int rng 6 with 0 -> infinity | k -> float_of_int k)
+    in
+    for keep = 0 to n + 1 do
+      let censored = Array.copy instants in
+      Mortality.censor censored ~keep;
+      if censored <> reference_censor instants keep then
+        Alcotest.failf "case %d: %d instants, keep %d" case n keep
+    done
+  done;
+  let ties = [| 1.; 1.; 0.5; 1. |] in
+  Mortality.censor ties ~keep:2;
+  Alcotest.(check (array (float 0.))) "a tie goes to the lower id" [| 1.; infinity; 0.5; infinity |]
+    ties
 
 (* --- Residual --- *)
 
@@ -281,6 +304,86 @@ let test_law_preconditions () =
   done;
   Alcotest.(check bool) "an open GENOME done set breaks the law" true (!broken > 0)
 
+(* --- Repair: the pruned and the recognised residual agree --- *)
+
+(* [Repair.replan] as it was before pruning: recognise every residual
+   (the test plans run on homogeneous, unpriced platforms) *)
+let reference_replan ~kind ~done_ ~survivors (plan : Strategy.plan) =
+  let residual, _ = Residual.build ~dag:plan.Strategy.raw_dag ~done_ in
+  match Recognize.of_dag_completed residual with
+  | Error msg -> Error msg
+  | Ok (mspg, dummies) ->
+      let phys = Array.of_list survivors in
+      let platform = plan.Strategy.platform in
+      let sub =
+        Platform.make_heterogeneous
+          ~rates:(Array.map (Platform.rate_of platform) phys)
+          ~bandwidth:platform.Platform.bandwidth ()
+      in
+      let schedule = Allocate.run mspg ~processors:(Array.length phys) in
+      Ok (Strategy.plan kind ~raw:residual ~schedule ~platform:sub, dummies)
+
+let same_replan what ~done_ ~survivors plan =
+  match
+    ( Repair.replan ~kind:Strategy.Ckpt_some ~done_ ~survivors plan,
+      reference_replan ~kind:Strategy.Ckpt_some ~done_ ~survivors plan )
+  with
+  | Ok r, Ok (p, dummies) ->
+      let tree (q : Strategy.plan) = q.Strategy.schedule.Schedule.tree in
+      if tree r.Repair.plan <> tree p then
+        Alcotest.failf "%s: residual trees differ: %s vs %s" what
+          (Format.asprintf "%a" Mspg.pp_tree (tree r.Repair.plan))
+          (Format.asprintf "%a" Mspg.pp_tree (tree p));
+      Alcotest.(check int) (what ^ ": dummies") dummies r.Repair.dummy_edges;
+      Alcotest.(check int) (what ^ ": checkpoints") p.Strategy.checkpoint_count
+        r.Repair.plan.Strategy.checkpoint_count;
+      Alcotest.(check (float 0.)) (what ^ ": expected makespan")
+        (Strategy.expected_makespan p) (Strategy.expected_makespan r.Repair.plan)
+  | Error _, Error _ -> ()
+  | Ok _, Error msg -> Alcotest.failf "%s: only the reference failed: %s" what msg
+  | Error msg, Ok _ -> Alcotest.failf "%s: only the repair failed: %s" what msg
+
+let test_repair_paths_agree () =
+  let plan_of dag processors =
+    Pipeline.plan
+      (Pipeline.prepare ~dag ~processors ~pfail:0.001 ~ccr:0.1 ())
+      Strategy.Ckpt_some
+  in
+  let rng = Rng.create 23 in
+  let survivors processors =
+    match List.filter (fun _ -> Rng.bool rng) (List.init processors Fun.id) with
+    | [] -> [ 0 ]
+    | l -> l
+  in
+  (* strict workflows (pruned) and completed ones (recognised), over
+     closed done sets; open done sets (recognised) *)
+  List.iter
+    (fun kind ->
+      let dag = Spec.generate kind ~seed:4 ~tasks:50 () in
+      let plan = plan_of dag 5 in
+      for i = 1 to 12 do
+        same_replan
+          (Printf.sprintf "%s closed %d" (Dag.name dag) i)
+          ~done_:(closed_done_set rng dag) ~survivors:(survivors 5) plan;
+        let open_ = Array.init (Dag.n_tasks dag) (fun _ -> Rng.uniform rng < 0.3) in
+        if Array.exists not open_ then
+          same_replan
+            (Printf.sprintf "%s open %d" (Dag.name dag) i)
+            ~done_:open_ ~survivors:(survivors 5) plan
+      done)
+    [ Spec.Genome; Spec.Cybershake; Spec.Sipht; Spec.Montage; Spec.Ligo ];
+  (* a pruned parallel composition whose branches change order *)
+  same_replan "re-sorted branches" ~done_:[| true; true; false; false; false; false |]
+    ~survivors:[ 0; 1 ] (plan_of (resort_dag ()) 2);
+  (* a GSPG: its tree leaves the transitive edge s -> t out of its
+     cuts, so recognition, not the tree, decides the residual *)
+  let gspg = Dag.create ~name:"gspg" () in
+  let s = Dag.add_task gspg ~name:"s" ~weight:1. in
+  let m = Dag.add_task gspg ~name:"m" ~weight:1. in
+  let t = Dag.add_task gspg ~name:"t" ~weight:1. in
+  List.iter (fun (u, v) -> Dag.add_edge gspg u v 1.) [ (s, m); (m, t); (s, t) ];
+  same_replan "GSPG" ~done_:[| false; false; false |] ~survivors:[ 0; 1 ] (plan_of gspg 2)
+
 (* --- Engine.run under permanent deaths --- *)
 
 let no_failures _ = Failure.create (Rng.create 1) ~lambda:0.
@@ -357,9 +460,9 @@ let test_repair_no_survivors () =
   let plan = genome_plan () in
   Alcotest.(check bool) "error" true
     (match
-       Repair.replan ~kind:Strategy.Ckpt_some ~dag:plan.Strategy.raw_dag
+       Repair.replan ~kind:Strategy.Ckpt_some
          ~done_:(Array.make (Dag.n_tasks plan.Strategy.raw_dag) false)
-         ~survivors:[] ~platform:plan.Strategy.platform ()
+         ~survivors:[] plan
      with
     | Error _ -> true
     | Ok _ -> false)
@@ -369,9 +472,9 @@ let test_repair_full_restart_plannable () =
   let plan = genome_plan () in
   let raw = plan.Strategy.raw_dag in
   match
-    Repair.replan ~kind:Strategy.Ckpt_some ~dag:raw
+    Repair.replan ~kind:Strategy.Ckpt_some
       ~done_:(Array.make (Dag.n_tasks raw) false)
-      ~survivors:[ 0; 2; 4 ] ~platform:plan.Strategy.platform ()
+      ~survivors:[ 0; 2; 4 ] plan
   with
   | Error msg -> Alcotest.failf "replan failed: %s" msg
   | Ok r ->
@@ -423,7 +526,7 @@ let repaired_reexecutes_only_unsaved seed =
       if survivors = [] then true
       else begin
         match
-          Repair.replan ~kind:Strategy.Ckpt_some ~dag:raw ~done_ ~survivors ~platform ()
+          Repair.replan ~kind:Strategy.Ckpt_some ~done_ ~survivors plan
         with
         | Error msg -> Alcotest.failf "replan failed: %s" msg
         | Ok r ->
@@ -544,6 +647,7 @@ let suite =
     Alcotest.test_case "mortality deterministic" `Quick test_mortality_deterministic;
     Alcotest.test_case "mortality survivors" `Quick test_mortality_survivors;
     Alcotest.test_case "censoring = sorted reference" `Quick test_mortality_censoring_reference;
+    Alcotest.test_case "censor breaks ties by id" `Quick test_censor_ties;
     Alcotest.test_case "residual keeps not-done" `Quick test_residual_keeps_not_done;
     Alcotest.test_case "residual keeps initial inputs" `Quick test_residual_keeps_initial_inputs;
     Alcotest.test_case "residual rejects all-done" `Quick test_residual_rejects_all_done;
@@ -551,6 +655,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_law_on_random_mspgs;
     Alcotest.test_case "residual law: re-sorted branches" `Quick test_law_resorts_branches;
     Alcotest.test_case "residual law: preconditions" `Quick test_law_preconditions;
+    Alcotest.test_case "repair: pruned = recognised" `Quick test_repair_paths_agree;
     Alcotest.test_case "death-free matches execute" `Quick test_death_free_matches_execute;
     Alcotest.test_case "idle death harmless" `Quick test_idle_death_is_harmless;
     Alcotest.test_case "mid-flight death interrupts" `Quick test_midflight_death_interrupts;

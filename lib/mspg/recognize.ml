@@ -485,9 +485,10 @@ let prune tree ~new_id =
         | [] -> []
         | [ bs ] -> bs
         | factors ->
-            let least bs = List.fold_left (fun acc (_, m) -> min acc m) max_int bs in
-            [ (Mspg.serial (List.map compose factors),
-               List.fold_left (fun acc bs -> min acc (least bs)) max_int factors) ])
+            let least =
+              List.fold_left (List.fold_left (fun acc (_, m) -> Int.min acc m)) max_int factors
+            in
+            [ (Mspg.serial (List.map compose factors), least) ])
   and compose bs =
     Mspg.parallel (List.map fst (List.sort (fun (_, a) (_, b) -> Int.compare a b) bs))
   in

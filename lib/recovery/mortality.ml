@@ -11,7 +11,7 @@ let censor instants ~keep =
     for p = 0 to n - 1 do
       let x = instants.(p) in
       if !len < keep || Float.compare x instants.(earliest.(keep - 1)) < 0 then begin
-        let j = ref (min !len (keep - 1)) in
+        let j = ref (Int.min !len (keep - 1)) in
         while !j > 0 && Float.compare x instants.(earliest.(!j - 1)) < 0 do
           earliest.(!j) <- earliest.(!j - 1);
           decr j

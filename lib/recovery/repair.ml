@@ -1,4 +1,3 @@
-module Dag = Ckpt_dag.Dag
 module Csr = Ckpt_dag.Compiled
 module Mspg = Ckpt_mspg.Mspg
 module Recognize = Ckpt_mspg.Recognize

@@ -25,8 +25,6 @@
     even with completion); callers then fall back to restarting the
     whole workflow from scratch on the survivors. *)
 
-module Dag = Ckpt_dag.Dag
-module Platform = Ckpt_platform.Platform
 module Strategy = Ckpt_core.Strategy
 
 type t = {
